@@ -22,11 +22,7 @@ from .errors import (
 )
 from .flow import (
     FlowInfo,
-    integrate_closed_loop,
     integrate_closed_loop_batch,
-    marginal_snapshots,
-    resample_and_reverse,
-    save_snapshot_csv,
     snapshots_from_arrays,
 )
 from .interpolants import (
@@ -57,9 +53,7 @@ from .noising import (
     NoisingReport,
     PmpState,
     QuadraticCost,
-    endpoint_map,
     endpoint_map_batch,
-    exp_map,
     exp_map_batch,
     generate_noising_dataset,
     hamiltonian,
@@ -77,7 +71,6 @@ from .regression import (
     dataset_from_pairs,
     fit_feedback,
     load_dataset,
-    predict,
     save_dataset,
 )
 from .systems import (
@@ -86,7 +79,6 @@ from .systems import (
     builtin_names,
     builtin_system,
     check_sublinear_growth,
-    eval_dynamics,
     hormander_rank,
     lie_bracket,
     negate_system,
@@ -119,11 +111,7 @@ __all__ = [
     "UnstableGainError",
     "UnsupportedSystemError",
     "FlowInfo",
-    "integrate_closed_loop",
     "integrate_closed_loop_batch",
-    "marginal_snapshots",
-    "resample_and_reverse",
-    "save_snapshot_csv",
     "snapshots_from_arrays",
     "Gramian",
     "brockett_steer_pair",
@@ -148,9 +136,7 @@ __all__ = [
     "NoisingReport",
     "PmpState",
     "QuadraticCost",
-    "endpoint_map",
     "endpoint_map_batch",
-    "exp_map",
     "exp_map_batch",
     "generate_noising_dataset",
     "hamiltonian",
@@ -166,14 +152,12 @@ __all__ = [
     "dataset_from_pairs",
     "fit_feedback",
     "load_dataset",
-    "predict",
     "save_dataset",
     "ControlAffineSystem",
     "LinearSystem",
     "builtin_names",
     "builtin_system",
     "check_sublinear_growth",
-    "eval_dynamics",
     "hormander_rank",
     "lie_bracket",
     "negate_system",

@@ -1,10 +1,11 @@
 """Experiment configuration: schema validation, defaults, hashing.
 
 A config is a single JSON document with a versioned schema.  Validation is
-strict: unknown keys anywhere are rejected, required keys must be present,
-and scalar ranges are checked before any compute happens.  CLI flags may
-override the top-level scalar fields (master_seed, n_train, n_eval, name,
-output_dir) prior to validation.
+strict: unknown keys anywhere (regression hyperparameters and measure
+params included, per method and per measure kind) are rejected, required
+keys must be present, and scalar ranges are checked before any compute
+happens.  CLI flags may override the top-level scalar fields (master_seed,
+n_train, n_eval, name, output_dir) prior to validation.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigurationError
+from .measures import MEASURE_PARAMS
+from .regression import HYPERPARAMS
 from .systems import builtin_names
 
 SCHEMA_VERSION = 1
@@ -27,10 +30,11 @@ KINDS = (
     "stabilize_pmp",
     "stabilize_random",
 )
+TRANSPORT_KINDS = ("transport_linear", "output_transport", "brockett")
 
-MEASURE_KINDS = ("gaussian", "uniform_box", "uniform_sphere", "dirac", "empirical", "mixture")
+MEASURE_KINDS = tuple(MEASURE_PARAMS)
 COUPLING_KINDS = ("independent", "paired", "ot_matched")
-REGRESSION_METHODS = ("kernel", "knn", "mlp")
+REGRESSION_METHODS = tuple(HYPERPARAMS)
 
 # top-level scalar fields the CLI may override
 OVERRIDABLE = ("master_seed", "n_train", "n_eval", "name", "output_dir")
@@ -76,15 +80,27 @@ def _positive(section: str, key: str, value):
     return value
 
 
-def _validate_measure(path: str, doc) -> dict:
+def _validate_measure(path: str, doc, extra_keys=()) -> dict:
     doc = _expect_mapping(path, doc)
-    _check_keys(path, doc, ("kind", "params"))
+    _check_keys(path, doc, ("kind", "params") + tuple(extra_keys))
     kind = _get(path, doc, "kind", (str,))
     if kind not in MEASURE_KINDS:
         raise ConfigurationError(
             f"'{path}.kind' must be one of {list(MEASURE_KINDS)}, got '{kind}'"
         )
     params = _expect_mapping(f"{path}.params", _get(path, doc, "params", (dict,), {}))
+    required, optional = MEASURE_PARAMS[kind]
+    _check_keys(f"{path}.params", params, required + optional)
+    for key in required:
+        _get(f"{path}.params", params, key, None)
+    if kind == "mixture":
+        comps = _get(f"{path}.params", params, "components", (list,))
+        if not comps:
+            raise ConfigurationError(f"'{path}.params.components' must not be empty")
+        for i, comp in enumerate(comps):
+            where = f"{path}.params.components[{i}]"
+            _validate_measure(where, comp, ("weight",))
+            _get(where, comp, "weight", (int, float), 1.0)
     return {"kind": kind, "params": params}
 
 
@@ -139,6 +155,7 @@ def _validate_regression(doc) -> dict:
     hp = _expect_mapping(
         "regression.hyperparams", _get("regression", doc, "hyperparams", (dict,), {})
     )
+    _check_keys("regression.hyperparams", hp, HYPERPARAMS[method])
     return {"method": method, "hyperparams": hp}
 
 
@@ -174,7 +191,7 @@ def _validate_noising(kind: str, doc) -> dict:
     doc = _expect_mapping("noising", doc)
     common = ("T", "n_grid", "n_time_samples", "blowup")
     if kind == "stabilize_pmp":
-        _check_keys("noising", doc, common + ("theta", "p_scale", "adjoint_sign"))
+        _check_keys("noising", doc, common + ("theta", "p_scale"))
     else:
         _check_keys("noising", doc, common + ("sigma",))
     T = float(_get("noising", doc, "T", (int, float)))
@@ -194,10 +211,6 @@ def _validate_noising(kind: str, doc) -> dict:
         out["p_scale"] = _positive(
             "noising", "p_scale", float(_get("noising", doc, "p_scale", (int, float), 1.0))
         )
-        sign = _get("noising", doc, "adjoint_sign", (str,), "canonical")
-        if sign not in ("canonical", "paper"):
-            raise ConfigurationError("'noising.adjoint_sign' must be canonical or paper")
-        out["adjoint_sign"] = sign
     else:
         sigma = float(_get("noising", doc, "sigma", (int, float), 1.0))
         if sigma < 0:
@@ -208,7 +221,7 @@ def _validate_noising(kind: str, doc) -> dict:
 
 def _validate_evaluation(kind: str, doc) -> dict:
     doc = _expect_mapping("evaluation", doc)
-    transport = kind in ("transport_linear", "output_transport", "brockett")
+    transport = kind in TRANSPORT_KINDS
     allowed = ["n_grid", "snapshot_fractions", "w2", "n_projections"]
     if not transport:
         allowed += ["start", "success_radius"]
@@ -344,7 +357,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
     regression = _validate_regression(doc.get("regression", {}))
     evaluation = _validate_evaluation(kind, doc.get("evaluation", {}))
 
-    transport = kind in ("transport_linear", "output_transport", "brockett")
+    transport = kind in TRANSPORT_KINDS
     fields = dict(
         kind=kind,
         name=name,

@@ -1,11 +1,14 @@
-"""End-to-end experiment pipelines, reports, plot emission, and verification.
+"""End-to-end experiment pipeline, reports, plot emission, and verification.
 
-Every experiment runs the same five stages: sample the marginals, construct
-trajectory/control ensembles (steering interpolants for transport kinds,
-noising runs for stabilization kinds), fit the conditional-mean feedback
-law, integrate the learned closed loop, and evaluate metrics.  A stage
-failure aborts with :class:`~ctrlflow.errors.StageError` naming the stage;
-the partially written run directory is flagged in its manifest.
+Every experiment runs one five-stage skeleton: sample the marginals,
+construct trajectory/control ensembles, fit the conditional-mean feedback
+law, integrate the learned closed loop, and evaluate (then persist).  Two
+hook classes supply what differs: ``_Transport`` (steering interpolants,
+forward rollout) and ``_Stabilize`` (noising runs, reversed rollout).  The
+skeleton writes the artifacts common to all kinds, including the header-only
+snapshots of an empty or all-blown-up rollout.  A stage failure aborts with
+:class:`~ctrlflow.errors.StageError` naming the stage; the partially
+written run directory is flagged in its manifest.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import ExperimentConfig, validate_config
+from .config import TRANSPORT_KINDS, ExperimentConfig, validate_config
 from .errors import ConfigurationError, StageError
-from .flow import integrate_closed_loop_batch, marginal_snapshots, snapshots_from_arrays
+from .flow import integrate_closed_loop_batch, snapshots_from_arrays
 from .interpolants import (
     brockett_steer_pair_batch,
     feedback_steer_pair_batch,
@@ -152,6 +155,12 @@ class _RunDir:
                     writer.writerow([str(i)] + [f"{v:.17g}" for v in row])
         self.add(rel)
 
+    def write_bundle(self, pairs: list, subdir: str, prefix: str) -> None:
+        for name in save_pair_bundle(
+            pairs, self.dir / subdir, prefix, index_extra={"config_hash": self.hash}
+        ):
+            self.add(f"{subdir}/{name}")
+
     def write_manifest(self, partial: bool = False, failed_stage: Optional[str] = None):
         doc = {
             "format": "ctrlflow.manifest.v1",
@@ -175,6 +184,13 @@ def _stage(name: str, fn: Callable, *args, **kwargs):
 
 def _sample_points(spec: dict, n: int, seed: int) -> EmpiricalMeasure:
     return sample_measure(spec["kind"], spec["params"], n, seed)
+
+
+def _check_dim(name: str, measure: EmpiricalMeasure, dim: int, space: str = "system"):
+    if measure.dim != dim:
+        raise ConfigurationError(
+            f"{name} dimension {measure.dim} does not match {space} dimension {dim}"
+        )
 
 
 def _w2(a: EmpiricalMeasure, b: EmpiricalMeasure, evaluation: dict, seed: int) -> float:
@@ -286,10 +302,7 @@ def run_experiment(config, output_root=None) -> ExperimentReport:
     run = _RunDir(out_dir, cfg_hash)
     run.write_json("config.json", cfg.to_canonical_dict())
     try:
-        if cfg.kind in ("transport_linear", "output_transport", "brockett"):
-            metrics, notes = _run_transport(cfg, run)
-        else:
-            metrics, notes = _run_stabilize(cfg, run)
+        metrics, notes = _run_pipeline(cfg, run)
     except StageError as exc:
         run.write_manifest(partial=True, failed_stage=exc.stage)
         raise
@@ -314,59 +327,20 @@ def run_experiment(config, output_root=None) -> ExperimentReport:
     return report
 
 
-def _run_transport(cfg: ExperimentConfig, run: _RunDir):
+def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
+    """sample -> construct -> fit -> integrate -> evaluate (with persistence).
+
+    The kind hooks supply the marginals, the ensemble, the rollout starts
+    and the kind-specific metrics; everything else happens here once.
+    """
     seed = cfg.master_seed
     sys = _stage("sample", _build_system, cfg)
-    evaluation = cfg.evaluation
-
-    def sample():
-        mu0_s = _sample_points(cfg.mu0, cfg.n_train, _role_seed(seed, "mu0"))
-        if mu0_s.dim != sys.d:
-            raise ConfigurationError(
-                f"mu0 dimension {mu0_s.dim} does not match system dimension {sys.d}"
-            )
-        muT_raw = _sample_points(cfg.muT, cfg.n_train, _role_seed(seed, "muT"))
-        if cfg.kind == "output_transport":
-            if muT_raw.dim != sys.output_dim:
-                raise ConfigurationError(
-                    f"muT dimension {muT_raw.dim} does not match output dimension"
-                )
-            muT_s = EmpiricalMeasure(points=_lift_output_targets(muT_raw.points))
-        else:
-            if muT_raw.dim != sys.d:
-                raise ConfigurationError(
-                    f"muT dimension {muT_raw.dim} does not match system dimension {sys.d}"
-                )
-            muT_s = muT_raw
-        coup = build_coupling(mu0_s, muT_s, cfg.coupling, _role_seed(seed, "coupling"))
-        return coup
-
-    coup = _stage("sample", sample)
-
-    def construct():
-        interp = cfg.interpolant
-        if cfg.kind == "transport_linear":
-            A, B = _transport_matrices(cfg)
-            T = interp["T"]
-            pairs = min_energy_pair_batch(
-                A, B, coup.x0, coup.x1, T, n_grid=interp["n_grid"], n_quad=interp["n_quad"]
-            )
-        elif cfg.kind == "output_transport":
-            A, B = _transport_matrices(cfg)
-            T = interp["T"]
-            K = place_poles(A, B, interp["poles"], seed=_role_seed(seed, "poles"))
-            pairs = feedback_steer_pair_batch(
-                A, B, K, ys=coup.x1, x0s=coup.x0, T=T, n_grid=interp["n_grid"]
-            )
-        else:
-            T = BROCKETT_HORIZON
-            pairs = brockett_steer_pair_batch(coup.x0, coup.x1, n_grid=interp["n_grid"])
-        return T, pairs
-
-    T, pairs = _stage("construct", construct)
+    kind = (_Transport if cfg.kind in TRANSPORT_KINDS else _Stabilize)(cfg, sys)
+    _stage("sample", kind.sample)
+    _stage("construct", kind.construct)
 
     def fit():
-        data = dataset_from_pairs(pairs)
+        data = kind.dataset()
         law = fit_feedback(
             data,
             method=cfg.regression["method"],
@@ -380,110 +354,175 @@ def _run_transport(cfg: ExperimentConfig, run: _RunDir):
     def integrate():
         if cfg.n_eval == 0:
             return None
-        z0_eval = _sample_points(cfg.mu0, cfg.n_eval, _role_seed(seed, "eval_start"))
         return integrate_closed_loop_batch(
-            sys, law, z0_eval.points, T, evaluation["n_grid"], direction="forward"
+            kind.flow_system, law, kind.starts(), kind.T, cfg.evaluation["n_grid"],
+            direction=kind.direction,
         )
 
     rollout = _stage("integrate", integrate)
 
     def evaluate():
         metrics: dict = {}
-        notes: list = []
-        metrics["mean_pair_distance"] = _mean_pair_distance(coup.x0, coup.x1)
-        metrics["max_endpoint_error"] = _max_pair_error(pairs)
         if law.final_loss is not None and np.isfinite(law.final_loss):
             metrics["fit_loss"] = float(law.final_loss)
+        notes = kind.evaluate_ensemble(run, metrics)
 
+        states, kept = np.empty((0, 1, sys.d)), np.zeros(0, dtype=bool)
+        excluded = extrapolated = 0
+        if rollout is not None:
+            t_grid, states, controls, info = rollout
+            kept = ~np.isfinite(info.bad_time)
+            excluded, extrapolated = info.excluded_count, info.extrapolation_count
+            if excluded:
+                notes.append(f"{excluded} evaluation rollout(s) blew up and were excluded")
+            if not kept.any():
+                notes.append(f"all evaluation rollouts blew up; {kind.scored} metrics skipped")
+        metrics["excluded_eval"] = int(excluded)
+        metrics["extrapolation_count"] = int(extrapolated)
+
+        run.write_snapshot("snapshot_initial.csv", states[kept, 0], sys.d)
+        run.write_snapshot("snapshot_achieved.csv", states[kept, -1], sys.d)
+        eval_pairs = []
+        if kept.any():
+            kind.evaluate_rollout(run, metrics, t_grid, states[kept])
+            eval_pairs = [
+                TrajectoryControlPair(
+                    t_grid, states[i], controls[i], meta={"direction": kind.direction}
+                )
+                for i in np.where(kept)[0][:MAX_SAVED_TRAJECTORIES]
+            ]
+        else:
+            # no surviving rollout: the kind's rollout snapshots hold headers only
+            for rel, dim in kind.empty_snapshots:
+                run.write_snapshot(rel, np.empty((0, dim)), dim)
+        run.write_bundle(eval_pairs, "eval_trajectories", "eval")
+
+        for name in save_dataset(
+            data, run.dir / "dataset.csv", metadata={"config_hash": run.hash}
+        ):
+            run.add(name)
+        law.save(run.dir / "law.json")
+        run.add("law.json")
+        if kind.train_pairs:
+            run.write_bundle(kind.train_pairs[:MAX_SAVED_TRAJECTORIES], "train_pairs", "train")
+        return metrics, notes
+
+    return _stage("evaluate", evaluate)
+
+
+class _Transport:
+    """Steering interpolants between coupled samples of mu0 and muT, rolled forward."""
+
+    direction = "forward"
+    scored = "transport"
+
+    def __init__(self, cfg: ExperimentConfig, sys):
+        self.cfg = cfg
+        self.sys = sys
+        self.flow_system = sys
+        self.seed = cfg.master_seed
+        self.output = cfg.kind == "output_transport"
+        # what evaluate_rollout writes besides the common snapshots, as (name, dim)
+        self.empty_snapshots = (("snapshot_target.csv", sys.output_dim if self.output else sys.d),)
+
+    def sample(self):
+        cfg, sys, seed = self.cfg, self.sys, self.seed
+        mu0_s = _sample_points(cfg.mu0, cfg.n_train, _role_seed(seed, "mu0"))
+        _check_dim("mu0", mu0_s, sys.d)
+        muT_s = _sample_points(cfg.muT, cfg.n_train, _role_seed(seed, "muT"))
+        if self.output:
+            _check_dim("muT", muT_s, sys.output_dim, "output")
+            muT_s = EmpiricalMeasure(points=_lift_output_targets(muT_s.points))
+        else:
+            _check_dim("muT", muT_s, sys.d)
+        self.coup = build_coupling(mu0_s, muT_s, cfg.coupling, _role_seed(seed, "coupling"))
+
+    def construct(self):
+        cfg, coup, interp = self.cfg, self.coup, self.cfg.interpolant
+        if cfg.kind == "transport_linear":
+            A, B = _transport_matrices(cfg)
+            self.T = interp["T"]
+            self.train_pairs = min_energy_pair_batch(
+                A, B, coup.x0, coup.x1, self.T, n_grid=interp["n_grid"], n_quad=interp["n_quad"]
+            )
+        elif self.output:
+            A, B = _transport_matrices(cfg)
+            self.T = interp["T"]
+            K = place_poles(A, B, interp["poles"], seed=_role_seed(self.seed, "poles"))
+            self.train_pairs = feedback_steer_pair_batch(
+                A, B, K, ys=coup.x1, x0s=coup.x0, T=self.T, n_grid=interp["n_grid"]
+            )
+        else:
+            self.T = BROCKETT_HORIZON
+            self.train_pairs = brockett_steer_pair_batch(
+                coup.x0, coup.x1, n_grid=interp["n_grid"]
+            )
+
+    def dataset(self) -> RegressionDataset:
+        return dataset_from_pairs(self.train_pairs)
+
+    def starts(self) -> np.ndarray:
+        cfg = self.cfg
+        return _sample_points(cfg.mu0, cfg.n_eval, _role_seed(self.seed, "eval_start")).points
+
+    def evaluate_ensemble(self, run: _RunDir, metrics: dict) -> list:
+        """Construction-level metrics and the constructed marginal snapshots."""
+        coup, pairs, seed, evaluation = self.coup, self.train_pairs, self.seed, self.cfg.evaluation
+        metrics["mean_pair_distance"] = _mean_pair_distance(coup.x0, coup.x1)
+        metrics["max_endpoint_error"] = _max_pair_error(pairs)
         # construction-level quality: endpoints of the training ensemble
         end_constructed = np.stack([p.states[-1] for p in pairs])
-        w2c = _w2(
+        metrics["w2_construction_terminal"] = float(_w2(
             EmpiricalMeasure(points=end_constructed),
             EmpiricalMeasure(points=coup.x1),
             evaluation,
             _role_seed(seed, "w2", "construction"),
-        )
-        metrics["w2_construction_terminal"] = float(w2c)
-        if cfg.kind == "output_transport":
+        ))
+        if self.output:
             # sample-level output identity: push the constructed endpoints
             # through h and compare with the coupled target draws themselves
-            w2co = _w2(
+            metrics["w2_construction_output"] = float(_w2(
                 EmpiricalMeasure(points=six_state_output(end_constructed)),
                 EmpiricalMeasure(points=six_state_output(coup.x1)),
                 evaluation,
                 _role_seed(seed, "w2", "construction_output"),
-            )
-            metrics["w2_construction_output"] = float(w2co)
+            ))
 
-        fractions = evaluation["snapshot_fractions"]
-        times = [f * T for f in fractions]
-        constructed = marginal_snapshots(pairs, times)
-        for frac, meas in zip(fractions, constructed):
-            run.write_snapshot(
-                f"snapshot_constructed_t{frac:g}.csv", meas.points, sys.d
-            )
+        self.fractions = evaluation["snapshot_fractions"]
+        self.times = [f * self.T for f in self.fractions]
+        self.constructed = snapshots_from_arrays(
+            pairs[0].t_grid, np.stack([p.states for p in pairs]), self.times
+        )
+        for frac, meas in zip(self.fractions, self.constructed):
+            run.write_snapshot(f"snapshot_constructed_t{frac:g}.csv", meas.points, self.sys.d)
+        return []
 
-        if rollout is None:
-            run.write_snapshot("snapshot_initial.csv", np.empty((0, sys.d)), sys.d)
-            tdim = sys.output_dim if cfg.kind == "output_transport" else sys.d
-            run.write_snapshot("snapshot_target.csv", np.empty((0, tdim)), tdim)
-            run.write_snapshot("snapshot_achieved.csv", np.empty((0, sys.d)), sys.d)
-            save_pair_bundle([], run.dir / "eval_trajectories", "eval")
-            run.add("eval_trajectories/eval_index.json")
-            metrics["excluded_eval"] = 0
-            metrics["extrapolation_count"] = 0
-            return metrics, notes
-
-        t_grid, states, controls, info = rollout
-        kept = ~np.isfinite(info.bad_time)
-        n_kept = int(kept.sum())
-        metrics["excluded_eval"] = int(info.excluded_count)
-        metrics["extrapolation_count"] = int(info.extrapolation_count)
-        if info.excluded_count:
-            notes.append(
-                f"{info.excluded_count} evaluation rollout(s) blew up and were excluded"
-            )
-        run.write_snapshot("snapshot_initial.csv", states[kept, 0], sys.d)
-
-        if n_kept == 0:
-            notes.append("all evaluation rollouts blew up; transport metrics skipped")
-            tdim = sys.output_dim if cfg.kind == "output_transport" else sys.d
-            run.write_snapshot("snapshot_target.csv", np.empty((0, tdim)), tdim)
-            run.write_snapshot("snapshot_achieved.csv", np.empty((0, sys.d)), sys.d)
-            save_pair_bundle([], run.dir / "eval_trajectories", "eval")
-            run.add("eval_trajectories/eval_index.json")
-            return metrics, notes
-
-        achieved_T = EmpiricalMeasure(points=states[kept, -1])
-        run.write_snapshot("snapshot_achieved.csv", achieved_T.points, sys.d)
+    def evaluate_rollout(self, run: _RunDir, metrics: dict, t_grid, states) -> None:
+        """Terminal and along-the-flow W2 of the surviving rollouts."""
+        cfg, sys, seed, evaluation = self.cfg, self.sys, self.seed, self.cfg.evaluation
+        n_kept = len(states)
+        achieved_T = EmpiricalMeasure(points=states[:, -1])
 
         # terminal comparison against fresh target draws
-        if cfg.kind == "output_transport":
-            y_ref = _sample_points(cfg.muT, n_kept, _role_seed(seed, "eval_target"))
-            run.write_snapshot("snapshot_target.csv", y_ref.points, sys.output_dim)
-            w2o = _w2(
+        target = _sample_points(cfg.muT, n_kept, _role_seed(seed, "eval_target"))
+        run.write_snapshot("snapshot_target.csv", target.points, target.dim)
+        if self.output:
+            metrics["w2_output"] = float(_w2(
                 EmpiricalMeasure(points=six_state_output(achieved_T.points)),
-                y_ref,
+                target,
                 evaluation,
                 _role_seed(seed, "w2", "output"),
+            ))
+            target = EmpiricalMeasure(
+                points=_subsample(self.coup.x1, n_kept, _role_seed(seed, "state_ref"))
             )
-            metrics["w2_output"] = float(w2o)
-            state_ref = EmpiricalMeasure(
-                points=_subsample(coup.x1, n_kept, _role_seed(seed, "state_ref"))
-            )
-            metrics["w2_terminal"] = float(
-                _w2(achieved_T, state_ref, evaluation, _role_seed(seed, "w2", "term"))
-            )
-        else:
-            muT_ref = _sample_points(cfg.muT, n_kept, _role_seed(seed, "eval_target"))
-            run.write_snapshot("snapshot_target.csv", muT_ref.points, sys.d)
-            metrics["w2_terminal"] = float(
-                _w2(achieved_T, muT_ref, evaluation, _role_seed(seed, "w2", "term"))
-            )
+        metrics["w2_terminal"] = float(
+            _w2(achieved_T, target, evaluation, _role_seed(seed, "w2", "term"))
+        )
 
         # learned-vs-constructed marginals along the flow
-        learned = snapshots_from_arrays(t_grid, states[kept], times)
-        for frac, l_meas, c_meas in zip(fractions, learned, constructed):
+        learned = snapshots_from_arrays(t_grid, states, self.times)
+        for frac, l_meas, c_meas in zip(self.fractions, learned, self.constructed):
             c_pts = _subsample(
                 c_meas.points, l_meas.n, _role_seed(seed, "marg", f"{frac:g}")
             )
@@ -499,57 +538,43 @@ def _run_transport(cfg: ExperimentConfig, run: _RunDir):
             metrics[f"w2_t{frac:g}"] = float(val)
             run.write_snapshot(f"snapshot_learned_t{frac:g}.csv", l_meas.points, sys.d)
 
-        eval_pairs = [
-            TrajectoryControlPair(
-                t_grid, states[i], controls[i], meta={"direction": "forward"}
-            )
-            for i in np.where(kept)[0][:MAX_SAVED_TRAJECTORIES]
-        ]
-        for name in save_pair_bundle(
-            eval_pairs, run.dir / "eval_trajectories", "eval",
-            index_extra={"config_hash": run.hash},
-        ):
-            run.add(f"eval_trajectories/{name}")
-        return metrics, notes
 
-    metrics, notes = _stage("evaluate", evaluate)
-    _persist_common(run, cfg, pairs, data, law)
-    return metrics, notes
+class _Stabilize:
+    """Noising runs from the target set, rolled back by the reversed closed loop."""
 
+    direction = "reversed"
+    scored = "distance"
+    train_pairs = None
+    empty_snapshots = ()
 
-def _run_stabilize(cfg: ExperimentConfig, run: _RunDir):
-    seed = cfg.master_seed
-    sys = _stage("sample", _build_system, cfg)
-    evaluation = cfg.evaluation
+    def __init__(self, cfg: ExperimentConfig, sys):
+        self.cfg = cfg
+        self.sys = sys
+        # The noising rollouts follow the negated dynamics, so their time
+        # reversal is the reversed loop of the negated system (net +f).
+        self.flow_system = negate_system(sys)
+        self.seed = cfg.master_seed
+        self.T = cfg.noising["T"]
 
-    def sample():
+    def sample(self):
+        cfg, sys, seed = self.cfg, self.sys, self.seed
         probe = _sample_points(cfg.target, 8, _role_seed(seed, "target_probe"))
-        if probe.dim != sys.d:
-            raise ConfigurationError(
-                f"target dimension {probe.dim} does not match system dimension {sys.d}"
-            )
-        ref = _sample_points(cfg.target, TARGET_REF_N, _role_seed(seed, "target_ref"))
-        return ref
+        _check_dim("target", probe, sys.d)
+        self.target_ref = _sample_points(cfg.target, TARGET_REF_N, _role_seed(seed, "target_ref"))
 
-    target_ref = _stage("sample", sample)
-
-    def construct():
-        noising = cfg.noising
+    def construct(self):
+        cfg, noising = self.cfg, self.cfg.noising
         kwargs = dict(
             T=noising["T"],
             n_grid=noising["n_grid"],
             n_samples=cfg.n_train,
             n_time_samples=noising["n_time_samples"],
             blowup=noising["blowup"],
-            seed=_role_seed(seed, "noising"),
+            seed=_role_seed(self.seed, "noising"),
         )
         if cfg.kind == "stabilize_pmp":
             ncfg = NoisingConfig(
-                kind="pmp",
-                theta=noising["theta"],
-                p_scale=noising["p_scale"],
-                adjoint_sign=noising["adjoint_sign"],
-                **kwargs,
+                kind="pmp", theta=noising["theta"], p_scale=noising["p_scale"], **kwargs
             )
         else:
             ncfg = NoisingConfig(kind="randomized", sigma=noising["sigma"], **kwargs)
@@ -557,146 +582,59 @@ def _run_stabilize(cfg: ExperimentConfig, run: _RunDir):
         def target_sampler(n, s):
             return _sample_points(cfg.target, n, s).points
 
-        return generate_noising_dataset(sys, ncfg, target_sampler)
+        self.data, self.nreport = generate_noising_dataset(self.sys, ncfg, target_sampler)
 
-    data, nreport = _stage("construct", construct)
+    def dataset(self) -> RegressionDataset:
+        return self.data
 
-    def fit():
-        return fit_feedback(
-            data,
-            method=cfg.regression["method"],
-            hyperparams=cfg.regression["hyperparams"],
-            seed=_role_seed(seed, "fit"),
-        )
+    def starts(self) -> np.ndarray:
+        cfg = self.cfg
+        start = cfg.evaluation["start"]
+        s = _role_seed(self.seed, "eval_start")
+        if start["kind"] != "bootstrap":
+            return _sample_points(start, cfg.n_eval, s).points
+        endpoints = self.nreport.endpoints
+        if endpoints is None or len(endpoints) == 0:
+            raise ConfigurationError("no noising endpoints available to bootstrap")
+        rng = substream(s, "bootstrap_start")
+        pts = endpoints[rng.integers(0, len(endpoints), size=cfg.n_eval)]
+        jitter = float(start["params"].get("jitter", 0.0))
+        if jitter > 0.0:
+            pts = pts + jitter * rng.standard_normal(pts.shape)
+        return pts
 
-    law = _stage("fit", fit)
-
-    def integrate():
-        if cfg.n_eval == 0:
-            return None
-        start = evaluation["start"]
-        if start["kind"] == "bootstrap":
-            jitter = float(start["params"].get("jitter", 0.0))
-            endpoints = nreport.endpoints
-            if endpoints is None or len(endpoints) == 0:
-                raise ConfigurationError("no noising endpoints available to bootstrap")
-
-            def sampler(n, s):
-                rng = substream(s, "bootstrap_start")
-                pts = endpoints[rng.integers(0, len(endpoints), size=n)]
-                if jitter > 0.0:
-                    pts = pts + jitter * rng.standard_normal(pts.shape)
-                return pts
-
-        else:
-
-            def sampler(n, s):
-                return _sample_points(start, n, s).points
-
-        z0s = sampler(cfg.n_eval, _role_seed(seed, "eval_start"))
-        T = cfg.noising["T"]
-        # The noising rollouts follow the negated dynamics, so their time
-        # reversal is the reversed loop of the negated system (net +f).
-        return integrate_closed_loop_batch(
-            negate_system(sys), law, z0s, T, evaluation["n_grid"], direction="reversed"
-        )
-
-    rollout = _stage("integrate", integrate)
-
-    def evaluate():
-        metrics: dict = {}
-        notes: list = list(nreport.warnings)
+    def evaluate_ensemble(self, run: _RunDir, metrics: dict) -> list:
+        """Noising diagnostics and the noised/target snapshots."""
+        cfg, sys, nreport = self.cfg, self.sys, self.nreport
+        notes = list(nreport.warnings)
         metrics["excluded_noising"] = int(nreport.excluded_count)
         if nreport.hamiltonian_drift_max is not None:
             metrics["hamiltonian_drift_max"] = float(nreport.hamiltonian_drift_max)
-        if law.final_loss is not None and np.isfinite(law.final_loss):
-            metrics["fit_loss"] = float(law.final_loss)
-
         if nreport.endpoints is not None and len(nreport.endpoints):
             run.write_snapshot("snapshot_noised.csv", nreport.endpoints, sys.d)
-            spread = _distance_to_target(nreport.endpoints, cfg.target, target_ref.points)
+            spread = _distance_to_target(nreport.endpoints, cfg.target, self.target_ref.points)
             metrics["noised_median_distance"] = float(np.median(spread))
-        run.write_snapshot("snapshot_target.csv", target_ref.points, sys.d)
-
+        run.write_snapshot("snapshot_target.csv", self.target_ref.points, sys.d)
         if cfg.kind == "stabilize_random":
             notes.append(
                 "trajectories do not exactly converge to the origin: the reversed "
                 "randomized flow contracts to a neighborhood of the target set, "
                 "not to a point"
             )
+        return notes
 
-        if rollout is None:
-            run.write_snapshot("snapshot_initial.csv", np.empty((0, sys.d)), sys.d)
-            run.write_snapshot("snapshot_achieved.csv", np.empty((0, sys.d)), sys.d)
-            save_pair_bundle([], run.dir / "eval_trajectories", "eval")
-            run.add("eval_trajectories/eval_index.json")
-            metrics["excluded_eval"] = 0
-            metrics["extrapolation_count"] = 0
-            return metrics, notes
-
-        t_grid, states, controls, info = rollout
-        kept = ~np.isfinite(info.bad_time)
-        n_kept = int(kept.sum())
-        metrics["excluded_eval"] = int(info.excluded_count)
-        metrics["extrapolation_count"] = int(info.extrapolation_count)
-        if info.excluded_count:
-            notes.append(
-                f"{info.excluded_count} evaluation rollout(s) blew up and were excluded"
-            )
-        run.write_snapshot("snapshot_initial.csv", states[kept, 0], sys.d)
-        if n_kept == 0:
-            notes.append("all evaluation rollouts blew up; distance metrics skipped")
-            run.write_snapshot("snapshot_achieved.csv", np.empty((0, sys.d)), sys.d)
-            save_pair_bundle([], run.dir / "eval_trajectories", "eval")
-            run.add("eval_trajectories/eval_index.json")
-            return metrics, notes
-
-        d0 = _distance_to_target(states[kept, 0], cfg.target, target_ref.points)
-        dT = _distance_to_target(states[kept, -1], cfg.target, target_ref.points)
+    def evaluate_rollout(self, run: _RunDir, metrics: dict, t_grid, states) -> None:
+        """Distances to the target set at the start and end of the rollouts."""
+        cfg, target_ref = self.cfg, self.target_ref.points
+        d0 = _distance_to_target(states[:, 0], cfg.target, target_ref)
+        dT = _distance_to_target(states[:, -1], cfg.target, target_ref)
         metrics["median_initial_distance"] = float(np.median(d0))
         metrics["median_terminal_distance"] = float(np.median(dT))
         metrics["p90_terminal_distance"] = float(np.quantile(dT, 0.9))
-        radius = evaluation["success_radius"]
+        radius = cfg.evaluation["success_radius"]
         metrics["frac_within_radius"] = float(np.mean(dT <= radius))
         denom = max(float(np.median(d0)), 1.0e-12)
         metrics["distance_ratio"] = float(np.median(dT)) / denom
-        run.write_snapshot("snapshot_achieved.csv", states[kept, -1], sys.d)
-
-        eval_pairs = [
-            TrajectoryControlPair(
-                t_grid, states[i], controls[i], meta={"direction": "reversed"}
-            )
-            for i in np.where(kept)[0][:MAX_SAVED_TRAJECTORIES]
-        ]
-        for name in save_pair_bundle(
-            eval_pairs, run.dir / "eval_trajectories", "eval",
-            index_extra={"config_hash": run.hash},
-        ):
-            run.add(f"eval_trajectories/{name}")
-        return metrics, notes
-
-    metrics, notes = _stage("evaluate", evaluate)
-    _persist_common(run, cfg, None, data, law)
-    return metrics, notes
-
-
-def _persist_common(run, cfg, pairs, data: RegressionDataset, law):
-    def persist():
-        for name in save_dataset(
-            data, run.dir / "dataset.csv", metadata={"config_hash": run.hash}
-        ):
-            run.add(name)
-        law.save(run.dir / "law.json")
-        run.add("law.json")
-        if pairs:
-            subset = pairs[:MAX_SAVED_TRAJECTORIES]
-            for name in save_pair_bundle(
-                subset, run.dir / "train_pairs", "train",
-                index_extra={"config_hash": run.hash},
-            ):
-                run.add(f"train_pairs/{name}")
-
-    _stage("evaluate", persist)
 
 
 # ----------------------------------------------------------------------
@@ -888,7 +826,6 @@ def example_config(kind: str) -> dict:
                 "n_time_samples": 50,
                 "theta": 1.0,
                 "p_scale": 6.0,
-                "adjoint_sign": "canonical",
             },
             "regression": {"method": "kernel", "hyperparams": {"bandwidth_scale": 0.05}},
             "evaluation": {

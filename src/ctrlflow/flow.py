@@ -4,25 +4,26 @@
 training-time flow.  ``reversed`` integrates z' = -f(z, u(T - t, z)), the
 time reversal of that flow: starting it from the time-T marginal carries
 mass back to the time-0 marginal, which is how noising runs are turned into
-stabilizing controllers.
+stabilizing controllers.  A law trained on noising data (which runs along
+-f) is reversed on ``negate_system(sys)``, so the net field is +f.
+
+The rollout is a field callback for :func:`ctrlflow.ode.rk4`, which owns
+the step loop and the blow-up policy; the callback queries the law at each
+RK4 stage and keeps the node controls and extrapolation flags.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .measures import EmpiricalMeasure
-from .ode import DEFAULT_BLOWUP, raise_on_blowup, uniform_grid
+from .ode import DEFAULT_BLOWUP, rk4, uniform_grid
 from .regression import FeedbackLaw
-from .seeding import stream_key
-from .systems import ControlAffineSystem, negate_system
-from .trajectory import TrajectoryControlPair
+from .systems import ControlAffineSystem
 
 
 @dataclass
@@ -81,94 +82,48 @@ def integrate_closed_loop_batch(
         raise ConfigurationError(f"starts have dimension {z0s.shape[1]}, expected {sys.d}")
     t_grid = uniform_grid(T, n_grid)
     n = z0s.shape[0]
-    K = n_grid
-
     is_law = isinstance(law, FeedbackLaw)
-
-    def query(t_eff: float, x: np.ndarray):
-        if is_law:
-            u, flags = law.predict(t_eff, x, return_flag=True)
-            return _coerce_u(u, n), flags
-        return _coerce_u(law(t_eff, x), n), None
-
-    def eff(t: float) -> float:
-        return t if direction == "forward" else T - t
-
-    threshold = blowup if blowup is not None else np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad0 = ~np.isfinite(z0s).all(axis=1) | (np.abs(z0s).max(axis=1) > threshold)
-    active = ~bad0
-    bad_time = np.full(n, np.nan)
-    bad_time[bad0] = t_grid[0]
-
-    states = np.empty((n, K + 1, sys.d))
-    states[:, 0] = z0s
     controls = None
-    extrap = 0
-    x = z0s.copy()
+    flags = np.zeros((n, n_grid + 1), dtype=bool)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            t, t1 = t_grid[k], t_grid[k + 1]
-            h = t1 - t
-            u0, flags = query(eff(t), x)
+    def query(t: float, x: np.ndarray, node: int | None):
+        # node controls (and extrapolation flags) are kept; stage queries are not
+        nonlocal controls
+        t_eff = t if direction == "forward" else T - t
+        if is_law:
+            u, node_flags = law.predict(t_eff, x, return_flag=True)
+        else:
+            u, node_flags = law(t_eff, x), None
+        u = _coerce_u(u, n)
+        if node is not None:
             if controls is None:
-                controls = np.empty((n, K + 1, u0.shape[1]))
-            controls[:, k] = u0
-            if flags is not None:
-                extrap += int(np.count_nonzero(flags & active))
-            k1 = sgn * sys.rhs(x, u0)
-            um1, _ = query(eff(t + 0.5 * h), x + 0.5 * h * k1)
-            k2 = sgn * sys.rhs(x + 0.5 * h * k1, um1)
-            um2, _ = query(eff(t + 0.5 * h), x + 0.5 * h * k2)
-            k3 = sgn * sys.rhs(x + 0.5 * h * k2, um2)
-            u1, _ = query(eff(t1), x + h * k3)
-            k4 = sgn * sys.rhs(x + h * k3, u1)
-            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            newly_bad = active & (
-                ~np.isfinite(x_new).all(axis=1) | (np.abs(x_new).max(axis=1) > threshold)
-            )
-            bad_time[newly_bad] = t1
-            active &= ~newly_bad
-            x = np.where(active[:, None], x_new, x)
-            states[:, k + 1] = x
+                controls = np.empty((n, n_grid + 1, u.shape[1]))
+            controls[:, node] = u
+            if node_flags is not None:
+                flags[:, node] = node_flags
+        return u
 
-        uT, flags = query(eff(t_grid[-1]), x)
-        if controls is None:
-            controls = np.empty((n, K + 1, uT.shape[1]))
-        controls[:, K] = uT
-        if flags is not None:
-            extrap += int(np.count_nonzero(flags & active))
+    def field(k, stage, t, x):
+        return sgn * sys.rhs(x, query(t, x, k if stage == 0 else None))
 
-    info = FlowInfo(bad_time=bad_time, extrapolation_count=extrap)
+    states, bad_time = rk4(field, z0s, t_grid, blowup)
+    with np.errstate(over="ignore", invalid="ignore"):
+        query(t_grid[-1], states[:, -1], n_grid)
+    # a row is live at a node until the node time reaches its first bad time
+    live = ~(bad_time[:, None] <= t_grid[None, :])
+    info = FlowInfo(bad_time=bad_time, extrapolation_count=int(np.count_nonzero(flags & live)))
     return t_grid, states, controls, info
-
-
-def integrate_closed_loop(
-    sys: ControlAffineSystem,
-    law: FeedbackLaw | Callable[[float, np.ndarray], np.ndarray],
-    z0: np.ndarray,
-    T: float,
-    n_grid: int,
-    direction: str = "forward",
-) -> TrajectoryControlPair:
-    """Single closed-loop rollout; raises BlowUpError on divergence."""
-    t_grid, states, controls, info = integrate_closed_loop_batch(
-        sys, law, np.asarray(z0, dtype=float)[None, :], T, n_grid, direction
-    )
-    raise_on_blowup(info.bad_time)
-    return TrajectoryControlPair(
-        t_grid,
-        states[0],
-        controls[0],
-        meta={"direction": direction, "extrapolation_count": info.extrapolation_count},
-    )
 
 
 def snapshots_from_arrays(
     t_grid: np.ndarray, states: np.ndarray, times, seed: int | None = None
 ) -> list[EmpiricalMeasure]:
-    """Marginal point clouds at the requested times (linear interpolation)."""
+    """Marginal point clouds of (n, K+1, d) states at the requested times.
+
+    Interpolates linearly with the arithmetic of :func:`numpy.interp`
+    (node values at node times, else slope times offset plus the left
+    node), so each coordinate equals ``np.interp`` on that trajectory.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     out = []
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
@@ -177,87 +132,11 @@ def snapshots_from_arrays(
                 f"snapshot time {t} outside [{t_grid[0]}, {t_grid[-1]}]"
             )
         t = float(np.clip(t, t_grid[0], t_grid[-1]))
-        k = min(int(np.searchsorted(t_grid, t, side="right") - 1), len(t_grid) - 2)
-        lam = (t - t_grid[k]) / (t_grid[k + 1] - t_grid[k])
-        pts = (1.0 - lam) * states[:, k] + lam * states[:, k + 1]
+        k = int(np.searchsorted(t_grid, t, side="right") - 1)
+        if t == t_grid[k]:
+            pts = states[:, k].copy()
+        else:
+            slope = (states[:, k + 1] - states[:, k]) / (t_grid[k + 1] - t_grid[k])
+            pts = slope * (t - t_grid[k]) + states[:, k]
         out.append(EmpiricalMeasure(points=pts, seed=seed))
     return out
-
-
-def marginal_snapshots(
-    pairs: list[TrajectoryControlPair], times
-) -> list[EmpiricalMeasure]:
-    """Empirical marginals of a pair ensemble at the given times."""
-    if not pairs:
-        raise ConfigurationError("no pairs given")
-    T = pairs[0].horizon
-    for p in pairs:
-        if abs(p.horizon - T) > 1e-12:
-            raise ConfigurationError("pairs must share the horizon")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = []
-    for t in times:
-        pts = np.stack([p.state_at(float(t)) for p in pairs])
-        out.append(EmpiricalMeasure(points=pts))
-    return out
-
-
-def resample_and_reverse(
-    sys: ControlAffineSystem,
-    law: FeedbackLaw,
-    terminal_sampler: Callable[[int, int], np.ndarray],
-    N: int,
-    T: float,
-    n_grid: int,
-    seed: int = 0,
-) -> tuple[list[TrajectoryControlPair], FlowInfo]:
-    """Reversed closed-loop rollouts from fresh terminal draws.
-
-    ``law`` must come from a noising dataset, whose trajectories run along
-    the negated dynamics x' = -f(x, u).  Flipping such a path in time gives
-    z'(s) = +f(z, u(T - s, z)), so the reversal here integrates the negated
-    system with the usual negate-and-flip rule, which composes back to the
-    plus sign.  Passing a law trained on forward rollouts of ``sys`` would
-    re-noise instead of denoising.
-
-    ``terminal_sampler(n, seed)`` supplies the starting cloud (any
-    convenient distribution whose support the training marginal covers).
-    Blown-up rollouts are excluded from the returned list; the info object
-    reports them.  N = 0 returns an empty list.
-    """
-    if N < 0:
-        raise ConfigurationError("N must be >= 0")
-    if N == 0:
-        return [], FlowInfo(bad_time=np.empty(0))
-    z0s = np.atleast_2d(
-        np.asarray(
-            terminal_sampler(N, stream_key(seed, "resample", "z0") % 2**63), dtype=float
-        )
-    )
-    if z0s.shape != (N, sys.d):
-        raise ConfigurationError(
-            f"terminal_sampler returned shape {z0s.shape}, expected ({N}, {sys.d})"
-        )
-    t_grid, states, controls, info = integrate_closed_loop_batch(
-        negate_system(sys), law, z0s, T, n_grid, direction="reversed"
-    )
-    pairs = []
-    for i in range(N):
-        if np.isfinite(info.bad_time[i]):
-            continue
-        pairs.append(
-            TrajectoryControlPair(
-                t_grid, states[i], controls[i], meta={"direction": "reversed"}
-            )
-        )
-    return pairs, info
-
-
-def save_snapshot_csv(measure: EmpiricalMeasure, path: str | Path) -> None:
-    """CSV with columns sample_id, x_1..x_d."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id"] + [f"x_{j + 1}" for j in range(measure.dim)])
-        for i, row in enumerate(measure.points):
-            writer.writerow([str(i)] + [f"{v:.17g}" for v in row])

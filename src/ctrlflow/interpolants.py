@@ -29,7 +29,7 @@ from .errors import (
     UnstableGainError,
 )
 from .linalg import controllability_matrix, expm, kalman_rank
-from .ode import rk4_field, rk4_stage_controls, stage_times, uniform_grid
+from .ode import rk4, rk4_stage_controls, stage_times, uniform_grid
 from .seeding import substream
 from .systems import ControlAffineSystem, builtin_system
 from .trajectory import TrajectoryControlPair
@@ -353,11 +353,11 @@ def feedback_steer_pair_batch(
 
     t_grid = uniform_grid(T, n_grid)
 
-    def field(t, x):
+    def field(k, stage, t, x):
         u = (x - ys) @ K.T + alphas
         return x @ A.T + u @ B.T
 
-    states, _ = rk4_field(field, x0s, t_grid, blowup=None)
+    states, _ = rk4(field, x0s, t_grid, blowup=None)
     pairs = []
     for i in range(x0s.shape[0]):
         controls = (states[i] - ys[i]) @ K.T + alphas[i]

@@ -14,6 +14,16 @@ from .seeding import stream_key, substream
 EXACT_W2_MAX_N = 2048
 _WEIGHT_TOL = 1.0e-12
 
+# measure kind -> (required params, optional params) read by sample_measure
+MEASURE_PARAMS = {
+    "gaussian": (("mean",), ("cov",)),
+    "uniform_box": (("low", "high"), ()),
+    "uniform_sphere": ((), ("center", "radius", "dim")),
+    "dirac": (("point",), ()),
+    "empirical": (("points",), ()),
+    "mixture": (("components",), ()),
+}
+
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
@@ -173,7 +183,7 @@ def sample_measure(kind: str, params: dict, n: int, seed: int) -> EmpiricalMeasu
             if counts[i] == 0:
                 continue
             sub = sample_measure(
-                comp["kind"], comp["params"], int(counts[i]), stream_mix(seed, i)
+                comp["kind"], comp.get("params", {}), int(counts[i]), stream_mix(seed, i)
             )
             parts.append(sub.points)
         pts = np.vstack(parts)

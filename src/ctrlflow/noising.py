@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .ode import pl_stage_values, raise_on_blowup, rk4_field, rk4_stage_controls, uniform_grid
+from .ode import pl_stage_values, raise_on_blowup, rk4, rk4_stage_controls, uniform_grid
 from .seeding import generator_from_seed, stream_key, substream
 from .systems import ControlAffineSystem
 from .trajectory import TrajectoryControlPair
@@ -36,10 +36,6 @@ class QuadraticCost:
     def value(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return self.theta * np.sum(u**2, axis=-1)
-
-    def grad_x(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # the cost does not depend on the state
-        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -113,18 +109,18 @@ def hamiltonian(
     return float(H[0]) if single else H
 
 
-def _pmp_field(sys, cost, adjoint_sign: str):
+def _pmp_field(sys, cost):
     d = sys.d
-    sign = -1.0 if adjoint_sign == "canonical" else 1.0
 
-    def fld(t, Y):
+    def fld(k, stage, t, Y):
         w = Y[:, :d]
         p = Y[:, d:]
         G = sys.control_matrix(w)
         alpha = np.einsum("ndm,nd->nm", G, p) / (2.0 * cost.theta)
         f = sys.f0(w) + np.einsum("ndm,nm->nd", G, alpha)
         Jf = sys.rhs_jac_x(w, alpha)
-        pdot = np.einsum("nij,ni->nj", Jf, p) + sign * cost.grad_x(w, alpha)
+        # L = theta |u|^2 has no state dependence, so p' has no cost term
+        pdot = np.einsum("nij,ni->nj", Jf, p)
         return np.hstack([-f, pdot])
 
     return fld
@@ -137,17 +133,15 @@ def pmp_extremal_batch(
     p0s: np.ndarray,
     T: float,
     n_grid: int,
-    adjoint_sign: str = "canonical",
     blowup: float | None = 1.0e6,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched extremal flow of the time-reversed system.
 
-    Integrates omega' = -f(omega, alpha), p' = (D_x f)' p -+ grad_x L with
-    alpha the minimizing control.  Returns (t_grid, states, costates,
-    controls, bad_time) with states (n, K+1, d).
+    Integrates omega' = -f(omega, alpha), p' = (D_x f)' p with alpha the
+    minimizing control (the quadratic cost has no state gradient).
+    Returns (t_grid, states, costates, controls, bad_time) with states
+    (n, K+1, d).
     """
-    if adjoint_sign not in ("canonical", "paper"):
-        raise ConfigurationError(f"unknown adjoint_sign '{adjoint_sign}'")
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     p0s = np.atleast_2d(np.asarray(p0s, dtype=float))
     if x0s.shape != p0s.shape or x0s.shape[1] != sys.d:
@@ -156,7 +150,7 @@ def pmp_extremal_batch(
         )
     t_grid = uniform_grid(T, n_grid)
     Y0 = np.hstack([x0s, p0s])
-    traj, bad_time = rk4_field(_pmp_field(sys, cost, adjoint_sign), Y0, t_grid, blowup)
+    traj, bad_time = rk4(_pmp_field(sys, cost), Y0, t_grid, blowup)
     states = traj[:, :, : sys.d]
     costates = traj[:, :, sys.d :]
     n, Kp1, d = states.shape
@@ -173,12 +167,11 @@ def pmp_extremal(
     p0: np.ndarray,
     T: float,
     n_grid: int,
-    adjoint_sign: str = "canonical",
 ) -> tuple[TrajectoryControlPair, np.ndarray]:
     """Single extremal; returns the trajectory pair and the costate path."""
     init = PmpState(np.asarray(x0, dtype=float), np.asarray(p0, dtype=float))
     t_grid, states, costates, controls, bad = pmp_extremal_batch(
-        sys, cost, init.omega[None, :], init.p[None, :], T, n_grid, adjoint_sign
+        sys, cost, init.omega[None, :], init.p[None, :], T, n_grid
     )
     raise_on_blowup(bad)
     H0 = hamiltonian(sys, cost, states[0, 0], costates[0, 0])
@@ -199,20 +192,6 @@ def hamiltonian_drift(
     return float(np.abs(H - H[0]).max() / (1.0 + abs(H[0])))
 
 
-def exp_map(
-    sys: ControlAffineSystem,
-    cost: QuadraticCost,
-    x: np.ndarray,
-    t: float,
-    p0: np.ndarray,
-    n_grid: int = 1000,
-    adjoint_sign: str = "canonical",
-) -> np.ndarray:
-    """Endpoint omega(t) of the extremal from (x, p0)."""
-    pair, _ = pmp_extremal(sys, cost, x, p0, t, n_grid, adjoint_sign)
-    return pair.states[-1]
-
-
 def exp_map_batch(
     sys: ControlAffineSystem,
     cost: QuadraticCost,
@@ -220,14 +199,11 @@ def exp_map_batch(
     t: float,
     p0s: np.ndarray,
     n_grid: int = 1000,
-    adjoint_sign: str = "canonical",
 ) -> np.ndarray:
     """Endpoints of extremals from a common x over a batch of costates."""
     p0s = np.atleast_2d(np.asarray(p0s, dtype=float))
     x0s = np.broadcast_to(np.asarray(x, dtype=float), p0s.shape)
-    _, states, _, _, bad = pmp_extremal_batch(
-        sys, cost, x0s, p0s, t, n_grid, adjoint_sign
-    )
+    _, states, _, _, bad = pmp_extremal_batch(sys, cost, x0s, p0s, t, n_grid)
     raise_on_blowup(bad)
     return states[:, -1]
 
@@ -262,24 +238,6 @@ def endpoint_map_batch(
         return sgn * sys.rhs(x, u)
 
     return rk4_stage_controls(rhs, x0s, t_grid, u_stages, blowup)
-
-
-def endpoint_map(
-    sys: ControlAffineSystem,
-    x0: np.ndarray,
-    control: BrownianControlPath | TrajectoryControlPair,
-    direction: str = "reversed",
-) -> TrajectoryControlPair:
-    """Trajectory of +-f driven by a stored control path from x0."""
-    if isinstance(control, TrajectoryControlPair):
-        t_grid, values = control.t_grid, control.controls
-    else:
-        t_grid, values = control.t_grid, control.values
-    states, bad = endpoint_map_batch(
-        sys, np.asarray(x0, dtype=float)[None, :], t_grid, values[None, :, :], direction
-    )
-    raise_on_blowup(bad)
-    return TrajectoryControlPair(t_grid, states[0], values, meta={"direction": direction})
 
 
 def sample_brownian_control(
@@ -318,7 +276,6 @@ class NoisingConfig:
     theta: float = 1.0
     sigma: float = 1.0
     p_scale: float = 1.0
-    adjoint_sign: str = "canonical"
     blowup: float = 1.0e6
     seed: int = 0
 
@@ -388,8 +345,7 @@ def generate_noising_dataset(
             )
         cost = QuadraticCost(theta=config.theta)
         t_grid, states, costates, controls, bad = pmp_extremal_batch(
-            sys, cost, x0s, p0s, config.T, config.n_grid,
-            config.adjoint_sign, config.blowup,
+            sys, cost, x0s, p0s, config.T, config.n_grid, config.blowup
         )
         keep = ~np.isfinite(bad)
         drift = None

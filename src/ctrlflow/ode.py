@@ -1,10 +1,14 @@
-"""Fixed-step RK4 integrators, batched over trajectories.
+"""Fixed-step RK4 integration, batched over trajectories.
 
-All integrators advance a whole batch of trajectories at once (states are
-(n, d) arrays), which keeps per-sample arithmetic identical to the
-single-trajectory path while avoiding Python-level loops over samples.
-Trajectories that leave the finite regime are frozen at their last good
-state and flagged, so one bad sample cannot poison a batch.
+:func:`rk4` is the one step loop: every integration in the package (open
+loop with stored controls, extremal flows, steering feedback, the learned
+closed loop) supplies a field callback that is told the step index and
+RK4 stage, and :func:`rk4` owns the update and the blow-up policy.  A
+whole batch of trajectories advances at once (states are (n, d) arrays),
+which keeps per-sample arithmetic identical to the single-trajectory path
+while avoiding Python-level loops over samples.  Trajectories that leave
+the finite regime (or exceed the blow-up threshold) are frozen at their
+last good state and flagged, so one bad sample cannot poison a batch.
 """
 
 from __future__ import annotations
@@ -58,20 +62,23 @@ def _check_blowup(x: np.ndarray, threshold: float) -> np.ndarray:
     return bad
 
 
-def rk4_field(
-    field: Callable[[float, np.ndarray], np.ndarray],
+def rk4(
+    field: Callable[[int, int, float, np.ndarray], np.ndarray],
     x0: np.ndarray,
     t_grid: np.ndarray,
     blowup: float | None = DEFAULT_BLOWUP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate ``x' = field(t, x)`` for a batch of initial states.
+    """Integrate ``x' = field(k, stage, t, x)`` for a batch of initial states.
 
     Parameters
     ----------
-    field : callable mapping (t, states (n, d)) to derivatives (n, d).
+    field : callable mapping (step index k, RK4 stage 0..3, t, states (n, d))
+        to derivatives (n, d).  Stage 0 is evaluated at the node t_k with
+        the node states, stages 1 and 2 at the midpoint, stage 3 at t_{k+1}.
     x0 : (n, d) initial states.
     t_grid : (K + 1,) strictly increasing times.
-    blowup : freeze trajectories whose sup-norm exceeds this (None disables).
+    blowup : freeze trajectories whose sup-norm exceeds this; None keeps
+        only the non-finite check.
 
     Returns
     -------
@@ -80,30 +87,34 @@ def rk4_field(
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     t_grid = np.asarray(t_grid, dtype=float)
+    threshold = np.inf if blowup is None else blowup
     n, d = x0.shape
     K = len(t_grid) - 1
     states = np.empty((n, K + 1, d))
     states[:, 0] = x0
     bad_time = np.full(n, np.nan)
-    active = ~_check_blowup(x0, blowup if blowup is not None else np.inf)
+    active = ~_check_blowup(x0, threshold)
     bad_time[~active] = t_grid[0]
     x = x0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             t, t1 = t_grid[k], t_grid[k + 1]
             h = t1 - t
-            k1 = field(t, x)
-            k2 = field(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = field(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = field(t1, x + h * k3)
+            k1 = field(k, 0, t, x)
+            k2 = field(k, 1, t + 0.5 * h, x + 0.5 * h * k1)
+            k3 = field(k, 2, t + 0.5 * h, x + 0.5 * h * k2)
+            k4 = field(k, 3, t1, x + h * k3)
             x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if blowup is not None:
-                newly_bad = active & _check_blowup(x_new, blowup)
-                bad_time[newly_bad] = t1
-                active &= ~newly_bad
+            newly_bad = active & _check_blowup(x_new, threshold)
+            bad_time[newly_bad] = t1
+            active &= ~newly_bad
             x = np.where(active[:, None], x_new, x)
             states[:, k + 1] = x
     return states, bad_time
+
+
+# stage_times index offset of each RK4 stage within step k (2k + offset)
+_STAGE_OFFSET = (0, 1, 1, 2)
 
 
 def rk4_stage_controls(
@@ -118,41 +129,17 @@ def rk4_stage_controls(
     ``u_stages`` has shape (n, 2K + 1, m): even indices are the node values,
     odd indices the midpoint values (see :func:`stage_times`).
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     u_stages = np.asarray(u_stages, dtype=float)
-    if u_stages.ndim == 2:
-        u_stages = np.broadcast_to(u_stages, (x0.shape[0],) + u_stages.shape)
-    t_grid = np.asarray(t_grid, dtype=float)
-    n, d = x0.shape
     K = len(t_grid) - 1
     if u_stages.shape[1] != 2 * K + 1:
         raise ConfigurationError(
             f"u_stages has {u_stages.shape[1]} stages, expected {2 * K + 1}"
         )
-    states = np.empty((n, K + 1, d))
-    states[:, 0] = x0
-    bad_time = np.full(n, np.nan)
-    active = ~_check_blowup(x0, blowup if blowup is not None else np.inf)
-    bad_time[~active] = t_grid[0]
-    x = x0.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            h = t_grid[k + 1] - t_grid[k]
-            u0 = u_stages[:, 2 * k]
-            um = u_stages[:, 2 * k + 1]
-            u1 = u_stages[:, 2 * k + 2]
-            k1 = rhs(x, u0)
-            k2 = rhs(x + 0.5 * h * k1, um)
-            k3 = rhs(x + 0.5 * h * k2, um)
-            k4 = rhs(x + h * k3, u1)
-            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if blowup is not None:
-                newly_bad = active & _check_blowup(x_new, blowup)
-                bad_time[newly_bad] = t_grid[k + 1]
-                active &= ~newly_bad
-            x = np.where(active[:, None], x_new, x)
-            states[:, k + 1] = x
-    return states, bad_time
+
+    def field(k, stage, t, x):
+        return rhs(x, u_stages[:, 2 * k + _STAGE_OFFSET[stage]])
+
+    return rk4(field, x0, t_grid, blowup)
 
 
 def raise_on_blowup(bad_time: np.ndarray) -> None:

@@ -30,6 +30,13 @@ from .seeding import substream
 EXTRAPOLATION_FACTOR = 10.0
 EXTRAPOLATION_K = 16
 
+# hyperparameters each method reads in fit_feedback
+HYPERPARAMS = {
+    "kernel": ("time_scale", "bandwidth", "bandwidth_scale"),
+    "knn": ("time_scale", "k"),
+    "mlp": ("time_scale", "hidden", "steps", "batch_size", "lr", "lr_decay"),
+}
+
 
 @dataclass(frozen=True)
 class RegressionDataset:
@@ -117,7 +124,7 @@ def _median_pairwise(z: np.ndarray, rng: np.random.Generator, n_pairs: int = 409
 
 
 class FeedbackLaw:
-    """Fitted feedback law; use :meth:`predict` or the module function."""
+    """Fitted feedback law u(t, x); query it with :meth:`predict`."""
 
     def __init__(
         self,
@@ -480,11 +487,6 @@ def fit_feedback(
         sq_sum += float(np.sum((pred - u_l[lo : lo + chunk]) ** 2))
     law.final_loss = sq_sum / len(t_l)
     return law
-
-
-def predict(law: FeedbackLaw, t, x: np.ndarray, return_flag: bool = False):
-    """Module-level alias for :meth:`FeedbackLaw.predict`."""
-    return law.predict(t, x, return_flag=return_flag)
 
 
 def constant_predictor_loss(data: RegressionDataset) -> float:

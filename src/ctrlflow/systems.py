@@ -179,17 +179,6 @@ class LinearSystem:
         )
 
 
-def eval_dynamics(sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Dynamics value f0(x) + sum_i u_i f_i(x) for a single state and control."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (sys.d,):
-        raise ConfigurationError(f"state has shape {x.shape}, expected ({sys.d},)")
-    if u.shape != (sys.m,):
-        raise ConfigurationError(f"control has shape {u.shape}, expected ({sys.m},)")
-    return sys.rhs(x[None, :], u[None, :])[0]
-
-
 def negate_system(sys: ControlAffineSystem) -> ControlAffineSystem:
     """System with every field negated: x' = -f0(x) - sum_i u_i f_i(x).
 

@@ -66,14 +66,6 @@ class TrajectoryControlPair:
             out[j] = np.interp(t, self.t_grid, self.states[:, j])
         return out
 
-    def control_at(self, t: float) -> np.ndarray:
-        """Piecewise-linear control interpolant."""
-        t = float(np.clip(t, self.t_grid[0], self.t_grid[-1]))
-        out = np.empty(self.m)
-        for j in range(self.m):
-            out[j] = np.interp(t, self.t_grid, self.controls[:, j])
-        return out
-
     def control_energy(self) -> float:
         """Integral of |u(t)|^2 over the horizon (Simpson on the grid)."""
         sq = np.sum(self.controls**2, axis=1)

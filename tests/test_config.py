@@ -164,8 +164,8 @@ def test_noising_schema_per_kind():
     doc["noising"]["sigma"] = 0.0  # degenerate but legal
     assert validate_config(doc).noising["sigma"] == 0.0
     doc = example_config("stabilize_pmp")
-    doc["noising"]["adjoint_sign"] = "sideways"
-    with pytest.raises(ConfigurationError, match="adjoint_sign"):
+    doc["noising"]["adjoint_sign"] = "canonical"  # removed knob: now an unknown key
+    with pytest.raises(ConfigurationError, match="unknown key.*adjoint_sign"):
         validate_config(doc)
     doc = example_config("stabilize_pmp")
     doc["noising"]["n_time_samples"] = 1
@@ -226,6 +226,47 @@ def test_measure_kind_checked():
     doc = example_config("transport_linear")
     doc["mu0"] = {"kind": "lebesgue", "params": {}}
     with pytest.raises(ConfigurationError, match="mu0.kind"):
+        validate_config(doc)
+
+
+def test_unknown_hyperparams_rejected_per_method():
+    doc = example_config("stabilize_pmp")
+    doc["regression"]["hyperparams"] = {"bandwith_scale": 0.05}
+    with pytest.raises(ConfigurationError, match="bandwith_scale"):
+        validate_config(doc)
+    doc["regression"] = {"method": "knn", "hyperparams": {"steps": 10}}
+    with pytest.raises(ConfigurationError, match="steps"):
+        validate_config(doc)
+    doc["regression"] = {"method": "knn", "hyperparams": {"k": 4, "time_scale": 2.0}}
+    assert validate_config(doc).regression["hyperparams"] == {"k": 4, "time_scale": 2.0}
+
+
+def test_measure_params_checked_per_kind():
+    gauss = {"kind": "gaussian", "params": {"mean": [0.0, 0.0], "cov": 1.0}}
+    for spec, word in [
+        ({"kind": "gaussian", "params": {"cov": 1.0}}, "mean"),
+        ({"kind": "gaussian", "params": {"mean": [0.0, 0.0], "std": 1.0}}, "std"),
+        ({"kind": "dirac", "params": {}}, "point"),
+        ({"kind": "uniform_box", "params": {"low": [0.0, 0.0]}}, "high"),
+        ({"kind": "mixture", "params": {"components": []}}, "components"),
+        ({"kind": "mixture", "params": {"components": [{"params": {}}]}}, r"components\[0\].*kind"),
+        ({"kind": "mixture", "params": {"components": [gauss, {"kind": "dirac"}]}},
+         r"components\[1\].*point"),
+        ({"kind": "mixture", "params": {"components": [{**gauss, "weight": "x"}]}}, "weight"),
+    ]:
+        doc = example_config("transport_linear")
+        doc["mu0"] = spec
+        with pytest.raises(ConfigurationError, match=word):
+            validate_config(doc)
+    doc = example_config("transport_linear")
+    doc["mu0"] = {"kind": "mixture", "params": {"components": [
+        {**gauss, "weight": 2.0},
+        {"kind": "uniform_sphere", "params": {"center": [1.0, 1.0], "radius": 0.5}},
+    ]}}
+    assert validate_config(doc).mu0 == doc["mu0"]
+    doc = example_config("stabilize_pmp")
+    doc["target"] = {"kind": "dirac", "params": {"pt": [0.0, 0.0, 0.0]}}
+    with pytest.raises(ConfigurationError, match="pt"):
         validate_config(doc)
 
 

@@ -14,6 +14,7 @@ from ctrlflow.config import validate_config
 from ctrlflow.errors import ConfigurationError, StageError
 from ctrlflow.experiments import (
     ExperimentReport,
+    _RunDir,
     emit_plot_data,
     example_config,
     run_experiment,
@@ -50,7 +51,6 @@ def cheap_stabilize(**over):
                 "n_time_samples": 10,
                 "theta": 1.0,
                 "p_scale": 2.0,
-                "adjoint_sign": "canonical",
             },
             "regression": {"method": "kernel", "hyperparams": {"bandwidth_scale": 0.1}},
             "evaluation": {
@@ -162,6 +162,18 @@ def test_n_eval_zero_headers_only(tmp_path):
     for rel in emit_plot_data(run_dir):
         lines = (run_dir / rel).read_text().splitlines()
         assert lines[0].startswith("#")
+
+
+def test_write_snapshot_csv_round_trip(tmp_path):
+    pts = substream(41, "csv").standard_normal((4, 2))
+    run = _RunDir(tmp_path, "abc")
+    run.write_snapshot("snap.csv", pts, 2)
+    with (tmp_path / "snap.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["sample_id", "x_1", "x_2"]
+    got = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    assert np.array_equal(got, pts)
+    assert run.files == ["snap.csv"]
 
 
 def test_emit_plot_data_formats(tmp_path):

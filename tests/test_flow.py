@@ -12,8 +12,6 @@ Oracles:
   noising endpoint back near its start.
 """
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -29,18 +27,21 @@ from ctrlflow import (
     dataset_from_pairs,
     fit_feedback,
     generate_noising_dataset,
-    integrate_closed_loop,
     integrate_closed_loop_batch,
-    marginal_snapshots,
     min_energy_pair_batch,
-    resample_and_reverse,
+    negate_system,
     sample_measure,
-    save_snapshot_csv,
     snapshots_from_arrays,
     wasserstein2,
 )
+from ctrlflow.ode import raise_on_blowup
 from ctrlflow.seeding import substream
 from ctrlflow.trajectory import TrajectoryControlPair
+
+
+def _pair_snapshots(pairs, times):
+    states = np.stack([p.states for p in pairs])
+    return snapshots_from_arrays(pairs[0].t_grid, states, times)
 
 
 def _scalar_integrator():
@@ -125,7 +126,9 @@ def test_blowup_freezes_row_and_reports():
     assert np.all(np.isfinite(states))
     assert abs(states[1, -1, 0] - (-0.5)) < 1e-8
     with pytest.raises(BlowUpError):
-        integrate_closed_loop(sys, law, np.array([2.0]), 1.0, 400)
+        raise_on_blowup(info.bad_time)
+    _, _, _, info = integrate_closed_loop_batch(sys, law, z0s[1:], 1.0, 400)
+    raise_on_blowup(info.bad_time)
 
 
 def test_direction_and_dimension_validation():
@@ -149,10 +152,34 @@ def test_fitted_constant_law_closed_loop():
     )
     law = fit_feedback(data, method="kernel")
     sys = builtin_system("linear", A=np.zeros((2, 2)), B=np.eye(2))
-    pair = integrate_closed_loop(sys, law, np.zeros(2), 1.0, 100)
-    assert np.allclose(pair.states[-1], c, atol=1e-12)
-    assert pair.meta["extrapolation_count"] == 0
-    assert pair.meta["direction"] == "forward"
+    _, states, controls, info = integrate_closed_loop_batch(sys, law, np.zeros((1, 2)), 1.0, 100)
+    assert np.allclose(states[0, -1], c, atol=1e-12)
+    assert np.allclose(controls[0], c, atol=1e-12)
+    assert info.extrapolation_count == 0
+
+
+def test_extrapolation_count_covers_live_nodes_only():
+    # law fitted on |x| <= 1; the start at 4 is flagged at every node it
+    # reaches, the start at 0 never, and the row that blows up at 0.5
+    # (threshold 6) is counted only up to the node before its bad time
+    rng = substream(17, "extrap")
+    n = 300
+    x = rng.uniform(-1.0, 1.0, size=(n, 1))
+    data = RegressionDataset(
+        t=rng.uniform(0.0, 1.0, size=n), x=x, u=np.ones((n, 1)), traj_id=np.arange(n)
+    )
+    law = fit_feedback(data, method="kernel")
+    sys = _scalar_integrator()
+    z0s = np.array([[0.0], [4.0], [5.6]])
+    t_grid, states, _, info = integrate_closed_loop_batch(sys, law, z0s, 1.0, 10, blowup=6.0)
+    assert list(info.excluded) == [2]
+    want = 0
+    for k, t in enumerate(t_grid):
+        live = ~(info.bad_time <= t)
+        _, flags = law.predict(t, states[:, k], return_flag=True)
+        want += int(np.count_nonzero(flags & live))
+    assert info.extrapolation_count == want
+    assert 11 < want < 11 + 11
 
 
 def test_snapshots_from_arrays_interpolates():
@@ -178,16 +205,24 @@ def test_marginal_snapshots_from_pairs():
     for z0 in starts:
         states = z0[None, :] + t_grid[:, None] * np.array([1.0, -1.0])[None, :]
         pairs.append(TrajectoryControlPair(t_grid, states, np.zeros((21, 1))))
-    snap0 = marginal_snapshots(pairs, [0.0])[0]
+    snap0 = _pair_snapshots(pairs, [0.0])[0]
     assert np.array_equal(snap0.points, starts)
-    single = marginal_snapshots([pairs[0]], [0.0])[0]
+    single = _pair_snapshots([pairs[0]], [0.0])[0]
     assert single.n == 1 and np.array_equal(single.points[0], starts[0])
-    with pytest.raises(ConfigurationError):
-        marginal_snapshots([], [0.0])
-    other = TrajectoryControlPair(np.linspace(0.0, 2.0, 21),
-                                  np.zeros((21, 2)), np.zeros((21, 1)))
-    with pytest.raises(ConfigurationError):
-        marginal_snapshots([pairs[0], other], [0.0])
+
+
+def test_snapshots_match_np_interp_bitwise():
+    # the reference is np.interp per trajectory and coordinate, at node
+    # times, off-node times, one ulp past a node, and both ends
+    rng = substream(5, "interp")
+    t_grid = np.linspace(0.0, 4.0 * np.pi, 201)
+    states = rng.standard_normal((7, 201, 3)) * 10.0 ** rng.integers(-8, 3, size=(7, 1, 3))
+    times = [0.0, np.pi, 2.0 * np.pi, np.nextafter(t_grid[50], 10.0), 1.234, t_grid[-1]]
+    for t, snap in zip(times, snapshots_from_arrays(t_grid, states, times)):
+        want = np.array(
+            [[np.interp(t, t_grid, states[i, :, j]) for j in range(3)] for i in range(7)]
+        )
+        assert np.array_equal(snap.points, want), t
 
 
 def test_marginal_snapshot_hits_steering_targets():
@@ -196,34 +231,8 @@ def test_marginal_snapshot_hits_steering_targets():
     ys = rng.uniform(-1.0, 1.0, size=(16, 3))
     pairs = brockett_steer_pair_batch(xs, ys, n_grid=2000)
     T = pairs[0].horizon
-    snap = marginal_snapshots(pairs, [T])[0]
+    snap = _pair_snapshots(pairs, [T])[0]
     assert np.max(np.linalg.norm(snap.points - ys, axis=1)) < 1e-6
-
-
-def test_resample_and_reverse_basics():
-    sys = builtin_system("unicycle")
-    rng = substream(33, "quick")
-    n = 120
-    data = RegressionDataset(
-        t=rng.uniform(0.0, 1.0, size=n),
-        x=rng.standard_normal((n, 3)),
-        u=0.1 * rng.standard_normal((n, 2)),
-        traj_id=np.arange(n),
-    )
-    law = fit_feedback(data, method="kernel")
-    sampler = lambda k, s: substream(s, "draw").standard_normal((k, 3))
-    empty, info = resample_and_reverse(sys, law, sampler, 0, 1.0, 60)
-    assert empty == [] and info.excluded_count == 0
-    with pytest.raises(ConfigurationError):
-        resample_and_reverse(sys, law, sampler, -1, 1.0, 60)
-    with pytest.raises(ConfigurationError):
-        resample_and_reverse(sys, law, lambda k, s: np.zeros((k, 2)), 3, 1.0, 60)
-    a, _ = resample_and_reverse(sys, law, sampler, 4, 1.0, 60, seed=5)
-    b, _ = resample_and_reverse(sys, law, sampler, 4, 1.0, 60, seed=5)
-    c, _ = resample_and_reverse(sys, law, sampler, 4, 1.0, 60, seed=6)
-    assert all(np.array_equal(p.states, q.states) for p, q in zip(a, b))
-    assert not np.array_equal(a[0].states, c[0].states)
-    assert a[0].meta["direction"] == "reversed"
 
 
 def test_reversal_returns_noising_endpoint_to_start():
@@ -238,11 +247,11 @@ def test_reversal_returns_noising_endpoint_to_start():
     ds, report = generate_noising_dataset(sys, cfg, lambda n, s: np.zeros((n, 3)))
     law = fit_feedback(ds, method="kernel", hyperparams={"bandwidth_scale": 0.05})
     endpoint = report.endpoints[5]
-    pairs, info = resample_and_reverse(
-        sys, law, lambda n, s: np.tile(endpoint, (n, 1)), 1, cfg.T, 200, seed=3
+    _, states, _, info = integrate_closed_loop_batch(
+        negate_system(sys), law, endpoint[None, :], cfg.T, 200, "reversed"
     )
     assert info.excluded_count == 0
-    assert np.linalg.norm(pairs[0].states[-1]) <= 0.1
+    assert np.linalg.norm(states[0, -1]) <= 0.1
 
 
 def test_marginal_consistency_of_learned_flow():
@@ -262,23 +271,10 @@ def test_marginal_consistency_of_learned_flow():
     assert info.excluded_count == 0
     times = [0.25 * T, 0.5 * T, 0.75 * T, T]
     flow_snaps = snapshots_from_arrays(t_grid, states, times)
-    built_snaps = marginal_snapshots(pairs, times)
+    built_snaps = _pair_snapshots(pairs, times)
     scale = float(np.linalg.norm(coup.x1 - coup.x0, axis=1).mean())
     for fs, bs in zip(flow_snaps, built_snaps):
         assert wasserstein2(fs, bs) <= 0.15 * scale
-
-
-def test_save_snapshot_csv(tmp_path):
-    pts = substream(41, "csv").standard_normal((4, 2))
-    snap = snapshots_from_arrays(np.array([0.0, 1.0]),
-                                 np.repeat(pts[:, None, :], 2, axis=1), [1.0])[0]
-    path = tmp_path / "snap.csv"
-    save_snapshot_csv(snap, path)
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["sample_id", "x_1", "x_2"]
-    got = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    assert np.array_equal(got, pts)
 
 
 def test_flow_info_properties():

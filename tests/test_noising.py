@@ -26,9 +26,7 @@ from ctrlflow import (
     PmpState,
     QuadraticCost,
     builtin_system,
-    endpoint_map,
     endpoint_map_batch,
-    exp_map,
     exp_map_batch,
     generate_noising_dataset,
     gramian,
@@ -42,7 +40,6 @@ from ctrlflow import (
 )
 from ctrlflow.linalg import expm
 from ctrlflow.seeding import substream
-from ctrlflow.trajectory import TrajectoryControlPair
 
 
 def test_quadratic_cost_validation():
@@ -52,7 +49,6 @@ def test_quadratic_cost_validation():
     cost = QuadraticCost(theta=2.0)
     u = np.array([[1.0, 2.0], [0.0, -3.0]])
     assert np.allclose(cost.value(u), [10.0, 18.0])
-    assert np.all(cost.grad_x(np.ones((2, 5)), u) == 0.0)
 
 
 def test_pmp_state_validation():
@@ -136,20 +132,6 @@ def test_hamiltonian_conserved_unicycle():
         assert hamiltonian_drift(sys, cost, pair.states, costates) < 1e-8
 
 
-def test_adjoint_sign_paper_equals_canonical_for_quadratic_cost():
-    # the cost has no state dependence, so the sign choice is inert here
-    sys = builtin_system("unicycle")
-    cost = QuadraticCost()
-    x0 = np.array([[0.3, -0.2, 0.9]])
-    p0 = np.array([[1.0, 0.5, -0.7]])
-    out_a = pmp_extremal_batch(sys, cost, x0, p0, 1.0, 200, "canonical")
-    out_b = pmp_extremal_batch(sys, cost, x0, p0, 1.0, 200, "paper")
-    assert np.array_equal(out_a[1], out_b[1])
-    assert np.array_equal(out_a[2], out_b[2])
-    with pytest.raises(ConfigurationError):
-        pmp_extremal_batch(sys, cost, x0, p0, 1.0, 200, "mystery")
-
-
 def test_extremal_batch_shape_errors():
     sys = builtin_system("unicycle")
     cost = QuadraticCost()
@@ -166,8 +148,8 @@ def test_exp_map_unicycle_vertical_costate():
     cost = QuadraticCost()
     x = np.zeros(3)
     for t in (0.3, 1.0, 2.0):
-        end = exp_map(sys, cost, x, t, np.array([0.0, 0.0, 2.0]), n_grid=500)
-        assert np.allclose(end, [0.0, 0.0, -t], atol=1e-10)
+        end = exp_map_batch(sys, cost, x, t, np.array([[0.0, 0.0, 2.0]]), n_grid=500)
+        assert np.allclose(end, [[0.0, 0.0, -t]], atol=1e-10)
 
 
 def test_exp_map_batch_matches_single():
@@ -179,8 +161,8 @@ def test_exp_map_batch_matches_single():
     ends = exp_map_batch(sys, cost, x, 0.8, p0s, n_grid=300)
     assert ends.shape == (6, 3)
     for i in range(6):
-        single = exp_map(sys, cost, x, 0.8, p0s[i], n_grid=300)
-        assert np.allclose(ends[i], single, atol=1e-12)
+        single, _ = pmp_extremal(sys, cost, x, p0s[i], 0.8, 300)
+        assert np.allclose(ends[i], single.states[-1], atol=1e-12)
 
 
 def test_endpoint_map_brockett_constant_control():
@@ -188,22 +170,22 @@ def test_endpoint_map_brockett_constant_control():
     c = 0.7
     x0 = np.array([0.0, c, 0.0])
     t_grid = np.linspace(0.0, 1.0, 101)
-    u = np.tile(np.array([1.0, 0.0]), (101, 1))
-    pair_f = endpoint_map(sys, x0, TrajectoryControlPair(t_grid, np.zeros((101, 3)), u),
-                          direction="forward")
-    assert np.allclose(pair_f.states[-1], [1.0, c, c], atol=1e-12)
-    pair_r = endpoint_map(sys, x0, TrajectoryControlPair(t_grid, np.zeros((101, 3)), u),
-                          direction="reversed")
-    assert np.allclose(pair_r.states[-1], [-1.0, c, -c], atol=1e-12)
-    assert pair_f.meta["direction"] == "forward"
+    u = np.tile(np.array([1.0, 0.0]), (1, 101, 1))
+    fwd, bad_f = endpoint_map_batch(sys, x0[None, :], t_grid, u, direction="forward")
+    assert np.allclose(fwd[0, -1], [1.0, c, c], atol=1e-12)
+    rev, bad_r = endpoint_map_batch(sys, x0[None, :], t_grid, u, direction="reversed")
+    assert np.allclose(rev[0, -1], [-1.0, c, -c], atol=1e-12)
+    assert np.isnan(bad_f[0]) and np.isnan(bad_r[0])
 
 
 def test_endpoint_map_zero_sigma_is_identity_for_driftless():
     sys = builtin_system("martinet")
     path = sample_brownian_control(2, 1.0, 64, 0.0, seed=4)
     assert np.all(path.values == 0.0)
-    pair = endpoint_map(sys, np.array([0.3, -0.5, 0.2]), path, direction="reversed")
-    assert np.allclose(pair.states[-1], [0.3, -0.5, 0.2], atol=1e-14)
+    states, _ = endpoint_map_batch(
+        sys, np.array([[0.3, -0.5, 0.2]]), path.t_grid, path.values[None], direction="reversed"
+    )
+    assert np.allclose(states[0, -1], [0.3, -0.5, 0.2], atol=1e-14)
 
 
 def test_endpoint_map_forward_reversed_round_trip():
@@ -212,9 +194,11 @@ def test_endpoint_map_forward_reversed_round_trip():
     sys = builtin_system("unicycle")
     path = sample_brownian_control(2, 1.0, 1500, 0.5, seed=21)
     x0 = np.array([0.4, 0.1, -0.3])
-    fwd = endpoint_map(sys, x0, path, direction="forward")
+    fwd, _ = endpoint_map_batch(
+        sys, x0[None, :], path.t_grid, path.values[None], direction="forward"
+    )
     states, bad = endpoint_map_batch(
-        sys, fwd.states[-1][None, :], path.t_grid, path.values[::-1][None, :, :],
+        sys, fwd[:, -1], path.t_grid, path.values[::-1][None, :, :],
         direction="reversed",
     )
     assert not np.isfinite(bad[0])

@@ -28,7 +28,6 @@ from ctrlflow import (
     dataset_from_pairs,
     fit_feedback,
     load_dataset,
-    predict,
     save_dataset,
 )
 from ctrlflow.regression import EXTRAPOLATION_FACTOR, EXTRAPOLATION_K
@@ -208,14 +207,6 @@ def test_mlp_divergence_raises():
     with pytest.raises(TrainingDivergedError):
         fit_feedback(data, method="mlp",
                      hyperparams={"steps": 200, "lr": 1e8}, seed=0)
-
-
-def test_predict_module_alias():
-    data = _smooth_dataset(seed=43)
-    law = fit_feedback(data, method="knn")
-    tq = np.array([0.1, 0.9])
-    xq = np.array([[0.0, 0.0], [0.5, -0.5]])
-    assert np.array_equal(predict(law, tq, xq), law.predict(tq, xq))
 
 
 def test_default_time_scale_is_diameter_over_span():

@@ -14,7 +14,6 @@ from ctrlflow.systems import (
     builtin_names,
     builtin_system,
     check_sublinear_growth,
-    eval_dynamics,
     hormander_rank,
     lie_bracket,
     negate_system,
@@ -23,6 +22,10 @@ from ctrlflow.systems import (
 )
 
 ALL_BUILTINS = ("brockett", "unicycle", "martinet", "six_state_default")
+
+
+def _rhs(sys, x, u):
+    return sys.rhs(np.asarray(x)[None, :], np.asarray(u)[None, :])[0]
 
 
 def _fd_jacobian(fn, x, h=1e-6):
@@ -41,21 +44,21 @@ def _fd_jacobian(fn, x, h=1e-6):
 
 def test_brockett_dynamics_value():
     sys = builtin_system("brockett")
-    out = eval_dynamics(sys, np.array([0.0, 2.0, 0.0]), np.array([1.0, 0.0]))
+    out = _rhs(sys, np.array([0.0, 2.0, 0.0]), np.array([1.0, 0.0]))
     assert np.allclose(out, [1.0, 0.0, 2.0], atol=1e-15)
 
 
 def test_driftless_zero_control_is_zero():
     for name in ("brockett", "unicycle", "martinet"):
         sys = builtin_system(name)
-        out = eval_dynamics(sys, np.array([0.3, -0.7, 1.1]), np.zeros(sys.m))
+        out = _rhs(sys, np.array([0.3, -0.7, 1.1]), np.zeros(sys.m))
         assert np.allclose(out, 0.0, atol=1e-15)
 
 
 def test_single_integrator_passthrough():
     sys = LinearSystem(np.zeros((3, 3)), np.eye(3)).to_system()
     u = np.array([3.0, -1.0, 0.5])
-    out = eval_dynamics(sys, np.array([9.0, 9.0, 9.0]), u)
+    out = _rhs(sys, np.array([9.0, 9.0, 9.0]), u)
     assert np.allclose(out, u, atol=1e-15)
 
 
@@ -75,12 +78,12 @@ def test_martinet_fields():
     assert np.allclose(sys.f_list[1](x)[0], [0.0, 1.0, 0.0])
 
 
-def test_eval_dynamics_dimension_errors():
+def test_rhs_state_dimension_checked():
     sys = builtin_system("brockett")
     with pytest.raises(ConfigurationError):
-        eval_dynamics(sys, np.zeros(2), np.zeros(2))
+        sys.rhs(np.zeros((1, 2)), np.zeros((1, 2)))
     with pytest.raises(ConfigurationError):
-        eval_dynamics(sys, np.zeros(3), np.zeros(3))
+        sys.rhs(np.zeros(2), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,7 @@ def test_builtin_names_and_unknown():
 def test_linear_builtin_requires_matrices():
     sys = builtin_system("linear", A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]])
     assert (sys.d, sys.m) == (2, 1)
-    out = eval_dynamics(sys, np.array([1.0, 2.0]), np.array([0.5]))
+    out = _rhs(sys, np.array([1.0, 2.0]), np.array([0.5]))
     assert np.allclose(out, [2.0, 0.5])
 
 
