@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import TRANSPORT_KINDS, ExperimentConfig, validate_config
 from .errors import ConfigurationError, StageError
-from .flow import integrate_closed_loop_batch, snapshots_from_arrays
+from .flow import FlowInfo, integrate_closed_loop_batch, snapshots_from_arrays
 from .interpolants import (
     brockett_steer_pair_batch,
     feedback_steer_pair_batch,
@@ -367,18 +367,17 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
             metrics["fit_loss"] = float(law.final_loss)
         notes = kind.evaluate_ensemble(run, metrics)
 
-        states, kept = np.empty((0, 1, sys.d)), np.zeros(0, dtype=bool)
-        excluded = extrapolated = 0
-        if rollout is not None:
-            t_grid, states, controls, info = rollout
-            kept = ~np.isfinite(info.bad_time)
-            excluded, extrapolated = info.excluded_count, info.extrapolation_count
-            if excluded:
-                notes.append(f"{excluded} evaluation rollout(s) blew up and were excluded")
-            if not kept.any():
-                notes.append(f"all evaluation rollouts blew up; {kind.scored} metrics skipped")
-        metrics["excluded_eval"] = int(excluded)
-        metrics["extrapolation_count"] = int(extrapolated)
+        # n_eval = 0 reads as a rollout without rows
+        t_grid, states, controls, info = rollout or (
+            None, np.empty((0, 1, sys.d)), None, FlowInfo(bad_time=np.empty(0))
+        )
+        kept = ~np.isfinite(info.bad_time)
+        if info.excluded_count:
+            notes.append(f"{info.excluded_count} evaluation rollout(s) blew up and were excluded")
+        if rollout is not None and not kept.any():
+            notes.append(f"all evaluation rollouts blew up; {kind.scored} metrics skipped")
+        metrics["excluded_eval"] = info.excluded_count
+        metrics["extrapolation_count"] = info.extrapolation_count
 
         run.write_snapshot("snapshot_initial.csv", states[kept, 0], sys.d)
         run.write_snapshot("snapshot_achieved.csv", states[kept, -1], sys.d)

@@ -139,7 +139,7 @@ class FeedbackLaw:
         hyperparams: Optional[dict] = None,
         final_loss: Optional[float] = None,
     ):
-        if method not in ("knn", "kernel", "mlp"):
+        if method not in HYPERPARAMS:
             raise ConfigurationError(f"unknown regression method '{method}'")
         self.method = method
         self.time_scale = float(time_scale)
