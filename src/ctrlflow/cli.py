@@ -2,8 +2,9 @@
 
 Subcommands: ``run <config.json>``, ``plot <run-dir>``, ``verify <suite>``,
 ``describe-systems``, ``example-config <kind>``.  Exit codes: 0 success,
-2 configuration/usage error, 3 stage failure.  The output root may be set
-with --output-root or the CTRLFLOW_OUTPUT_ROOT environment variable.
+1 a ``verify`` check failed, 2 configuration/usage error, 3 stage failure.
+The output root may be set with --output-root or the CTRLFLOW_OUTPUT_ROOT
+environment variable.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .experiments import emit_plot_data, example_config, run_experiment, verify
 from .systems import builtin_names, builtin_system
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 ENV_OUTPUT_ROOT = "CTRLFLOW_OUTPUT_ROOT"
@@ -70,7 +72,7 @@ def _cmd_verify(args) -> int:
             f"{r['comparison']} tol={r['tolerance']:.3e}"
         )
     print(f"{n_pass}/{len(results)} checks passed")
-    return EXIT_OK
+    return EXIT_OK if n_pass == len(results) else EXIT_CHECK_FAILED
 
 
 def _cmd_describe(args) -> int:

@@ -9,11 +9,19 @@ skeleton writes the artifacts common to all kinds, including the header-only
 snapshots of an empty or all-blown-up rollout.  A stage failure aborts with
 :class:`~ctrlflow.errors.StageError` naming the stage; the partially
 written run directory is flagged in its manifest.
+
+A run directory holds ``config.json``, ``snapshot_*.csv`` point clouds, up
+to 32 saved rollouts in ``eval_trajectories/`` (transport runs also keep
+``train_pairs/``), ``dataset.csv``, ``law.json``, ``report.json`` and
+``manifest.json``; CSVs use the one table format of :mod:`ctrlflow.trajectory`.
+The manifest (``ctrlflow.manifest.v2``) is the only provenance record: the
+config hash, ``files`` in write order, a ``sha256`` map with the digest of
+every listed file, and ``partial``/``failed_stage`` for an aborted run.
 """
 
 from __future__ import annotations
 
-import csv
+import hashlib
 import json
 import math
 import time
@@ -53,12 +61,14 @@ from .regression import RegressionDataset, dataset_from_pairs, fit_feedback, sav
 from .seeding import stream_key, substream
 from .systems import builtin_system, negate_system, six_state_matrices, six_state_output
 from .trajectory import TrajectoryControlPair, load_pair_csv, save_pair_bundle
+from .trajectory import columns, read_table, write_table
 
 BROCKETT_HORIZON = 4.0 * math.pi
 MAX_SAVED_TRAJECTORIES = 32
 TARGET_REF_N = 512
 
 STAGES = ("sample", "construct", "fit", "integrate", "evaluate")
+MANIFEST_FORMAT = "ctrlflow.manifest.v2"
 
 
 def _role_seed(master_seed: int, *path) -> int:
@@ -123,49 +133,44 @@ class ExperimentReport:
 
 
 class _RunDir:
-    """Tracks written artifacts; every data file gets a config-hash sidecar."""
+    """Written artifacts -> sha256, in first-write order (the manifest's ``files``)."""
 
-    def __init__(self, out_dir: Path, cfg_hash: str):
+    def __init__(self, out_dir: Path, cfg_hash: str, sha256: Optional[dict] = None):
         self.dir = out_dir
         self.hash = cfg_hash
-        self.files: list[str] = []
+        self.sha256: dict[str, str] = dict(sha256 or {})
         self.dir.mkdir(parents=True, exist_ok=True)
+
+    @property
+    def files(self) -> list[str]:
+        return list(self.sha256)
 
     def add(self, rel: str) -> None:
         path = self.dir / rel
         if not path.exists():
             raise ConfigurationError(f"artifact '{rel}' was not written")
-        sidecar = path.with_name(path.name + ".sidecar.json")
-        sidecar.write_text(
-            json.dumps({"file": rel, "config_hash": self.hash}, sort_keys=True)
-        )
-        self.files.append(rel)
+        self.sha256[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     def write_json(self, rel: str, doc: dict) -> None:
         (self.dir / rel).write_text(json.dumps(doc, indent=2, sort_keys=True))
         self.add(rel)
 
     def write_snapshot(self, rel: str, points: np.ndarray, dim: int) -> None:
-        points = np.asarray(points, dtype=float).reshape(-1, dim) if len(points) else None
-        with (self.dir / rel).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_id"] + [f"x_{j + 1}" for j in range(dim)])
-            if points is not None:
-                for i, row in enumerate(points):
-                    writer.writerow([str(i)] + [f"{v:.17g}" for v in row])
+        points = np.asarray(points, dtype=float).reshape(-1, dim)
+        table = np.column_stack([np.arange(len(points)), points])
+        write_table(self.dir / rel, ["sample_id", *columns("x", dim)], table, int_cols=1)
         self.add(rel)
 
     def write_bundle(self, pairs: list, subdir: str, prefix: str) -> None:
-        for name in save_pair_bundle(
-            pairs, self.dir / subdir, prefix, index_extra={"config_hash": self.hash}
-        ):
+        for name in save_pair_bundle(pairs, self.dir / subdir, prefix):
             self.add(f"{subdir}/{name}")
 
     def write_manifest(self, partial: bool = False, failed_stage: Optional[str] = None):
         doc = {
-            "format": "ctrlflow.manifest.v1",
+            "format": MANIFEST_FORMAT,
             "config_hash": self.hash,
-            "files": list(self.files),
+            "files": self.files,
+            "sha256": self.sha256,
             "partial": bool(partial),
         }
         if failed_stage is not None:
@@ -315,14 +320,10 @@ def run_experiment(config, output_root=None) -> ExperimentReport:
         wall_clock_s=wall,
         metrics=metrics,
         notes=notes,
-        manifest=[],
+        manifest=run.files + ["report.json"],
         output_dir=str(out_dir),
     )
-    doc = report.to_json_dict()
-    run.write_json("report.json", doc)
-    report.manifest = list(run.files)
-    doc["manifest"] = report.manifest
-    (out_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    run.write_json("report.json", report.to_json_dict())
     run.write_manifest(partial=False)
     return report
 
@@ -396,9 +397,7 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
                 run.write_snapshot(rel, np.empty((0, dim)), dim)
         run.write_bundle(eval_pairs, "eval_trajectories", "eval")
 
-        for name in save_dataset(
-            data, run.dir / "dataset.csv", metadata={"config_hash": run.hash}
-        ):
+        for name in save_dataset(data, run.dir / "dataset.csv"):
             run.add(name)
         law.save(run.dir / "law.json")
         run.add("law.json")
@@ -641,12 +640,8 @@ class _Stabilize:
 
 
 def _read_snapshot(path: Path) -> np.ndarray:
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row[1:]] for row in reader]
-    dim = len(header) - 1
-    return np.asarray(rows, dtype=float).reshape(-1, dim)
+    """Points of a snapshot written by ``_RunDir.write_snapshot`` (sample id dropped)."""
+    return read_table(path)[1][:, 1:]
 
 
 def emit_plot_data(run_dir) -> list[str]:
@@ -654,38 +649,36 @@ def emit_plot_data(run_dir) -> list[str]:
 
     Produces scatter overlays (initial/target/achieved), per-trajectory
     polyline blocks separated by blank lines, and a distance-to-target time
-    series.  Requires a manifest (i.e. a completed or flagged run).
+    series (in output space for ``output_transport`` runs).  Requires a
+    manifest (i.e. a completed or flagged run); the plot files are added to
+    it with their sha256.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigurationError(f"missing manifest in {run_dir}; not a run directory")
     manifest = json.loads(manifest_path.read_text())
-    cfg_hash = manifest.get("config_hash", "")
+    if manifest.get("format") != MANIFEST_FORMAT:
+        raise ConfigurationError(f"{manifest_path} is not a {MANIFEST_FORMAT} manifest")
+    sha256 = {rel: manifest["sha256"][rel] for rel in manifest["files"]}  # keep write order
+    run = _RunDir(run_dir, manifest["config_hash"], sha256)
 
-    target_spec = None
+    target_spec, kind = None, None
     cfg_path = run_dir / "config.json"
     if cfg_path.exists():
         doc = json.loads(cfg_path.read_text())
-        target_spec = doc.get("target")
+        target_spec, kind = doc.get("target"), doc.get("kind")
 
     written: list[str] = []
 
-    def emit(rel: str, header: str, blocks: list[np.ndarray], block_labels=None):
-        path = run_dir / rel
-        with path.open("w") as fh:
-            fh.write(header + "\n")
-            for bi, block in enumerate(blocks):
-                if block_labels is not None:
-                    fh.write(f"# {block_labels[bi]}\n")
-                for row in np.atleast_2d(block):
-                    fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-                if bi != len(blocks) - 1:
-                    fh.write("\n\n")
-        sidecar = path.with_name(path.name + ".sidecar.json")
-        sidecar.write_text(
-            json.dumps({"file": rel, "config_hash": cfg_hash}, sort_keys=True)
-        )
+    def emit(rel: str, header: str, blocks: list[np.ndarray], labelled: bool = False):
+        lines = [header]
+        for bi, block in enumerate(blocks):
+            lines += ["", ""] if bi else []  # gnuplot index: blocks split by two blank lines
+            lines += [f"# trajectory {bi}"] if labelled else []
+            lines += [" ".join(f"{v:.17g}" for v in row) for row in block]
+        (run_dir / rel).write_text("\n".join(lines) + "\n")
+        run.add(rel)
         written.append(rel)
 
     # scatter overlays
@@ -694,22 +687,17 @@ def emit_plot_data(run_dir) -> list[str]:
         pts = _read_snapshot(snap) if snap.exists() else np.empty((0, 0))
         dim = pts.shape[1]
         cols = " ".join(f"x_{j + 1}" for j in range(dim)) if dim else "x_*"
-        emit(f"plot_scatter_{role}.dat", f"# {role} scatter: {cols}", [pts] if len(pts) else [np.empty((0, max(dim, 1)))])
+        emit(f"plot_scatter_{role}.dat", f"# {role} scatter: {cols}", [pts])
 
     # trajectory polylines
-    pairs = []
     index_path = run_dir / "eval_trajectories" / "eval_index.json"
-    if index_path.exists():
-        index = json.loads(index_path.read_text())
-        for entry in index.get("pairs", []):
-            pairs.append(load_pair_csv(run_dir / "eval_trajectories" / entry["file"]))
-    blocks = [np.column_stack([p.t_grid, p.states]) for p in pairs]
-    labels = [f"trajectory {i}" for i in range(len(pairs))]
+    entries = json.loads(index_path.read_text()).get("pairs", []) if index_path.exists() else []
+    pairs = [load_pair_csv(index_path.parent / entry["file"]) for entry in entries]
     emit(
         "plot_trajectories.dat",
         "# closed-loop trajectories: t x_1 .. x_d (blank-line separated blocks)",
-        blocks if blocks else [np.empty((0, 1))],
-        block_labels=labels if blocks else None,
+        [np.column_stack([p.t_grid, p.states]) for p in pairs],
+        labelled=True,
     )
 
     # distance-to-target series over the saved trajectories
@@ -717,31 +705,20 @@ def emit_plot_data(run_dir) -> list[str]:
     ref_points = _read_snapshot(target_snap) if target_snap.exists() else np.empty((0, 0))
     series = np.empty((0, 4))
     if pairs and len(ref_points):
-        t_grid = pairs[0].t_grid
+        # output-transport targets live in output space
+        space = six_state_output if kind == "output_transport" else np.asarray
         dists = np.stack(
-            [
-                _distance_to_target(p.states, target_spec, ref_points)
-                for p in pairs
-            ]
+            [_distance_to_target(space(p.states), target_spec, ref_points) for p in pairs]
         )
-        series = np.column_stack(
-            [
-                t_grid,
-                np.median(dists, axis=0),
-                np.quantile(dists, 0.9, axis=0),
-                dists.mean(axis=0),
-            ]
-        )
+        stats = (np.median(dists, axis=0), np.quantile(dists, 0.9, axis=0), dists.mean(axis=0))
+        series = np.column_stack([pairs[0].t_grid, *stats])
     emit(
         "plot_distance.dat",
         "# distance to target over the saved rollouts: t median p90 mean",
         [series],
     )
 
-    files = list(manifest.get("files", []))
-    files.extend(name for name in written if name not in files)
-    manifest["files"] = files
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    run.write_manifest(manifest["partial"], manifest.get("failed_stage"))
     return written
 
 

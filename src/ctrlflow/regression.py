@@ -12,7 +12,6 @@ bit-stable for a fixed seed.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +25,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .seeding import substream
+from .trajectory import columns, read_table, write_table
 
 EXTRAPOLATION_FACTOR = 10.0
 EXTRAPOLATION_K = 16
@@ -544,39 +544,23 @@ def crossval_loss(
 # dataset persistence
 
 
-def save_dataset(
-    data: RegressionDataset, path, metadata: Optional[dict] = None
-) -> list[str]:
-    """CSV with columns traj_id, t, x_*, u_* plus a JSON metadata sidecar."""
+def save_dataset(data: RegressionDataset, path) -> list[str]:
+    """CSV with columns traj_id, t, x_*, u_*; returns the written file name.
+
+    Provenance (config hash, file sha256) lives in the run manifest.
+    """
     path = Path(path)
-    header = (
-        ["traj_id", "t"]
-        + [f"x_{j + 1}" for j in range(data.d)]
-        + [f"u_{j + 1}" for j in range(data.m)]
-    )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [str(int(data.traj_id[i]))]
-            row += [f"{v:.17g}" for v in (data.t[i], *data.x[i], *data.u[i])]
-            writer.writerow(row)
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    with sidecar.open("w") as fh:
-        json.dump(metadata or {}, fh, indent=2, sort_keys=True)
-    return [path.name, sidecar.name]
+    header = ["traj_id", "t", *columns("x", data.d), *columns("u", data.m)]
+    write_table(path, header, np.column_stack([data.traj_id, data.t, data.x, data.u]), int_cols=1)
+    return [path.name]
 
 
 def load_dataset(path) -> RegressionDataset:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    arr = np.asarray(rows)
+    """Inverse of :func:`save_dataset`; a header-only file raises ``EmptyDatasetError``."""
+    header, table = read_table(path)
     d = sum(1 for h in header if h.startswith("x_"))
     m = sum(1 for h in header if h.startswith("u_"))
     return RegressionDataset(
-        t=arr[:, 1], x=arr[:, 2 : 2 + d], u=arr[:, 2 + d : 2 + d + m],
-        traj_id=arr[:, 0].astype(int),
+        t=table[:, 1], x=table[:, 2 : 2 + d], u=table[:, 2 + d : 2 + d + m],
+        traj_id=table[:, 0].astype(int),
     )

@@ -1,8 +1,12 @@
-"""Trajectory/control pairs on a shared time grid."""
+"""Trajectory/control pairs on a shared time grid, and the one CSV table format.
+
+Every CSV of a run directory is written by :func:`write_table` and read by
+:func:`read_table`: a header row, then comma-separated ``%.17g`` values (id
+columns ``%d``), so floats read back bit for bit; lines end in ``\\r\\n``.
+"""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,41 +92,53 @@ class TrajectoryControlPair:
         return float(dev / scale)
 
 
+def columns(prefix: str, n: int) -> list[str]:
+    """Column names ``prefix_1 .. prefix_n``."""
+    return [f"{prefix}_{j + 1}" for j in range(n)]
+
+
+def write_table(path: str | Path, header: list[str], table, int_cols: int = 0) -> None:
+    """Write ``table`` (rows x len(header)) in the run-directory CSV format.
+
+    The first ``int_cols`` columns are integer ids written as ``%d``.
+    """
+    table = np.asarray(table, dtype=float).reshape(len(table), len(header))
+    fmt = ",".join(["%d"] * int_cols + ["%.17g"] * (len(header) - int_cols)) + "\r\n"
+    text = ",".join(header) + "\r\n" + "".join(fmt % tuple(row) for row in table.tolist())
+    Path(path).write_text(text, newline="")
+
+
+def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Inverse of :func:`write_table`: the header and a (rows, columns) array.
+
+    A header-only file reads as a ``(0, len(header))`` array.
+    """
+    header, *lines = Path(path).read_text().splitlines()
+    header = header.split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines]
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
 def save_pair_csv(pair: TrajectoryControlPair, path: str | Path) -> None:
     """Write one pair as CSV columns t, x_1..x_d, u_1..u_m."""
-    path = Path(path)
-    header = (
-        ["t"]
-        + [f"x_{j + 1}" for j in range(pair.d)]
-        + [f"u_{j + 1}" for j in range(pair.m)]
-    )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(pair.t_grid)):
-            row = [pair.t_grid[k], *pair.states[k], *pair.controls[k]]
-            writer.writerow([f"{v:.17g}" for v in row])
+    header = ["t", *columns("x", pair.d), *columns("u", pair.m)]
+    write_table(path, header, np.column_stack([pair.t_grid, pair.states, pair.controls]))
 
 
 def load_pair_csv(path: str | Path) -> TrajectoryControlPair:
-    """Inverse of :func:`save_pair_csv` (meta is not persisted in the CSV)."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader])
+    """Inverse of :func:`save_pair_csv` (meta is not kept; a header-only file raises)."""
+    header, table = read_table(path)
     d = sum(1 for h in header if h.startswith("x_"))
     m = sum(1 for h in header if h.startswith("u_"))
-    return TrajectoryControlPair(rows[:, 0], rows[:, 1 : 1 + d], rows[:, 1 + d : 1 + d + m])
+    return TrajectoryControlPair(table[:, 0], table[:, 1 : 1 + d], table[:, 1 + d : 1 + d + m])
 
 
 def save_pair_bundle(
     pairs: list[TrajectoryControlPair],
     directory: str | Path,
     prefix: str,
-    index_extra: dict | None = None,
 ) -> list[str]:
-    """One CSV per pair plus an index JSON with per-pair metadata.
+    """One CSV per pair plus ``<prefix>_index.json`` (count, file and scalar meta per pair).
 
     Returns the list of written file names (relative to ``directory``).
     """
@@ -134,14 +150,9 @@ def save_pair_bundle(
         fname = f"{prefix}_{i:04d}.csv"
         save_pair_csv(pair, directory / fname)
         written.append(fname)
-        entry = {"file": fname}
-        for key, val in pair.meta.items():
-            if isinstance(val, (int, float, str, bool)):
-                entry[key] = val
-        entries.append(entry)
+        scalars = {k: v for k, v in pair.meta.items() if isinstance(v, (int, float, str, bool))}
+        entries.append({"file": fname, **scalars})
     index = {"count": len(pairs), "pairs": entries}
-    if index_extra:
-        index.update(index_extra)
     index_name = f"{prefix}_index.json"
     with (directory / index_name).open("w") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)

@@ -1,7 +1,9 @@
 """End-to-end runner: artifacts, determinism, stage failures, CLI, verify."""
 
 import csv
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ctrlflow
+from ctrlflow import experiments
 from ctrlflow.cli import main
 from ctrlflow.config import validate_config
 from ctrlflow.errors import ConfigurationError, StageError
 from ctrlflow.experiments import (
     ExperimentReport,
+    _read_snapshot,
     _RunDir,
     emit_plot_data,
     example_config,
@@ -36,6 +41,33 @@ def cheap_brockett(**over):
     )
     doc.update(over)
     return doc
+
+
+def cheap_output(**over):
+    doc = example_config("output_transport")
+    doc.update(
+        {
+            "name": "tiny_output",
+            "n_train": 16,
+            "n_eval": 8,
+            "interpolant": {**doc["interpolant"], "n_grid": 100},
+            "regression": {"method": "mlp", "hyperparams": {"steps": 50, "hidden": [8]}},
+            "evaluation": {"n_grid": 30},
+        }
+    )
+    doc.update(over)
+    return doc
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def assert_hashes_match(run_dir: Path, manifest: dict):
+    assert manifest["format"] == "ctrlflow.manifest.v2"
+    assert set(manifest["sha256"]) == set(manifest["files"])
+    for rel in manifest["files"]:
+        assert manifest["sha256"][rel] == sha256_of(run_dir / rel), rel
 
 
 def cheap_stabilize(**over):
@@ -89,24 +121,23 @@ def test_identity_transport_near_zero_w2(tmp_path):
     assert report.metrics["max_endpoint_error"] <= 1.0e-8
 
 
-def test_run_writes_manifest_report_and_sidecars(tmp_path):
+def test_run_writes_manifest_report_and_hashes(tmp_path):
     doc = cheap_brockett()
     report = run_experiment(doc, output_root=tmp_path)
     run_dir = Path(report.output_dir)
     assert run_dir.parent == tmp_path
 
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["format"] == "ctrlflow.manifest.v1"
     assert manifest["partial"] is False
     assert manifest["config_hash"] == validate_config(doc).hash
     assert manifest["files"] == report.manifest
-    for rel in manifest["files"]:
-        path = run_dir / rel
-        assert path.exists(), rel
-        sidecar = json.loads(
-            path.with_name(path.name + ".sidecar.json").read_text()
-        )
-        assert sidecar == {"file": rel, "config_hash": manifest["config_hash"]}
+    assert manifest["files"][0] == "config.json" and manifest["files"][-1] == "report.json"
+    assert_hashes_match(run_dir, manifest)
+    # the manifest is the only provenance record: no per-file sidecars
+    assert not list(run_dir.rglob("*.sidecar.json"))
+    assert not list(run_dir.rglob("*.meta.json"))
+    on_disk = {str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file()}
+    assert on_disk == set(manifest["files"]) | {"manifest.json"}
 
     assert all(np.isfinite(v) for v in report.metrics.values())
     assert report.wall_clock_s > 0
@@ -139,6 +170,26 @@ def test_stage_failure_flags_partial_manifest(tmp_path):
     manifest = json.loads((run_dirs[0] / "manifest.json").read_text())
     assert manifest["partial"] is True
     assert manifest["failed_stage"] == "sample"
+    assert manifest["files"] == ["config.json"]
+    assert_hashes_match(run_dirs[0], manifest)
+
+
+def test_partial_manifest_hashes_files_written_before_failure(tmp_path, monkeypatch):
+    def broken_save_dataset(data, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiments, "save_dataset", broken_save_dataset)
+    with pytest.raises(StageError) as err:
+        run_experiment(cheap_brockett(), output_root=tmp_path)
+    assert err.value.stage == "evaluate"
+    (run_dir,) = tmp_path.iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["partial"] is True and manifest["failed_stage"] == "evaluate"
+    # everything up to the dataset is listed with its digest
+    assert "snapshot_achieved.csv" in manifest["files"]
+    assert "eval_trajectories/eval_index.json" in manifest["files"]
+    assert "dataset.csv" not in manifest["files"]
+    assert_hashes_match(run_dir, manifest)
 
 
 def test_invalid_config_writes_nothing(tmp_path):
@@ -173,7 +224,13 @@ def test_write_snapshot_csv_round_trip(tmp_path):
     assert rows[0] == ["sample_id", "x_1", "x_2"]
     got = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     assert np.array_equal(got, pts)
+    assert np.array_equal(_read_snapshot(tmp_path / "snap.csv"), pts)
     assert run.files == ["snap.csv"]
+
+    # an empty snapshot is header-only and reads back as (0, d)
+    run.write_snapshot("empty.csv", np.empty((0, 3)), 3)
+    assert (tmp_path / "empty.csv").read_bytes() == b"sample_id,x_1,x_2,x_3\r\n"
+    assert _read_snapshot(tmp_path / "empty.csv").shape == (0, 3)
 
 
 def test_emit_plot_data_formats(tmp_path):
@@ -184,14 +241,28 @@ def test_emit_plot_data_formats(tmp_path):
     scatter = (run_dir / "plot_scatter_achieved.dat").read_text().splitlines()
     assert len(scatter) - 1 == doc["n_eval"]  # one row per evaluation sample
 
-    # plot files are appended to the manifest with sidecars
+    # plot files are appended to the manifest with their sha256
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    for rel in written:
-        assert rel in manifest["files"]
-        assert (run_dir / (rel + ".sidecar.json")).exists()
+    assert manifest["files"] == report.manifest + written
+    assert_hashes_match(run_dir, manifest)
+    assert not list(run_dir.glob("*.sidecar.json"))
+    # emitting again rewrites the files without listing them twice
+    assert emit_plot_data(run_dir) == written
+    assert json.loads((run_dir / "manifest.json").read_text()) == manifest
 
     with pytest.raises(ConfigurationError, match="manifest"):
         emit_plot_data(tmp_path / "not_a_run")
+
+
+def test_output_transport_run_plots(tmp_path):
+    # trajectories are six-state, targets are 2-D outputs: the distance
+    # series is measured in output space
+    doc = cheap_output()
+    report = run_experiment(doc, output_root=tmp_path)
+    run_dir = Path(report.output_dir)
+    assert main(["plot", str(run_dir)]) == 0
+    dist = (run_dir / "plot_distance.dat").read_text().splitlines()
+    assert len(dist) - 1 == doc["evaluation"]["n_grid"] + 1
 
 
 def test_stabilize_run_plots_and_distance_series(tmp_path):
@@ -299,9 +370,12 @@ def test_cli_overrides_and_describe(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child interpreter finds the package where this one imported it from
+    package_parent = str(Path(ctrlflow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ctrlflow", "describe-systems"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "unicycle" in proc.stdout
@@ -316,6 +390,15 @@ def test_verify_fast_all_pass(capsys):
     assert main(["verify", "fast"]) == 0
     out = capsys.readouterr().out
     assert "checks passed" in out
+
+
+def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
+    failing = {"check": "broken", "value": 1.0, "tolerance": 0.0, "comparison": "<=",
+               "passed": False}
+    passing = dict(failing, check="fine", value=0.0, passed=True)
+    monkeypatch.setattr("ctrlflow.cli.verify", lambda suite, output_root=None: [passing, failing])
+    assert main(["verify", "fast"]) == 1
+    assert "1/2 checks passed" in capsys.readouterr().out
 
 
 def test_verify_full_writes_results_json(tmp_path):

@@ -12,8 +12,6 @@ The estimator invariants checked here:
   nearest-neighbour average instead of a degenerate kernel ratio.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -297,13 +295,15 @@ def test_dataset_from_pairs():
 def test_dataset_csv_round_trip(tmp_path):
     data = _smooth_dataset(seed=73)
     path = tmp_path / "train.csv"
-    names = save_dataset(data, path, metadata={"origin": "unit-test", "n": data.n})
-    assert names == ["train.csv", "train.csv.meta.json"]
-    with (tmp_path / "train.csv.meta.json").open() as fh:
-        meta = json.load(fh)
-    assert meta == {"origin": "unit-test", "n": data.n}
+    names = save_dataset(data, path)
+    assert names == ["train.csv"]
     back = load_dataset(path)
     assert np.array_equal(back.t, data.t)
     assert np.array_equal(back.x, data.x)
     assert np.array_equal(back.u, data.u)
     assert np.array_equal(back.traj_id, data.traj_id)
+
+    # a header-only file is an empty dataset, not an indexing error
+    path.write_text(path.read_text().splitlines()[0] + "\r\n")
+    with pytest.raises(EmptyDatasetError):
+        load_dataset(path)

@@ -1,17 +1,24 @@
 """Trajectory container invariants and CSV persistence round trips."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ctrlflow.errors import ConfigurationError
 from ctrlflow.systems import builtin_system
 from ctrlflow.trajectory import (
     TrajectoryControlPair,
     load_pair_csv,
+    read_table,
     save_pair_bundle,
     save_pair_csv,
+    write_table,
 )
 
 
@@ -86,9 +93,14 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "pair.csv"
     save_pair_csv(pair, path)
     back = load_pair_csv(path)
-    assert np.allclose(back.t_grid, pair.t_grid, atol=1e-15)
-    assert np.allclose(back.states, pair.states, atol=1e-15)
-    assert np.allclose(back.controls, pair.controls, atol=1e-15)
+    assert np.array_equal(back.t_grid, pair.t_grid)
+    assert np.array_equal(back.states, pair.states)
+    assert np.array_equal(back.controls, pair.controls)
+
+    # a header-only file holds no pair
+    path.write_text(path.read_text().splitlines()[0] + "\r\n")
+    with pytest.raises(ConfigurationError):
+        load_pair_csv(path)
 
 
 def test_csv_header_names_dimensions(tmp_path):
@@ -102,11 +114,55 @@ def test_csv_header_names_dimensions(tmp_path):
 def test_bundle_writes_index_and_files(tmp_path):
     pairs = [_simple_pair(7), _simple_pair(9)]
     pairs[0].meta["endpoint_error"] = 1.5e-7
-    names = save_pair_bundle(pairs, tmp_path, prefix="train", index_extra={"seed": 3})
+    names = save_pair_bundle(pairs, tmp_path, prefix="train")
     assert len(names) == 3  # two CSVs plus the index
     index = json.loads((tmp_path / "train_index.json").read_text())
     assert index["count"] == 2
-    assert index["seed"] == 3
     assert index["pairs"][0]["endpoint_error"] == 1.5e-7
     for name in names:
         assert (tmp_path / name).exists()
+
+
+def _reference_csv(header, table, int_cols):
+    # the csv-module writer the table format was defined by
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in table:
+        ids = [str(int(v)) for v in row[:int_cols]]
+        writer.writerow(ids + [f"{v:.17g}" for v in row[int_cols:]])
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(0, 6), st.integers(1, 5)),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    )
+)
+def test_table_round_trip_keeps_every_float(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    header = [f"c_{j}" for j in range(table.shape[1])]
+    write_table(path, header, table)
+    got_header, got = read_table(path)
+    assert got_header == header
+    assert got.shape == table.shape
+    assert np.array_equal(got, table, equal_nan=True)
+    finite = ~np.isnan(table)  # signed zeros and infinities keep their sign
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(table[finite]))
+    assert path.read_bytes() == _reference_csv(header, table, 0).encode()
+
+
+def test_table_integer_id_columns_and_header_only(tmp_path):
+    path = tmp_path / "ids.csv"
+    table = np.array([[0, 1.5, -0.0], [12, 2.0**-1074, np.inf]])
+    write_table(path, ["id", "a", "b"], table, int_cols=1)
+    assert path.read_bytes() == _reference_csv(["id", "a", "b"], table, 1).encode()
+    header, got = read_table(path)
+    assert header == ["id", "a", "b"] and np.array_equal(got, table)
+
+    write_table(path, ["id", "a"], np.empty((0, 2)), int_cols=1)
+    assert path.read_bytes() == b"id,a\r\n"
+    assert read_table(path)[1].shape == (0, 2)
