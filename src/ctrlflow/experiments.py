@@ -224,6 +224,16 @@ def _max_pair_error(pairs: list[TrajectoryControlPair]) -> float:
     return worst
 
 
+def _snapshot_times(fractions, T: float, t_grid: np.ndarray) -> list[float]:
+    """Snapshot time f*T per fraction, or the node t_grid[k] itself when f*K = k.
+
+    f*T can miss its node by an ulp (T = 4*pi, K = 200, f = 0.5), which turns
+    a node snapshot into an interpolation.
+    """
+    K = len(t_grid) - 1
+    return [float(t_grid[int(f * K)]) if (f * K).is_integer() else f * T for f in fractions]
+
+
 def _mean_pair_distance(x0: np.ndarray, x1: np.ndarray) -> float:
     return float(np.linalg.norm(x1 - x0, axis=1).mean())
 
@@ -487,9 +497,10 @@ class _Transport:
             ))
 
         self.fractions = evaluation["snapshot_fractions"]
-        self.times = [f * self.T for f in self.fractions]
+        t_grid = pairs[0].t_grid
         self.constructed = snapshots_from_arrays(
-            pairs[0].t_grid, np.stack([p.states for p in pairs]), self.times
+            t_grid, np.stack([p.states for p in pairs]),
+            _snapshot_times(self.fractions, self.T, t_grid),
         )
         for frac, meas in zip(self.fractions, self.constructed):
             run.write_snapshot(f"snapshot_constructed_t{frac:g}.csv", meas.points, self.sys.d)
@@ -519,7 +530,9 @@ class _Transport:
         )
 
         # learned-vs-constructed marginals along the flow
-        learned = snapshots_from_arrays(t_grid, states, self.times)
+        learned = snapshots_from_arrays(
+            t_grid, states, _snapshot_times(self.fractions, self.T, t_grid)
+        )
         for frac, l_meas, c_meas in zip(self.fractions, learned, self.constructed):
             c_pts = _subsample(
                 c_meas.points, l_meas.n, _role_seed(seed, "marg", f"{frac:g}")

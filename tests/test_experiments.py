@@ -17,14 +17,18 @@ from ctrlflow.cli import main
 from ctrlflow.config import validate_config
 from ctrlflow.errors import ConfigurationError, StageError
 from ctrlflow.experiments import (
+    BROCKETT_HORIZON,
     ExperimentReport,
     _read_snapshot,
     _RunDir,
+    _snapshot_times,
     emit_plot_data,
     example_config,
     run_experiment,
     verify,
 )
+from ctrlflow.flow import snapshots_from_arrays
+from ctrlflow.ode import uniform_grid
 from ctrlflow.seeding import substream
 
 
@@ -231,6 +235,18 @@ def test_write_snapshot_csv_round_trip(tmp_path):
     run.write_snapshot("empty.csv", np.empty((0, 3)), 3)
     assert (tmp_path / "empty.csv").read_bytes() == b"sample_id,x_1,x_2,x_3\r\n"
     assert _read_snapshot(tmp_path / "empty.csv").shape == (0, 3)
+
+
+def test_half_horizon_snapshot_is_the_grid_node():
+    # 0.5 * 4pi is one ulp off the middle node of the 200-step grid
+    t_grid = uniform_grid(BROCKETT_HORIZON, 200)
+    assert 0.5 * BROCKETT_HORIZON != t_grid[100]
+    states = substream(43, "snap").standard_normal((5, 201, 3))
+    times = _snapshot_times([0.25, 0.5, 0.123], BROCKETT_HORIZON, t_grid)
+    assert times[:2] == [t_grid[50], t_grid[100]] and times[2] == 0.123 * BROCKETT_HORIZON
+    quarter, half, _ = snapshots_from_arrays(t_grid, states, times)
+    assert np.array_equal(quarter.points, states[:, 50])
+    assert np.array_equal(half.points, states[:, 100])
 
 
 def test_emit_plot_data_formats(tmp_path):
