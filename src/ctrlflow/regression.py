@@ -545,7 +545,7 @@ def crossval_loss(
 
 
 def save_dataset(data: RegressionDataset, path) -> list[str]:
-    """CSV with columns traj_id, t, x_*, u_*; returns the written file name.
+    """CSV with columns traj_id, t, x_*, u_*; returns the written file names.
 
     Provenance (config hash, file sha256) lives in the run manifest.
     """

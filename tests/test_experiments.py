@@ -63,15 +63,12 @@ def cheap_output(**over):
     return doc
 
 
-def sha256_of(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def assert_hashes_match(run_dir: Path, manifest: dict):
     assert manifest["format"] == "ctrlflow.manifest.v2"
     assert set(manifest["sha256"]) == set(manifest["files"])
     for rel in manifest["files"]:
-        assert manifest["sha256"][rel] == sha256_of(run_dir / rel), rel
+        digest = hashlib.sha256((run_dir / rel).read_bytes()).hexdigest()
+        assert manifest["sha256"][rel] == digest, rel
 
 
 def cheap_stabilize(**over):

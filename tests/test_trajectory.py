@@ -140,29 +140,21 @@ def _reference_csv(header, table, int_cols):
         np.float64,
         st.tuples(st.integers(0, 6), st.integers(1, 5)),
         elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    )
+    ),
+    st.lists(st.integers(-(2**53), 2**53), min_size=6, max_size=6),
 )
-def test_table_round_trip_keeps_every_float(tmp_path_factory, table):
+def test_table_round_trip_keeps_every_float(tmp_path_factory, table, ids):
+    # the first column doubles as an integer id column (%d)
     path = tmp_path_factory.mktemp("table") / "t.csv"
     header = [f"c_{j}" for j in range(table.shape[1])]
-    write_table(path, header, table)
-    got_header, got = read_table(path)
-    assert got_header == header
-    assert got.shape == table.shape
-    assert np.array_equal(got, table, equal_nan=True)
-    finite = ~np.isnan(table)  # signed zeros and infinities keep their sign
-    assert np.array_equal(np.signbit(got[finite]), np.signbit(table[finite]))
-    assert path.read_bytes() == _reference_csv(header, table, 0).encode()
-
-
-def test_table_integer_id_columns_and_header_only(tmp_path):
-    path = tmp_path / "ids.csv"
-    table = np.array([[0, 1.5, -0.0], [12, 2.0**-1074, np.inf]])
-    write_table(path, ["id", "a", "b"], table, int_cols=1)
-    assert path.read_bytes() == _reference_csv(["id", "a", "b"], table, 1).encode()
-    header, got = read_table(path)
-    assert header == ["id", "a", "b"] and np.array_equal(got, table)
-
-    write_table(path, ["id", "a"], np.empty((0, 2)), int_cols=1)
-    assert path.read_bytes() == b"id,a\r\n"
-    assert read_table(path)[1].shape == (0, 2)
+    for int_cols in (0, 1):
+        if int_cols:
+            table[:, 0] = ids[: len(table)]
+        write_table(path, header, table, int_cols=int_cols)
+        assert path.read_bytes() == _reference_csv(header, table, int_cols).encode()
+        got_header, got = read_table(path)
+        assert got_header == header
+        assert got.shape == table.shape  # a header-only file reads as (0, columns)
+        assert np.array_equal(got, table, equal_nan=True)
+        finite = ~np.isnan(table)  # signed zeros and infinities keep their sign
+        assert np.array_equal(np.signbit(got[finite]), np.signbit(table[finite]))
