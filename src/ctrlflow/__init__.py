@@ -75,12 +75,12 @@ from .regression import (
 )
 from .systems import (
     ControlAffineSystem,
-    LinearSystem,
     builtin_names,
     builtin_system,
     check_sublinear_growth,
     hormander_rank,
     lie_bracket,
+    linear_system,
     negate_system,
     six_state_matrices,
     six_state_output,
@@ -154,12 +154,12 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "ControlAffineSystem",
-    "LinearSystem",
     "builtin_names",
     "builtin_system",
     "check_sublinear_growth",
     "hormander_rank",
     "lie_bracket",
+    "linear_system",
     "negate_system",
     "six_state_matrices",
     "six_state_output",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -75,8 +76,10 @@ def _get(section: str, doc: dict, key: str, types, default=_REQUIRED):
 
 
 def _positive(section: str, key: str, value):
-    if value <= 0:
-        raise ConfigurationError(f"'{section}.{key}' must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise ConfigurationError(
+            f"'{section}.{key}' must be positive and finite, got {value}"
+        )
     return value
 
 
@@ -111,8 +114,8 @@ def _validate_eval_start(path: str, doc) -> dict:
         params = _expect_mapping(f"{path}.params", doc.get("params", {}))
         _check_keys(f"{path}.params", params, ("jitter",))
         jitter = float(_get(f"{path}.params", params, "jitter", (int, float), 0.0))
-        if jitter < 0:
-            raise ConfigurationError(f"'{path}.params.jitter' must be >= 0")
+        if not 0 <= jitter < math.inf:
+            raise ConfigurationError(f"'{path}.params.jitter' must be finite and >= 0")
         return {"kind": "bootstrap", "params": {"jitter": jitter}}
     return _validate_measure(path, doc)
 
@@ -182,7 +185,9 @@ def _validate_interpolant(kind: str, doc) -> dict:
     n_grid = int(_get("interpolant", doc, "n_grid", (int,), 2000))
     _positive("interpolant", "n_grid", n_grid)
     poles = _get("interpolant", doc, "poles", (list,))
-    if not poles or not all(isinstance(p, (int, float)) and p < 0 for p in poles):
+    if not poles or not all(
+        isinstance(p, (int, float)) and -math.inf < p < 0 for p in poles
+    ):
         raise ConfigurationError("'interpolant.poles' must be a list of negative reals")
     return {"T": T, "n_grid": n_grid, "poles": [float(p) for p in poles]}
 
@@ -202,7 +207,8 @@ def _validate_noising(kind: str, doc) -> dict:
     if n_time < 2:
         raise ConfigurationError("'noising.n_time_samples' must be >= 2")
     blowup = float(_get("noising", doc, "blowup", (int, float), 1.0e6))
-    _positive("noising", "blowup", blowup)
+    if not blowup > 0:  # +inf is allowed: no size threshold
+        raise ConfigurationError(f"'noising.blowup' must be positive, got {blowup}")
     out = {"T": T, "n_grid": n_grid, "n_time_samples": n_time, "blowup": blowup}
     if kind == "stabilize_pmp":
         out["theta"] = _positive(
@@ -213,8 +219,8 @@ def _validate_noising(kind: str, doc) -> dict:
         )
     else:
         sigma = float(_get("noising", doc, "sigma", (int, float), 1.0))
-        if sigma < 0:
-            raise ConfigurationError("'noising.sigma' must be >= 0")
+        if not 0 <= sigma < math.inf:
+            raise ConfigurationError(f"'noising.sigma' must be finite and >= 0, got {sigma}")
         out["sigma"] = sigma
     return out
 

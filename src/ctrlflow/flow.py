@@ -116,7 +116,7 @@ def integrate_closed_loop_batch(
 
 
 def snapshots_from_arrays(
-    t_grid: np.ndarray, states: np.ndarray, times, seed: int | None = None
+    t_grid: np.ndarray, states: np.ndarray, times
 ) -> list[EmpiricalMeasure]:
     """Marginal point clouds of (n, K+1, d) states at the requested times.
 
@@ -138,5 +138,5 @@ def snapshots_from_arrays(
         else:
             slope = (states[:, k + 1] - states[:, k]) / (t_grid[k + 1] - t_grid[k])
             pts = slope * (t - t_grid[k]) + states[:, k]
-        out.append(EmpiricalMeasure(points=pts, seed=seed))
+        out.append(EmpiricalMeasure(points=pts))
     return out

@@ -28,10 +28,10 @@ from .errors import (
     UncontrollablePairError,
     UnstableGainError,
 )
-from .linalg import controllability_matrix, expm, kalman_rank
+from .linalg import check_ab, controllability_matrix, expm, kalman_rank
 from .ode import rk4, rk4_stage_controls, stage_times, uniform_grid
 from .seeding import substream
-from .systems import ControlAffineSystem, builtin_system
+from .systems import builtin_system
 from .trajectory import TrajectoryControlPair
 
 GRAMIAN_EIG_RATIO = 1.0e-10
@@ -49,18 +49,6 @@ class Gramian:
         return float(np.linalg.eigvalsh(self.W)[0])
 
 
-def _check_ab(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ConfigurationError(f"A must be square, got {A.shape}")
-    if B.shape[0] != A.shape[0]:
-        raise ConfigurationError(f"B has {B.shape[0]} rows, expected {A.shape[0]}")
-    return A, B
-
-
 def gramian(A: np.ndarray, B: np.ndarray, T: float, n_quad: int = 256) -> Gramian:
     """W = integral of exp(At) B B' exp(A't) over [0, T], composite Simpson.
 
@@ -68,7 +56,7 @@ def gramian(A: np.ndarray, B: np.ndarray, T: float, n_quad: int = 256) -> Gramia
     result is symmetrized so eigenvalue checks see an exactly symmetric
     matrix.
     """
-    A, B = _check_ab(A, B)
+    A, B = check_ab(A, B)
     if not np.isfinite(T) or T <= 0:
         raise ConfigurationError(f"horizon must be positive, got {T}")
     n_quad = max(16, int(n_quad))
@@ -108,17 +96,16 @@ def min_energy_pair(
     T: float,
     n_grid: int = 2000,
     n_quad: int = 256,
-    tol_end: float | None = None,
 ) -> TrajectoryControlPair:
     """Minimum-energy steering of x' = Ax + Bu from x0 to xT in time T.
 
     The control is u(t) = B' exp(A'(T-t)) W^-1 (xT - exp(AT) x0); states are
     produced by RK4 with ``n_grid`` steps using the analytic control at the
-    stage times.  The terminal state must land within ``tol_end`` (default
-    1e-6 * (1 + |xT|)) of the target.
+    stage times.  The terminal state must land within 1e-6 * (1 + |xT|) of
+    the target.
     """
     pairs = min_energy_pair_batch(
-        A, B, np.asarray(x0)[None, :], np.asarray(xT)[None, :], T, n_grid, n_quad, tol_end
+        A, B, np.asarray(x0)[None, :], np.asarray(xT)[None, :], T, n_grid, n_quad
     )
     return pairs[0]
 
@@ -131,10 +118,9 @@ def min_energy_pair_batch(
     T: float,
     n_grid: int = 2000,
     n_quad: int = 256,
-    tol_end: float | None = None,
 ) -> list[TrajectoryControlPair]:
     """Vectorized :func:`min_energy_pair` over rows of x0s/xTs."""
-    A, B = _check_ab(A, B)
+    A, B = check_ab(A, B)
     d = A.shape[0]
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     xTs = np.atleast_2d(np.asarray(xTs, dtype=float))
@@ -163,7 +149,7 @@ def min_energy_pair_batch(
     states, bad = rk4_stage_controls(rhs, x0s, t_grid, u_stages, blowup=None)
     pairs = []
     for i in range(x0s.shape[0]):
-        tol = tol_end if tol_end is not None else 1.0e-6 * (1.0 + np.linalg.norm(xTs[i]))
+        tol = 1.0e-6 * (1.0 + np.linalg.norm(xTs[i]))
         err = float(np.linalg.norm(states[i, -1] - xTs[i]))
         if err > tol:
             raise ConfigurationError(
@@ -186,7 +172,7 @@ def place_poles(A: np.ndarray, B: np.ndarray, poles, seed: int = 0) -> np.ndarra
     must be closed under conjugation and no pole may repeat more often than
     the number of inputs (the assignment stays diagonalizable).
     """
-    A, B = _check_ab(A, B)
+    A, B = check_ab(A, B)
     d, m = A.shape[0], B.shape[1]
     poles = np.asarray(poles, dtype=complex)
     if poles.shape != (d,):
@@ -281,7 +267,7 @@ def _verify_poles(A, B, K, poles, tol: float = 1.0e-6) -> None:
 
 def equilibrium_control(A: np.ndarray, B: np.ndarray, y: np.ndarray) -> np.ndarray:
     """alpha with A y + B alpha = 0, or InfeasibleTargetError if none exists."""
-    A, B = _check_ab(A, B)
+    A, B = check_ab(A, B)
     y = np.asarray(y, dtype=float)
     alpha, _, _, _ = np.linalg.lstsq(B, -A @ y, rcond=None)
     residual = float(np.linalg.norm(A @ y + B @ alpha))
@@ -300,17 +286,16 @@ def feedback_steer_pair(
     x0: np.ndarray,
     T: float,
     n_grid: int = 2000,
-    alpha_y: np.ndarray | None = None,
 ) -> TrajectoryControlPair:
     """Drive x' = Ax + Bu toward the equilibrium y with u = K(x - y) + alpha_y.
 
+    alpha_y is the equilibrium control of y (:func:`equilibrium_control`).
     Requires A + BK Hurwitz and y in the equilibrium set; the terminal error
     is recorded in the pair metadata (it decays like the slowest closed-loop
     mode, it is not forced to zero).
     """
     pairs = feedback_steer_pair_batch(
-        A, B, K, np.asarray(y)[None, :], np.asarray(x0)[None, :], T, n_grid,
-        None if alpha_y is None else np.asarray(alpha_y)[None, :],
+        A, B, K, np.asarray(y)[None, :], np.asarray(x0)[None, :], T, n_grid
     )
     return pairs[0]
 
@@ -323,10 +308,9 @@ def feedback_steer_pair_batch(
     x0s: np.ndarray,
     T: float,
     n_grid: int = 2000,
-    alphas: np.ndarray | None = None,
 ) -> list[TrajectoryControlPair]:
     """Vectorized :func:`feedback_steer_pair` over rows of ys/x0s."""
-    A, B = _check_ab(A, B)
+    A, B = check_ab(A, B)
     K = np.asarray(K, dtype=float)
     d, m = A.shape[0], B.shape[1]
     if K.shape != (m, d):
@@ -340,16 +324,7 @@ def feedback_steer_pair_batch(
         raise UnstableGainError(
             f"A + BK is not Hurwitz (max real eigenvalue {eigs.real.max():.3g})"
         )
-    if alphas is None:
-        alphas = np.stack([equilibrium_control(A, B, y) for y in ys])
-    else:
-        alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
-        for y, al in zip(ys, alphas):
-            res = float(np.linalg.norm(A @ y + B @ al))
-            if res > 1.0e-8 * (1.0 + np.linalg.norm(A @ y)):
-                raise InfeasibleTargetError(
-                    f"supplied alpha is not an equilibrium control (residual {res:.3g})"
-                )
+    alphas = np.stack([equilibrium_control(A, B, y) for y in ys])
 
     t_grid = uniform_grid(T, n_grid)
 
@@ -402,10 +377,7 @@ def brockett_steer_pair_batch(
     T = 4.0 * np.pi
     t_grid = uniform_grid(T, K)
     half = K // 2
-    sys = builtin_system("brockett")
-
-    def rhs(xb, ub):
-        return sys.rhs(xb, ub)
+    rhs = builtin_system("brockett").rhs
 
     # phase 1: constant controls over [0, 2*pi]
     t1 = t_grid[: half + 1]

@@ -48,31 +48,28 @@ def expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
-def kalman_rank(A: np.ndarray, B: np.ndarray) -> int:
-    """Numeric rank of the controllability matrix [B, AB, ..., A^(d-1)B]."""
+def check_ab(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) as float matrices: A square (d, d), B (d, m); a 1-D B is one column."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
-    d = A.shape[0]
-    if A.shape != (d, d) or B.shape[0] != d:
-        raise ConfigurationError(
-            f"incompatible shapes A{A.shape}, B{B.shape} for controllability test"
-        )
-    blocks = [B]
-    for _ in range(d - 1):
-        blocks.append(A @ blocks[-1])
-    C = np.hstack(blocks)
-    return int(np.linalg.matrix_rank(C))
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ConfigurationError(f"A must be square, got shape {A.shape}")
+    if B.ndim != 2 or B.shape[0] != A.shape[0]:
+        raise ConfigurationError(f"B has shape {B.shape}, expected ({A.shape[0]}, m)")
+    return A, B
 
 
 def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[B, AB, ..., A^(d-1)B] as a dense matrix."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
+    A, B = check_ab(A, B)
     blocks = [B]
     for _ in range(A.shape[0] - 1):
         blocks.append(A @ blocks[-1])
     return np.hstack(blocks)
+
+
+def kalman_rank(A: np.ndarray, B: np.ndarray) -> int:
+    """Numeric rank of the controllability matrix [B, AB, ..., A^(d-1)B]."""
+    return int(np.linalg.matrix_rank(controllability_matrix(A, B)))

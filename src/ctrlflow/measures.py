@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ MEASURE_PARAMS = {
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted point cloud with seed provenance.
+    """Weighted point cloud.
 
     Weights must be nonnegative and sum to one within 1e-12; the uniform
     default is used when none are given.
@@ -35,8 +35,6 @@ class EmpiricalMeasure:
 
     points: np.ndarray
     weights: Optional[np.ndarray] = None
-    seed: Optional[int] = None
-    spec: Optional[dict] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -130,7 +128,6 @@ def sample_measure(kind: str, params: dict, n: int, seed: int) -> EmpiricalMeasu
     if n < 1:
         raise ConfigurationError(f"sample count must be >= 1, got {n}")
     rng = substream(seed, "measure", kind)
-    spec = {"kind": kind, "params": _jsonable(params)}
 
     if kind == "gaussian":
         mean = np.asarray(params["mean"], dtype=float)
@@ -192,24 +189,12 @@ def sample_measure(kind: str, params: dict, n: int, seed: int) -> EmpiricalMeasu
     else:
         raise ConfigurationError(f"unknown measure kind '{kind}'")
 
-    return EmpiricalMeasure(points=pts, seed=seed, spec=spec)
+    return EmpiricalMeasure(points=pts)
 
 
 def stream_mix(seed: int, i: int) -> int:
     """Derived component seed for mixture sampling."""
     return stream_key(seed, "mixture", i) % (2**63)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +363,7 @@ def pushforward(a: EmpiricalMeasure, h: Callable[[np.ndarray], np.ndarray]) -> E
         pts = pts[:, None]
     if pts.shape[0] != a.n:
         raise ConfigurationError("map must preserve the sample count")
-    return EmpiricalMeasure(points=pts, weights=a.weights.copy(), seed=a.seed, spec=a.spec)
+    return EmpiricalMeasure(points=pts, weights=a.weights.copy())
 
 
 def support_inclusion_score(a: EmpiricalMeasure, b: EmpiricalMeasure, radius: float) -> float:

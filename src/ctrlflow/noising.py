@@ -89,7 +89,7 @@ def pmp_optimal_control(
     single = x.ndim == 1
     xb = x[None, :] if single else x
     pb = p[None, :] if single else p
-    G = sys.control_matrix(xb)
+    G = sys.G(xb)
     alpha = np.einsum("ndm,nd->nm", G, pb) / (2.0 * cost.theta)
     return alpha[0] if single else alpha
 
@@ -115,7 +115,7 @@ def _pmp_field(sys, cost):
     def fld(k, stage, t, Y):
         w = Y[:, :d]
         p = Y[:, d:]
-        G = sys.control_matrix(w)
+        G = sys.G(w)
         alpha = np.einsum("ndm,nd->nm", G, p) / (2.0 * cost.theta)
         f = sys.f0(w) + np.einsum("ndm,nm->nd", G, alpha)
         Jf = sys.rhs_jac_x(w, alpha)

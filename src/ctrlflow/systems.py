@@ -2,12 +2,17 @@
 
 A control-affine system on R^d with m inputs is
 
-    x' = f0(x) + sum_i u_i f_i(x)
+    x' = f0(x) + sum_i u_i f_i(x) = f0(x) + G(x) u
 
-described by its drift ``f0``, control fields ``f_1 .. f_m``, and their
-analytic Jacobians.  All field callables are batch-aware: they accept
-states of shape (d,) or (n, d) and return matching (n, d) values, with
-Jacobians of shape (n, d, d).
+described by its drift ``f0``, its control matrix ``G`` whose columns are
+the control fields ``f_1 .. f_m``, and their analytic Jacobians.  All four
+callables take a batch of states of shape (n, d):
+
+``f0``      returns (n, d),
+``jac_f0``  returns (n, d, d) with ``jac_f0(x)[k, i, j] = d f0_i / d x_j``,
+``G``       returns (n, d, m) with column i equal to f_{i+1},
+``jac_G``   returns (n, d, d, m) with ``jac_G(x)[..., i]`` the Jacobian of
+            column i.
 
 The module also hosts the builtin catalog used by the experiments:
 
@@ -20,7 +25,7 @@ The module also hosts the builtin catalog used by the experiments:
     x' = (u1, u2, 0.5 * y^2 * u1), a flat sub-Riemannian system with an
     abnormal direction.
 ``linear``
-    x' = Ax + Bu for caller-supplied matrices.
+    x' = Ax + Bu for caller-supplied matrices (:func:`linear_system`).
 ``six_state_default``
     three decoupled double integrators (d=6, m=3) with output map
     h(x) = (x1, x3), the positions of the first two blocks.
@@ -28,159 +33,142 @@ The module also hosts the builtin catalog used by the experiments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import dataclasses
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, UnknownSystemError, UnsupportedSystemError
-from .linalg import kalman_rank
+from .linalg import check_ab
 
 FieldFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
-    """Coerce a state to (n, d); report whether the input was a single state."""
+def _as_batch(x: np.ndarray, d: int) -> np.ndarray:
+    """Coerce a state (d,) or a state batch (n, d) to (n, d)."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         if x.shape[0] != d:
             raise ConfigurationError(f"state has dimension {x.shape[0]}, expected {d}")
-        return x[None, :], True
+        return x[None, :]
     if x.ndim == 2 and x.shape[1] == d:
-        return x, False
+        return x
     raise ConfigurationError(f"state batch has shape {x.shape}, expected (n, {d})")
+
+
+def _controls(u: np.ndarray, n: int, m: int) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    return np.broadcast_to(u, (n, m)) if u.ndim == 1 else u
+
+
+def _zero_field(x: np.ndarray) -> np.ndarray:
+    """The zero drift of a driftless system, (n, d) -> (n, d)."""
+    return np.zeros_like(x)
+
+
+def _zero_jacobian(x: np.ndarray) -> np.ndarray:
+    """Jacobian of the zero drift, (n, d) -> (n, d, d)."""
+    return np.zeros(x.shape + x.shape[-1:])
 
 
 @dataclass(frozen=True)
 class ControlAffineSystem:
-    """Immutable bundle of dynamics fields and their Jacobians."""
+    """x' = f0(x) + G(x) u with the Jacobians of f0 and G.
+
+    ``G`` maps states (n, d) to (n, d, m) and ``jac_G`` maps them to
+    (n, d, d, m); construction probes both at the zero state and rejects
+    other shapes.  ``output_map`` (with ``output_dim``) is the observed
+    output h(x) of output-transport systems.
+    """
 
     name: str
     d: int
     m: int
     f0: FieldFn
-    f_list: tuple[FieldFn, ...]
     jac_f0: FieldFn
-    jac_f_list: tuple[FieldFn, ...]
+    G: FieldFn
+    jac_G: FieldFn
     driftless: bool = False
     output_map: Optional[FieldFn] = None
     output_dim: Optional[int] = None
 
     def __post_init__(self):
-        if self.d < 1 or self.m < 1:
-            raise ConfigurationError(f"need d >= 1 and m >= 1, got d={self.d}, m={self.m}")
-        if len(self.f_list) != self.m or len(self.jac_f_list) != self.m:
-            raise ConfigurationError(
-                f"expected {self.m} control fields with Jacobians, "
-                f"got {len(self.f_list)} and {len(self.jac_f_list)}"
-            )
+        d, m = self.d, self.m
+        if d < 1 or m < 1:
+            raise ConfigurationError(f"need d >= 1 and m >= 1, got d={d}, m={m}")
+        probe = np.zeros((1, d))
+        for label, fn, want in (
+            ("G", self.G, (1, d, m)),
+            ("jac_G", self.jac_G, (1, d, d, m)),
+        ):
+            got = np.shape(fn(probe))
+            if got != want:
+                raise ConfigurationError(
+                    f"system '{self.name}': {label} maps (n, {d}) states to shape "
+                    f"{got[1:]} per state, expected {want[1:]}"
+                )
 
-    def control_matrix(self, x: np.ndarray) -> np.ndarray:
-        """G(x) with columns f_1(x) .. f_m(x); shape (n, d, m)."""
-        xb, _ = _as_batch(x, self.d)
-        return np.stack([f(xb) for f in self.f_list], axis=-1)
+    def field(self, i: int) -> tuple[FieldFn, FieldFn]:
+        """Control field f_{i+1} = column i of G, with its Jacobian."""
+        return (lambda x: self.G(x)[..., i]), (lambda x: self.jac_G(x)[..., i])
 
     def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """f0(x) + sum_i u_i f_i(x) for batched states and controls."""
-        xb, _ = _as_batch(x, self.d)
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            u = np.broadcast_to(u, (xb.shape[0], self.m))
-        out = self.f0(xb) + np.einsum("ndm,nm->nd", self.control_matrix(xb), u)
-        return out
+        """f0(x) + G(x) u for batched states and controls."""
+        xb = _as_batch(x, self.d)
+        u = _controls(u, xb.shape[0], self.m)
+        return self.f0(xb) + np.einsum("ndm,nm->nd", self.G(xb), u)
 
     def rhs_jac_x(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """State Jacobian of the dynamics at fixed control; shape (n, d, d)."""
-        xb, _ = _as_batch(x, self.d)
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            u = np.broadcast_to(u, (xb.shape[0], self.m))
-        J = self.jac_f0(xb).copy()
-        for i, jac in enumerate(self.jac_f_list):
-            J = J + u[:, i, None, None] * jac(xb)
+        xb = _as_batch(x, self.d)
+        u = _controls(u, xb.shape[0], self.m)
+        J = self.jac_f0(xb)
+        jac_G = self.jac_G(xb)
+        for i in range(self.m):
+            J = J + u[:, i, None, None] * jac_G[..., i]
         return J
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """x' = Ax + Bu with the controllability rank computed on construction."""
+def linear_system(
+    A: np.ndarray,
+    B: np.ndarray,
+    name: str = "linear",
+    output_map: Optional[FieldFn] = None,
+    output_dim: Optional[int] = None,
+) -> ControlAffineSystem:
+    """x' = Ax + Bu as a :class:`ControlAffineSystem` with the constant G = B."""
+    A, B = check_ab(A, B)
+    d, m = B.shape
 
-    A: np.ndarray
-    B: np.ndarray
-    name: str = "linear"
-    rank: int = field(init=False)
+    def f0(x):
+        return x @ A.T
 
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim == 1:
-            B = B[:, None]
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ConfigurationError(f"A must be square, got shape {A.shape}")
-        if B.shape[0] != A.shape[0]:
-            raise ConfigurationError(
-                f"B has {B.shape[0]} rows, expected {A.shape[0]}"
-            )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "rank", kalman_rank(A, B))
+    def jac_f0(x):
+        return np.broadcast_to(A, (x.shape[0], d, d)).copy()
 
-    @property
-    def d(self) -> int:
-        return self.A.shape[0]
+    def G(x):
+        return np.broadcast_to(B, (x.shape[0], d, m)).copy()
 
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
+    def jac_G(x):
+        return np.zeros((x.shape[0], d, d, m))
 
-    @property
-    def controllable(self) -> bool:
-        return self.rank == self.d
-
-    def to_system(
-        self,
-        output_map: Optional[FieldFn] = None,
-        output_dim: Optional[int] = None,
-        name: Optional[str] = None,
-    ) -> ControlAffineSystem:
-        """Embed as a ControlAffineSystem with constant control fields."""
-        A, B = self.A, self.B
-        d, m = self.d, self.m
-
-        def f0(x, _A=A):
-            return x @ _A.T
-
-        def jac_f0(x, _A=A):
-            return np.broadcast_to(_A, (x.shape[0], d, d)).copy()
-
-        def make_fi(i):
-            col = B[:, i].copy()
-
-            def fi(x, _col=col):
-                return np.broadcast_to(_col, (x.shape[0], d)).copy()
-
-            def jac_fi(x):
-                return np.zeros((x.shape[0], d, d))
-
-            return fi, jac_fi
-
-        pairs = [make_fi(i) for i in range(m)]
-        return ControlAffineSystem(
-            name=name or self.name,
-            d=d,
-            m=m,
-            f0=f0,
-            f_list=tuple(p[0] for p in pairs),
-            jac_f0=jac_f0,
-            jac_f_list=tuple(p[1] for p in pairs),
-            driftless=bool(np.all(A == 0.0)),
-            output_map=output_map,
-            output_dim=output_dim,
-        )
+    return ControlAffineSystem(
+        name=name,
+        d=d,
+        m=m,
+        f0=f0,
+        jac_f0=jac_f0,
+        G=G,
+        jac_G=jac_G,
+        driftless=bool(np.all(A == 0.0)),
+        output_map=output_map,
+        output_dim=output_dim,
+    )
 
 
 def negate_system(sys: ControlAffineSystem) -> ControlAffineSystem:
-    """System with every field negated: x' = -f0(x) - sum_i u_i f_i(x).
+    """System with every field negated: x' = -f0(x) - G(x) u.
 
     Useful when a dataset was generated along the negated dynamics (as the
     noising flows are) and a downstream routine expects the generating
@@ -190,17 +178,13 @@ def negate_system(sys: ControlAffineSystem) -> ControlAffineSystem:
     def _neg(fn: FieldFn) -> FieldFn:
         return lambda x: -fn(x)
 
-    return ControlAffineSystem(
+    return dataclasses.replace(
+        sys,
         name=f"neg_{sys.name}",
-        d=sys.d,
-        m=sys.m,
         f0=_neg(sys.f0),
-        f_list=tuple(_neg(f) for f in sys.f_list),
         jac_f0=_neg(sys.jac_f0),
-        jac_f_list=tuple(_neg(f) for f in sys.jac_f_list),
-        driftless=sys.driftless,
-        output_map=sys.output_map,
-        output_dim=sys.output_dim,
+        G=_neg(sys.G),
+        jac_G=_neg(sys.jac_G),
     )
 
 
@@ -247,7 +231,7 @@ def hormander_rank(sys: ControlAffineSystem, x: np.ndarray, depth: int) -> int:
         raise ConfigurationError(f"state has shape {x.shape}, expected ({sys.d},)")
     xb = x[None, :]
 
-    base = [(f, jac) for f, jac in zip(sys.f_list, sys.jac_f_list)]
+    base = [sys.field(i) for i in range(sys.m)]
     levels: list[list[tuple[FieldFn, FieldFn]]] = [base]
     for _ in range(depth):
         new_level = []
@@ -283,7 +267,7 @@ def check_sublinear_growth(
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     denom = np.linalg.norm(probes, axis=1) + 1.0
     worst = 0.0
-    fields = list(sys.f_list) + ([] if sys.driftless else [sys.f0])
+    fields = [sys.field(i)[0] for i in range(sys.m)] + ([] if sys.driftless else [sys.f0])
     for f in fields:
         ratios = np.linalg.norm(f(probes), axis=1) / denom
         worst = max(worst, float(ratios.max()))
@@ -299,123 +283,63 @@ def check_sublinear_growth(
 
 
 def _brockett() -> ControlAffineSystem:
-    def f0(x):
-        return np.zeros_like(x)
-
-    def jac0(x):
-        return np.zeros((x.shape[0], 3, 3))
-
-    def f1(x):
-        out = np.zeros_like(x)
-        out[:, 0] = 1.0
-        out[:, 2] = x[:, 1]  # x3' = u1 * x2
+    def G(x):
+        out = np.zeros(x.shape + (2,))
+        out[:, 0, 0] = 1.0
+        out[:, 2, 0] = x[:, 1]  # x3' = u1 * x2
+        out[:, 1, 1] = 1.0
         return out
 
-    def jac1(x):
-        J = np.zeros((x.shape[0], 3, 3))
-        J[:, 2, 1] = 1.0
+    def jac_G(x):
+        J = np.zeros((x.shape[0], 3, 3, 2))
+        J[:, 2, 1, 0] = 1.0
         return J
 
-    def f2(x):
-        out = np.zeros_like(x)
-        out[:, 1] = 1.0
-        return out
-
-    def jac2(x):
-        return np.zeros((x.shape[0], 3, 3))
-
     return ControlAffineSystem(
-        name="brockett",
-        d=3,
-        m=2,
-        f0=f0,
-        f_list=(f1, f2),
-        jac_f0=jac0,
-        jac_f_list=(jac1, jac2),
-        driftless=True,
+        "brockett", 3, 2, _zero_field, _zero_jacobian, G, jac_G, driftless=True
     )
 
 
 def _unicycle() -> ControlAffineSystem:
     # state (x, y, heading); controls u = (v, u_steer)
 
-    def f0(x):
-        return np.zeros_like(x)
-
-    def jac0(x):
-        return np.zeros((x.shape[0], 3, 3))
-
-    def f1(x):
+    def G(x):
         th = x[:, 2]
-        out = np.zeros_like(x)
-        out[:, 0] = np.cos(th)
-        out[:, 1] = np.sin(th)
+        out = np.zeros(x.shape + (2,))
+        out[:, 0, 0] = np.cos(th)
+        out[:, 1, 0] = np.sin(th)
+        out[:, 2, 1] = 1.0
         return out
 
-    def jac1(x):
+    def jac_G(x):
         th = x[:, 2]
-        J = np.zeros((x.shape[0], 3, 3))
-        J[:, 0, 2] = -np.sin(th)
-        J[:, 1, 2] = np.cos(th)
+        J = np.zeros((x.shape[0], 3, 3, 2))
+        J[:, 0, 2, 0] = -np.sin(th)
+        J[:, 1, 2, 0] = np.cos(th)
         return J
 
-    def f2(x):
-        out = np.zeros_like(x)
-        out[:, 2] = 1.0
-        return out
-
-    def jac2(x):
-        return np.zeros((x.shape[0], 3, 3))
-
     return ControlAffineSystem(
-        name="unicycle",
-        d=3,
-        m=2,
-        f0=f0,
-        f_list=(f1, f2),
-        jac_f0=jac0,
-        jac_f_list=(jac1, jac2),
-        driftless=True,
+        "unicycle", 3, 2, _zero_field, _zero_jacobian, G, jac_G, driftless=True
     )
 
 
 def _martinet() -> ControlAffineSystem:
     # state (x, y, z); z' = 0.5 * y^2 * u1
 
-    def f0(x):
-        return np.zeros_like(x)
-
-    def jac0(x):
-        return np.zeros((x.shape[0], 3, 3))
-
-    def f1(x):
-        out = np.zeros_like(x)
-        out[:, 0] = 1.0
-        out[:, 2] = 0.5 * x[:, 1] ** 2
+    def G(x):
+        out = np.zeros(x.shape + (2,))
+        out[:, 0, 0] = 1.0
+        out[:, 2, 0] = 0.5 * x[:, 1] ** 2
+        out[:, 1, 1] = 1.0
         return out
 
-    def jac1(x):
-        J = np.zeros((x.shape[0], 3, 3))
-        J[:, 2, 1] = x[:, 1]
+    def jac_G(x):
+        J = np.zeros((x.shape[0], 3, 3, 2))
+        J[:, 2, 1, 0] = x[:, 1]
         return J
 
-    def f2(x):
-        out = np.zeros_like(x)
-        out[:, 1] = 1.0
-        return out
-
-    def jac2(x):
-        return np.zeros((x.shape[0], 3, 3))
-
     return ControlAffineSystem(
-        name="martinet",
-        d=3,
-        m=2,
-        f0=f0,
-        f_list=(f1, f2),
-        jac_f0=jac0,
-        jac_f_list=(jac1, jac2),
-        driftless=True,
+        "martinet", 3, 2, _zero_field, _zero_jacobian, G, jac_G, driftless=True
     )
 
 
@@ -437,16 +361,16 @@ def six_state_output(x: np.ndarray) -> np.ndarray:
 
 def _six_state_default() -> ControlAffineSystem:
     A, B = six_state_matrices()
-    return LinearSystem(A, B, name="six_state_default").to_system(
-        output_map=six_state_output, output_dim=2, name="six_state_default"
+    return linear_system(
+        A, B, name="six_state_default", output_map=six_state_output, output_dim=2
     )
 
 
 _BUILTIN_FACTORIES = {
-    "brockett": lambda **kw: _brockett(),
-    "unicycle": lambda **kw: _unicycle(),
-    "martinet": lambda **kw: _martinet(),
-    "six_state_default": lambda **kw: _six_state_default(),
+    "brockett": _brockett,
+    "unicycle": _unicycle,
+    "martinet": _martinet,
+    "six_state_default": _six_state_default,
 }
 
 
@@ -459,7 +383,7 @@ def builtin_system(name: str, **params) -> ControlAffineSystem:
     if name == "linear":
         if "A" not in params or "B" not in params:
             raise ConfigurationError("linear system requires matrices A and B")
-        return LinearSystem(np.asarray(params["A"]), np.asarray(params["B"])).to_system()
+        return linear_system(params["A"], params["B"])
     factory = _BUILTIN_FACTORIES.get(name)
     if factory is None:
         known = ", ".join(sorted(_BUILTIN_FACTORIES) + ["linear"])

@@ -84,8 +84,7 @@ class TrajectoryControlPair:
         """
         u_stages = pl_stage_values(self.controls[None, :, :])
         states, _ = rk4_stage_controls(
-            lambda x, u: sys.rhs(x, u), self.states[None, 0], self.t_grid, u_stages,
-            blowup=None,
+            sys.rhs, self.states[None, 0], self.t_grid, u_stages, blowup=None
         )
         dev = np.abs(states[0] - self.states).max()
         scale = 1.0 + np.abs(self.states).max()

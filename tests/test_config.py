@@ -1,6 +1,7 @@
 """Config schema: strict validation, defaults, overrides, hashing."""
 
 import json
+import math
 
 import pytest
 
@@ -66,13 +67,24 @@ def test_bool_rejected_where_int_expected():
 
 
 def test_negative_horizon_rejected():
-    doc = example_config("transport_linear")
-    doc["interpolant"]["T"] = -1.0
-    with pytest.raises(ConfigurationError, match="positive"):
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        doc = example_config("transport_linear")
+        doc["interpolant"]["T"] = bad
+        with pytest.raises(ConfigurationError, match="positive"):
+            validate_config(doc)
+        doc = example_config("stabilize_pmp")
+        doc["noising"]["T"] = bad
+        with pytest.raises(ConfigurationError, match="positive"):
+            validate_config(doc)
+    doc = example_config("stabilize_pmp")
+    doc["evaluation"]["success_radius"] = math.nan
+    with pytest.raises(ConfigurationError, match="success_radius"):
         validate_config(doc)
     doc = example_config("stabilize_pmp")
-    doc["noising"]["T"] = -2.0
-    with pytest.raises(ConfigurationError, match="positive"):
+    doc["noising"]["blowup"] = math.inf  # no size threshold
+    assert validate_config(doc).noising["blowup"] == math.inf
+    doc["noising"]["blowup"] = math.nan
+    with pytest.raises(ConfigurationError, match="blowup"):
         validate_config(doc)
 
 
@@ -146,6 +158,9 @@ def test_poles_must_be_negative():
     doc["interpolant"]["poles"] = []
     with pytest.raises(ConfigurationError, match="negative"):
         validate_config(doc)
+    doc["interpolant"]["poles"] = [-2.0, -math.inf]
+    with pytest.raises(ConfigurationError, match="negative"):
+        validate_config(doc)
 
 
 def test_noising_schema_per_kind():
@@ -159,6 +174,9 @@ def test_noising_schema_per_kind():
         validate_config(doc)
     doc = example_config("stabilize_random")
     doc["noising"]["sigma"] = -0.5
+    with pytest.raises(ConfigurationError, match="sigma"):
+        validate_config(doc)
+    doc["noising"]["sigma"] = math.inf
     with pytest.raises(ConfigurationError, match="sigma"):
         validate_config(doc)
     doc["noising"]["sigma"] = 0.0  # degenerate but legal
@@ -210,9 +228,10 @@ def test_evaluation_defaults_and_ranges():
 
 def test_bootstrap_start_jitter_validated():
     doc = example_config("stabilize_random")
-    doc["evaluation"]["start"] = {"kind": "bootstrap", "params": {"jitter": -1.0}}
-    with pytest.raises(ConfigurationError, match="jitter"):
-        validate_config(doc)
+    for bad in (-1.0, math.nan):
+        doc["evaluation"]["start"] = {"kind": "bootstrap", "params": {"jitter": bad}}
+        with pytest.raises(ConfigurationError, match="jitter"):
+            validate_config(doc)
 
 
 def test_coupling_kind_checked():

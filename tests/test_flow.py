@@ -190,10 +190,9 @@ def test_snapshots_from_arrays_interpolates():
             [[1.0, 1.0], [1.0, 3.0], [5.0, 3.0]],
         ]
     )
-    snaps = snapshots_from_arrays(t_grid, states, [0.5, 2.0], seed=7)
+    snaps = snapshots_from_arrays(t_grid, states, [0.5, 2.0])
     assert np.allclose(snaps[0].points, [[1.0, 0.0], [1.0, 2.0]])
     assert np.allclose(snaps[1].points, states[:, -1])
-    assert snaps[0].seed == 7
     with pytest.raises(ConfigurationError):
         snapshots_from_arrays(t_grid, states, [2.5])
 

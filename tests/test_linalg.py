@@ -6,8 +6,10 @@ matrices exponentiate entrywise.
 """
 
 import numpy as np
+import pytest
 
-from ctrlflow.linalg import controllability_matrix, expm, kalman_rank
+from ctrlflow.errors import ConfigurationError
+from ctrlflow.linalg import check_ab, controllability_matrix, expm, kalman_rank
 
 
 def test_expm_zero_is_identity():
@@ -77,3 +79,16 @@ def test_controllability_matrix_shape_and_content():
     C = controllability_matrix(A, B)
     assert C.shape == (2, 2)
     assert np.allclose(C, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_check_ab_shapes():
+    A, B = check_ab([[0, 1], [0, 0]], [0, 1])
+    assert A.dtype == B.dtype == np.float64
+    assert B.shape == (2, 1)
+    with pytest.raises(ConfigurationError, match="square"):
+        check_ab(np.zeros((2, 3)), np.zeros((2, 1)))
+    with pytest.raises(ConfigurationError, match="B has shape"):
+        check_ab(np.zeros((2, 2)), np.zeros((3, 1)))
+    # the rank test goes through the same check
+    with pytest.raises(ConfigurationError, match="B has shape"):
+        kalman_rank(np.zeros((2, 2)), np.zeros((3, 1)))

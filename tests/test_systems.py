@@ -1,8 +1,13 @@
 """System catalog checks: hand-derived dynamics values, Jacobians against
 finite differences, Lie bracket algebra, and rank conditions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ctrlflow.errors import (
     ConfigurationError,
@@ -10,12 +15,13 @@ from ctrlflow.errors import (
     UnsupportedSystemError,
 )
 from ctrlflow.systems import (
-    LinearSystem,
+    ControlAffineSystem,
     builtin_names,
     builtin_system,
     check_sublinear_growth,
     hormander_rank,
     lie_bracket,
+    linear_system,
     negate_system,
     six_state_matrices,
     six_state_output,
@@ -56,7 +62,7 @@ def test_driftless_zero_control_is_zero():
 
 
 def test_single_integrator_passthrough():
-    sys = LinearSystem(np.zeros((3, 3)), np.eye(3)).to_system()
+    sys = linear_system(np.zeros((3, 3)), np.eye(3))
     u = np.array([3.0, -1.0, 0.5])
     out = _rhs(sys, np.array([9.0, 9.0, 9.0]), u)
     assert np.allclose(out, u, atol=1e-15)
@@ -67,15 +73,15 @@ def test_unicycle_fields():
     assert (sys.d, sys.m) == (3, 2)
     th = 0.7
     x = np.array([[0.0, 0.0, th]])
-    assert np.allclose(sys.f_list[0](x)[0], [np.cos(th), np.sin(th), 0.0])
-    assert np.allclose(sys.f_list[1](x)[0], [0.0, 0.0, 1.0])
+    assert np.allclose(sys.field(0)[0](x)[0], [np.cos(th), np.sin(th), 0.0])
+    assert np.allclose(sys.field(1)[0](x)[0], [0.0, 0.0, 1.0])
 
 
 def test_martinet_fields():
     sys = builtin_system("martinet")
     x = np.array([[0.0, 3.0, 0.0]])
-    assert np.allclose(sys.f_list[0](x)[0], [1.0, 0.0, 4.5])
-    assert np.allclose(sys.f_list[1](x)[0], [0.0, 1.0, 0.0])
+    assert np.allclose(sys.field(0)[0](x)[0], [1.0, 0.0, 4.5])
+    assert np.allclose(sys.field(1)[0](x)[0], [0.0, 1.0, 0.0])
 
 
 def test_rhs_state_dimension_checked():
@@ -94,11 +100,10 @@ def test_jacobians_match_finite_differences():
     rng = np.random.default_rng(42)
     for name in ALL_BUILTINS:
         sys = builtin_system(name)
-        fields = (sys.f0,) + tuple(sys.f_list)
-        jacs = (sys.jac_f0,) + tuple(sys.jac_f_list)
+        pairs = [(sys.f0, sys.jac_f0)] + [sys.field(i) for i in range(sys.m)]
         for _ in range(100):
             x = rng.uniform(-2.0, 2.0, size=sys.d)
-            for fn, jac in zip(fields, jacs):
+            for fn, jac in pairs:
                 J = jac(x[None])[0]
                 J_fd = _fd_jacobian(lambda y: fn(y[None])[0], x)
                 scale = max(1.0, np.abs(J).max())
@@ -111,8 +116,7 @@ def test_fields_finite_at_probes():
         sys = builtin_system(name)
         x = rng.uniform(-50.0, 50.0, size=(64, sys.d))
         assert np.all(np.isfinite(sys.f0(x)))
-        for f in sys.f_list:
-            assert np.all(np.isfinite(f(x)))
+        assert np.all(np.isfinite(sys.G(x)))
 
 
 def test_sublinear_growth_witness():
@@ -141,16 +145,14 @@ def test_brockett_bracket_value():
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.uniform(-2.0, 2.0, size=3)
-        val = lie_bracket(
-            sys.f_list[0], sys.f_list[1], sys.jac_f_list[0], sys.jac_f_list[1], x
-        )
+        (f, jf), (g, jg) = sys.field(0), sys.field(1)
+        val = lie_bracket(f, g, jf, jg, x)
         assert np.allclose(val, [0.0, 0.0, -1.0], atol=1e-12)
 
 
 def test_bracket_antisymmetry_and_self():
     sys = builtin_system("unicycle")
-    f, g = sys.f_list
-    jf, jg = sys.jac_f_list
+    (f, jf), (g, jg) = sys.field(0), sys.field(1)
     rng = np.random.default_rng(1)
     for _ in range(25):
         x = rng.uniform(-2.0, 2.0, size=3)
@@ -178,8 +180,7 @@ def test_bracket_constant_fields_vanishes():
 
 def test_bracket_bilinearity():
     sys = builtin_system("martinet")
-    f, g = sys.f_list
-    jf, jg = sys.jac_f_list
+    (f, jf), (g, jg) = sys.field(0), sys.field(1)
     rng = np.random.default_rng(2)
     for _ in range(25):
         x = rng.uniform(-2.0, 2.0, size=3)
@@ -228,16 +229,14 @@ def test_hormander_single_field_rank_one():
     def jac(x):
         return np.zeros(x.shape + (x.shape[-1],))
 
-    from ctrlflow.systems import ControlAffineSystem
-
     sys = ControlAffineSystem(
         name="one_field",
         d=2,
         m=1,
         f0=lambda x: np.zeros_like(x),
-        f_list=(f,),
         jac_f0=jac,
-        jac_f_list=(jac,),
+        G=lambda x: f(x)[..., None],
+        jac_G=lambda x: jac(x)[..., None],
         driftless=True,
     )
     assert hormander_rank(sys, np.zeros(2), depth=5) == 1
@@ -279,13 +278,48 @@ def test_six_state_structure():
     assert np.allclose(sys.output_map(x[None])[0], [0.0, 2.0])
 
 
-def test_negate_system_cancels():
-    rng = np.random.default_rng(9)
-    for name in ALL_BUILTINS:
+def test_control_matrix_shapes_checked():
+    sys = builtin_system("brockett")
+    with pytest.raises(ConfigurationError, match="': G maps"):
+        dataclasses.replace(sys, G=lambda x: np.zeros((x.shape[0], 3)))
+    with pytest.raises(ConfigurationError, match="': jac_G maps"):
+        dataclasses.replace(sys, jac_G=lambda x: np.zeros((x.shape[0], 3, 3)))
+    with pytest.raises(ConfigurationError, match="': G maps"):
+        dataclasses.replace(sys, m=3)
+
+
+_entries = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _system_states_controls(draw):
+    name = draw(st.sampled_from(ALL_BUILTINS + ("linear",)))
+    if name == "linear":
+        d, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        sys = linear_system(
+            draw(arrays(float, (d, d), elements=_entries)),
+            draw(arrays(float, (d, m), elements=_entries)),
+        )
+    else:
         sys = builtin_system(name)
-        neg = negate_system(sys)
-        x = rng.uniform(-2.0, 2.0, size=(8, sys.d))
-        u = rng.uniform(-2.0, 2.0, size=(8, sys.m))
-        assert np.allclose(sys.rhs(x, u) + neg.rhs(x, u), 0.0, atol=1e-15)
-        assert np.allclose(sys.rhs_jac_x(x, u) + neg.rhs_jac_x(x, u), 0.0, atol=1e-15)
-        assert neg.driftless == sys.driftless
+    n = draw(st.integers(1, 6))
+    x = draw(arrays(float, (n, sys.d), elements=_entries))
+    u = draw(arrays(float, (n, sys.m), elements=_entries))
+    return sys, x, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(_system_states_controls())
+def test_negate_system_cancels(case):
+    # negation is exact in floating point, so the values match bit for bit
+    # (np.array_equal does not tell +0.0 from -0.0)
+    sys, x, u = case
+    neg = negate_system(sys)
+    assert np.array_equal(neg.rhs(x, u), -sys.rhs(x, u))
+    assert np.array_equal(neg.rhs_jac_x(x, u), -sys.rhs_jac_x(x, u))
+    assert neg.driftless == sys.driftless
+    assert neg.output_map is sys.output_map
+    # rhs is f0 + sum_i u_i f_i, up to the order of the sum
+    terms = [sys.f0(x)] + [u[:, i, None] * sys.field(i)[0](x) for i in range(sys.m)]
+    scale = sum(np.abs(t) for t in terms)
+    assert np.all(np.abs(sys.rhs(x, u) - sum(terms)) <= 1e-13 * scale)
