@@ -27,13 +27,10 @@ from .flow import (
 )
 from .interpolants import (
     Gramian,
-    brockett_steer_pair,
     brockett_steer_pair_batch,
     equilibrium_control,
-    feedback_steer_pair,
     feedback_steer_pair_batch,
     gramian,
-    min_energy_pair,
     min_energy_pair_batch,
     place_poles,
 )
@@ -51,14 +48,12 @@ from .noising import (
     BrownianControlPath,
     NoisingConfig,
     NoisingReport,
-    PmpState,
     QuadraticCost,
     endpoint_map_batch,
     exp_map_batch,
     generate_noising_dataset,
     hamiltonian,
     hamiltonian_drift,
-    pmp_extremal,
     pmp_extremal_batch,
     pmp_optimal_control,
     sample_brownian_control,
@@ -86,10 +81,9 @@ from .systems import (
     six_state_output,
 )
 from .trajectory import (
-    TrajectoryControlPair,
+    PairEnsemble,
     load_pair_csv,
     save_pair_bundle,
-    save_pair_csv,
 )
 
 __version__ = "0.1.0"
@@ -114,13 +108,10 @@ __all__ = [
     "integrate_closed_loop_batch",
     "snapshots_from_arrays",
     "Gramian",
-    "brockett_steer_pair",
     "brockett_steer_pair_batch",
     "equilibrium_control",
-    "feedback_steer_pair",
     "feedback_steer_pair_batch",
     "gramian",
-    "min_energy_pair",
     "min_energy_pair_batch",
     "place_poles",
     "Coupling",
@@ -134,14 +125,12 @@ __all__ = [
     "BrownianControlPath",
     "NoisingConfig",
     "NoisingReport",
-    "PmpState",
     "QuadraticCost",
     "endpoint_map_batch",
     "exp_map_batch",
     "generate_noising_dataset",
     "hamiltonian",
     "hamiltonian_drift",
-    "pmp_extremal",
     "pmp_extremal_batch",
     "pmp_optimal_control",
     "sample_brownian_control",
@@ -163,10 +152,9 @@ __all__ = [
     "negate_system",
     "six_state_matrices",
     "six_state_output",
-    "TrajectoryControlPair",
+    "PairEnsemble",
     "load_pair_csv",
     "save_pair_bundle",
-    "save_pair_csv",
     "run_experiment",
     "emit_plot_data",
     "verify",

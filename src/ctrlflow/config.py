@@ -83,6 +83,18 @@ def _positive(section: str, key: str, value):
     return value
 
 
+# measure params that hold numbers or (nested) lists of numbers
+_NUMERIC_PARAMS = ("mean", "cov", "low", "high", "point", "points", "center", "radius")
+
+
+def _finite(path: str, value) -> None:
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            _finite(f"{path}[{i}]", v)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigurationError(f"'{path}' must hold finite numbers, got {value!r}")
+
+
 def _validate_measure(path: str, doc, extra_keys=()) -> dict:
     doc = _expect_mapping(path, doc)
     _check_keys(path, doc, ("kind", "params") + tuple(extra_keys))
@@ -96,6 +108,8 @@ def _validate_measure(path: str, doc, extra_keys=()) -> dict:
     _check_keys(f"{path}.params", params, required + optional)
     for key in required:
         _get(f"{path}.params", params, key, None)
+    for key in set(_NUMERIC_PARAMS) & set(params):
+        _finite(f"{path}.params.{key}", params[key])
     if kind == "mixture":
         comps = _get(f"{path}.params", params, "components", (list,))
         if not comps:
@@ -103,7 +117,7 @@ def _validate_measure(path: str, doc, extra_keys=()) -> dict:
         for i, comp in enumerate(comps):
             where = f"{path}.params.components[{i}]"
             _validate_measure(where, comp, ("weight",))
-            _get(where, comp, "weight", (int, float), 1.0)
+            _finite(f"{where}.weight", _get(where, comp, "weight", (int, float), 1.0))
     return {"kind": kind, "params": params}
 
 

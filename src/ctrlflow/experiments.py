@@ -38,7 +38,6 @@ from .interpolants import (
     brockett_steer_pair_batch,
     feedback_steer_pair_batch,
     gramian,
-    min_energy_pair,
     min_energy_pair_batch,
     place_poles,
 )
@@ -55,12 +54,13 @@ from .noising import (
     QuadraticCost,
     generate_noising_dataset,
     hamiltonian_drift,
-    pmp_extremal,
+    pmp_extremal_batch,
 )
+from .ode import raise_on_blowup
 from .regression import RegressionDataset, dataset_from_pairs, fit_feedback, save_dataset
 from .seeding import stream_key, substream
 from .systems import builtin_system, negate_system, six_state_matrices, six_state_output
-from .trajectory import TrajectoryControlPair, load_pair_csv, save_pair_bundle
+from .trajectory import PairEnsemble, load_pair_csv, save_pair_bundle
 from .trajectory import columns, read_table, write_table
 
 BROCKETT_HORIZON = 4.0 * math.pi
@@ -161,8 +161,8 @@ class _RunDir:
         write_table(self.dir / rel, ["sample_id", *columns("x", dim)], table, int_cols=1)
         self.add(rel)
 
-    def write_bundle(self, pairs: list, subdir: str, prefix: str) -> None:
-        for name in save_pair_bundle(pairs, self.dir / subdir, prefix):
+    def write_bundle(self, ens: PairEnsemble, subdir: str, prefix: str) -> None:
+        for name in save_pair_bundle(ens, self.dir / subdir, prefix):
             self.add(f"{subdir}/{name}")
 
     def write_manifest(self, partial: bool = False, failed_stage: Optional[str] = None):
@@ -213,15 +213,6 @@ def _subsample(points: np.ndarray, n: int, seed: int) -> np.ndarray:
     rng = substream(seed, "subsample")
     idx = rng.choice(len(points), size=n, replace=False)
     return points[np.sort(idx)]
-
-
-def _max_pair_error(pairs: list[TrajectoryControlPair]) -> float:
-    worst = 0.0
-    for p in pairs:
-        for key in ("endpoint_error", "terminal_error"):
-            if key in p.meta:
-                worst = max(worst, float(p.meta[key]))
-    return worst
 
 
 def _snapshot_times(fractions, T: float, t_grid: np.ndarray) -> list[float]:
@@ -380,7 +371,8 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
 
         # n_eval = 0 reads as a rollout without rows
         t_grid, states, controls, info = rollout or (
-            None, np.empty((0, 1, sys.d)), None, FlowInfo(bad_time=np.empty(0))
+            np.array([0.0, kind.T]), np.empty((0, 2, sys.d)), np.empty((0, 2, sys.m)),
+            FlowInfo(bad_time=np.empty(0)),
         )
         kept = ~np.isfinite(info.bad_time)
         if info.excluded_count:
@@ -392,27 +384,25 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
 
         run.write_snapshot("snapshot_initial.csv", states[kept, 0], sys.d)
         run.write_snapshot("snapshot_achieved.csv", states[kept, -1], sys.d)
-        eval_pairs = []
         if kept.any():
             kind.evaluate_rollout(run, metrics, t_grid, states[kept])
-            eval_pairs = [
-                TrajectoryControlPair(
-                    t_grid, states[i], controls[i], meta={"direction": kind.direction}
-                )
-                for i in np.where(kept)[0][:MAX_SAVED_TRAJECTORIES]
-            ]
         else:
             # no surviving rollout: the kind's rollout snapshots hold headers only
             for rel, dim in kind.empty_snapshots:
                 run.write_snapshot(rel, np.empty((0, dim)), dim)
-        run.write_bundle(eval_pairs, "eval_trajectories", "eval")
+        saved = np.where(kept)[0][:MAX_SAVED_TRAJECTORIES]
+        rollouts = PairEnsemble(
+            t_grid, states[saved], controls[saved], meta={"direction": kind.direction}
+        )
+        run.write_bundle(rollouts, "eval_trajectories", "eval")
 
         for name in save_dataset(data, run.dir / "dataset.csv"):
             run.add(name)
         law.save(run.dir / "law.json")
         run.add("law.json")
-        if kind.train_pairs:
-            run.write_bundle(kind.train_pairs[:MAX_SAVED_TRAJECTORIES], "train_pairs", "train")
+        if kind.train_pairs is not None:
+            train = kind.train_pairs.select(slice(MAX_SAVED_TRAJECTORIES))
+            run.write_bundle(train, "train_pairs", "train")
         return metrics, notes
 
     return _stage("evaluate", evaluate)
@@ -477,9 +467,10 @@ class _Transport:
         """Construction-level metrics and the constructed marginal snapshots."""
         coup, pairs, seed, evaluation = self.coup, self.train_pairs, self.seed, self.cfg.evaluation
         metrics["mean_pair_distance"] = _mean_pair_distance(coup.x0, coup.x1)
-        metrics["max_endpoint_error"] = _max_pair_error(pairs)
+        errors = pairs.meta.get("endpoint_error", pairs.meta.get("terminal_error"))
+        metrics["max_endpoint_error"] = float(np.max(errors))
         # construction-level quality: endpoints of the training ensemble
-        end_constructed = np.stack([p.states[-1] for p in pairs])
+        end_constructed = pairs.states[:, -1]
         metrics["w2_construction_terminal"] = float(_w2(
             EmpiricalMeasure(points=end_constructed),
             EmpiricalMeasure(points=coup.x1),
@@ -497,10 +488,8 @@ class _Transport:
             ))
 
         self.fractions = evaluation["snapshot_fractions"]
-        t_grid = pairs[0].t_grid
         self.constructed = snapshots_from_arrays(
-            t_grid, np.stack([p.states for p in pairs]),
-            _snapshot_times(self.fractions, self.T, t_grid),
+            pairs.t_grid, pairs.states, _snapshot_times(self.fractions, self.T, pairs.t_grid)
         )
         for frac, meas in zip(self.fractions, self.constructed):
             run.write_snapshot(f"snapshot_constructed_t{frac:g}.csv", meas.points, self.sys.d)
@@ -709,7 +698,7 @@ def emit_plot_data(run_dir) -> list[str]:
     emit(
         "plot_trajectories.dat",
         "# closed-loop trajectories: t x_1 .. x_d (blank-line separated blocks)",
-        [np.column_stack([p.t_grid, p.states]) for p in pairs],
+        [np.column_stack([p.t_grid, p.states[0]]) for p in pairs],
         labelled=True,
     )
 
@@ -721,7 +710,7 @@ def emit_plot_data(run_dir) -> list[str]:
         # output-transport targets live in output space
         space = six_state_output if kind == "output_transport" else np.asarray
         dists = np.stack(
-            [_distance_to_target(space(p.states), target_spec, ref_points) for p in pairs]
+            [_distance_to_target(space(p.states[0]), target_spec, ref_points) for p in pairs]
         )
         stats = (np.median(dists, axis=0), np.quantile(dists, 0.9, axis=0), dists.mean(axis=0))
         series = np.column_stack([pairs[0].t_grid, *stats])
@@ -869,44 +858,38 @@ def _verify_fast() -> list[dict]:
     W_exact = np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]])
     results.append(_check("gramian_closed_form", np.abs(W - W_exact).max(), 1.0e-8))
 
-    pair = min_energy_pair(A, B, np.zeros(2), np.array([1.0, 0.0]), 1.0, n_grid=400)
-    u_exact = 6.0 - 12.0 * pair.t_grid
-    u_err = np.abs(pair.controls[:, 0] - u_exact).max()
+    ens = min_energy_pair_batch(A, B, np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0, n_grid=400)
+    u_exact = 6.0 - 12.0 * ens.t_grid
+    u_err = np.abs(ens.controls[0, :, 0] - u_exact).max()
     results.append(_check("min_energy_canonical_control", u_err, 1.0e-8))
 
     rng = substream(123, "verify", "min_energy")
     x0s = rng.uniform(-1.0, 1.0, size=(100, 2))
     xTs = rng.uniform(-1.0, 1.0, size=(100, 2))
-    pairs = min_energy_pair_batch(A, B, x0s, xTs, 1.0, n_grid=400)
-    err = max(np.linalg.norm(p.states[-1] - xT) for p, xT in zip(pairs, xTs))
-    results.append(_check("min_energy_terminal_error", err, 1.0e-5))
+    ens = min_energy_pair_batch(A, B, x0s, xTs, 1.0, n_grid=400)
+    results.append(_check("min_energy_terminal_error", ens.meta["endpoint_error"].max(), 1.0e-5))
 
-    cases = [
-        (np.zeros(3), np.array([0.0, 0.0, 1.0])),
-        (np.zeros(3), np.array([1.0, 1.0, 0.0])),
-    ]
-    case_err = 0.0
-    for x, y in cases:
-        p = brockett_steer_pair_batch(x[None], y[None], n_grid=4000)[0]
-        case_err = max(case_err, float(np.linalg.norm(p.states[-1] - y)))
-    results.append(_check("brockett_canonical_cases", case_err, 1.0e-8))
+    ys = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    ens = brockett_steer_pair_batch(np.zeros((2, 3)), ys, n_grid=4000)
+    results.append(_check("brockett_canonical_cases", ens.meta["endpoint_error"].max(), 1.0e-8))
 
     rng = substream(123, "verify", "brockett")
     xs = rng.uniform(-1.0, 1.0, size=(100, 3))
     ys = rng.uniform(-1.0, 1.0, size=(100, 3))
-    bpairs = brockett_steer_pair_batch(xs, ys, n_grid=4000)
-    berr = max(np.linalg.norm(p.states[-1] - y) for p, y in zip(bpairs, ys))
-    results.append(_check("brockett_random_endpoints", berr, 1.0e-6))
+    ens = brockett_steer_pair_batch(xs, ys, n_grid=4000)
+    results.append(_check("brockett_random_endpoints", ens.meta["endpoint_error"].max(), 1.0e-6))
 
     unicycle = _bs("unicycle")
     cost = QuadraticCost()
     rng = substream(123, "verify", "pmp")
-    drift_rel = 0.0
-    for _ in range(10):
-        x0 = rng.uniform(-1.0, 1.0, size=3)
-        p0 = rng.uniform(-1.0, 1.0, size=3)
-        pair, costates = pmp_extremal(unicycle, cost, x0, p0, T=1.0, n_grid=4000)
-        drift_rel = max(drift_rel, hamiltonian_drift(unicycle, cost, pair.states, costates))
+    starts = rng.uniform(-1.0, 1.0, size=(10, 2, 3))  # (x0, p0) per extremal
+    ens, costates, bad = pmp_extremal_batch(
+        unicycle, cost, starts[:, 0], starts[:, 1], T=1.0, n_grid=4000
+    )
+    raise_on_blowup(bad)
+    drift_rel = max(
+        hamiltonian_drift(unicycle, cost, ens.states[i], costates[i]) for i in range(ens.n)
+    )
     results.append(_check("hamiltonian_conservation", drift_rel, 1.0e-8))
 
     rng = substream(123, "verify", "w2")

@@ -1,19 +1,22 @@
-"""Point-to-point steering constructions for trajectory/control pairs.
+"""Point-to-point steering constructions for trajectory/control ensembles.
 
-Each constructor returns a :class:`TrajectoryControlPair` whose controls
-drive the stated system from x0 to the target within a stated tolerance:
+Each constructor steers a batch of n (start, target) rows at once and
+returns one :class:`~ctrlflow.trajectory.PairEnsemble` whose controls drive
+the stated system from each start to its target within a stated tolerance:
 
-``min_energy_pair``
+``min_energy_pair_batch``
     minimum-energy steering of a controllable LTI pair through the
-    controllability Gramian,
-``feedback_steer_pair``
-    stabilizing-gain steering of an LTI system to an equilibrium point,
-``brockett_steer_pair``
+    controllability Gramian (meta ``endpoint_error``),
+``feedback_steer_pair_batch``
+    stabilizing-gain steering of an LTI system to equilibrium points (meta
+    ``terminal_error``),
+``brockett_steer_pair_batch``
     two-phase sinusoidal steering of the Brockett system between arbitrary
-    points on [0, 4*pi].
+    points on [0, 4*pi] (meta ``endpoint_error``, ``loop_amplitude``).
 
-Batch variants (suffix ``_batch``) vectorize over many (x0, target) pairs
-and are what the experiment pipelines call.
+A single pair is a one-row batch.  Errors that reach metrics and files are
+taken row by row with :func:`numpy.linalg.norm`, whose summation a
+vectorized norm would not reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .linalg import check_ab, controllability_matrix, expm, kalman_rank
 from .ode import rk4, rk4_stage_controls, stage_times, uniform_grid
 from .seeding import substream
 from .systems import builtin_system
-from .trajectory import TrajectoryControlPair
+from .trajectory import PairEnsemble
 
 GRAMIAN_EIG_RATIO = 1.0e-10
 
@@ -88,26 +91,8 @@ def _gramian_solve(G: Gramian, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G.W, rhs)
 
 
-def min_energy_pair(
-    A: np.ndarray,
-    B: np.ndarray,
-    x0: np.ndarray,
-    xT: np.ndarray,
-    T: float,
-    n_grid: int = 2000,
-    n_quad: int = 256,
-) -> TrajectoryControlPair:
-    """Minimum-energy steering of x' = Ax + Bu from x0 to xT in time T.
-
-    The control is u(t) = B' exp(A'(T-t)) W^-1 (xT - exp(AT) x0); states are
-    produced by RK4 with ``n_grid`` steps using the analytic control at the
-    stage times.  The terminal state must land within 1e-6 * (1 + |xT|) of
-    the target.
-    """
-    pairs = min_energy_pair_batch(
-        A, B, np.asarray(x0)[None, :], np.asarray(xT)[None, :], T, n_grid, n_quad
-    )
-    return pairs[0]
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.array([np.linalg.norm(row) for row in a])
 
 
 def min_energy_pair_batch(
@@ -118,8 +103,14 @@ def min_energy_pair_batch(
     T: float,
     n_grid: int = 2000,
     n_quad: int = 256,
-) -> list[TrajectoryControlPair]:
-    """Vectorized :func:`min_energy_pair` over rows of x0s/xTs."""
+) -> PairEnsemble:
+    """Minimum-energy steering of x' = Ax + Bu from each row of x0s to xTs in time T.
+
+    The control is u(t) = B' exp(A'(T-t)) W^-1 (xT - exp(AT) x0); states are
+    produced by RK4 with ``n_grid`` steps using the analytic control at the
+    stage times.  Each terminal state must land within 1e-6 * (1 + |xT|) of
+    its target.
+    """
     A, B = check_ab(A, B)
     d = A.shape[0]
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
@@ -146,21 +137,15 @@ def min_energy_pair_batch(
     def rhs(x, u):
         return x @ A.T + u @ B.T
 
-    states, bad = rk4_stage_controls(rhs, x0s, t_grid, u_stages, blowup=None)
-    pairs = []
-    for i in range(x0s.shape[0]):
-        tol = 1.0e-6 * (1.0 + np.linalg.norm(xTs[i]))
-        err = float(np.linalg.norm(states[i, -1] - xTs[i]))
+    states, _ = rk4_stage_controls(rhs, x0s, t_grid, u_stages, blowup=None)
+    errs = _row_norms(states[:, -1] - xTs)
+    tols = 1.0e-6 * (1.0 + _row_norms(xTs))
+    for err, tol in zip(errs, tols):
         if err > tol:
             raise ConfigurationError(
                 f"terminal error {err:.3g} exceeds tol {tol:.3g}; increase n_grid"
             )
-        pairs.append(
-            TrajectoryControlPair(
-                t_grid, states[i], u_stages[i, 0::2], meta={"endpoint_error": err}
-            )
-        )
-    return pairs
+    return PairEnsemble(t_grid, states, u_stages[:, 0::2], meta={"endpoint_error": errs})
 
 
 def place_poles(A: np.ndarray, B: np.ndarray, poles, seed: int = 0) -> np.ndarray:
@@ -278,28 +263,6 @@ def equilibrium_control(A: np.ndarray, B: np.ndarray, y: np.ndarray) -> np.ndarr
     return alpha
 
 
-def feedback_steer_pair(
-    A: np.ndarray,
-    B: np.ndarray,
-    K: np.ndarray,
-    y: np.ndarray,
-    x0: np.ndarray,
-    T: float,
-    n_grid: int = 2000,
-) -> TrajectoryControlPair:
-    """Drive x' = Ax + Bu toward the equilibrium y with u = K(x - y) + alpha_y.
-
-    alpha_y is the equilibrium control of y (:func:`equilibrium_control`).
-    Requires A + BK Hurwitz and y in the equilibrium set; the terminal error
-    is recorded in the pair metadata (it decays like the slowest closed-loop
-    mode, it is not forced to zero).
-    """
-    pairs = feedback_steer_pair_batch(
-        A, B, K, np.asarray(y)[None, :], np.asarray(x0)[None, :], T, n_grid
-    )
-    return pairs[0]
-
-
 def feedback_steer_pair_batch(
     A: np.ndarray,
     B: np.ndarray,
@@ -308,8 +271,15 @@ def feedback_steer_pair_batch(
     x0s: np.ndarray,
     T: float,
     n_grid: int = 2000,
-) -> list[TrajectoryControlPair]:
-    """Vectorized :func:`feedback_steer_pair` over rows of ys/x0s."""
+) -> PairEnsemble:
+    """Drive x' = Ax + Bu from each row of x0s toward its equilibrium y.
+
+    The control is u = K(x - y) + alpha_y, where alpha_y is the equilibrium
+    control of y (:func:`equilibrium_control`).  Requires A + BK Hurwitz and
+    each y in the equilibrium set; the terminal error is recorded in the
+    meta (it decays like the slowest closed-loop mode, it is not forced to
+    zero).
+    """
     A, B = check_ab(A, B)
     K = np.asarray(K, dtype=float)
     d, m = A.shape[0], B.shape[1]
@@ -333,37 +303,21 @@ def feedback_steer_pair_batch(
         return x @ A.T + u @ B.T
 
     states, _ = rk4(field, x0s, t_grid, blowup=None)
-    pairs = []
-    for i in range(x0s.shape[0]):
-        controls = (states[i] - ys[i]) @ K.T + alphas[i]
-        err = float(np.linalg.norm(states[i, -1] - ys[i]))
-        pairs.append(
-            TrajectoryControlPair(
-                t_grid, states[i], controls, meta={"terminal_error": err}
-            )
-        )
-    return pairs
+    controls = (states - ys[:, None, :]) @ K.T + alphas[:, None, :]
+    errs = _row_norms(states[:, -1] - ys)
+    return PairEnsemble(t_grid, states, controls, meta={"terminal_error": errs})
 
 
-def brockett_steer_pair(
-    x: np.ndarray, y: np.ndarray, n_grid: int = 4000
-) -> TrajectoryControlPair:
-    """Steer the Brockett system from x to y on the horizon [0, 4*pi].
+def brockett_steer_pair_batch(
+    xs: np.ndarray, ys: np.ndarray, n_grid: int = 4000
+) -> PairEnsemble:
+    """Steer the Brockett system from each row of xs to ys on the horizon [0, 4*pi].
 
     Phase 1 (constant controls) moves the first two coordinates linearly to
     their targets over [0, 2*pi].  Phase 2 applies u = (sin t, c cos t),
     which returns the first two coordinates to rest and advances the third
     by pi * c, with c = (y3 - omega3(2*pi)) / pi.
     """
-    return brockett_steer_pair_batch(
-        np.asarray(x)[None, :], np.asarray(y)[None, :], n_grid
-    )[0]
-
-
-def brockett_steer_pair_batch(
-    xs: np.ndarray, ys: np.ndarray, n_grid: int = 4000
-) -> list[TrajectoryControlPair]:
-    """Vectorized :func:`brockett_steer_pair` over rows of xs/ys."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if xs.shape != ys.shape or xs.shape[1] != 3:
@@ -395,17 +349,7 @@ def brockett_steer_pair_batch(
     u2_stages[:, :, 1] = c[:, None] * np.cos(st2)[None, :]
     states2, _ = rk4_stage_controls(rhs, omega_mid, t2, u2_stages, blowup=None)
 
-    pairs = []
-    for i in range(n):
-        states = np.vstack([states1[i], states2[i, 1:]])
-        controls = np.vstack([u1_stages[i, 0::2], u2_stages[i, 0::2][1:]])
-        err = float(np.linalg.norm(states[-1] - ys[i]))
-        pairs.append(
-            TrajectoryControlPair(
-                t_grid,
-                states,
-                controls,
-                meta={"endpoint_error": err, "loop_amplitude": float(c[i])},
-            )
-        )
-    return pairs
+    states = np.concatenate([states1, states2[:, 1:]], axis=1)
+    controls = np.concatenate([u1_stages[:, 0::2], u2_stages[:, 2::2]], axis=1)
+    meta = {"endpoint_error": _row_norms(states[:, -1] - ys), "loop_amplitude": c}
+    return PairEnsemble(t_grid, states, controls, meta)

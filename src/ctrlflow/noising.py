@@ -3,10 +3,13 @@
 To stabilize onto a target set, trajectories are generated FROM the target
 by integrating the time-reversed dynamics omega' = -f(omega, u) driven
 either by extremal controls of the reversed optimal control problem (kind
-``pmp``) or by Brownian control paths (kind ``randomized``).  The resulting
-(t, X_t, U_t) triples are the supervision for the feedback regression; the
-closed-loop reversal of the learned law then carries mass back onto the
-target set.
+``pmp``, :func:`pmp_extremal_batch`) or by Brownian control paths (kind
+``randomized``, :func:`endpoint_map_batch`).  Either run is one
+:class:`~ctrlflow.trajectory.PairEnsemble`; :func:`generate_noising_dataset`
+drops its blown-up rows and flattens the rest with
+:func:`ctrlflow.regression.dataset_from_pairs` into the (t, X_t, U_t)
+triples that supervise the feedback regression.  The closed-loop reversal
+of the learned law then carries mass back onto the target set.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .ode import pl_stage_values, raise_on_blowup, rk4, rk4_stage_controls, uniform_grid
+from .regression import dataset_from_pairs
 from .seeding import generator_from_seed, stream_key, substream
 from .systems import ControlAffineSystem
-from .trajectory import TrajectoryControlPair
+from .trajectory import PairEnsemble
 
 
 @dataclass(frozen=True)
@@ -36,26 +40,6 @@ class QuadraticCost:
     def value(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return self.theta * np.sum(u**2, axis=-1)
-
-
-@dataclass(frozen=True)
-class PmpState:
-    """State/costate bundle (omega, p) of the extremal system."""
-
-    omega: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        if omega.shape != p.shape:
-            raise ConfigurationError(
-                f"state and costate shapes differ: {omega.shape} vs {p.shape}"
-            )
-        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(p))):
-            raise ConfigurationError("state and costate must be finite")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
@@ -134,13 +118,13 @@ def pmp_extremal_batch(
     T: float,
     n_grid: int,
     blowup: float | None = 1.0e6,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[PairEnsemble, np.ndarray, np.ndarray]:
     """Batched extremal flow of the time-reversed system.
 
     Integrates omega' = -f(omega, alpha), p' = (D_x f)' p with alpha the
     minimizing control (the quadratic cost has no state gradient).
-    Returns (t_grid, states, costates, controls, bad_time) with states
-    (n, K+1, d).
+    Returns (ensemble of states and controls, costates (n, K+1, d),
+    bad_time (n,)); blown-up rows are frozen and flagged in ``bad_time``.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     p0s = np.atleast_2d(np.asarray(p0s, dtype=float))
@@ -157,28 +141,7 @@ def pmp_extremal_batch(
     flat_w = states.reshape(-1, d)
     flat_p = costates.reshape(-1, d)
     controls = pmp_optimal_control(sys, cost, flat_w, flat_p).reshape(n, Kp1, sys.m)
-    return t_grid, states, costates, controls, bad_time
-
-
-def pmp_extremal(
-    sys: ControlAffineSystem,
-    cost: QuadraticCost,
-    x0: np.ndarray,
-    p0: np.ndarray,
-    T: float,
-    n_grid: int,
-) -> tuple[TrajectoryControlPair, np.ndarray]:
-    """Single extremal; returns the trajectory pair and the costate path."""
-    init = PmpState(np.asarray(x0, dtype=float), np.asarray(p0, dtype=float))
-    t_grid, states, costates, controls, bad = pmp_extremal_batch(
-        sys, cost, init.omega[None, :], init.p[None, :], T, n_grid
-    )
-    raise_on_blowup(bad)
-    H0 = hamiltonian(sys, cost, states[0, 0], costates[0, 0])
-    pair = TrajectoryControlPair(
-        t_grid, states[0], controls[0], meta={"hamiltonian_0": H0}
-    )
-    return pair, costates[0]
+    return PairEnsemble(t_grid, states, controls), costates, bad_time
 
 
 def hamiltonian_drift(
@@ -203,9 +166,9 @@ def exp_map_batch(
     """Endpoints of extremals from a common x over a batch of costates."""
     p0s = np.atleast_2d(np.asarray(p0s, dtype=float))
     x0s = np.broadcast_to(np.asarray(x, dtype=float), p0s.shape)
-    _, states, _, _, bad = pmp_extremal_batch(sys, cost, x0s, p0s, t, n_grid)
+    ens, _, bad = pmp_extremal_batch(sys, cost, x0s, p0s, t, n_grid)
     raise_on_blowup(bad)
-    return states[:, -1]
+    return ens.states[:, -1]
 
 
 def endpoint_map_batch(
@@ -218,26 +181,18 @@ def endpoint_map_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate +-f(omega, u(t)) for a batch of control sample paths.
 
-    ``u_samples`` is (n, K+1, m), interpreted piecewise-linearly; direction
-    ``forward`` uses +f, ``reversed`` uses -f.  Returns (states, bad_time).
+    ``u_samples`` is (n, K+1, m), one path per row of the (n, d) starts
+    ``x0s``, interpreted piecewise-linearly; direction ``forward`` uses +f,
+    ``reversed`` uses -f.  Returns (states, bad_time).
     """
     if direction not in ("forward", "reversed"):
         raise ConfigurationError(f"unknown direction '{direction}'")
     sgn = 1.0 if direction == "forward" else -1.0
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    u_samples = np.asarray(u_samples, dtype=float)
-    if u_samples.ndim == 2:
-        u_samples = u_samples[None, :, :]
-    if u_samples.shape[0] == 1 and x0s.shape[0] > 1:
-        u_samples = np.broadcast_to(
-            u_samples, (x0s.shape[0],) + u_samples.shape[1:]
-        )
-    u_stages = pl_stage_values(u_samples)
 
     def rhs(x, u):
         return sgn * sys.rhs(x, u)
 
-    return rk4_stage_controls(rhs, x0s, t_grid, u_stages, blowup)
+    return rk4_stage_controls(rhs, x0s, t_grid, pl_stage_values(u_samples), blowup)
 
 
 def sample_brownian_control(
@@ -318,12 +273,10 @@ def generate_noising_dataset(
     independent Brownian control path with the configured sigma.  Blown-up
     trajectories are dropped and reported with a warning entry.
 
-    Returns ``(dataset, report)`` where dataset is a
-    :class:`ctrlflow.regression.RegressionDataset` of (t, X_t, U_t) triples
-    tagged by trajectory id.
+    Returns ``(dataset, report)`` where dataset is the
+    :func:`ctrlflow.regression.dataset_from_pairs` flattening of the kept
+    rows, tagged by their sample index.
     """
-    from .regression import RegressionDataset
-
     n = config.n_samples
     x0s = np.asarray(mu0_sampler(n, stream_key(config.seed, "noising", "x0") % 2**63))
     x0s = np.atleast_2d(x0s.astype(float))
@@ -344,7 +297,7 @@ def generate_noising_dataset(
                 )
             )
         cost = QuadraticCost(theta=config.theta)
-        t_grid, states, costates, controls, bad = pmp_extremal_batch(
+        ens, costates, bad = pmp_extremal_batch(
             sys, cost, x0s, p0s, config.T, config.n_grid, config.blowup
         )
         keep = ~np.isfinite(bad)
@@ -353,7 +306,7 @@ def generate_noising_dataset(
             H = hamiltonian(
                 sys,
                 cost,
-                states[keep].reshape(-1, sys.d),
+                ens.states[keep].reshape(-1, sys.d),
                 costates[keep].reshape(-1, sys.d),
             ).reshape(keep.sum(), -1)
             drift = float(
@@ -372,7 +325,7 @@ def generate_noising_dataset(
         states, bad = endpoint_map_batch(
             sys, x0s, t_grid, u_all, direction="reversed", blowup=config.blowup
         )
-        controls = u_all
+        ens = PairEnsemble(t_grid, states, u_all)
         keep = ~np.isfinite(bad)
         drift = None
 
@@ -387,16 +340,7 @@ def generate_noising_dataset(
     report.hamiltonian_drift_max = drift
     if report.n_kept == 0:
         raise ConfigurationError("all noising trajectories blew up; nothing to fit")
-    report.endpoints = states[keep][:, -1].copy()
-
-    idx = np.unique(np.round(np.linspace(0, config.n_grid, config.n_time_samples)).astype(int))
-    kept_states = states[keep][:, idx]
-    kept_controls = controls[keep][:, idx]
-    n_kept = report.n_kept
-    n_idx = len(idx)
-    t_col = np.tile(t_grid[idx], n_kept)
-    x_rows = kept_states.reshape(n_kept * n_idx, sys.d)
-    u_rows = kept_controls.reshape(n_kept * n_idx, sys.m)
-    traj_ids = np.repeat(np.where(keep)[0], n_idx)
-    dataset = RegressionDataset(t=t_col, x=x_rows, u=u_rows, traj_id=traj_ids)
+    kept = np.where(keep)[0]
+    report.endpoints = ens.states[kept, -1]
+    dataset = dataset_from_pairs(ens.select(kept), config.n_time_samples, traj_id=kept)
     return dataset, report

@@ -1,5 +1,10 @@
 """Feedback-law regression: u(t, x) as a conditional mean of dataset controls.
 
+The training set is a :class:`RegressionDataset` of (t, x, u) rows tagged
+by trajectory id.  :func:`dataset_from_pairs` is the one flattening of a
+trajectory/control ensemble into such rows: transport runs call it on
+their steering ensemble, noising runs on their kept rows.
+
 Three estimators share one interface: k-nearest-neighbour averaging,
 Nadaraya-Watson kernel smoothing (the default), and a small fully-connected
 network trained in-repo.  Queries live in the scaled feature space
@@ -83,23 +88,21 @@ class RegressionDataset:
         return RegressionDataset(self.t[mask], self.x[mask], self.u[mask], self.traj_id[mask])
 
 
-def dataset_from_pairs(pairs, n_time_samples: int = 25) -> RegressionDataset:
-    """Subsample trajectory pairs onto a shared time grid of triples."""
-    if not pairs:
-        raise EmptyDatasetError("no pairs given")
-    K = len(pairs[0].t_grid) - 1
-    for p in pairs:
-        if len(p.t_grid) != K + 1 or abs(p.t_grid[-1] - pairs[0].t_grid[-1]) > 1e-12:
-            raise ConfigurationError("pairs must share one time grid")
+def dataset_from_pairs(ens, n_time_samples: int = 25, traj_id=None) -> RegressionDataset:
+    """Flatten a :class:`~ctrlflow.trajectory.PairEnsemble` into (t, x, u) triples.
+
+    Keeps ``n_time_samples`` evenly spaced grid nodes (rounded, duplicates
+    dropped) of every row, row by row.  Row i is tagged ``traj_id[i]``
+    (default i).
+    """
+    K = len(ens.t_grid) - 1
     idx = np.unique(np.round(np.linspace(0, K, n_time_samples)).astype(int))
-    t_col, x_rows, u_rows, ids = [], [], [], []
-    for i, p in enumerate(pairs):
-        t_col.append(p.t_grid[idx])
-        x_rows.append(p.states[idx])
-        u_rows.append(p.controls[idx])
-        ids.append(np.full(len(idx), i))
+    ids = np.arange(ens.n) if traj_id is None else np.asarray(traj_id)
     return RegressionDataset(
-        np.concatenate(t_col), np.vstack(x_rows), np.vstack(u_rows), np.concatenate(ids)
+        t=np.tile(ens.t_grid[idx], ens.n),
+        x=ens.states[:, idx].reshape(-1, ens.d),
+        u=ens.controls[:, idx].reshape(-1, ens.m),
+        traj_id=np.repeat(ids, len(idx)),
     )
 
 
@@ -429,7 +432,8 @@ def fit_feedback(
     cap = min(data.n, 2048)
     sub = z[rng.choice(data.n, size=cap, replace=False)] if data.n > cap else z
     ref_nn = 0.0
-    if sub.shape[0] > 1:
+    # only the kernel and knn laws flag extrapolation; an mlp law never reads it
+    if method != "mlp" and sub.shape[0] > 1:
         s2 = np.einsum("nd,nd->n", sub, sub)
         d2 = np.maximum(s2[:, None] + s2[None, :] - 2.0 * (sub @ sub.T), 0.0)
         np.fill_diagonal(d2, np.inf)

@@ -1,8 +1,14 @@
-"""Trajectory/control pairs on a shared time grid, and the one CSV table format.
+"""Trajectory/control ensembles on one shared time grid, and the one CSV table format.
+
+A :class:`PairEnsemble` holds n trajectory/control pairs as ``(n, K+1, .)``
+arrays on one ``(K+1,)`` grid: the unit that the steering constructions and
+noising runs produce and that the feedback regression consumes.  Its
+consistency checks run once per ensemble.
 
 Every CSV of a run directory is written by :func:`write_table` and read by
 :func:`read_table`: a header row, then comma-separated ``%.17g`` values (id
 columns ``%d``), so floats read back bit for bit; lines end in ``\\r\\n``.
+:func:`save_pair_bundle` writes one such CSV per ensemble row plus an index.
 """
 
 from __future__ import annotations
@@ -18,12 +24,14 @@ from .ode import integrate_samples, pl_stage_values, rk4_stage_controls
 
 
 @dataclass(frozen=True)
-class TrajectoryControlPair:
-    """Sampled state trajectory with the open-loop control that generated it.
+class PairEnsemble:
+    """n state trajectories with the open-loop controls that generated them.
 
-    ``controls[k]`` is the control at ``t_grid[k]``; between grid points the
-    control is understood as the piecewise-linear interpolant.  ``meta`` holds
-    construction diagnostics such as endpoint errors.
+    ``states[i, k]`` and ``controls[i, k]`` belong to row i at ``t_grid[k]``;
+    between grid points the control is understood as the piecewise-linear
+    interpolant.  ``meta`` maps a name to an (n,) array of per-row
+    construction diagnostics such as endpoint errors; a scalar value is
+    shared by every row.
     """
 
     t_grid: np.ndarray
@@ -39,56 +47,62 @@ class TrajectoryControlPair:
             raise ConfigurationError("t_grid must be 1-D with at least two nodes")
         if np.any(np.diff(t) <= 0.0):
             raise ConfigurationError("t_grid must be strictly increasing")
-        if x.ndim != 2 or u.ndim != 2:
-            raise ConfigurationError("states and controls must be 2-D arrays")
-        if x.shape[0] != len(t) or u.shape[0] != len(t):
+        if x.ndim != 3 or u.ndim != 3:
+            raise ConfigurationError("states and controls must be (n, K+1, .) arrays")
+        if x.shape[1] != len(t) or u.shape[:2] != x.shape[:2]:
             raise ConfigurationError(
-                f"grid has {len(t)} nodes but states/controls have "
-                f"{x.shape[0]}/{u.shape[0]} rows"
+                f"grid has {len(t)} nodes but states/controls have shapes "
+                f"{x.shape}/{u.shape}"
             )
+        meta = {k: np.asarray(v) for k, v in self.meta.items()}
+        for k, v in meta.items():
+            if v.ndim and v.shape != (len(x),):
+                raise ConfigurationError(
+                    f"meta '{k}' has shape {v.shape}, expected ({len(x)},) or a scalar"
+                )
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "states", x)
         object.__setattr__(self, "controls", u)
+        object.__setattr__(self, "meta", meta)
+
+    @property
+    def n(self) -> int:
+        return self.states.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.states.shape[2]
+
+    @property
+    def m(self) -> int:
+        return self.controls.shape[2]
 
     @property
     def horizon(self) -> float:
         return float(self.t_grid[-1] - self.t_grid[0])
 
-    @property
-    def d(self) -> int:
-        return self.states.shape[1]
+    def select(self, rows) -> "PairEnsemble":
+        """The ensemble of the given rows (index array, boolean mask or slice)."""
+        meta = {k: v[rows] if v.ndim else v for k, v in self.meta.items()}
+        return PairEnsemble(self.t_grid, self.states[rows], self.controls[rows], meta)
 
-    @property
-    def m(self) -> int:
-        return self.controls.shape[1]
+    def control_energy(self) -> np.ndarray:
+        """(n,) integrals of |u(t)|^2 over the horizon (Simpson on the grid)."""
+        return integrate_samples(np.sum(self.controls**2, axis=2), self.t_grid)
 
-    def state_at(self, t: float) -> np.ndarray:
-        """Piecewise-linear state interpolant."""
-        t = float(np.clip(t, self.t_grid[0], self.t_grid[-1]))
-        out = np.empty(self.d)
-        for j in range(self.d):
-            out[j] = np.interp(t, self.t_grid, self.states[:, j])
-        return out
-
-    def control_energy(self) -> float:
-        """Integral of |u(t)|^2 over the horizon (Simpson on the grid)."""
-        sq = np.sum(self.controls**2, axis=1)
-        return float(integrate_samples(sq, self.t_grid))
-
-    def residual_error(self, sys) -> float:
-        """Consistency of the pair with the dynamics.
+    def residual_error(self, sys) -> np.ndarray:
+        """(n,) consistency of each row with the dynamics.
 
         Re-integrates the stored controls (piecewise-linear convention)
-        from ``states[0]`` with RK4 on the same grid and returns the max
-        state deviation relative to the trajectory scale.
+        from ``states[:, 0]`` with RK4 on the same grid and returns each
+        row's max state deviation relative to its trajectory scale.
         """
-        u_stages = pl_stage_values(self.controls[None, :, :])
         states, _ = rk4_stage_controls(
-            sys.rhs, self.states[None, 0], self.t_grid, u_stages, blowup=None
+            sys.rhs, self.states[:, 0], self.t_grid, pl_stage_values(self.controls),
+            blowup=None,
         )
-        dev = np.abs(states[0] - self.states).max()
-        scale = 1.0 + np.abs(self.states).max()
-        return float(dev / scale)
+        dev = np.abs(states - self.states).max(axis=(1, 2))
+        return dev / (1.0 + np.abs(self.states).max(axis=(1, 2)))
 
 
 def columns(prefix: str, n: int) -> list[str]:
@@ -118,40 +132,37 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
-def save_pair_csv(pair: TrajectoryControlPair, path: str | Path) -> None:
-    """Write one pair as CSV columns t, x_1..x_d, u_1..u_m."""
-    header = ["t", *columns("x", pair.d), *columns("u", pair.m)]
-    write_table(path, header, np.column_stack([pair.t_grid, pair.states, pair.controls]))
+def load_pair_csv(path: str | Path) -> PairEnsemble:
+    """One CSV of :func:`save_pair_bundle` as a one-row ensemble (meta is not kept).
 
-
-def load_pair_csv(path: str | Path) -> TrajectoryControlPair:
-    """Inverse of :func:`save_pair_csv` (meta is not kept; a header-only file raises)."""
+    A header-only file raises :class:`ConfigurationError`.
+    """
     header, table = read_table(path)
     d = sum(1 for h in header if h.startswith("x_"))
     m = sum(1 for h in header if h.startswith("u_"))
-    return TrajectoryControlPair(table[:, 0], table[:, 1 : 1 + d], table[:, 1 + d : 1 + d + m])
+    return PairEnsemble(table[:, 0], table[None, :, 1 : 1 + d], table[None, :, 1 + d : 1 + d + m])
 
 
-def save_pair_bundle(
-    pairs: list[TrajectoryControlPair],
-    directory: str | Path,
-    prefix: str,
-) -> list[str]:
-    """One CSV per pair plus ``<prefix>_index.json`` (count, file and scalar meta per pair).
+def save_pair_bundle(ens: PairEnsemble, directory: str | Path, prefix: str) -> list[str]:
+    """One CSV (columns t, x_1..x_d, u_1..u_m) per row plus ``<prefix>_index.json``.
 
+    The index holds the row count and, per row, its file and meta values.
     Returns the list of written file names (relative to ``directory``).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    header = ["t", *columns("x", ens.d), *columns("u", ens.m)]
+    meta = {k: np.broadcast_to(v, (ens.n,)) for k, v in ens.meta.items()}
     written = []
     entries = []
-    for i, pair in enumerate(pairs):
+    for i in range(ens.n):
         fname = f"{prefix}_{i:04d}.csv"
-        save_pair_csv(pair, directory / fname)
+        write_table(
+            directory / fname, header, np.column_stack([ens.t_grid, ens.states[i], ens.controls[i]])
+        )
         written.append(fname)
-        scalars = {k: v for k, v in pair.meta.items() if isinstance(v, (int, float, str, bool))}
-        entries.append({"file": fname, **scalars})
-    index = {"count": len(pairs), "pairs": entries}
+        entries.append({"file": fname, **{k: v[i].item() for k, v in meta.items()}})
+    index = {"count": ens.n, "pairs": entries}
     index_name = f"{prefix}_index.json"
     with (directory / index_name).open("w") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)

@@ -272,6 +272,18 @@ def test_measure_params_checked_per_kind():
         ({"kind": "mixture", "params": {"components": [gauss, {"kind": "dirac"}]}},
          r"components\[1\].*point"),
         ({"kind": "mixture", "params": {"components": [{**gauss, "weight": "x"}]}}, "weight"),
+        # non-finite numbers fail here, not in fit or sample
+        ({"kind": "gaussian", "params": {"mean": [float("nan"), 0.0]}}, r"mu0\.params\.mean\[0\]"),
+        ({"kind": "gaussian", "params": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, math.inf]]}},
+         r"cov\[1\]\[1\]"),
+        ({"kind": "uniform_box", "params": {"low": [0.0, 0.0], "high": [1.0, -math.inf]}}, "high"),
+        ({"kind": "empirical", "params": {"points": [[0.0, 0.0], [float("nan"), 1.0]]}}, "points"),
+        ({"kind": "mixture", "params": {"components": [{**gauss, "weight": float("nan")}]}},
+         r"components\[0\]\.weight"),
+        ({"kind": "mixture", "params": {"components": [
+            gauss, {"kind": "uniform_sphere", "params": {"radius": math.inf}}]}},
+         r"components\[1\]\.params\.radius"),
+        ({"kind": "gaussian", "params": {"mean": [0.0, "0"]}}, "mean"),
     ]:
         doc = example_config("transport_linear")
         doc["mu0"] = spec

@@ -36,12 +36,7 @@ from ctrlflow import (
 )
 from ctrlflow.ode import raise_on_blowup
 from ctrlflow.seeding import substream
-from ctrlflow.trajectory import TrajectoryControlPair
-
-
-def _pair_snapshots(pairs, times):
-    states = np.stack([p.states for p in pairs])
-    return snapshots_from_arrays(pairs[0].t_grid, states, times)
+from ctrlflow.trajectory import PairEnsemble
 
 
 def _scalar_integrator():
@@ -199,14 +194,13 @@ def test_snapshots_from_arrays_interpolates():
 
 def test_marginal_snapshots_from_pairs():
     t_grid = np.linspace(0.0, 1.0, 21)
-    pairs = []
     starts = substream(3, "starts").standard_normal((6, 2))
-    for z0 in starts:
-        states = z0[None, :] + t_grid[:, None] * np.array([1.0, -1.0])[None, :]
-        pairs.append(TrajectoryControlPair(t_grid, states, np.zeros((21, 1))))
-    snap0 = _pair_snapshots(pairs, [0.0])[0]
+    states = starts[:, None, :] + t_grid[None, :, None] * np.array([1.0, -1.0])
+    ens = PairEnsemble(t_grid, states, np.zeros((6, 21, 1)))
+    snap0 = snapshots_from_arrays(ens.t_grid, ens.states, [0.0])[0]
     assert np.array_equal(snap0.points, starts)
-    single = _pair_snapshots([pairs[0]], [0.0])[0]
+    first = ens.select([0])
+    single = snapshots_from_arrays(first.t_grid, first.states, [0.0])[0]
     assert single.n == 1 and np.array_equal(single.points[0], starts[0])
 
 
@@ -228,9 +222,8 @@ def test_marginal_snapshot_hits_steering_targets():
     rng = substream(27, "brockett")
     xs = rng.uniform(-1.0, 1.0, size=(16, 3))
     ys = rng.uniform(-1.0, 1.0, size=(16, 3))
-    pairs = brockett_steer_pair_batch(xs, ys, n_grid=2000)
-    T = pairs[0].horizon
-    snap = _pair_snapshots(pairs, [T])[0]
+    ens = brockett_steer_pair_batch(xs, ys, n_grid=2000)
+    snap = snapshots_from_arrays(ens.t_grid, ens.states, [ens.horizon])[0]
     assert np.max(np.linalg.norm(snap.points - ys, axis=1)) < 1e-6
 
 
@@ -263,14 +256,14 @@ def test_marginal_consistency_of_learned_flow():
     mu0 = sample_measure("gaussian", {"mean": [-2.0, -2.0], "cov": 0.25}, N, seed=1)
     muT = sample_measure("gaussian", {"mean": [2.0, 2.0], "cov": 0.25}, N, seed=2)
     coup = build_coupling(mu0, muT, kind="ot_matched")
-    pairs = min_energy_pair_batch(A, B, coup.x0, coup.x1, T, n_grid=300)
-    data = dataset_from_pairs(pairs, n_time_samples=25)
+    ens = min_energy_pair_batch(A, B, coup.x0, coup.x1, T, n_grid=300)
+    data = dataset_from_pairs(ens, n_time_samples=25)
     law = fit_feedback(data, method="kernel", hyperparams={"bandwidth_scale": 0.1})
     t_grid, states, _, info = integrate_closed_loop_batch(sys, law, coup.x0, T, 200)
     assert info.excluded_count == 0
     times = [0.25 * T, 0.5 * T, 0.75 * T, T]
     flow_snaps = snapshots_from_arrays(t_grid, states, times)
-    built_snaps = _pair_snapshots(pairs, times)
+    built_snaps = snapshots_from_arrays(ens.t_grid, ens.states, times)
     scale = float(np.linalg.norm(coup.x1 - coup.x0, axis=1).mean())
     for fs, bs in zip(flow_snaps, built_snaps):
         assert wasserstein2(fs, bs) <= 0.15 * scale

@@ -18,12 +18,10 @@ from ctrlflow.errors import (
     UnstableGainError,
 )
 from ctrlflow.interpolants import (
-    brockett_steer_pair,
     brockett_steer_pair_batch,
     equilibrium_control,
-    feedback_steer_pair,
+    feedback_steer_pair_batch,
     gramian,
-    min_energy_pair,
     min_energy_pair_batch,
     place_poles,
 )
@@ -74,33 +72,34 @@ def test_gramian_dimension_errors():
 
 
 def test_min_energy_single_integrator_constant_control():
-    pair = min_energy_pair(
-        np.zeros((2, 2)), np.eye(2), np.zeros(2), np.array([1.0, 0.0]), 1.0, 200
+    ens = min_energy_pair_batch(
+        np.zeros((2, 2)), np.eye(2), np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0, 200
     )
-    assert np.abs(pair.controls - np.array([1.0, 0.0])).max() <= 1e-10
+    assert np.abs(ens.controls - np.array([1.0, 0.0])).max() <= 1e-10
     # straight-line states
-    assert np.allclose(pair.states[:, 0], pair.t_grid, atol=1e-10)
+    assert np.allclose(ens.states[0, :, 0], ens.t_grid, atol=1e-10)
 
 
 def test_min_energy_canonical_control_formula():
-    pair = min_energy_pair(A_DI, B_DI, np.zeros(2), np.array([1.0, 0.0]), 1.0, 2000)
-    expected = 6.0 - 12.0 * pair.t_grid
-    assert np.abs(pair.controls[:, 0] - expected).max() <= 1e-8
+    ens = min_energy_pair_batch(A_DI, B_DI, np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0, 2000)
+    expected = 6.0 - 12.0 * ens.t_grid
+    assert np.abs(ens.controls[0, :, 0] - expected).max() <= 1e-8
 
 
 def test_min_energy_zero_displacement():
-    x = np.array([0.7, -0.2])
-    pair = min_energy_pair(np.zeros((2, 2)), np.eye(2), x, x, 1.0, 100)
-    assert np.abs(pair.controls).max() <= 1e-12
+    x = np.array([[0.7, -0.2]])
+    ens = min_energy_pair_batch(np.zeros((2, 2)), np.eye(2), x, x, 1.0, 100)
+    assert np.abs(ens.controls).max() <= 1e-12
 
 
 def test_min_energy_random_pairs_terminal():
     rng = np.random.default_rng(21)
     x0s = rng.uniform(-1.0, 1.0, size=(100, 2))
     xTs = rng.uniform(-1.0, 1.0, size=(100, 2))
-    pairs = min_energy_pair_batch(A_DI, B_DI, x0s, xTs, 1.0, 2000)
-    errs = [np.linalg.norm(p.states[-1] - xT) for p, xT in zip(pairs, xTs)]
-    assert max(errs) <= 1e-5
+    ens = min_energy_pair_batch(A_DI, B_DI, x0s, xTs, 1.0, 2000)
+    errs = np.linalg.norm(ens.states[:, -1] - xTs, axis=1)
+    assert errs.max() <= 1e-5
+    assert np.allclose(ens.meta["endpoint_error"], errs, rtol=1e-12, atol=0.0)
 
 
 def test_min_energy_optimality_among_null_perturbations():
@@ -110,10 +109,10 @@ def test_min_energy_optimality_among_null_perturbations():
     T, n_grid = 1.0, 2000
     x0 = np.array([0.3, -0.4])
     xT = np.array([-0.8, 0.5])
-    pair = min_energy_pair(A_DI, B_DI, x0, xT, T, n_grid)
-    t = pair.t_grid
+    ens = min_energy_pair_batch(A_DI, B_DI, x0[None], xT[None], T, n_grid)
+    t = ens.t_grid
     W = gramian(A_DI, B_DI, T).W
-    base_cost = pair.control_energy()
+    base_cost = ens.control_energy()[0]
 
     # reachability kernel of v: integral of exp(A(T-t)) B v(t) dt
     eAtB = np.stack([expm(A_DI * (T - ti)) @ B_DI for ti in t])  # (K+1, 2, 1)
@@ -135,7 +134,7 @@ def test_min_energy_optimality_among_null_perturbations():
             [integrate_samples(eAtB[:, i, 0] * v[:, 0], t) for i in range(2)]
         )
         assert np.abs(resid).max() <= 1e-8
-        perturbed = pair.controls + v
+        perturbed = ens.controls[0] + v
         cost = integrate_samples(np.sum(perturbed**2, axis=1), t)
         assert base_cost <= cost + 1e-8
 
@@ -144,7 +143,7 @@ def test_min_energy_uncontrollable_rejected():
     A = np.diag([1.0, 2.0])
     B = np.array([[1.0], [0.0]])
     with pytest.raises(UncontrollablePairError):
-        min_energy_pair(A, B, np.zeros(2), np.ones(2), 1.0, 100)
+        min_energy_pair_batch(A, B, np.zeros((1, 2)), np.ones((1, 2)), 1.0, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +203,27 @@ def test_place_poles_uncontrollable():
 
 
 def test_feedback_steer_scalar_decay():
-    pair = feedback_steer_pair(
+    ens = feedback_steer_pair_batch(
         np.zeros((1, 1)),
         np.ones((1, 1)),
         np.array([[-1.0]]),
-        np.zeros(1),
-        np.array([1.0]),
+        np.zeros((1, 1)),
+        np.array([[1.0]]),
         T=5.0,
         n_grid=2000,
     )
-    assert np.allclose(pair.states[:, 0], np.exp(-pair.t_grid), atol=1e-9)
-    terminal = abs(pair.states[-1, 0])
+    assert np.allclose(ens.states[0, :, 0], np.exp(-ens.t_grid), atol=1e-9)
+    terminal = abs(ens.states[0, -1, 0])
     assert abs(terminal - np.exp(-5.0)) <= 1e-9
+    assert ens.meta["terminal_error"][0] == terminal
 
 
 def test_feedback_steer_from_equilibrium_stays():
     K = place_poles(A_DI, B_DI, [-1.0, -2.0])
-    y = np.array([2.0, 0.0])  # zero-velocity states are equilibria
-    pair = feedback_steer_pair(A_DI, B_DI, K, y, y, T=3.0, n_grid=500)
-    assert np.abs(pair.states - y).max() <= 1e-9
-    assert np.abs(pair.controls).max() <= 1e-9
+    y = np.array([[2.0, 0.0]])  # zero-velocity states are equilibria
+    ens = feedback_steer_pair_batch(A_DI, B_DI, K, y, y, T=3.0, n_grid=500)
+    assert np.abs(ens.states - y).max() <= 1e-9
+    assert np.abs(ens.controls).max() <= 1e-9
 
 
 def test_feedback_steer_six_state_terminal_error():
@@ -235,8 +235,8 @@ def test_feedback_steer_six_state_terminal_error():
     x0 = rng.standard_normal(6)
     y = np.zeros(6)
     y[0], y[2] = 1.5, -0.5
-    pair = feedback_steer_pair(A, B, K, y, x0, T=6.0, n_grid=1200)
-    out_err = np.linalg.norm(six_state_output(pair.states[-1]) - six_state_output(y))
+    ens = feedback_steer_pair_batch(A, B, K, y[None], x0[None], T=6.0, n_grid=1200)
+    out_err = np.linalg.norm(six_state_output(ens.states[0, -1]) - six_state_output(y))
     assert out_err <= 1e-3
 
 
@@ -244,32 +244,29 @@ def test_feedback_steer_exponential_envelope():
     # horizons long enough that the slowest closed-loop mode dominates
     K = place_poles(A_DI, B_DI, [-1.0, -2.0])
     lam = np.linalg.eigvals(A_DI + B_DI @ K).real.max()
-    x0 = np.array([3.0, 0.0])
-    y = np.zeros(2)
-    e1 = np.linalg.norm(
-        feedback_steer_pair(A_DI, B_DI, K, y, x0, T=6.0, n_grid=1200).states[-1] - y
-    )
-    e2 = np.linalg.norm(
-        feedback_steer_pair(A_DI, B_DI, K, y, x0, T=9.0, n_grid=1800).states[-1] - y
-    )
+    x0 = np.array([[3.0, 0.0]])
+    y = np.zeros((1, 2))
+    e1 = feedback_steer_pair_batch(A_DI, B_DI, K, y, x0, T=6.0, n_grid=1200)
+    e2 = feedback_steer_pair_batch(A_DI, B_DI, K, y, x0, T=9.0, n_grid=1800)
+    e1, e2 = e1.meta["terminal_error"][0], e2.meta["terminal_error"][0]
     assert e2 / e1 <= np.exp(lam * 3.0) * 1.01
 
 
 def test_feedback_steer_rejects_unstable_gain():
     with pytest.raises(UnstableGainError):
-        feedback_steer_pair(
-            A_DI, B_DI, np.array([[1.0, 1.0]]), np.zeros(2), np.ones(2), 1.0, 100
+        feedback_steer_pair_batch(
+            A_DI, B_DI, np.array([[1.0, 1.0]]), np.zeros((1, 2)), np.ones((1, 2)), 1.0, 100
         )
 
 
 def test_feedback_steer_rejects_non_equilibrium():
     with pytest.raises(InfeasibleTargetError):
-        feedback_steer_pair(
+        feedback_steer_pair_batch(
             A_DI,
             B_DI,
             place_poles(A_DI, B_DI, [-1.0, -2.0]),
-            np.array([0.0, 1.0]),  # nonzero velocity cannot be held
-            np.zeros(2),
+            np.array([[0.0, 1.0]]),  # nonzero velocity cannot be held
+            np.zeros((1, 2)),
             1.0,
             100,
         )
@@ -290,38 +287,39 @@ def test_equilibrium_control_residual():
 
 
 def test_brockett_vertical_case():
-    pair = brockett_steer_pair(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    ens = brockett_steer_pair_batch(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
     # phase 1 controls vanish; phase 2 constant c = 1/pi
-    K = len(pair.t_grid) // 2
-    assert np.abs(pair.controls[: K // 2]).max() <= 1e-12
-    assert abs(pair.meta["loop_amplitude"] - 1.0 / np.pi) <= 1e-12
-    assert np.linalg.norm(pair.states[-1] - [0.0, 0.0, 1.0]) <= 1e-8
+    K = len(ens.t_grid) // 2
+    assert np.abs(ens.controls[0, : K // 2]).max() <= 1e-12
+    assert abs(ens.meta["loop_amplitude"][0] - 1.0 / np.pi) <= 1e-12
+    assert np.linalg.norm(ens.states[0, -1] - [0.0, 0.0, 1.0]) <= 1e-8
 
 
 def test_brockett_diagonal_case():
-    pair = brockett_steer_pair(np.zeros(3), np.array([1.0, 1.0, 0.0]))
-    assert abs(pair.meta["loop_amplitude"] + 1.0 / (2.0 * np.pi)) <= 1e-12
-    assert np.linalg.norm(pair.states[-1] - [1.0, 1.0, 0.0]) <= 1e-8
+    ens = brockett_steer_pair_batch(np.zeros((1, 3)), np.array([[1.0, 1.0, 0.0]]))
+    assert abs(ens.meta["loop_amplitude"][0] + 1.0 / (2.0 * np.pi)) <= 1e-12
+    assert np.linalg.norm(ens.states[0, -1] - [1.0, 1.0, 0.0]) <= 1e-8
 
 
 def test_brockett_fixed_point_roundtrip():
-    pair = brockett_steer_pair(np.zeros(3), np.zeros(3))
-    assert abs(pair.meta["loop_amplitude"]) <= 1e-12
-    assert np.linalg.norm(pair.states[-1]) <= 1e-8
+    ens = brockett_steer_pair_batch(np.zeros((1, 3)), np.zeros((1, 3)))
+    assert abs(ens.meta["loop_amplitude"][0]) <= 1e-12
+    assert np.linalg.norm(ens.states[0, -1]) <= 1e-8
 
 
 def test_brockett_random_pairs_terminal():
     rng = np.random.default_rng(25)
     xs = rng.uniform(-1.0, 1.0, size=(100, 3))
     ys = rng.uniform(-1.0, 1.0, size=(100, 3))
-    pairs = brockett_steer_pair_batch(xs, ys, n_grid=4000)
-    errs = [np.linalg.norm(p.states[-1] - y) for p, y in zip(pairs, ys)]
-    assert max(errs) <= 1e-6
+    ens = brockett_steer_pair_batch(xs, ys, n_grid=4000)
+    errs = np.linalg.norm(ens.states[:, -1] - ys, axis=1)
+    assert errs.max() <= 1e-6
+    assert np.allclose(ens.meta["endpoint_error"], errs, rtol=1e-12, atol=0.0)
 
 
 def test_brockett_horizon_is_4pi():
-    pair = brockett_steer_pair(np.zeros(3), np.ones(3), n_grid=100)
-    assert abs(pair.horizon - 4.0 * np.pi) <= 1e-12
+    ens = brockett_steer_pair_batch(np.zeros((1, 3)), np.ones((1, 3)), n_grid=100)
+    assert abs(ens.horizon - 4.0 * np.pi) <= 1e-12
 
 
 def test_brockett_pair_is_dynamically_consistent():
@@ -329,5 +327,6 @@ def test_brockett_pair_is_dynamically_consistent():
     # under the piecewise-linear convention carries an O(h^2) mismatch; the
     # measured residual at this grid sits near 3e-4
     sys = builtin_system("brockett")
-    pair = brockett_steer_pair(np.zeros(3), np.array([0.5, -0.3, 0.8]), n_grid=4000)
-    assert pair.residual_error(sys) <= 1e-3
+    ys = np.array([[0.5, -0.3, 0.8], [-1.0, 0.2, -0.4]])
+    ens = brockett_steer_pair_batch(np.zeros((2, 3)), ys, n_grid=4000)
+    assert ens.residual_error(sys).max() <= 1e-3

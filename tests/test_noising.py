@@ -23,7 +23,6 @@ from ctrlflow import (
     BrownianControlPath,
     ConfigurationError,
     NoisingConfig,
-    PmpState,
     QuadraticCost,
     builtin_system,
     endpoint_map_batch,
@@ -32,13 +31,13 @@ from ctrlflow import (
     gramian,
     hamiltonian,
     hamiltonian_drift,
-    min_energy_pair,
-    pmp_extremal,
+    min_energy_pair_batch,
     pmp_extremal_batch,
     pmp_optimal_control,
     sample_brownian_control,
 )
 from ctrlflow.linalg import expm
+from ctrlflow.ode import raise_on_blowup
 from ctrlflow.seeding import substream
 
 
@@ -49,15 +48,6 @@ def test_quadratic_cost_validation():
     cost = QuadraticCost(theta=2.0)
     u = np.array([[1.0, 2.0], [0.0, -3.0]])
     assert np.allclose(cost.value(u), [10.0, 18.0])
-
-
-def test_pmp_state_validation():
-    with pytest.raises(ConfigurationError):
-        PmpState(np.zeros(3), np.zeros(2))
-    with pytest.raises(ConfigurationError):
-        PmpState(np.array([np.nan, 0.0]), np.zeros(2))
-    st = PmpState(np.arange(3.0), np.ones(3))
-    assert st.omega.shape == (3,)
 
 
 def test_optimal_control_closed_form_unicycle():
@@ -110,26 +100,31 @@ def test_single_integrator_extremal_closed_form():
     x0 = np.array([0.4, -1.1])
     p0 = np.array([2.0, -0.6])
     T = 1.3
-    pair, costates = pmp_extremal(sys, cost, x0, p0, T, 400)
-    t = pair.t_grid
+    ens, costates, bad = pmp_extremal_batch(sys, cost, x0[None], p0[None], T, 400)
+    assert np.isnan(bad).all()
+    states, costates, t = ens.states[0], costates[0], ens.t_grid
     want_states = x0[None, :] - 0.5 * t[:, None] * p0[None, :]
-    assert np.allclose(pair.states, want_states, atol=1e-12)
+    assert np.allclose(states, want_states, atol=1e-12)
     assert np.allclose(costates, p0[None, :], atol=1e-12)
-    assert np.allclose(pair.controls, 0.5 * p0[None, :], atol=1e-12)
-    H0 = pair.meta["hamiltonian_0"]
+    assert np.allclose(ens.controls[0], 0.5 * p0[None, :], atol=1e-12)
+    H0 = hamiltonian(sys, cost, states[0], costates[0])
     assert abs(H0 - (-0.25 * float(p0 @ p0))) < 1e-12
-    assert hamiltonian_drift(sys, cost, pair.states, costates) < 1e-13
+    assert hamiltonian_drift(sys, cost, states, costates) < 1e-13
 
 
 def test_hamiltonian_conserved_unicycle():
     sys = builtin_system("unicycle")
     cost = QuadraticCost(theta=1.0)
     rng = substream(3, "drift")
-    for _ in range(10):
-        x0 = rng.standard_normal(3)
-        p0 = 2.0 * rng.standard_normal(3)
-        pair, costates = pmp_extremal(sys, cost, x0, p0, 1.0, 4000)
-        assert hamiltonian_drift(sys, cost, pair.states, costates) < 1e-8
+    x0s = np.empty((10, 3))
+    p0s = np.empty((10, 3))
+    for i in range(10):  # draw order of the former one-extremal-at-a-time loop
+        x0s[i] = rng.standard_normal(3)
+        p0s[i] = 2.0 * rng.standard_normal(3)
+    ens, costates, bad = pmp_extremal_batch(sys, cost, x0s, p0s, 1.0, 4000)
+    raise_on_blowup(bad)
+    for i in range(10):
+        assert hamiltonian_drift(sys, cost, ens.states[i], costates[i]) < 1e-8
 
 
 def test_extremal_batch_shape_errors():
@@ -161,8 +156,8 @@ def test_exp_map_batch_matches_single():
     ends = exp_map_batch(sys, cost, x, 0.8, p0s, n_grid=300)
     assert ends.shape == (6, 3)
     for i in range(6):
-        single, _ = pmp_extremal(sys, cost, x, p0s[i], 0.8, 300)
-        assert np.allclose(ends[i], single.states[-1], atol=1e-12)
+        single, _, _ = pmp_extremal_batch(sys, cost, x[None], p0s[i][None], 0.8, 300)
+        assert np.allclose(ends[i], single.states[0, -1], atol=1e-12)
 
 
 def test_endpoint_map_brockett_constant_control():
@@ -364,12 +359,13 @@ def test_lti_extremal_energy_matches_gramian():
     for _ in range(10):
         x0 = rng.standard_normal(2)
         p0 = rng.standard_normal(2)
-        pair, _ = pmp_extremal(sys, cost, x0, p0, T, 3000)
-        xT = pair.states[-1]
-        energy = pair.control_energy()
+        ens, _, bad = pmp_extremal_batch(sys, cost, x0[None], p0[None], T, 3000)
+        raise_on_blowup(bad)
+        xT = ens.states[0, -1]
+        energy = ens.control_energy()[0]
         delta = xT - EmT @ x0
         opt = float(delta @ Winv @ delta)
         assert abs(energy - opt) <= 1e-6 * max(1.0, abs(opt))
         # and the constructive minimum-energy route agrees too
-        me = min_energy_pair(-A, -B, x0, xT, T, n_grid=2000)
-        assert abs(me.control_energy() - opt) <= 1e-6 * max(1.0, abs(opt))
+        me = min_energy_pair_batch(-A, -B, x0[None], xT[None], T, n_grid=2000)
+        assert abs(me.control_energy()[0] - opt) <= 1e-6 * max(1.0, abs(opt))

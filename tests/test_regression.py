@@ -30,7 +30,7 @@ from ctrlflow import (
 )
 from ctrlflow.regression import EXTRAPOLATION_FACTOR, EXTRAPOLATION_K
 from ctrlflow.seeding import substream
-from ctrlflow.trajectory import TrajectoryControlPair
+from ctrlflow.trajectory import PairEnsemble
 
 
 def _smooth_dataset(n_traj=12, n_per=10, d=2, seed=0):
@@ -271,12 +271,11 @@ def test_crossval_tie_breaks_to_first_entry():
 
 def test_dataset_from_pairs():
     t_grid = np.linspace(0.0, 1.0, 11)
-    pairs = []
-    for a in (1.0, 2.0, 3.0):
-        states = np.column_stack([a * t_grid, np.cos(a * t_grid)])
-        controls = (a * t_grid**2)[:, None]
-        pairs.append(TrajectoryControlPair(t_grid, states, controls))
-    ds = dataset_from_pairs(pairs, n_time_samples=5)
+    a = np.array([1.0, 2.0, 3.0])[:, None]
+    states = np.stack([a * t_grid, np.cos(a * t_grid)], axis=2)
+    controls = (a * t_grid**2)[:, :, None]
+    ens = PairEnsemble(t_grid, states, controls)
+    ds = dataset_from_pairs(ens, n_time_samples=5)
     assert ds.n == 15 and ds.d == 2 and ds.m == 1
     assert set(np.unique(ds.traj_id)) == {0, 1, 2}
     # np.round is half-to-even, so index 2.5 lands on 2 (t = 0.2)
@@ -285,11 +284,13 @@ def test_dataset_from_pairs():
     assert np.allclose(ds.x[row], [[1.0, np.cos(1.0)]])
     assert np.allclose(ds.u[row], [[0.5]])
     with pytest.raises(EmptyDatasetError):
-        dataset_from_pairs([])
-    other = TrajectoryControlPair(np.linspace(0.0, 2.0, 11),
-                                  np.zeros((11, 2)), np.zeros((11, 1)))
+        dataset_from_pairs(ens.select(slice(0)))
+    # rows are tagged by the given ids; one id per row
+    tagged = dataset_from_pairs(ens, n_time_samples=5, traj_id=[7, 4, 9])
+    assert np.array_equal(tagged.traj_id, np.repeat([7, 4, 9], 5))
+    assert np.array_equal(tagged.x, ds.x)
     with pytest.raises(ConfigurationError):
-        dataset_from_pairs([pairs[0], other])
+        dataset_from_pairs(ens, traj_id=[0, 1])
 
 
 def test_dataset_csv_round_trip(tmp_path):

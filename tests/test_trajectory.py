@@ -1,4 +1,4 @@
-"""Trajectory container invariants and CSV persistence round trips."""
+"""Trajectory ensemble invariants and CSV persistence round trips."""
 
 import csv
 import io
@@ -10,92 +10,93 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ctrlflow.errors import ConfigurationError
+from ctrlflow.errors import ConfigurationError, EmptyDatasetError
+from ctrlflow.interpolants import min_energy_pair_batch
+from ctrlflow.regression import dataset_from_pairs
 from ctrlflow.systems import builtin_system
 from ctrlflow.trajectory import (
-    TrajectoryControlPair,
+    PairEnsemble,
     load_pair_csv,
     read_table,
     save_pair_bundle,
-    save_pair_csv,
     write_table,
 )
 
+A_DI = np.array([[0.0, 1.0], [0.0, 0.0]])
+B_DI = np.array([[0.0], [1.0]])
 
-def _simple_pair(n=11):
-    t = np.linspace(0.0, 1.0, n)
-    states = np.stack([t, t**2], axis=1)
-    controls = (2.0 * t)[:, None]
-    return TrajectoryControlPair(t, states, controls)
+
+def _simple_ensemble(n_nodes=11, scales=(1.0,)):
+    # row a: states (a t, a t^2), control 2 a t
+    t = np.linspace(0.0, 1.0, n_nodes)
+    a = np.asarray(scales)[:, None, None]
+    states = a * np.stack([t, t**2], axis=1)[None]
+    controls = a * (2.0 * t)[None, :, None]
+    return PairEnsemble(t, states, controls)
 
 
 def test_lengths_must_agree():
     t = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ConfigurationError):
-        TrajectoryControlPair(t, np.zeros((4, 2)), np.zeros((5, 1)))
+        PairEnsemble(t, np.zeros((1, 4, 2)), np.zeros((1, 5, 1)))
     with pytest.raises(ConfigurationError):
-        TrajectoryControlPair(t, np.zeros((5, 2)), np.zeros((4, 1)))
+        PairEnsemble(t, np.zeros((1, 5, 2)), np.zeros((1, 4, 1)))
+    with pytest.raises(ConfigurationError):  # row counts differ
+        PairEnsemble(t, np.zeros((2, 5, 2)), np.zeros((1, 5, 1)))
+    with pytest.raises(ConfigurationError):  # one pair without its batch axis
+        PairEnsemble(t, np.zeros((5, 2)), np.zeros((5, 1)))
 
 
 def test_time_grid_must_increase():
     t = np.array([0.0, 0.5, 0.5, 1.0])
     with pytest.raises(ConfigurationError):
-        TrajectoryControlPair(t, np.zeros((4, 1)), np.zeros((4, 1)))
+        PairEnsemble(t, np.zeros((1, 4, 1)), np.zeros((1, 4, 1)))
+    with pytest.raises(ConfigurationError):
+        PairEnsemble(np.zeros(1), np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
 
 
 def test_horizon_and_endpoints():
-    pair = _simple_pair()
-    assert pair.horizon == 1.0
-    assert (pair.d, pair.m) == (2, 1)
-    assert np.allclose(pair.states[0], [0.0, 0.0])
-    assert np.allclose(pair.states[-1], [1.0, 1.0])
+    ens = _simple_ensemble(scales=(1.0, 2.0))
+    assert ens.horizon == 1.0
+    assert (ens.n, ens.d, ens.m) == (2, 2, 1)
+    assert np.allclose(ens.states[:, 0], [[0.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(ens.states[:, -1], [[1.0, 1.0], [2.0, 2.0]])
+    last = ens.select(slice(1, None))
+    assert last.n == 1 and np.array_equal(last.states[0], ens.states[1])
 
 
 def test_control_energy_simpson_exact():
-    # u(t) = 2t so the energy integral is 4/3, exact under Simpson
-    pair = _simple_pair(21)
-    assert abs(pair.control_energy() - 4.0 / 3.0) < 1e-12
-
-
-def test_state_at_interpolates_linearly():
-    pair = _simple_pair(3)  # nodes at t = 0, 0.5, 1
-    mid = pair.state_at(0.25)
-    expected = 0.5 * (pair.states[0] + pair.states[1])
-    assert np.allclose(mid, expected)
-    assert np.allclose(pair.state_at(0.0), pair.states[0])
-    assert np.allclose(pair.state_at(1.0), pair.states[-1])
+    # u(t) = 2at so the energy integral is 4a^2/3, exact under Simpson
+    ens = _simple_ensemble(21, scales=(1.0, 2.0))
+    assert np.allclose(ens.control_energy(), [4.0 / 3.0, 16.0 / 3.0], rtol=0.0, atol=1e-12)
 
 
 def test_residual_error_accepts_consistent_pair():
     # min-energy style oracle: integrate a known control, check residual
-    from ctrlflow.interpolants import min_energy_pair
-
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    B = np.array([[0.0], [1.0]])
-    sys = builtin_system("linear", A=A, B=B)
-    pair = min_energy_pair(A, B, np.zeros(2), np.array([1.0, 0.0]), 1.0, 400)
-    assert pair.residual_error(sys) <= 1e-6
+    sys = builtin_system("linear", A=A_DI, B=B_DI)
+    x0s = np.array([[0.0, 0.0], [0.5, -0.2]])
+    ens = min_energy_pair_batch(A_DI, B_DI, x0s, np.array([[1.0, 0.0], [-1.0, 0.3]]), 1.0, 400)
+    assert ens.residual_error(sys).shape == (2,)
+    assert ens.residual_error(sys).max() <= 1e-6
 
 
 def test_residual_error_flags_wrong_controls():
-    from ctrlflow.interpolants import min_energy_pair
-
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    B = np.array([[0.0], [1.0]])
-    sys = builtin_system("linear", A=A, B=B)
-    pair = min_energy_pair(A, B, np.zeros(2), np.array([1.0, 0.0]), 1.0, 400)
-    corrupted = TrajectoryControlPair(pair.t_grid, pair.states, pair.controls + 1.0)
-    assert corrupted.residual_error(sys) > 1e-2
+    sys = builtin_system("linear", A=A_DI, B=B_DI)
+    ens = min_energy_pair_batch(A_DI, B_DI, np.zeros((2, 2)), np.eye(2), 1.0, 400)
+    bumped = ens.controls.copy()
+    bumped[1] += 1.0
+    errors = PairEnsemble(ens.t_grid, ens.states, bumped).residual_error(sys)
+    assert errors[0] <= 1e-6 and errors[1] > 1e-2
 
 
 def test_csv_round_trip(tmp_path):
-    pair = _simple_pair()
-    path = tmp_path / "pair.csv"
-    save_pair_csv(pair, path)
+    ens = _simple_ensemble()
+    save_pair_bundle(ens, tmp_path, "pair")
+    path = tmp_path / "pair_0000.csv"
     back = load_pair_csv(path)
-    assert np.array_equal(back.t_grid, pair.t_grid)
-    assert np.array_equal(back.states, pair.states)
-    assert np.array_equal(back.controls, pair.controls)
+    assert np.array_equal(back.t_grid, ens.t_grid)
+    assert np.array_equal(back.states, ens.states)
+    assert np.array_equal(back.controls, ens.controls)
 
     # a header-only file holds no pair
     path.write_text(path.read_text().splitlines()[0] + "\r\n")
@@ -104,23 +105,99 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_header_names_dimensions(tmp_path):
-    pair = _simple_pair()
-    path = tmp_path / "pair.csv"
-    save_pair_csv(pair, path)
-    header = path.read_text().splitlines()[0]
+    save_pair_bundle(_simple_ensemble(), tmp_path, "pair")
+    header = (tmp_path / "pair_0000.csv").read_text().splitlines()[0]
     assert header.split(",") == ["t", "x_1", "x_2", "u_1"]
 
 
 def test_bundle_writes_index_and_files(tmp_path):
-    pairs = [_simple_pair(7), _simple_pair(9)]
-    pairs[0].meta["endpoint_error"] = 1.5e-7
-    names = save_pair_bundle(pairs, tmp_path, prefix="train")
-    assert len(names) == 3  # two CSVs plus the index
+    ens = _simple_ensemble(7, scales=(1.0, 2.0))
+    ens = PairEnsemble(
+        ens.t_grid, ens.states, ens.controls,
+        meta={"endpoint_error": np.array([1.5e-7, 0.0]), "direction": "forward"},
+    )
+    names = save_pair_bundle(ens, tmp_path, prefix="train")
+    assert names == ["train_0000.csv", "train_0001.csv", "train_index.json"]
     index = json.loads((tmp_path / "train_index.json").read_text())
     assert index["count"] == 2
-    assert index["pairs"][0]["endpoint_error"] == 1.5e-7
+    assert index["pairs"][0] == {
+        "file": "train_0000.csv", "endpoint_error": 1.5e-7, "direction": "forward"
+    }
+    assert index["pairs"][1]["direction"] == "forward"  # a scalar is shared by every row
     for name in names:
         assert (tmp_path / name).exists()
+
+    # an empty ensemble writes only its count-0 index
+    assert save_pair_bundle(ens.select(slice(0)), tmp_path / "empty", "eval") == ["eval_index.json"]
+    index = json.loads((tmp_path / "empty" / "eval_index.json").read_text())
+    assert index == {"count": 0, "pairs": []}
+
+
+@st.composite
+def _ensembles(draw, min_rows=0):
+    n = draw(st.integers(min_rows, 6))
+    K = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    grid = draw(
+        st.lists(st.floats(-1e6, 1e6), min_size=K + 1, max_size=K + 1, unique=True).map(sorted)
+    )
+    values = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    states = draw(arrays(np.float64, (n, K + 1, d), elements=values))
+    controls = draw(arrays(np.float64, (n, K + 1, m), elements=values))
+    errors = draw(arrays(np.float64, (n,), elements=values))
+    return PairEnsemble(grid, states, controls, meta={"err": errors, "direction": "forward"})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ensembles())
+def test_bundle_round_trip_keeps_every_row(tmp_path_factory, ens):
+    directory = tmp_path_factory.mktemp("bundle")
+    names = save_pair_bundle(ens, directory, "eval")
+    assert len(names) == ens.n + 1
+    index = json.loads((directory / "eval_index.json").read_text())
+    assert index["count"] == ens.n
+    for i, entry in enumerate(index["pairs"]):
+        back = load_pair_csv(directory / entry["file"])
+        assert np.array_equal(back.t_grid, ens.t_grid)
+        assert np.array_equal(back.states[0], ens.states[i])
+        assert np.array_equal(back.controls[0], ens.controls[i])
+        assert entry["err"] == ens.meta["err"][i] and entry["direction"] == "forward"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ensembles(min_rows=1), st.integers(2, 30), st.booleans(), st.data())
+def test_dataset_from_pairs_flattens_row_by_row(ens, n_time_samples, given_ids, data):
+    ids = None
+    if given_ids:
+        ids = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=ens.n, max_size=ens.n)))
+    ds = dataset_from_pairs(ens, n_time_samples, traj_id=ids)
+    # reference: half-to-even rounded node of each requested sample, row by row
+    K = len(ens.t_grid) - 1
+    nodes = sorted({round(k) for k in np.linspace(0, K, n_time_samples).tolist()})
+    rows = [(i, k) for i in range(ens.n) for k in nodes]
+    want_ids = np.arange(ens.n) if ids is None else ids
+    assert np.array_equal(ds.traj_id, [want_ids[i] for i, _ in rows])
+    assert np.array_equal(ds.t, [ens.t_grid[k] for _, k in rows])
+    assert np.array_equal(ds.x, np.array([ens.states[i, k] for i, k in rows]))
+    assert np.array_equal(ds.u, np.array([ens.controls[i, k] for i, k in rows]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ensembles(), st.integers(0, 11), st.integers(1, 3))
+def test_ensemble_rejects_bad_grid_and_meta(ens, at, extra):
+    t = ens.t_grid.copy()
+    at = at % (len(t) - 1)
+    t[at + 1] = t[at]  # one repeated node
+    with pytest.raises(ConfigurationError):
+        PairEnsemble(t, ens.states, ens.controls)
+    with pytest.raises(ConfigurationError):
+        PairEnsemble(t[::-1], ens.states, ens.controls)
+    with pytest.raises(ConfigurationError):
+        PairEnsemble(ens.t_grid, ens.states, ens.controls, meta={"err": np.zeros(ens.n + extra)})
+    if ens.n == 0:
+        with pytest.raises(EmptyDatasetError):
+            dataset_from_pairs(ens)
 
 
 def _reference_csv(header, table, int_cols):
