@@ -18,7 +18,6 @@ from .errors import (
     UncontrollablePairError,
     UnknownSystemError,
     UnstableGainError,
-    UnsupportedSystemError,
 )
 from .flow import (
     FlowInfo,
@@ -38,19 +37,15 @@ from .measures import (
     Coupling,
     EmpiricalMeasure,
     build_coupling,
-    pushforward,
     sample_measure,
     sliced_wasserstein2,
-    support_inclusion_score,
     wasserstein2,
 )
 from .noising import (
-    BrownianControlPath,
     NoisingConfig,
     NoisingReport,
     QuadraticCost,
     endpoint_map_batch,
-    exp_map_batch,
     generate_noising_dataset,
     hamiltonian,
     hamiltonian_drift,
@@ -61,7 +56,6 @@ from .noising import (
 from .regression import (
     FeedbackLaw,
     RegressionDataset,
-    constant_predictor_loss,
     crossval_loss,
     dataset_from_pairs,
     fit_feedback,
@@ -72,9 +66,6 @@ from .systems import (
     ControlAffineSystem,
     builtin_names,
     builtin_system,
-    check_sublinear_growth,
-    hormander_rank,
-    lie_bracket,
     linear_system,
     negate_system,
     six_state_matrices,
@@ -103,7 +94,6 @@ __all__ = [
     "UncontrollablePairError",
     "UnknownSystemError",
     "UnstableGainError",
-    "UnsupportedSystemError",
     "FlowInfo",
     "integrate_closed_loop_batch",
     "snapshots_from_arrays",
@@ -117,17 +107,13 @@ __all__ = [
     "Coupling",
     "EmpiricalMeasure",
     "build_coupling",
-    "pushforward",
     "sample_measure",
     "sliced_wasserstein2",
-    "support_inclusion_score",
     "wasserstein2",
-    "BrownianControlPath",
     "NoisingConfig",
     "NoisingReport",
     "QuadraticCost",
     "endpoint_map_batch",
-    "exp_map_batch",
     "generate_noising_dataset",
     "hamiltonian",
     "hamiltonian_drift",
@@ -136,7 +122,6 @@ __all__ = [
     "sample_brownian_control",
     "FeedbackLaw",
     "RegressionDataset",
-    "constant_predictor_loss",
     "crossval_loss",
     "dataset_from_pairs",
     "fit_feedback",
@@ -145,9 +130,6 @@ __all__ = [
     "ControlAffineSystem",
     "builtin_names",
     "builtin_system",
-    "check_sublinear_growth",
-    "hormander_rank",
-    "lie_bracket",
     "linear_system",
     "negate_system",
     "six_state_matrices",

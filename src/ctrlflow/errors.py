@@ -17,10 +17,6 @@ class UnknownSystemError(CtrlFlowError, LookupError):
     """Requested builtin system name is not registered."""
 
 
-class UnsupportedSystemError(CtrlFlowError):
-    """Operation does not apply to this system (e.g. rank check with drift)."""
-
-
 class UncontrollablePairError(CtrlFlowError):
     """(A, B) fails the controllability requirement of the operation."""
 

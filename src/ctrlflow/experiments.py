@@ -41,6 +41,7 @@ from .interpolants import (
     min_energy_pair_batch,
     place_poles,
 )
+from .linalg import sq_dists
 from .measures import (
     EXACT_W2_MAX_N,
     EmpiricalMeasure,
@@ -249,12 +250,7 @@ def _distance_to_target(
         return np.abs(np.linalg.norm(points - center, axis=1) - radius)
     if ref_points is None or len(ref_points) == 0:
         raise ConfigurationError("no target reference points available")
-    d2 = (
-        np.einsum("nd,nd->n", points, points)[:, None]
-        + np.einsum("md,md->m", ref_points, ref_points)[None, :]
-        - 2.0 * points @ ref_points.T
-    )
-    return np.sqrt(np.maximum(d2, 0.0).min(axis=1))
+    return np.sqrt(sq_dists(points, ref_points).min(axis=1))
 
 
 def _lift_output_targets(ys: np.ndarray) -> np.ndarray:
@@ -887,9 +883,7 @@ def _verify_fast() -> list[dict]:
         unicycle, cost, starts[:, 0], starts[:, 1], T=1.0, n_grid=4000
     )
     raise_on_blowup(bad)
-    drift_rel = max(
-        hamiltonian_drift(unicycle, cost, ens.states[i], costates[i]) for i in range(ens.n)
-    )
+    drift_rel = hamiltonian_drift(unicycle, cost, ens.states, costates).max()
     results.append(_check("hamiltonian_conservation", drift_rel, 1.0e-8))
 
     rng = substream(123, "verify", "w2")

@@ -48,9 +48,6 @@ class Gramian:
     T: float
     n_quad: int
 
-    def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.W)[0])
-
 
 def gramian(A: np.ndarray, B: np.ndarray, T: float, n_quad: int = 256) -> Gramian:
     """W = integral of exp(At) B B' exp(A't) over [0, T], composite Simpson.

@@ -1,4 +1,9 @@
-"""Small dense linear-algebra kernels used by the interpolant constructions."""
+"""Small dense linear-algebra kernels.
+
+The matrix exponential and the controllability checks serve the
+interpolants; :func:`sq_dists` is the one squared-distance block that the
+feedback law, the couplings and the target distance share.
+"""
 
 from __future__ import annotations
 
@@ -73,3 +78,16 @@ def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def kalman_rank(A: np.ndarray, B: np.ndarray) -> int:
     """Numeric rank of the controllability matrix [B, AB, ..., A^(d-1)B]."""
     return int(np.linalg.matrix_rank(controllability_matrix(A, B)))
+
+
+def sq_dists(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances |a_i - b_j|^2 between rows, shape (n, m).
+
+    Expanded as |a|^2 + |b|^2 - 2ab so the block is one matrix product;
+    cancellation noise below zero is clamped.  ``b_sq`` takes the cached
+    row norms ``einsum("md,md->m", b, b)`` of a ``b`` that is queried often.
+    """
+    if b_sq is None:
+        b_sq = np.einsum("md,md->m", b, b)
+    d2 = np.einsum("nd,nd->n", a, a)[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0, out=d2)

@@ -1,14 +1,23 @@
-"""Empirical measures, couplings, and Wasserstein-2 distances."""
+"""Empirical measures, couplings, and Wasserstein-2 distances.
+
+:func:`sample_measure` draws the builtin families as an
+:class:`EmpiricalMeasure`; :func:`build_coupling` pairs two of them
+(independent, by index, or by an optimal assignment); :func:`wasserstein2`
+is the exact assignment distance and :func:`sliced_wasserstein2` the
+projected one for large or unequal clouds.  Assignment costs are
+:func:`ctrlflow.linalg.sq_dists` blocks.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError
+from .linalg import sq_dists
 from .seeding import stream_key, substream
 
 EXACT_W2_MAX_N = 2048
@@ -236,7 +245,7 @@ def build_coupling(
             raise ConfigurationError("ot_matched requires uniform weights")
         if mu0.dim != mu1.dim:
             raise ConfigurationError("ot_matched requires equal dimensions")
-        cost = _sq_dists(mu0.points, mu1.points)
+        cost = sq_dists(mu0.points, mu1.points)
         rows, cols = linear_sum_assignment(cost)
         order = np.argsort(rows)
         return Coupling(
@@ -253,14 +262,6 @@ def _resample_to(mu: EmpiricalMeasure, n: int, rng: np.random.Generator) -> np.n
         return mu.points.copy()
     idx = rng.choice(mu.n, size=n, replace=True, p=mu.weights)
     return mu.points[idx]
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa = np.sum(a**2, axis=1)[:, None]
-    bb = np.sum(b**2, axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,7 @@ def wasserstein2(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     pa, pb = a.points, b.points
     if (pb.tobytes(), pb.shape) < (pa.tobytes(), pa.shape):
         pa, pb = pb, pa
-    cost = _sq_dists(pa, pb)
+    cost = sq_dists(pa, pb)
     rows, cols = linear_sum_assignment(cost)
     # re-evaluate the matched cost from direct differences: the inner-product
     # expansion used for the solve carries O(|x|^2 eps) noise that would keep
@@ -355,31 +356,3 @@ def sliced_wasserstein2(
         total += _quantile_w2_sq_1d(a.points @ v, a.weights, b.points @ v, b.weights)
     return float(np.sqrt(k * total / n_projections))
 
-
-def pushforward(a: EmpiricalMeasure, h: Callable[[np.ndarray], np.ndarray]) -> EmpiricalMeasure:
-    """Image measure under a pointwise map; weights are preserved."""
-    pts = np.asarray(h(a.points), dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[0] != a.n:
-        raise ConfigurationError("map must preserve the sample count")
-    return EmpiricalMeasure(points=pts, weights=a.weights.copy())
-
-
-def support_inclusion_score(a: EmpiricalMeasure, b: EmpiricalMeasure, radius: float) -> float:
-    """Fraction of a-points within ``radius`` of some b-point.
-
-    Distances come from direct differences, chunked over a's rows, so an
-    arbitrarily small positive radius still matches exactly equal points.
-    """
-    if a.dim != b.dim:
-        raise ConfigurationError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if radius < 0.0:
-        raise ConfigurationError("radius must be nonnegative")
-    hits = np.empty(a.n, dtype=bool)
-    chunk = max(1, 2**22 // max(1, b.n * a.dim))
-    for lo in range(0, a.n, chunk):
-        block = a.points[lo : lo + chunk]
-        d2 = np.sum((block[:, None, :] - b.points[None, :, :]) ** 2, axis=2)
-        hits[lo : lo + len(block)] = np.sqrt(d2.min(axis=1)) <= radius
-    return float(np.mean(hits))

@@ -3,8 +3,10 @@
 To stabilize onto a target set, trajectories are generated FROM the target
 by integrating the time-reversed dynamics omega' = -f(omega, u) driven
 either by extremal controls of the reversed optimal control problem (kind
-``pmp``, :func:`pmp_extremal_batch`) or by Brownian control paths (kind
-``randomized``, :func:`endpoint_map_batch`).  Either run is one
+``pmp``, :func:`pmp_extremal_batch`, whose Hamiltonian conservation
+:func:`hamiltonian_drift` measures per extremal) or by Brownian control
+paths (kind ``randomized``: :func:`sample_brownian_control` arrays driving
+:func:`endpoint_map_batch`).  Either run is one
 :class:`~ctrlflow.trajectory.PairEnsemble`; :func:`generate_noising_dataset`
 drops its blown-up rows and flattens the rest with
 :func:`ctrlflow.regression.dataset_from_pairs` into the (t, X_t, U_t)
@@ -20,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .ode import pl_stage_values, raise_on_blowup, rk4, rk4_stage_controls, uniform_grid
+from .ode import pl_stage_values, rk4, rk4_stage_controls, uniform_grid
 from .regression import dataset_from_pairs
 from .seeding import generator_from_seed, stream_key, substream
 from .systems import ControlAffineSystem
@@ -40,24 +42,6 @@ class QuadraticCost:
     def value(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return self.theta * np.sum(u**2, axis=-1)
-
-
-@dataclass(frozen=True)
-class BrownianControlPath:
-    """Sampled Brownian control path starting at zero."""
-
-    t_grid: np.ndarray
-    values: np.ndarray
-    sigma: float
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if v.shape[0] != len(t):
-            raise ConfigurationError("values must have one row per grid node")
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "values", v)
 
 
 def pmp_optimal_control(
@@ -149,26 +133,17 @@ def hamiltonian_drift(
     cost: QuadraticCost,
     states: np.ndarray,
     costates: np.ndarray,
-) -> float:
-    """max_t |H(t) - H(0)| / (1 + |H(0)|) along one extremal."""
-    H = hamiltonian(sys, cost, states, costates)
-    return float(np.abs(H - H[0]).max() / (1.0 + abs(H[0])))
-
-
-def exp_map_batch(
-    sys: ControlAffineSystem,
-    cost: QuadraticCost,
-    x: np.ndarray,
-    t: float,
-    p0s: np.ndarray,
-    n_grid: int = 1000,
 ) -> np.ndarray:
-    """Endpoints of extremals from a common x over a batch of costates."""
-    p0s = np.atleast_2d(np.asarray(p0s, dtype=float))
-    x0s = np.broadcast_to(np.asarray(x, dtype=float), p0s.shape)
-    ens, _, bad = pmp_extremal_batch(sys, cost, x0s, p0s, t, n_grid)
-    raise_on_blowup(bad)
-    return ens.states[:, -1]
+    """max_t |H(t) - H(0)| / (1 + |H(0)|) per extremal, shape (n,).
+
+    ``states`` and ``costates`` are (n, K+1, d), as from
+    :func:`pmp_extremal_batch`.
+    """
+    n = states.shape[0]
+    H = hamiltonian(
+        sys, cost, states.reshape(-1, sys.d), costates.reshape(-1, sys.d)
+    ).reshape(n, -1)
+    return np.abs(H - H[:, :1]).max(axis=1) / (1.0 + np.abs(H[:, 0]))
 
 
 def endpoint_map_batch(
@@ -197,8 +172,11 @@ def endpoint_map_batch(
 
 def sample_brownian_control(
     m: int, T: float, n_grid: int, sigma: float, seed: int
-) -> BrownianControlPath:
+) -> np.ndarray:
     """Brownian path B with B(0) = 0 and increments N(0, sigma^2 dt).
+
+    Returns the (n_grid+1, m) path values at the nodes of
+    ``uniform_grid(T, n_grid)``.
 
     The generator is counter-based and keyed by the seed, so equal seeds
     give bit-identical paths and distinct seeds give independent paths.
@@ -212,7 +190,7 @@ def sample_brownian_control(
         dt = np.diff(t_grid)
         incs = rng.standard_normal((n_grid, m)) * (sigma * np.sqrt(dt))[:, None]
         values[1:] = np.cumsum(incs, axis=0)
-    return BrownianControlPath(t_grid=t_grid, values=values, sigma=float(sigma), seed=seed)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -303,25 +281,16 @@ def generate_noising_dataset(
         keep = ~np.isfinite(bad)
         drift = None
         if keep.any():
-            H = hamiltonian(
-                sys,
-                cost,
-                ens.states[keep].reshape(-1, sys.d),
-                costates[keep].reshape(-1, sys.d),
-            ).reshape(keep.sum(), -1)
-            drift = float(
-                (np.abs(H - H[:, :1]).max(axis=1) / (1.0 + np.abs(H[:, 0]))).max()
-            )
+            drift = float(hamiltonian_drift(sys, cost, ens.states[keep], costates[keep]).max())
     else:
         # independent Brownian path per sample, stream keyed by sample index
         t_grid = uniform_grid(config.T, config.n_grid)
         u_all = np.zeros((n, config.n_grid + 1, sys.m))
         for i in range(n):
-            path = sample_brownian_control(
+            u_all[i] = sample_brownian_control(
                 sys.m, config.T, config.n_grid, config.sigma,
                 stream_key(config.seed, "noising", "brownian", i) % 2**63,
             )
-            u_all[i] = path.values
         states, bad = endpoint_map_batch(
             sys, x0s, t_grid, u_all, direction="reversed", blowup=config.blowup
         )

@@ -8,7 +8,12 @@ their steering ensemble, noising runs on their kept rows.
 Three estimators share one interface: k-nearest-neighbour averaging,
 Nadaraya-Watson kernel smoothing (the default), and a small fully-connected
 network trained in-repo.  Queries live in the scaled feature space
-z = (time_scale * t, x), so one metric serves both time and state.
+z = (time_scale * t, x), so one metric serves both time and state; the
+kernel and knn laws take their (queries x training) distance blocks from
+:func:`ctrlflow.linalg.sq_dists` against cached training-row norms.
+:func:`crossval_loss` selects hyperparameters on trajectory-grouped folds,
+and :func:`save_dataset` / :func:`load_dataset` write and read a run's
+``dataset.csv``.
 
 Rows are canonicalized (lexicographically sorted) when a law is fitted,
 which makes fitting and prediction invariant to dataset row order and
@@ -18,7 +23,7 @@ bit-stable for a fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -29,6 +34,7 @@ from .errors import (
     EmptyDatasetError,
     TrainingDivergedError,
 )
+from .linalg import sq_dists
 from .seeding import substream
 from .trajectory import columns, read_table, write_table
 
@@ -157,12 +163,11 @@ class FeedbackLaw:
         # cached row norms so batched distance queries run as matrix products
         self._z_sq = np.einsum("nd,nd->n", z, z) if z.size else np.zeros(len(z))
         if bandwidth is not None:
-            h = np.maximum(bandwidth, 1.0e-300)
-            self._zh = z / h
+            self._h = np.maximum(bandwidth, 1.0e-300)
+            self._zh = z / self._h
             self._zh_sq = np.einsum("nd,nd->n", self._zh, self._zh)
         else:
-            self._zh = None
-            self._zh_sq = None
+            self._h = self._zh = self._zh_sq = None
 
     @property
     def d(self) -> int:
@@ -180,15 +185,6 @@ class FeedbackLaw:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         tcol = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
         return np.column_stack([self.time_scale * tcol, x])
-
-    def _sq_dists(self, zq: np.ndarray) -> np.ndarray:
-        # |a-b|^2 expanded as |a|^2 + |b|^2 - 2ab; clamp cancellation noise
-        d2 = (
-            np.einsum("qd,qd->q", zq, zq)[:, None]
-            + self._z_sq[None, :]
-            - 2.0 * (zq @ self._z.T)
-        )
-        return np.maximum(d2, 0.0)
 
     def _knn_mean(self, d2: np.ndarray, k: int) -> np.ndarray:
         k = min(k, self.n_train)
@@ -212,13 +208,13 @@ class FeedbackLaw:
             out = self._mlp.forward(zq)
             flags = np.zeros(zq.shape[0], dtype=bool)
         else:
-            d2 = self._sq_dists(zq)
+            d2 = sq_dists(zq, self._z, self._z_sq)
             nn = np.sqrt(d2.min(axis=1))
             flags = nn > EXTRAPOLATION_FACTOR * max(self.ref_nn_dist, 1.0e-300)
             if self.method == "knn":
                 out = self._knn_mean(d2, self.k)
             else:
-                scaled = self._scaled_sq(zq)
+                scaled = sq_dists(zq / self._h, self._zh, self._zh_sq)
                 emin = scaled.min(axis=1, keepdims=True)
                 # raw weights exp(-scaled/2) would all underflow: the
                 # Nadaraya-Watson denominator degenerates, use the nearest point
@@ -240,16 +236,6 @@ class FeedbackLaw:
         if return_flag:
             return out, flags
         return out
-
-    def _scaled_sq(self, zq: np.ndarray) -> np.ndarray:
-        h = np.maximum(self.bandwidth, 1.0e-300)
-        a = zq / h
-        d2 = (
-            np.einsum("qd,qd->q", a, a)[:, None]
-            + self._zh_sq[None, :]
-            - 2.0 * (a @ self._zh.T)
-        )
-        return np.maximum(d2, 0.0)
 
     # ------------------------------------------------------------------
     # serialization
@@ -434,8 +420,7 @@ def fit_feedback(
     ref_nn = 0.0
     # only the kernel and knn laws flag extrapolation; an mlp law never reads it
     if method != "mlp" and sub.shape[0] > 1:
-        s2 = np.einsum("nd,nd->n", sub, sub)
-        d2 = np.maximum(s2[:, None] + s2[None, :] - 2.0 * (sub @ sub.T), 0.0)
+        d2 = sq_dists(sub, sub)
         np.fill_diagonal(d2, np.inf)
         ref_nn = float(np.median(np.sqrt(d2.min(axis=1))))
 
@@ -476,7 +461,10 @@ def fit_feedback(
         raise ConfigurationError(f"unknown regression method '{method}'")
 
     # training loss, estimated on a seeded subsample once the dataset is
-    # large; chunked so the (queries x training) block stays bounded
+    # large; chunked so the (queries x training) blocks stay bounded.
+    # predict holds about four such blocks at once (unscaled distances, the
+    # matmul temporary, scaled distances, weights), so one block gets a
+    # quarter of a 2^24-entry (128 MB) budget
     loss_cap = 8192
     if data.n > loss_cap:
         pick = np.sort(substream(seed, "fit", "loss_rows").choice(
@@ -484,19 +472,13 @@ def fit_feedback(
         t_l, x_l, u_l = t[pick], x[pick], u[pick]
     else:
         t_l, x_l, u_l = t, x, u
-    chunk = max(256, 2**24 // max(1, data.n))
+    chunk = max(256, 2**22 // max(1, data.n))
     sq_sum = 0.0
     for lo in range(0, len(t_l), chunk):
         pred = law.predict(t_l[lo : lo + chunk], x_l[lo : lo + chunk])
         sq_sum += float(np.sum((pred - u_l[lo : lo + chunk]) ** 2))
     law.final_loss = sq_sum / len(t_l)
     return law
-
-
-def constant_predictor_loss(data: RegressionDataset) -> float:
-    """Mean squared error of the best constant control (the mean)."""
-    resid = data.u - data.u.mean(axis=0)
-    return float(np.mean(np.sum(resid**2, axis=1)))
 
 
 def crossval_loss(

@@ -1,4 +1,4 @@
-"""Control-affine system descriptions and Lie-algebraic probes.
+"""Control-affine system descriptions and the builtin catalog.
 
 A control-affine system on R^d with m inputs is
 
@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, UnknownSystemError, UnsupportedSystemError
+from .errors import ConfigurationError, UnknownSystemError
 from .linalg import check_ab
 
 FieldFn = Callable[[np.ndarray], np.ndarray]
@@ -108,10 +108,6 @@ class ControlAffineSystem:
                     f"system '{self.name}': {label} maps (n, {d}) states to shape "
                     f"{got[1:]} per state, expected {want[1:]}"
                 )
-
-    def field(self, i: int) -> tuple[FieldFn, FieldFn]:
-        """Control field f_{i+1} = column i of G, with its Jacobian."""
-        return (lambda x: self.G(x)[..., i]), (lambda x: self.jac_G(x)[..., i])
 
     def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """f0(x) + G(x) u for batched states and controls."""
@@ -186,96 +182,6 @@ def negate_system(sys: ControlAffineSystem) -> ControlAffineSystem:
         G=_neg(sys.G),
         jac_G=_neg(sys.jac_G),
     )
-
-
-def lie_bracket(
-    f: FieldFn, g: FieldFn, jac_f: FieldFn, jac_g: FieldFn, x: np.ndarray
-) -> np.ndarray:
-    """[f, g](x) = Dg(x) f(x) - Df(x) g(x) for a single state."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    val = np.einsum("nij,nj->ni", jac_g(xb), f(xb)) - np.einsum(
-        "nij,nj->ni", jac_f(xb), g(xb)
-    )
-    return val[0] if single else val
-
-
-def _fd_jacobian(fn: FieldFn, x: np.ndarray, h: float = 1.0e-6) -> np.ndarray:
-    """Central-difference Jacobian of a batch-aware field at states (n, d)."""
-    n, d = x.shape
-    J = np.empty((n, d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        J[:, :, j] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return J
-
-
-def hormander_rank(sys: ControlAffineSystem, x: np.ndarray, depth: int) -> int:
-    """Rank at ``x`` of the control fields plus nested brackets up to ``depth``.
-
-    Level 0 is the control fields themselves; level k collects brackets of a
-    control field with every level-(k-1) field.  Jacobians of composite
-    bracket fields are taken by central differences, which is adequate for
-    the shallow depths used in practice.  Systems with drift are rejected.
-    """
-    if not sys.driftless:
-        raise UnsupportedSystemError(
-            f"rank check requires a driftless system, '{sys.name}' has drift"
-        )
-    if depth < 0:
-        raise ConfigurationError(f"depth must be >= 0, got {depth}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.d,):
-        raise ConfigurationError(f"state has shape {x.shape}, expected ({sys.d},)")
-    xb = x[None, :]
-
-    base = [sys.field(i) for i in range(sys.m)]
-    levels: list[list[tuple[FieldFn, FieldFn]]] = [base]
-    for _ in range(depth):
-        new_level = []
-        for g, jac_g in base:
-            for hfn, jac_h in levels[-1]:
-
-                def brk(xs, _g=g, _jg=jac_g, _h=hfn, _jh=jac_h):
-                    return np.einsum("nij,nj->ni", _jh(xs), _g(xs)) - np.einsum(
-                        "nij,nj->ni", _jg(xs), _h(xs)
-                    )
-
-                def jac_brk(xs, _b=brk):
-                    return _fd_jacobian(_b, xs)
-
-                new_level.append((brk, jac_brk))
-        levels.append(new_level)
-
-    vectors = []
-    for level in levels:
-        for fn, _ in level:
-            vectors.append(fn(xb)[0])
-    V = np.stack(vectors, axis=0)
-    s = np.linalg.svd(V, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > 1.0e-8 * s[0]))
-
-
-def check_sublinear_growth(
-    sys: ControlAffineSystem, probes: np.ndarray, M: float = 10.0
-) -> float:
-    """Max of |f_i(x)| / (|x| + 1) over probes and fields; must stay below M."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    denom = np.linalg.norm(probes, axis=1) + 1.0
-    worst = 0.0
-    fields = [sys.field(i)[0] for i in range(sys.m)] + ([] if sys.driftless else [sys.f0])
-    for f in fields:
-        ratios = np.linalg.norm(f(probes), axis=1) / denom
-        worst = max(worst, float(ratios.max()))
-    if worst > M:
-        raise ConfigurationError(
-            f"field growth ratio {worst:.3g} exceeds the sublinear bound M={M}"
-        )
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ matrices exponentiate entrywise.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ctrlflow.errors import ConfigurationError
-from ctrlflow.linalg import check_ab, controllability_matrix, expm, kalman_rank
+from ctrlflow.linalg import check_ab, controllability_matrix, expm, kalman_rank, sq_dists
 
 
 def test_expm_zero_is_identity():
@@ -92,3 +95,36 @@ def test_check_ab_shapes():
     # the rank test goes through the same check
     with pytest.raises(ConfigurationError, match="B has shape"):
         kalman_rank(np.zeros((2, 2)), np.zeros((3, 1)))
+
+
+@st.composite
+def _point_sets(draw):
+    # rows of mixed scale: unit-interval entries times a per-row 10^k, |k| <= 4
+    n, m, d = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    powers = st.integers(-4, 4)
+    a = draw(arrays(float, (n, d), elements=unit))
+    b = draw(arrays(float, (m, d), elements=unit))
+    a *= 10.0 ** draw(arrays(int, (n, 1), elements=powers))
+    b *= 10.0 ** draw(arrays(int, (m, 1), elements=powers))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets())
+def test_sq_dists_matches_direct_differences(ab):
+    a, b = ab
+    d2 = sq_dists(a, b)
+    assert d2.shape == (len(a), len(b))
+    assert np.all(d2 >= 0.0)
+    # each of |a|^2, |b|^2 and 2ab carries at most (d + 2) eps relative to
+    # |a|^2 + |b|^2 after the two additions, and the direct sum of squared
+    # differences carries d eps of its value <= 2(|a|^2 + |b|^2); the tiny
+    # absolute slack covers products that underflow
+    d = a.shape[1]
+    norms = (a**2).sum(1)[:, None] + (b**2).sum(1)[None, :]
+    direct = ((a[:, None] - b[None]) ** 2).sum(-1)
+    bound = 4.0 * (d + 2) * np.finfo(float).eps * norms + 1.0e-300
+    assert np.all(np.abs(d2 - direct) <= bound)
+    # cached row norms of b give the same block bit for bit
+    assert np.array_equal(sq_dists(a, b, np.einsum("md,md->m", b, b)), d2)

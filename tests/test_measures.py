@@ -16,10 +16,8 @@ from ctrlflow.measures import (
     Coupling,
     EmpiricalMeasure,
     build_coupling,
-    pushforward,
     sample_measure,
     sliced_wasserstein2,
-    support_inclusion_score,
     wasserstein2,
 )
 
@@ -275,56 +273,6 @@ def test_sliced_deterministic():
     d1 = sliced_wasserstein2(a, b, 32, seed=7)
     d2 = sliced_wasserstein2(a, b, 32, seed=7)
     assert d1 == d2
-
-
-# ---------------------------------------------------------------------------
-# pushforward and support score
-
-
-def test_pushforward_identity():
-    rng = np.random.default_rng(16)
-    mu = EmpiricalMeasure(rng.standard_normal((10, 4)))
-    nu = pushforward(mu, lambda x: x)
-    assert np.array_equal(nu.points, mu.points)
-    assert np.array_equal(nu.weights, mu.weights)
-
-
-def test_pushforward_projection_of_dirac():
-    mu = sample_measure("dirac", {"point": [1.0, 2.0, 3.0]}, 4, seed=0)
-    nu = pushforward(mu, lambda x: x[:, :2])
-    assert np.all(nu.points == np.array([1.0, 2.0]))
-
-
-def test_pushforward_commutes_with_mixing():
-    rng = np.random.default_rng(17)
-    a = EmpiricalMeasure(rng.standard_normal((6, 2)), weights=np.full(6, 1 / 6))
-    b = EmpiricalMeasure(rng.standard_normal((4, 2)), weights=np.full(4, 1 / 4))
-
-    def h(x):
-        return x**2
-
-    merged = EmpiricalMeasure(
-        np.vstack([a.points, b.points]),
-        weights=np.concatenate([0.3 * a.weights, 0.7 * b.weights]),
-    )
-    lhs = pushforward(merged, h)
-    rhs = EmpiricalMeasure(
-        np.vstack([pushforward(a, h).points, pushforward(b, h).points]),
-        weights=np.concatenate([0.3 * a.weights, 0.7 * b.weights]),
-    )
-    assert np.array_equal(lhs.points, rhs.points)
-    assert np.array_equal(lhs.weights, rhs.weights)
-
-
-def test_support_score_trivial_cases():
-    rng = np.random.default_rng(18)
-    pts = rng.standard_normal((20, 2))
-    mu = EmpiricalMeasure(pts)
-    assert support_inclusion_score(mu, mu, radius=1e-9) == 1.0
-    far = EmpiricalMeasure(pts + 100.0)
-    assert support_inclusion_score(far, mu, radius=0.5) == 0.0
-    sub = EmpiricalMeasure(pts[:5])
-    assert support_inclusion_score(sub, mu, radius=1e-9) == 1.0
 
 
 def test_weights_validated():

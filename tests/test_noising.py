@@ -20,13 +20,11 @@ import numpy as np
 import pytest
 
 from ctrlflow import (
-    BrownianControlPath,
     ConfigurationError,
     NoisingConfig,
     QuadraticCost,
     builtin_system,
     endpoint_map_batch,
-    exp_map_batch,
     generate_noising_dataset,
     gramian,
     hamiltonian,
@@ -37,7 +35,7 @@ from ctrlflow import (
     sample_brownian_control,
 )
 from ctrlflow.linalg import expm
-from ctrlflow.ode import raise_on_blowup
+from ctrlflow.ode import raise_on_blowup, uniform_grid
 from ctrlflow.seeding import substream
 
 
@@ -102,6 +100,7 @@ def test_single_integrator_extremal_closed_form():
     T = 1.3
     ens, costates, bad = pmp_extremal_batch(sys, cost, x0[None], p0[None], T, 400)
     assert np.isnan(bad).all()
+    drift = hamiltonian_drift(sys, cost, ens.states, costates)
     states, costates, t = ens.states[0], costates[0], ens.t_grid
     want_states = x0[None, :] - 0.5 * t[:, None] * p0[None, :]
     assert np.allclose(states, want_states, atol=1e-12)
@@ -109,7 +108,7 @@ def test_single_integrator_extremal_closed_form():
     assert np.allclose(ens.controls[0], 0.5 * p0[None, :], atol=1e-12)
     H0 = hamiltonian(sys, cost, states[0], costates[0])
     assert abs(H0 - (-0.25 * float(p0 @ p0))) < 1e-12
-    assert hamiltonian_drift(sys, cost, states, costates) < 1e-13
+    assert drift.shape == (1,) and drift[0] < 1e-13
 
 
 def test_hamiltonian_conserved_unicycle():
@@ -123,8 +122,8 @@ def test_hamiltonian_conserved_unicycle():
         p0s[i] = 2.0 * rng.standard_normal(3)
     ens, costates, bad = pmp_extremal_batch(sys, cost, x0s, p0s, 1.0, 4000)
     raise_on_blowup(bad)
-    for i in range(10):
-        assert hamiltonian_drift(sys, cost, ens.states[i], costates[i]) < 1e-8
+    drift = hamiltonian_drift(sys, cost, ens.states, costates)
+    assert drift.shape == (10,) and np.all(drift < 1e-8)
 
 
 def test_extremal_batch_shape_errors():
@@ -141,23 +140,30 @@ def test_exp_map_unicycle_vertical_costate():
     # and that stays self-consistent: omega(t) = (0, 0, -t)
     sys = builtin_system("unicycle")
     cost = QuadraticCost()
-    x = np.zeros(3)
-    for t in (0.3, 1.0, 2.0):
-        end = exp_map_batch(sys, cost, x, t, np.array([[0.0, 0.0, 2.0]]), n_grid=500)
-        assert np.allclose(end, [[0.0, 0.0, -t]], atol=1e-10)
+    for T in (0.3, 1.0, 2.0):
+        ens, _, bad = pmp_extremal_batch(
+            sys, cost, np.zeros((1, 3)), np.array([[0.0, 0.0, 2.0]]), T, 500
+        )
+        raise_on_blowup(bad)
+        want = np.column_stack([np.zeros((501, 2)), -ens.t_grid])
+        assert np.allclose(ens.states[0], want, atol=1e-10)
 
 
 def test_exp_map_batch_matches_single():
+    # a 6-row extremal batch from a common start equals its one-row calls
     sys = builtin_system("unicycle")
     cost = QuadraticCost()
     rng = substream(5, "expmap")
-    x = np.array([0.2, -0.4, 0.6])
+    x0s = np.tile([0.2, -0.4, 0.6], (6, 1))
     p0s = rng.standard_normal((6, 3))
-    ends = exp_map_batch(sys, cost, x, 0.8, p0s, n_grid=300)
-    assert ends.shape == (6, 3)
+    ens, costates, bad = pmp_extremal_batch(sys, cost, x0s, p0s, 0.8, 300)
+    raise_on_blowup(bad)
+    assert ens.states.shape == (6, 301, 3)
     for i in range(6):
-        single, _, _ = pmp_extremal_batch(sys, cost, x[None], p0s[i][None], 0.8, 300)
-        assert np.allclose(ends[i], single.states[0, -1], atol=1e-12)
+        one, one_costates, _ = pmp_extremal_batch(sys, cost, x0s[i][None], p0s[i][None], 0.8, 300)
+        assert np.allclose(ens.states[i], one.states[0], atol=1e-12)
+        assert np.allclose(ens.controls[i], one.controls[0], atol=1e-12)
+        assert np.allclose(costates[i], one_costates[0], atol=1e-12)
 
 
 def test_endpoint_map_brockett_constant_control():
@@ -176,9 +182,9 @@ def test_endpoint_map_brockett_constant_control():
 def test_endpoint_map_zero_sigma_is_identity_for_driftless():
     sys = builtin_system("martinet")
     path = sample_brownian_control(2, 1.0, 64, 0.0, seed=4)
-    assert np.all(path.values == 0.0)
+    assert path.shape == (65, 2) and np.all(path == 0.0)
     states, _ = endpoint_map_batch(
-        sys, np.array([[0.3, -0.5, 0.2]]), path.t_grid, path.values[None], direction="reversed"
+        sys, np.array([[0.3, -0.5, 0.2]]), uniform_grid(1.0, 64), path[None], direction="reversed"
     )
     assert np.allclose(states[0, -1], [0.3, -0.5, 0.2], atol=1e-14)
 
@@ -188,13 +194,11 @@ def test_endpoint_map_forward_reversed_round_trip():
     # must return to the start up to RK4 error
     sys = builtin_system("unicycle")
     path = sample_brownian_control(2, 1.0, 1500, 0.5, seed=21)
+    t_grid = uniform_grid(1.0, 1500)
     x0 = np.array([0.4, 0.1, -0.3])
-    fwd, _ = endpoint_map_batch(
-        sys, x0[None, :], path.t_grid, path.values[None], direction="forward"
-    )
+    fwd, _ = endpoint_map_batch(sys, x0[None, :], t_grid, path[None], direction="forward")
     states, bad = endpoint_map_batch(
-        sys, fwd[:, -1], path.t_grid, path.values[::-1][None, :, :],
-        direction="reversed",
+        sys, fwd[:, -1], t_grid, path[::-1][None, :, :], direction="reversed"
     )
     assert not np.isfinite(bad[0])
     assert np.linalg.norm(states[0, -1] - x0) < 1e-6
@@ -213,21 +217,17 @@ def test_brownian_path_statistics():
     a = sample_brownian_control(3, 2.0, 80, 0.7, seed=42)
     b = sample_brownian_control(3, 2.0, 80, 0.7, seed=42)
     c = sample_brownian_control(3, 2.0, 80, 0.7, seed=43)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
-    assert np.all(a.values[0] == 0.0)
+    assert a.shape == (81, 3)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert np.all(a[0] == 0.0)
     # endpoint variance sigma^2 T, pooled over 2000 seeds x 4 channels
     sigma, T = 0.7, 2.0
     ends = np.array(
-        [sample_brownian_control(4, T, 40, sigma, seed=s).values[-1] for s in range(2000)]
+        [sample_brownian_control(4, T, 40, sigma, seed=s)[-1] for s in range(2000)]
     )
     var = float(np.var(ends))
     assert abs(var - sigma**2 * T) < 0.05 * sigma**2 * T
-
-
-def test_brownian_path_row_mismatch_rejected():
-    with pytest.raises(ConfigurationError):
-        BrownianControlPath(np.linspace(0, 1, 5), np.zeros((4, 2)), sigma=1.0)
 
 
 def test_noising_config_validation():

@@ -1,5 +1,8 @@
 """Public surface of the package."""
 
+import ast
+from pathlib import Path
+
 import ctrlflow
 
 
@@ -7,3 +10,22 @@ def test_all_names_resolve():
     missing = [name for name in ctrlflow.__all__ if not hasattr(ctrlflow, name)]
     assert missing == []
     assert len(set(ctrlflow.__all__)) == len(ctrlflow.__all__)
+
+
+def test_no_unused_imports():
+    # every name a module imports is read in it; __init__ only re-exports
+    unused = []
+    for path in sorted(Path(ctrlflow.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []

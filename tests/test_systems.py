@@ -1,5 +1,5 @@
 """System catalog checks: hand-derived dynamics values, Jacobians against
-finite differences, Lie bracket algebra, and rank conditions."""
+finite differences, and field negation."""
 
 import dataclasses
 
@@ -9,18 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ctrlflow.errors import (
-    ConfigurationError,
-    UnknownSystemError,
-    UnsupportedSystemError,
-)
+from ctrlflow.errors import ConfigurationError, UnknownSystemError
 from ctrlflow.systems import (
-    ControlAffineSystem,
     builtin_names,
     builtin_system,
-    check_sublinear_growth,
-    hormander_rank,
-    lie_bracket,
     linear_system,
     negate_system,
     six_state_matrices,
@@ -73,15 +65,15 @@ def test_unicycle_fields():
     assert (sys.d, sys.m) == (3, 2)
     th = 0.7
     x = np.array([[0.0, 0.0, th]])
-    assert np.allclose(sys.field(0)[0](x)[0], [np.cos(th), np.sin(th), 0.0])
-    assert np.allclose(sys.field(1)[0](x)[0], [0.0, 0.0, 1.0])
+    assert np.allclose(sys.G(x)[0, :, 0], [np.cos(th), np.sin(th), 0.0])
+    assert np.allclose(sys.G(x)[0, :, 1], [0.0, 0.0, 1.0])
 
 
 def test_martinet_fields():
     sys = builtin_system("martinet")
     x = np.array([[0.0, 3.0, 0.0]])
-    assert np.allclose(sys.field(0)[0](x)[0], [1.0, 0.0, 4.5])
-    assert np.allclose(sys.field(1)[0](x)[0], [0.0, 1.0, 0.0])
+    assert np.allclose(sys.G(x)[0, :, 0], [1.0, 0.0, 4.5])
+    assert np.allclose(sys.G(x)[0, :, 1], [0.0, 1.0, 0.0])
 
 
 def test_rhs_state_dimension_checked():
@@ -100,7 +92,11 @@ def test_jacobians_match_finite_differences():
     rng = np.random.default_rng(42)
     for name in ALL_BUILTINS:
         sys = builtin_system(name)
-        pairs = [(sys.f0, sys.jac_f0)] + [sys.field(i) for i in range(sys.m)]
+        # the drift and every column of G, each with its analytic Jacobian
+        pairs = [(sys.f0, sys.jac_f0)] + [
+            (lambda y, i=i: sys.G(y)[..., i], lambda y, i=i: sys.jac_G(y)[..., i])
+            for i in range(sys.m)
+        ]
         for _ in range(100):
             x = rng.uniform(-2.0, 2.0, size=sys.d)
             for fn, jac in pairs:
@@ -117,135 +113,6 @@ def test_fields_finite_at_probes():
         x = rng.uniform(-50.0, 50.0, size=(64, sys.d))
         assert np.all(np.isfinite(sys.f0(x)))
         assert np.all(np.isfinite(sys.G(x)))
-
-
-def test_sublinear_growth_witness():
-    rng = np.random.default_rng(11)
-    for name in ALL_BUILTINS:
-        sys = builtin_system(name)
-        probes = rng.uniform(-2.0, 2.0, size=(200, sys.d))
-        worst = check_sublinear_growth(sys, probes, M=10.0)
-        assert 0.0 <= worst <= 10.0
-
-
-def test_sublinear_growth_violation_raises():
-    sys = builtin_system("martinet")
-    # the f1 third component is quadratic in y; far probes break any fixed M
-    probes = np.array([[0.0, 500.0, 0.0]])
-    with pytest.raises(ConfigurationError):
-        check_sublinear_growth(sys, probes, M=10.0)
-
-
-# ---------------------------------------------------------------------------
-# Lie brackets
-
-
-def test_brockett_bracket_value():
-    sys = builtin_system("brockett")
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.uniform(-2.0, 2.0, size=3)
-        (f, jf), (g, jg) = sys.field(0), sys.field(1)
-        val = lie_bracket(f, g, jf, jg, x)
-        assert np.allclose(val, [0.0, 0.0, -1.0], atol=1e-12)
-
-
-def test_bracket_antisymmetry_and_self():
-    sys = builtin_system("unicycle")
-    (f, jf), (g, jg) = sys.field(0), sys.field(1)
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        x = rng.uniform(-2.0, 2.0, size=3)
-        fg = lie_bracket(f, g, jf, jg, x)
-        gf = lie_bracket(g, f, jg, jf, x)
-        assert np.allclose(fg, -gf, atol=1e-12)
-        assert np.allclose(lie_bracket(f, f, jf, jf, x), 0.0, atol=1e-12)
-
-
-def test_bracket_constant_fields_vanishes():
-    c1, c2 = np.array([1.0, 2.0]), np.array([-3.0, 0.5])
-
-    def f(x):
-        return np.broadcast_to(c1, x.shape).copy()
-
-    def g(x):
-        return np.broadcast_to(c2, x.shape).copy()
-
-    def zero_jac(x):
-        return np.zeros(x.shape + (x.shape[-1],))
-
-    val = lie_bracket(f, g, zero_jac, zero_jac, np.array([0.3, -0.9]))
-    assert np.allclose(val, 0.0, atol=1e-15)
-
-
-def test_bracket_bilinearity():
-    sys = builtin_system("martinet")
-    (f, jf), (g, jg) = sys.field(0), sys.field(1)
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        x = rng.uniform(-2.0, 2.0, size=3)
-        a, b = rng.uniform(-3.0, 3.0, size=2)
-
-        def af(y, a=a):
-            return a * f(y)
-
-        def jaf(y, a=a):
-            return a * jf(y)
-
-        lhs = lie_bracket(af, g, jaf, jg, x)
-        rhs = a * lie_bracket(f, g, jf, jg, x)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# rank checks
-
-
-def test_hormander_rank_brockett():
-    sys = builtin_system("brockett")
-    origin = np.zeros(3)
-    assert hormander_rank(sys, origin, depth=0) == 2
-    assert hormander_rank(sys, origin, depth=1) == 3
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        x = rng.uniform(-2.0, 2.0, size=3)
-        assert hormander_rank(sys, x, depth=1) == 3
-
-
-def test_hormander_rank_martinet_needs_depth_two_on_plane():
-    sys = builtin_system("martinet")
-    # on y = 0 the first bracket degenerates; depth 2 restores full rank
-    x = np.array([0.5, 0.0, 0.0])
-    assert hormander_rank(sys, x, depth=1) == 2
-    assert hormander_rank(sys, x, depth=2) == 3
-
-
-def test_hormander_single_field_rank_one():
-    def f(x):
-        out = np.zeros_like(x)
-        out[..., 0] = 1.0
-        return out
-
-    def jac(x):
-        return np.zeros(x.shape + (x.shape[-1],))
-
-    sys = ControlAffineSystem(
-        name="one_field",
-        d=2,
-        m=1,
-        f0=lambda x: np.zeros_like(x),
-        jac_f0=jac,
-        G=lambda x: f(x)[..., None],
-        jac_G=lambda x: jac(x)[..., None],
-        driftless=True,
-    )
-    assert hormander_rank(sys, np.zeros(2), depth=5) == 1
-
-
-def test_hormander_rejects_drift():
-    sys = builtin_system("six_state_default")
-    with pytest.raises(UnsupportedSystemError):
-        hormander_rank(sys, np.zeros(6), depth=1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +187,6 @@ def test_negate_system_cancels(case):
     assert neg.driftless == sys.driftless
     assert neg.output_map is sys.output_map
     # rhs is f0 + sum_i u_i f_i, up to the order of the sum
-    terms = [sys.f0(x)] + [u[:, i, None] * sys.field(i)[0](x) for i in range(sys.m)]
+    terms = [sys.f0(x)] + [u[:, i, None] * sys.G(x)[..., i] for i in range(sys.m)]
     scale = sum(np.abs(t) for t in terms)
     assert np.all(np.abs(sys.rhs(x, u) - sum(terms)) <= 1e-13 * scale)
