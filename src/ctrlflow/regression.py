@@ -8,9 +8,24 @@ their steering ensemble, noising runs on their kept rows.
 Three estimators share one interface: k-nearest-neighbour averaging,
 Nadaraya-Watson kernel smoothing (the default), and a small fully-connected
 network trained in-repo.  Queries live in the scaled feature space
-z = (time_scale * t, x), so one metric serves both time and state; the
-kernel and knn laws take their (queries x training) distance blocks from
-:func:`ctrlflow.linalg.sq_dists` against cached training-row norms.
+z = (time_scale * t, x), so one metric serves both time and state.
+
+The kernel and knn laws build one k-d tree on z (Friedman, Bentley & Finkel
+1977) and take every neighbour question from it: the extrapolation flag,
+the knn mean and the nearest-neighbour fallbacks.  Neighbour sets break
+distance ties by the lower canonical training index, the order of a
+stable argsort.  The extrapolation spacing ``ref_nn_dist`` is the median
+distance from a training row to its nearest other row, from a k=2
+self-query of the same tree.
+
+A kernel law also builds a tree on z/h and sums the weights of a row's
+``TREE_K`` nearest training rows only, when the left-out weight relative to
+the top weight, at most (n - k) exp(-(d_k^2 - d_1^2)/2) in scaled
+distances, is no more than ``TRUNCATION_TOL``.  Rows that fail the bound
+get the dense Nadaraya-Watson weights from one block of scaled distances
+(:func:`ctrlflow.linalg.sq_dists`), restricted to those rows.  A law keeps
+the z/h tree only if the bound holds on at least half of a strided probe of
+its training rows; a wide bandwidth leaves it dense throughout.
 :func:`crossval_loss` selects hyperparameters on trajectory-grouped folds,
 and :func:`save_dataset` / :func:`load_dataset` write and read a run's
 ``dataset.csv``.
@@ -28,6 +43,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (
     ConfigurationError,
@@ -40,6 +56,12 @@ from .trajectory import columns, read_table, write_table
 
 EXTRAPOLATION_FACTOR = 10.0
 EXTRAPOLATION_K = 16
+# kernel truncation: neighbours taken from the z/h tree, the largest
+# certified left-out weight relative to the top weight, and the number of
+# strided training rows that decide whether a law uses the tree at all
+TREE_K = 32
+TRUNCATION_TOL = 1.0e-16
+PROBE_ROWS = 64
 
 # hyperparameters each method reads in fit_feedback
 HYPERPARAMS = {
@@ -132,8 +154,19 @@ def _median_pairwise(z: np.ndarray, rng: np.random.Generator, n_pairs: int = 409
     return np.median(diffs, axis=0)
 
 
+def _median_nn_spacing(tree: cKDTree, z: np.ndarray) -> float:
+    """Median distance from a training row to its nearest other row."""
+    if len(z) < 2:
+        return 0.0
+    return float(np.median(tree.query(z, k=2)[0][:, 1]))
+
+
 class FeedbackLaw:
-    """Fitted feedback law u(t, x); query it with :meth:`predict`."""
+    """Fitted feedback law u(t, x); query it with :meth:`predict`.
+
+    A kernel or knn law builds its k-d trees here, so a loaded law has them
+    too; ``ref_nn_dist=None`` takes the median nearest-row spacing of z.
+    """
 
     def __init__(
         self,
@@ -143,7 +176,7 @@ class FeedbackLaw:
         u: np.ndarray,
         bandwidth: Optional[np.ndarray] = None,
         k: int = 8,
-        ref_nn_dist: float = 0.0,
+        ref_nn_dist: Optional[float] = None,
         mlp: Optional["_MLP"] = None,
         hyperparams: Optional[dict] = None,
         final_loss: Optional[float] = None,
@@ -156,18 +189,28 @@ class FeedbackLaw:
         self._u = u
         self.bandwidth = bandwidth
         self.k = int(k)
-        self.ref_nn_dist = float(ref_nn_dist)
+        self.ref_nn_dist = 0.0 if ref_nn_dist is None else float(ref_nn_dist)
         self._mlp = mlp
         self.hyperparams = dict(hyperparams or {})
         self.final_loss = final_loss
-        # cached row norms so batched distance queries run as matrix products
-        self._z_sq = np.einsum("nd,nd->n", z, z) if z.size else np.zeros(len(z))
+        self._tree = self._zh_tree = None
+        self._h = self._zh = self._zh_sq = None
+        if method == "mlp":
+            return
+        self._tree = cKDTree(z)
+        if ref_nn_dist is None:
+            self.ref_nn_dist = _median_nn_spacing(self._tree, z)
         if bandwidth is not None:
             self._h = np.maximum(bandwidth, 1.0e-300)
             self._zh = z / self._h
+            # cached row norms so the dense fallback block is one matrix product
             self._zh_sq = np.einsum("nd,nd->n", self._zh, self._zh)
-        else:
-            self._h = self._zh = self._zh_sq = None
+            # keep the z/h tree only if truncation is certified on at least
+            # half of a strided probe of training rows; otherwise stay dense
+            self._zh_tree = cKDTree(self._zh)
+            probe = self._zh[:: max(1, self.n_train // PROBE_ROWS)]
+            if 2 * np.count_nonzero(self._tree_weights(probe)[2]) < len(probe):
+                self._zh_tree = None
 
     @property
     def d(self) -> int:
@@ -186,10 +229,85 @@ class FeedbackLaw:
         tcol = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
         return np.column_stack([self.time_scale * tcol, x])
 
-    def _knn_mean(self, d2: np.ndarray, k: int) -> np.ndarray:
-        k = min(k, self.n_train)
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        return self._u[order].mean(axis=1)
+    def _nearest(self, zq: np.ndarray, k: int) -> np.ndarray:
+        """Indices (rows, k) of the k nearest training rows in z, nearest first.
+
+        Among equal distances the lower (canonical) training index comes
+        first, the order of a stable argsort.  A tie across the k-th place
+        may hide lower indices beyond the tree's answer, so such rows are
+        queried again with twice the width until the last distance is larger.
+        """
+        n = self.n_train
+        k = min(k, n)
+        out = np.empty((len(zq), k), dtype=np.intp)
+        rows = np.arange(len(zq))
+        width = min(k + 1, n)
+        while rows.size:
+            dist, idx = self._tree.query(zq[rows], k=width)
+            dist = dist.reshape(len(rows), width)
+            idx = idx.reshape(len(rows), width)
+            open_tie = (dist[:, -1] == dist[:, k - 1]) & (width < n)
+            done = ~open_tie
+            order = np.lexsort((idx[done], dist[done]))[:, :k]
+            out[rows[done]] = np.take_along_axis(idx[done], order, axis=1)
+            rows = rows[open_tie]
+            width = min(2 * width, n)
+        return out
+
+    def _tree_weights(self, qh: np.ndarray):
+        """The TREE_K nearest rows of the z/h tree and whether truncation holds.
+
+        Returns squared scaled distances (rows, k), their training indices,
+        and a row mask: the weight left out, relative to the top weight, is
+        at most (n - k) exp(-(d_k^2 - d_1^2)/2), which must not exceed
+        TRUNCATION_TOL.
+        """
+        k = min(TREE_K, self.n_train)
+        dist, idx = self._zh_tree.query(qh, k=k)
+        d2 = dist.reshape(len(qh), k) ** 2
+        idx = idx.reshape(len(qh), k)
+        left_out = (self.n_train - k) * np.exp(-0.5 * (d2[:, -1] - d2[:, 0]))
+        # an overflowed distance comes with no training index
+        return d2, idx, (left_out <= TRUNCATION_TOL) & (d2[:, -1] < np.inf)
+
+    def _kernel_mean(self, zq: np.ndarray) -> np.ndarray:
+        qh = zq / self._h
+        out = np.empty((len(qh), self.m))
+        emin = np.empty(len(qh))
+        dense = np.ones(len(qh), dtype=bool)
+        if self._zh_tree is not None:
+            d2, idx, ok = self._tree_weights(qh)
+            d2, idx = d2[ok], idx[ok]
+            emin[ok] = d2[:, 0]
+            w = np.exp(-0.5 * (d2 - d2[:, :1]))
+            out[ok] = np.einsum("qk,qkm->qm", w, self._u[idx]) / w.sum(axis=1, keepdims=True)
+            dense = ~ok
+        if dense.any():
+            # the one dense block: scaled distances of the uncertified rows,
+            # turned into weights in place
+            w = sq_dists(qh[dense], self._zh, self._zh_sq)
+            e = w.min(axis=1, keepdims=True)
+            w -= e
+            w *= -0.5
+            np.exp(w, out=w)
+            out[dense] = (w @ self._u) / w.sum(axis=1, keepdims=True)
+            emin[dense] = e[:, 0]
+        # raw weights exp(-emin/2) would all underflow: the Nadaraya-Watson
+        # denominator degenerates, use the nearest point
+        degenerate = emin > 1400.0
+        if degenerate.any():
+            out[degenerate] = self._u[self._nearest(zq[degenerate], 1)[:, 0]]
+        return out
+
+    def _neighbour_predict(self, zq: np.ndarray, nn: np.ndarray):
+        flags = nn > EXTRAPOLATION_FACTOR * max(self.ref_nn_dist, 1.0e-300)
+        if self.method == "knn":
+            out = self._u[self._nearest(zq, self.k)].mean(axis=1)
+        else:
+            out = self._kernel_mean(zq)
+        if flags.any():
+            out[flags] = self._u[self._nearest(zq[flags], EXTRAPOLATION_K)].mean(axis=1)
+        return out, flags
 
     def predict(self, t, x: np.ndarray, return_flag: bool = False):
         """Control estimate at query time(s) and state(s).
@@ -199,6 +317,17 @@ class FeedbackLaw:
         extrapolation mask (queries whose nearest training point is more
         than 10x the in-sample spacing away; those fall back to a wide
         k-nearest-neighbour average).
+
+        Every neighbour question goes to the law's k-d tree on z: the flag
+        (the nearest distance), the knn mean, the ``EXTRAPOLATION_K``
+        fallback of flagged rows and the nearest-point fallback of rows
+        whose kernel weights all underflow.  Neighbour sets break distance
+        ties by the lower canonical training index.  Kernel weights come
+        from the ``TREE_K`` nearest rows of the z/h tree where the truncation
+        bound holds (see :meth:`_tree_weights`), and from a dense block of
+        scaled distances, for those rows only, where it does not.  Rows
+        no training row is a finite distance from (a blown-up rollout
+        stage) get NaN and no flag.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -208,25 +337,16 @@ class FeedbackLaw:
             out = self._mlp.forward(zq)
             flags = np.zeros(zq.shape[0], dtype=bool)
         else:
-            d2 = sq_dists(zq, self._z, self._z_sq)
-            nn = np.sqrt(d2.min(axis=1))
-            flags = nn > EXTRAPOLATION_FACTOR * max(self.ref_nn_dist, 1.0e-300)
-            if self.method == "knn":
-                out = self._knn_mean(d2, self.k)
-            else:
-                scaled = sq_dists(zq / self._h, self._zh, self._zh_sq)
-                emin = scaled.min(axis=1, keepdims=True)
-                # raw weights exp(-scaled/2) would all underflow: the
-                # Nadaraya-Watson denominator degenerates, use the nearest point
-                degenerate = emin[:, 0] > 1400.0
-                w = np.exp(-0.5 * (scaled - emin))
-                denom = w.sum(axis=1, keepdims=True)
-                out = (w @ self._u) / denom
-                if degenerate.any():
-                    out[degenerate] = self._knn_mean(d2[degenerate], 1)
-            if flags.any():
-                out = out.copy()
-                out[flags] = self._knn_mean(d2[flags], EXTRAPOLATION_K)
+            # a blown-up rollout stage can be non-finite, or so large that
+            # its distance to every training row overflows: no neighbour
+            # answers such a row
+            nn = np.full(zq.shape[0], np.inf)
+            finite = np.isfinite(zq).all(axis=1)
+            nn[finite] = self._tree.query(zq[finite])[0]
+            live = nn < np.inf
+            out = np.full((zq.shape[0], self.m), np.nan)
+            flags = np.zeros(zq.shape[0], dtype=bool)
+            out[live], flags[live] = self._neighbour_predict(zq[live], nn[live])
 
         if single:
             out = out[0]
@@ -414,19 +534,15 @@ def fit_feedback(
         time_scale = diam / span if span > 0 and diam > 0 else 1.0
     z = np.column_stack([time_scale * t, x])
 
-    rng = substream(seed, "fit", method)
-    cap = min(data.n, 2048)
-    sub = z[rng.choice(data.n, size=cap, replace=False)] if data.n > cap else z
-    ref_nn = 0.0
-    # only the kernel and knn laws flag extrapolation; an mlp law never reads it
-    if method != "mlp" and sub.shape[0] > 1:
-        d2 = sq_dists(sub, sub)
-        np.fill_diagonal(d2, np.inf)
-        ref_nn = float(np.median(np.sqrt(d2.min(axis=1))))
-
     if method == "kernel":
         bw = hp.get("bandwidth")
         if bw is None:
+            rng = substream(seed, "fit", method)
+            if data.n > 2048:
+                # the bandwidth pairs are drawn after a 2048-row choice on
+                # this stream; the choice fixes where they fall in it, and so
+                # the fitted bandwidth of every seed
+                rng.choice(data.n, size=2048, replace=False)
             bw = _median_pairwise(z, rng) / np.sqrt(2.0)
         else:
             bw = np.asarray(bw, dtype=float)
@@ -434,15 +550,9 @@ def fit_feedback(
                 bw = np.full(z.shape[1], float(bw))
         bw = bw * float(hp.get("bandwidth_scale", 1.0))
         bw = np.where(bw > 0, bw, 1.0)
-        law = FeedbackLaw(
-            "kernel", time_scale, z, u, bandwidth=bw,
-            ref_nn_dist=ref_nn, hyperparams=hp,
-        )
+        law = FeedbackLaw("kernel", time_scale, z, u, bandwidth=bw, hyperparams=hp)
     elif method == "knn":
-        law = FeedbackLaw(
-            "knn", time_scale, z, u, k=int(hp.get("k", 8)),
-            ref_nn_dist=ref_nn, hyperparams=hp,
-        )
+        law = FeedbackLaw("knn", time_scale, z, u, k=int(hp.get("k", 8)), hyperparams=hp)
     elif method == "mlp":
         hidden = list(hp.get("hidden", (64, 64)))
         net = _MLP([z.shape[1]] + hidden + [u.shape[1]], seed=seed)
@@ -454,17 +564,15 @@ def fit_feedback(
             lr_decay=float(hp.get("lr_decay", 1000.0)),
             seed=seed,
         )
-        law = FeedbackLaw(
-            "mlp", time_scale, z, u, mlp=net, ref_nn_dist=ref_nn, hyperparams=hp
-        )
+        law = FeedbackLaw("mlp", time_scale, z, u, mlp=net, hyperparams=hp)
     else:
         raise ConfigurationError(f"unknown regression method '{method}'")
 
     # training loss, estimated on a seeded subsample once the dataset is
-    # large; chunked so the (queries x training) blocks stay bounded.
-    # predict holds about four such blocks at once (unscaled distances, the
-    # matmul temporary, scaled distances, weights), so one block gets a
-    # quarter of a 2^24-entry (128 MB) budget
+    # large; chunked so predict's one dense block, the scaled distances of
+    # the rows whose truncation bound fails (all rows of a law without a
+    # z/h tree), stays bounded: one chunk's block and its matmul temporaries
+    # fit a 2^24-entry (128 MB) budget
     loss_cap = 8192
     if data.n > loss_cap:
         pick = np.sort(substream(seed, "fit", "loss_rows").choice(

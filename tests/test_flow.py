@@ -126,6 +126,29 @@ def test_blowup_freezes_row_and_reports():
     raise_on_blowup(info.bad_time)
 
 
+def test_law_rollout_overflowing_to_inf_is_excluded_not_an_error():
+    # x' = 5000 x with no size threshold overflows within the horizon, so
+    # RK4 stage states reach inf; the fitted law answers those rows with
+    # NaN and the rows freeze at their last finite state
+    rng = substream(13, "overflow")
+    n = 100
+    data = RegressionDataset(
+        t=rng.uniform(0.0, 1.0, size=n), x=rng.uniform(-1.0, 1.0, size=(n, 1)),
+        u=rng.uniform(-1.0, 1.0, size=(n, 1)), traj_id=np.arange(n),
+    )
+    sys = builtin_system("linear", A=np.array([[5000.0]]), B=np.eye(1))
+    for method in ("kernel", "knn"):
+        law = fit_feedback(data, method=method)
+        _, states, _, info = integrate_closed_loop_batch(
+            sys, law, np.array([[1.0], [-0.5]]), 1.0, 100, blowup=None
+        )
+        assert list(info.excluded) == [0, 1]
+        assert np.all(np.isfinite(states))
+        finite, flag = law.predict(0.5, np.array([[0.1], [np.inf], [np.nan]]), return_flag=True)
+        assert np.isfinite(finite[0]).all() and np.isnan(finite[1:]).all()
+        assert not flag[1:].any()
+
+
 def test_direction_and_dimension_validation():
     sys = _scalar_integrator()
     law = lambda t, x: -x

@@ -10,10 +10,15 @@ The estimator invariants checked here:
   permutation of the dataset rows (rows are canonically sorted at fit time).
 * queries far from the training cloud are flagged and answered with a wide
   nearest-neighbour average instead of a degenerate kernel ratio.
+* the k-d tree answers match a dense reference: truncated kernel weights
+  within their certified bound, neighbour sets bit for bit, with ties
+  broken by the lower training index.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctrlflow import (
     ConfigurationError,
@@ -27,7 +32,8 @@ from ctrlflow import (
     load_dataset,
     save_dataset,
 )
-from ctrlflow.regression import EXTRAPOLATION_FACTOR, EXTRAPOLATION_K
+from ctrlflow.linalg import sq_dists
+from ctrlflow.regression import EXTRAPOLATION_FACTOR, EXTRAPOLATION_K, TREE_K
 from ctrlflow.seeding import substream
 from ctrlflow.trajectory import PairEnsemble
 
@@ -312,3 +318,142 @@ def test_dataset_csv_round_trip(tmp_path):
     path.write_text(path.read_text().splitlines()[0] + "\r\n")
     with pytest.raises(EmptyDatasetError):
         load_dataset(path)
+
+
+def _dense_reference(z, u, h, ref_nn, zq, k=None, d2=None):
+    # the dense predict the k-d tree replaced: (queries x training) blocks,
+    # neighbours by stable argsort; a knn law when k is given, else kernel.
+    # d2 overrides the unscaled block (exact distances for the tie test)
+    if d2 is None:
+        d2 = sq_dists(zq, z)
+
+    def knn_mean(rows, kk):
+        order = np.argsort(d2[rows], axis=1, kind="stable")[:, : min(kk, len(z))]
+        return u[order].mean(axis=1)
+
+    everyone = np.ones(len(zq), dtype=bool)
+    flags = np.sqrt(d2.min(axis=1)) > EXTRAPOLATION_FACTOR * max(ref_nn, 1.0e-300)
+    if k is not None:
+        out = knn_mean(everyone, k)
+    else:
+        h = np.maximum(h, 1.0e-300)
+        scaled = sq_dists(zq / h, z / h)
+        emin = scaled.min(axis=1, keepdims=True)
+        w = np.exp(-0.5 * (scaled - emin))
+        out = (w @ u) / w.sum(axis=1, keepdims=True)
+        degenerate = emin[:, 0] > 1400.0
+        out[degenerate] = knn_mean(degenerate, 1)
+    out[flags] = knn_mean(flags, EXTRAPOLATION_K)
+    return out, flags
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    d=st.integers(1, 4),
+    m=st.integers(1, 3),
+    log_h=st.floats(-6.0, 3.0),
+    jitter=st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5),
+    far=st.floats(1.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=400, d=3, m=2, log_h=-6.0, jitter=[0.0] * 5, far=1.0, seed=1)  # collapsed: 1-nn
+@example(n=400, d=3, m=2, log_h=3.0, jitter=[0.0] * 5, far=1.0, seed=2)  # wide: dense
+@example(n=400, d=3, m=2, log_h=-4.0, jitter=[0.0] * 5, far=50.0, seed=3)  # truncated
+@example(n=400, d=3, m=2, log_h=-3.0, jitter=[0.0] * 5, far=1.0, seed=5)  # both
+def test_truncated_kernel_matches_dense_reference(n, d, m, log_h, jitter, far, seed):
+    rng = np.random.default_rng(seed)
+    # rows at log-uniform scales: dense cores where the bound fails, sparse
+    # rims where it holds, often both under one law
+    scale = 10.0 ** rng.uniform(-3.0, 0.0, size=(n, 1))
+    z = rng.standard_normal((n, d + 1)) * scale
+    u = rng.uniform(-10.0, 10.0, size=(n, m))
+    h = 10.0 ** (log_h + np.array(jitter[: d + 1]))
+    # queries near training rows, at random, and far out (flagged)
+    near = rng.integers(0, n, size=20)
+    zq = np.vstack([
+        z[near] + 0.1 * scale[near] * rng.standard_normal((20, d + 1)),
+        rng.standard_normal((20, d + 1)),
+        far * rng.standard_normal((8, d + 1)),
+    ])
+    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=h)
+    got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
+    want, want_flags = _dense_reference(z, u, h, law.ref_nn_dist, zq)
+    assert np.array_equal(flags, want_flags)
+    # the weight truncation leaves out (at most) the bound's share of the
+    # denominator, which moves the mean by at most twice that times max|u|;
+    # rows whose bound exceeds 1e-16 are dense; the reference's
+    # expanded distances carry eps-relative rounding of the norms of the
+    # rows that carry weight
+    qh, zh = zq / h, z / h
+    exact = ((qh[:, None] - zh[None]) ** 2).sum(-1)
+    order = np.argsort(exact, axis=1)
+    srt = np.take_along_axis(exact, order, axis=1)
+    k = min(TREE_K, n)
+    bound = (n - k) * np.exp(-0.5 * (srt[:, k - 1] - srt[:, 0]))
+    norms = (qh**2).sum(1) + (zh**2).sum(1)[order[:, :k]].max(axis=1)
+    rounding = 16.0 * (d + 3) * np.finfo(float).eps * norms + 1.0e-13
+    tol = (2.0 * np.minimum(bound, 1.0e-16) + rounding) * np.abs(u).max()
+    assert np.all(np.abs(got - want) <= tol[:, None])
+    # the knn law shares the neighbour path: same sets, same order, same bits
+    knn = FeedbackLaw("knn", 1.0, z, u, k=7)
+    got, flags = knn.predict(zq[:, 0], zq[:, 1:], return_flag=True)
+    want, want_flags = _dense_reference(z, u, None, knn.ref_nn_dist, zq, k=7)
+    assert np.array_equal(flags, want_flags)
+    assert np.array_equal(got, want)
+
+
+def test_neighbour_ties_break_by_lower_index():
+    # integer lattice rows, each repeated many times with its own control:
+    # squared distances are exact, so equal distances tie exactly, and the
+    # neighbour sets must be those of a stable argsort over training rows
+    rng = substream(79, "ties")
+    z = rng.integers(-2, 3, size=(30, 3)).astype(float)[rng.integers(0, 30, size=600)]
+    u = rng.standard_normal((600, 2))
+    on = rng.integers(-3, 4, size=(100, 3)).astype(float)
+    off = on + 0.5  # never on a training row: at least 0.5 away
+    zq = np.vstack([on, off])
+    d2 = ((zq[:, None] - z[None]) ** 2).sum(-1)
+    srt = np.sort(d2, axis=1)
+    for k in (1, 5, EXTRAPOLATION_K, 50):
+        # the test only bites if ties straddle the k-th place
+        assert np.any(srt[:, k - 1] == srt[:, k])
+
+        law = FeedbackLaw("knn", 1.0, z, u, k=k, ref_nn_dist=1.0e9)
+        want, _ = _dense_reference(z, u, None, 1.0e9, zq, k=k, d2=d2)
+        assert np.array_equal(law.predict(zq[:, 0], zq[:, 1:]), want)
+
+    # the EXTRAPOLATION_K fallback: off-lattice queries are flagged
+    law = FeedbackLaw("knn", 1.0, z, u, k=1, ref_nn_dist=0.01)
+    got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
+    want, want_flags = _dense_reference(z, u, None, 0.01, zq, k=1, d2=d2)
+    assert np.array_equal(flags, want_flags) and flags[100:].all()
+    assert np.array_equal(got, want)
+
+    # the 1-nn underflow fallback: off-lattice queries sit >= 500 bandwidths
+    # from every row, so all their kernel weights underflow
+    h = np.full(3, 1.0e-3)
+    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=h, ref_nn_dist=1.0e9)
+    want, _ = _dense_reference(z, u, h, 1.0e9, off, d2=d2[100:])
+    assert np.array_equal(law.predict(off[:, 0], off[:, 1:]), want)
+
+
+def test_ref_nn_dist_is_the_median_nearest_spacing():
+    # the extrapolation threshold uses every training row, not a subsample
+    rng = substream(83, "spacing")
+    n = 3000
+    data = RegressionDataset(
+        t=rng.uniform(0.0, 1.0, size=n), x=rng.standard_normal((n, 2)),
+        u=rng.standard_normal((n, 1)), traj_id=np.arange(n),
+    )
+    z = np.column_stack([data.t, data.x])
+    nearest = np.empty(n)
+    for lo in range(0, n, 500):
+        d2 = ((z[lo : lo + 500, None] - z[None]) ** 2).sum(-1)
+        d2[np.arange(len(d2)), lo + np.arange(len(d2))] = np.inf
+        nearest[lo : lo + 500] = np.sqrt(d2.min(axis=1))
+    want = np.median(nearest)
+    for method in ("kernel", "knn"):
+        law = fit_feedback(data, method=method, hyperparams={"time_scale": 1.0})
+        assert abs(law.ref_nn_dist - want) <= 1.0e-12 * want
+    assert fit_feedback(data, method="mlp", hyperparams={"steps": 1}).ref_nn_dist == 0.0
