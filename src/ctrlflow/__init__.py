@@ -34,7 +34,6 @@ from .interpolants import (
     place_poles,
 )
 from .measures import (
-    Coupling,
     EmpiricalMeasure,
     build_coupling,
     sample_measure,
@@ -104,7 +103,6 @@ __all__ = [
     "gramian",
     "min_energy_pair_batch",
     "place_poles",
-    "Coupling",
     "EmpiricalMeasure",
     "build_coupling",
     "sample_measure",

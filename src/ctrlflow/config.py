@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigurationError
-from .measures import MEASURE_PARAMS
+from .measures import COUPLING_KINDS, MEASURE_PARAMS
 from .regression import HYPERPARAMS
 from .systems import builtin_names
 
@@ -34,7 +34,6 @@ KINDS = (
 TRANSPORT_KINDS = ("transport_linear", "output_transport", "brockett")
 
 MEASURE_KINDS = tuple(MEASURE_PARAMS)
-COUPLING_KINDS = ("independent", "paired", "ot_matched")
 REGRESSION_METHODS = tuple(HYPERPARAMS)
 
 # top-level scalar fields the CLI may override

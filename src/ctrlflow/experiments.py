@@ -47,6 +47,7 @@ from .measures import (
     EmpiricalMeasure,
     build_coupling,
     sample_measure,
+    set_distance,
     sliced_wasserstein2,
     wasserstein2,
 )
@@ -59,7 +60,7 @@ from .noising import (
 )
 from .ode import raise_on_blowup
 from .regression import RegressionDataset, dataset_from_pairs, fit_feedback, save_dataset
-from .seeding import stream_key, substream
+from .seeding import derived_seed, substream
 from .systems import builtin_system, negate_system, six_state_matrices, six_state_output
 from .trajectory import PairEnsemble, load_pair_csv, save_pair_bundle
 from .trajectory import columns, read_table, write_table
@@ -70,11 +71,6 @@ TARGET_REF_N = 512
 
 STAGES = ("sample", "construct", "fit", "integrate", "evaluate")
 MANIFEST_FORMAT = "ctrlflow.manifest.v2"
-
-
-def _role_seed(master_seed: int, *path) -> int:
-    # named sub-stream per pipeline role so stages re-run independently
-    return stream_key(master_seed, *path) % (2**63)
 
 
 @dataclass
@@ -201,7 +197,7 @@ def _check_dim(name: str, measure: EmpiricalMeasure, dim: int, space: str = "sys
 
 def _w2(a: EmpiricalMeasure, b: EmpiricalMeasure, evaluation: dict, seed: int) -> float:
     mode = evaluation["w2"]
-    exact_ok = a.n == b.n and a.n <= EXACT_W2_MAX_N and a.uniform and b.uniform
+    exact_ok = a.n == b.n and a.n <= EXACT_W2_MAX_N
     if mode == "exact" or (mode == "auto" and exact_ok):
         return wasserstein2(a, b)
     return sliced_wasserstein2(a, b, n_projections=evaluation["n_projections"], seed=seed)
@@ -235,19 +231,13 @@ def _distance_to_target(
 ) -> np.ndarray:
     """Distance from each row to the target set.
 
-    dirac and uniform_sphere targets have closed-form set distances; any
-    other target falls back to nearest-reference-sample distance.
+    The closed-form :func:`~ctrlflow.measures.set_distance` where the target
+    family has one, else the distance to the nearest reference sample.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if spec is not None and spec["kind"] == "dirac":
-        p = np.asarray(spec["params"]["point"], dtype=float)
-        return np.linalg.norm(points - p, axis=1)
-    if spec is not None and spec["kind"] == "uniform_sphere":
-        params = spec["params"]
-        dim = int(params.get("dim", len(params.get("center", [0.0, 0.0, 0.0]))))
-        center = np.asarray(params.get("center", np.zeros(dim)), dtype=float)
-        radius = float(params.get("radius", 1.0))
-        return np.abs(np.linalg.norm(points - center, axis=1) - radius)
+    exact = None if spec is None else set_distance(spec["kind"], spec["params"], points)
+    if exact is not None:
+        return exact
     if ref_points is None or len(ref_points) == 0:
         raise ConfigurationError("no target reference points available")
     return np.sqrt(sq_dists(points, ref_points).min(axis=1))
@@ -269,14 +259,6 @@ def _transport_matrices(cfg: ExperimentConfig):
     else:
         A, B = six_state_matrices()
     return A, B
-
-
-def _build_system(cfg: ExperimentConfig):
-    name = cfg.system["name"]
-    if name == "linear":
-        A, B = _transport_matrices(cfg)
-        return builtin_system("linear", A=A, B=B)
-    return builtin_system(name)
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +314,7 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
     and the kind-specific metrics; everything else happens here once.
     """
     seed = cfg.master_seed
-    sys = _stage("sample", _build_system, cfg)
+    sys = _stage("sample", builtin_system, cfg.system["name"], **cfg.system["params"])
     kind = (_Transport if cfg.kind in TRANSPORT_KINDS else _Stabilize)(cfg, sys)
     _stage("sample", kind.sample)
     _stage("construct", kind.construct)
@@ -343,7 +325,7 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
             data,
             method=cfg.regression["method"],
             hyperparams=cfg.regression["hyperparams"],
-            seed=_role_seed(seed, "fit"),
+            seed=derived_seed(seed, "fit"),
         )
         return data, law
 
@@ -421,66 +403,65 @@ class _Transport:
 
     def sample(self):
         cfg, sys, seed = self.cfg, self.sys, self.seed
-        mu0_s = _sample_points(cfg.mu0, cfg.n_train, _role_seed(seed, "mu0"))
+        mu0_s = _sample_points(cfg.mu0, cfg.n_train, derived_seed(seed, "mu0"))
         _check_dim("mu0", mu0_s, sys.d)
-        muT_s = _sample_points(cfg.muT, cfg.n_train, _role_seed(seed, "muT"))
+        muT_s = _sample_points(cfg.muT, cfg.n_train, derived_seed(seed, "muT"))
         if self.output:
             _check_dim("muT", muT_s, sys.output_dim, "output")
             muT_s = EmpiricalMeasure(points=_lift_output_targets(muT_s.points))
         else:
             _check_dim("muT", muT_s, sys.d)
-        self.coup = build_coupling(mu0_s, muT_s, cfg.coupling, _role_seed(seed, "coupling"))
+        coupling_seed = derived_seed(seed, "coupling")
+        self.x0, self.x1 = build_coupling(mu0_s, muT_s, cfg.coupling, coupling_seed)
 
     def construct(self):
-        cfg, coup, interp = self.cfg, self.coup, self.cfg.interpolant
+        cfg, x0, x1, interp = self.cfg, self.x0, self.x1, self.cfg.interpolant
         if cfg.kind == "transport_linear":
             A, B = _transport_matrices(cfg)
             self.T = interp["T"]
             self.train_pairs = min_energy_pair_batch(
-                A, B, coup.x0, coup.x1, self.T, n_grid=interp["n_grid"], n_quad=interp["n_quad"]
+                A, B, x0, x1, self.T, n_grid=interp["n_grid"], n_quad=interp["n_quad"]
             )
         elif self.output:
             A, B = _transport_matrices(cfg)
             self.T = interp["T"]
-            K = place_poles(A, B, interp["poles"], seed=_role_seed(self.seed, "poles"))
+            K = place_poles(A, B, interp["poles"], seed=derived_seed(self.seed, "poles"))
             self.train_pairs = feedback_steer_pair_batch(
-                A, B, K, ys=coup.x1, x0s=coup.x0, T=self.T, n_grid=interp["n_grid"]
+                A, B, K, ys=x1, x0s=x0, T=self.T, n_grid=interp["n_grid"]
             )
         else:
             self.T = BROCKETT_HORIZON
-            self.train_pairs = brockett_steer_pair_batch(
-                coup.x0, coup.x1, n_grid=interp["n_grid"]
-            )
+            self.train_pairs = brockett_steer_pair_batch(x0, x1, n_grid=interp["n_grid"])
 
     def dataset(self) -> RegressionDataset:
         return dataset_from_pairs(self.train_pairs)
 
     def starts(self) -> np.ndarray:
         cfg = self.cfg
-        return _sample_points(cfg.mu0, cfg.n_eval, _role_seed(self.seed, "eval_start")).points
+        return _sample_points(cfg.mu0, cfg.n_eval, derived_seed(self.seed, "eval_start")).points
 
     def evaluate_ensemble(self, run: _RunDir, metrics: dict) -> list:
         """Construction-level metrics and the constructed marginal snapshots."""
-        coup, pairs, seed, evaluation = self.coup, self.train_pairs, self.seed, self.cfg.evaluation
-        metrics["mean_pair_distance"] = _mean_pair_distance(coup.x0, coup.x1)
+        pairs, seed, evaluation = self.train_pairs, self.seed, self.cfg.evaluation
+        metrics["mean_pair_distance"] = _mean_pair_distance(self.x0, self.x1)
         errors = pairs.meta.get("endpoint_error", pairs.meta.get("terminal_error"))
         metrics["max_endpoint_error"] = float(np.max(errors))
         # construction-level quality: endpoints of the training ensemble
         end_constructed = pairs.states[:, -1]
         metrics["w2_construction_terminal"] = float(_w2(
             EmpiricalMeasure(points=end_constructed),
-            EmpiricalMeasure(points=coup.x1),
+            EmpiricalMeasure(points=self.x1),
             evaluation,
-            _role_seed(seed, "w2", "construction"),
+            derived_seed(seed, "w2", "construction"),
         ))
         if self.output:
             # sample-level output identity: push the constructed endpoints
             # through h and compare with the coupled target draws themselves
             metrics["w2_construction_output"] = float(_w2(
                 EmpiricalMeasure(points=six_state_output(end_constructed)),
-                EmpiricalMeasure(points=six_state_output(coup.x1)),
+                EmpiricalMeasure(points=six_state_output(self.x1)),
                 evaluation,
-                _role_seed(seed, "w2", "construction_output"),
+                derived_seed(seed, "w2", "construction_output"),
             ))
 
         self.fractions = evaluation["snapshot_fractions"]
@@ -498,20 +479,20 @@ class _Transport:
         achieved_T = EmpiricalMeasure(points=states[:, -1])
 
         # terminal comparison against fresh target draws
-        target = _sample_points(cfg.muT, n_kept, _role_seed(seed, "eval_target"))
+        target = _sample_points(cfg.muT, n_kept, derived_seed(seed, "eval_target"))
         run.write_snapshot("snapshot_target.csv", target.points, target.dim)
         if self.output:
             metrics["w2_output"] = float(_w2(
                 EmpiricalMeasure(points=six_state_output(achieved_T.points)),
                 target,
                 evaluation,
-                _role_seed(seed, "w2", "output"),
+                derived_seed(seed, "w2", "output"),
             ))
             target = EmpiricalMeasure(
-                points=_subsample(self.coup.x1, n_kept, _role_seed(seed, "state_ref"))
+                points=_subsample(self.x1, n_kept, derived_seed(seed, "state_ref"))
             )
         metrics["w2_terminal"] = float(
-            _w2(achieved_T, target, evaluation, _role_seed(seed, "w2", "term"))
+            _w2(achieved_T, target, evaluation, derived_seed(seed, "w2", "term"))
         )
 
         # learned-vs-constructed marginals along the flow
@@ -520,16 +501,16 @@ class _Transport:
         )
         for frac, l_meas, c_meas in zip(self.fractions, learned, self.constructed):
             c_pts = _subsample(
-                c_meas.points, l_meas.n, _role_seed(seed, "marg", f"{frac:g}")
+                c_meas.points, l_meas.n, derived_seed(seed, "marg", f"{frac:g}")
             )
             l_pts = _subsample(
-                l_meas.points, len(c_pts), _role_seed(seed, "marg_l", f"{frac:g}")
+                l_meas.points, len(c_pts), derived_seed(seed, "marg_l", f"{frac:g}")
             )
             val = _w2(
                 EmpiricalMeasure(points=l_pts),
                 EmpiricalMeasure(points=c_pts),
                 evaluation,
-                _role_seed(seed, "w2", f"marg{frac:g}"),
+                derived_seed(seed, "w2", f"marg{frac:g}"),
             )
             metrics[f"w2_t{frac:g}"] = float(val)
             run.write_snapshot(f"snapshot_learned_t{frac:g}.csv", l_meas.points, sys.d)
@@ -554,9 +535,9 @@ class _Stabilize:
 
     def sample(self):
         cfg, sys, seed = self.cfg, self.sys, self.seed
-        probe = _sample_points(cfg.target, 8, _role_seed(seed, "target_probe"))
+        probe = _sample_points(cfg.target, 8, derived_seed(seed, "target_probe"))
         _check_dim("target", probe, sys.d)
-        self.target_ref = _sample_points(cfg.target, TARGET_REF_N, _role_seed(seed, "target_ref"))
+        self.target_ref = _sample_points(cfg.target, TARGET_REF_N, derived_seed(seed, "target_ref"))
 
     def construct(self):
         cfg, noising = self.cfg, self.cfg.noising
@@ -566,7 +547,7 @@ class _Stabilize:
             n_samples=cfg.n_train,
             n_time_samples=noising["n_time_samples"],
             blowup=noising["blowup"],
-            seed=_role_seed(self.seed, "noising"),
+            seed=derived_seed(self.seed, "noising"),
         )
         if cfg.kind == "stabilize_pmp":
             ncfg = NoisingConfig(
@@ -586,7 +567,7 @@ class _Stabilize:
     def starts(self) -> np.ndarray:
         cfg = self.cfg
         start = cfg.evaluation["start"]
-        s = _role_seed(self.seed, "eval_start")
+        s = derived_seed(self.seed, "eval_start")
         if start["kind"] != "bootstrap":
             return _sample_points(start, cfg.n_eval, s).points
         endpoints = self.nreport.endpoints

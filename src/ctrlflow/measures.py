@@ -1,11 +1,13 @@
 """Empirical measures, couplings, and Wasserstein-2 distances.
 
-:func:`sample_measure` draws the builtin families as an
-:class:`EmpiricalMeasure`; :func:`build_coupling` pairs two of them
-(independent, by index, or by an optimal assignment); :func:`wasserstein2`
-is the exact assignment distance and :func:`sliced_wasserstein2` the
-projected one for large or unequal clouds.  Assignment costs are
-:func:`ctrlflow.linalg.sq_dists` blocks.
+Every measure is a uniform point cloud: an :class:`EmpiricalMeasure` holds
+N samples of mass 1/N.  :func:`sample_measure` draws the builtin families;
+:func:`set_distance` gives the closed-form distance to the support of those
+that have one.  :func:`build_coupling` pairs two clouds of equal count
+(independently, by index, or by an optimal assignment) and returns the
+paired arrays.  :func:`wasserstein2` is the exact assignment distance and
+:func:`sliced_wasserstein2` the projected one for large or unequal clouds.
+Assignment costs are :func:`ctrlflow.linalg.sq_dists` blocks.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError
 from .linalg import sq_dists
-from .seeding import stream_key, substream
+from .seeding import derived_seed, substream
 
 EXACT_W2_MAX_N = 2048
-_WEIGHT_TOL = 1.0e-12
+COUPLING_KINDS = ("independent", "paired", "ot_matched")
 
 # measure kind -> (required params, optional params) read by sample_measure
 MEASURE_PARAMS = {
@@ -36,14 +38,9 @@ MEASURE_PARAMS = {
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted point cloud.
-
-    Weights must be nonnegative and sum to one within 1e-12; the uniform
-    default is used when none are given.
-    """
+    """Uniform point cloud: N >= 1 samples in R^k, each of mass 1/N."""
 
     points: np.ndarray
-    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -51,22 +48,7 @@ class EmpiricalMeasure:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ConfigurationError(f"points must be (N, k) with N >= 1, got {pts.shape}")
-        if self.weights is None:
-            w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (pts.shape[0],):
-                raise ConfigurationError(
-                    f"weights have shape {w.shape}, expected ({pts.shape[0]},)"
-                )
-            if np.any(w < 0.0):
-                raise ConfigurationError("weights must be nonnegative")
-            if abs(w.sum() - 1.0) > _WEIGHT_TOL:
-                raise ConfigurationError(
-                    f"weights sum to {w.sum():.17g}, expected 1 within {_WEIGHT_TOL}"
-                )
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
@@ -75,36 +57,6 @@ class EmpiricalMeasure:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def uniform(self) -> bool:
-        return bool(np.allclose(self.weights, 1.0 / self.n, atol=_WEIGHT_TOL, rtol=0.0))
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Paired samples (x0_i, x1_i) with weights; kind records the builder."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-    weights: np.ndarray
-    kind: str = "independent"
-
-    def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        x1 = np.asarray(self.x1, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if x0.ndim != 2 or x1.ndim != 2 or x0.shape[0] != x1.shape[0]:
-            raise ConfigurationError("coupling marginals must share the sample count")
-        if w.shape != (x0.shape[0],) or abs(w.sum() - 1.0) > _WEIGHT_TOL:
-            raise ConfigurationError("coupling weights must sum to 1")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.x0.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +102,8 @@ def sample_measure(kind: str, params: dict, n: int, seed: int) -> EmpiricalMeasu
             raise ConfigurationError("uniform_box needs low <= high of equal shape")
         pts = rng.uniform(size=(n, len(low))) * (high - low) + low
     elif kind == "uniform_sphere":
-        dim = int(params.get("dim", len(params.get("center", [0.0, 0.0, 0.0]))))
-        center = np.asarray(params.get("center", np.zeros(dim)), dtype=float)
-        radius = float(params.get("radius", 1.0))
-        if radius < 0.0:
-            raise ConfigurationError(f"sphere radius must be >= 0, got {radius}")
-        raw = rng.standard_normal((n, dim))
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        # resample the (measure-zero) degenerate rows rather than dividing by 0
-        while np.any(norms == 0.0):
-            bad = norms[:, 0] == 0.0
-            raw[bad] = rng.standard_normal((bad.sum(), dim))
-            norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        center, radius, dim = _sphere(params)
+        raw, norms = _nonzero_normal_rows(rng, n, dim)
         pts = center + radius * raw / norms
     elif kind == "dirac":
         point = np.asarray(params["point"], dtype=float)
@@ -189,7 +131,8 @@ def sample_measure(kind: str, params: dict, n: int, seed: int) -> EmpiricalMeasu
             if counts[i] == 0:
                 continue
             sub = sample_measure(
-                comp["kind"], comp.get("params", {}), int(counts[i]), stream_mix(seed, i)
+                comp["kind"], comp.get("params", {}), int(counts[i]),
+                derived_seed(seed, "mixture", i),
             )
             parts.append(sub.points)
         pts = np.vstack(parts)
@@ -201,9 +144,39 @@ def sample_measure(kind: str, params: dict, n: int, seed: int) -> EmpiricalMeasu
     return EmpiricalMeasure(points=pts)
 
 
-def stream_mix(seed: int, i: int) -> int:
-    """Derived component seed for mixture sampling."""
-    return stream_key(seed, "mixture", i) % (2**63)
+def _nonzero_normal_rows(rng: np.random.Generator, n: int, k: int):
+    """(n, k) standard normal rows and their (n, 1) norms; zero rows are redrawn."""
+    raw = rng.standard_normal((n, k))
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    while np.any(norms == 0.0):
+        bad = norms[:, 0] == 0.0
+        raw[bad] = rng.standard_normal((bad.sum(), k))
+        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw, norms
+
+
+def _sphere(params: dict) -> tuple[np.ndarray, float, int]:
+    """Center, radius and dimension of a uniform_sphere (default: unit sphere about 0 in R^3)."""
+    dim = int(params.get("dim", len(params.get("center", [0.0, 0.0, 0.0]))))
+    center = np.asarray(params.get("center", np.zeros(dim)), dtype=float)
+    radius = float(params.get("radius", 1.0))
+    if radius < 0.0:
+        raise ConfigurationError(f"sphere radius must be >= 0, got {radius}")
+    return center, radius, dim
+
+
+def set_distance(kind: str, params: dict, points: np.ndarray) -> Optional[np.ndarray]:
+    """Distance from each row of ``points`` to the support of a builtin family.
+
+    Closed form for ``dirac`` (the point) and ``uniform_sphere`` (the
+    sphere); None for the other kinds, whose support has no closed form.
+    """
+    if kind == "dirac":
+        return np.linalg.norm(points - np.asarray(params["point"], dtype=float), axis=1)
+    if kind == "uniform_sphere":
+        center, radius, _ = _sphere(params)
+        return np.abs(np.linalg.norm(points - center, axis=1) - radius)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -212,56 +185,29 @@ def stream_mix(seed: int, i: int) -> int:
 
 def build_coupling(
     mu0: EmpiricalMeasure, mu1: EmpiricalMeasure, kind: str = "independent", seed: int = 0
-) -> Coupling:
-    """Pair samples of two marginals.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Paired samples ``(x0, x1)`` of two clouds of equal count.
 
-    ``independent`` resamples both sides to a common count (bootstrap by
-    weight if the counts differ) and pairs them through a random
-    permutation.  ``paired`` requires equal counts and pairs by index.
-    ``ot_matched`` solves the squared-Euclidean assignment problem; it
-    requires equal counts, uniform weights, and equal dimensions.
+    ``independent`` pairs them through a random permutation of mu1,
+    ``paired`` by index, and ``ot_matched`` by the squared-Euclidean
+    assignment (which also requires equal dimensions).  Row i of ``x0`` is
+    always sample i of mu0.
     """
-    rng = substream(seed, "coupling", kind)
-    if kind == "independent":
-        n = max(mu0.n, mu1.n)
-        a = _resample_to(mu0, n, rng)
-        b = _resample_to(mu1, n, rng)
-        perm = rng.permutation(n)
-        return Coupling(a, b[perm], np.full(n, 1.0 / n), kind=kind)
-    if kind == "paired":
-        if mu0.n != mu1.n:
-            raise ConfigurationError(
-                f"paired coupling requires equal counts, got {mu0.n} and {mu1.n}"
-            )
-        if not np.allclose(mu0.weights, mu1.weights, atol=_WEIGHT_TOL, rtol=0.0):
-            raise ConfigurationError("paired coupling requires matching weights")
-        return Coupling(mu0.points.copy(), mu1.points.copy(), mu0.weights.copy(), kind=kind)
-    if kind == "ot_matched":
-        if mu0.n != mu1.n:
-            raise ConfigurationError(
-                f"ot_matched requires equal counts, got {mu0.n} and {mu1.n}"
-            )
-        if not (mu0.uniform and mu1.uniform):
-            raise ConfigurationError("ot_matched requires uniform weights")
-        if mu0.dim != mu1.dim:
-            raise ConfigurationError("ot_matched requires equal dimensions")
-        cost = sq_dists(mu0.points, mu1.points)
-        rows, cols = linear_sum_assignment(cost)
-        order = np.argsort(rows)
-        return Coupling(
-            mu0.points.copy(),
-            mu1.points[cols[order]],
-            np.full(mu0.n, 1.0 / mu0.n),
-            kind=kind,
+    if kind not in COUPLING_KINDS:
+        raise ConfigurationError(f"unknown coupling kind '{kind}'")
+    if mu0.n != mu1.n:
+        raise ConfigurationError(
+            f"{kind} coupling requires equal counts, got {mu0.n} and {mu1.n}"
         )
-    raise ConfigurationError(f"unknown coupling kind '{kind}'")
-
-
-def _resample_to(mu: EmpiricalMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
-    if mu.n == n and mu.uniform:
-        return mu.points.copy()
-    idx = rng.choice(mu.n, size=n, replace=True, p=mu.weights)
-    return mu.points[idx]
+    x0 = mu0.points.copy()
+    if kind == "independent":
+        return x0, mu1.points[substream(seed, "coupling", kind).permutation(mu1.n)]
+    if kind == "paired":
+        return x0, mu1.points.copy()
+    if mu0.dim != mu1.dim:
+        raise ConfigurationError("ot_matched requires equal dimensions")
+    rows, cols = linear_sum_assignment(sq_dists(mu0.points, mu1.points))
+    return x0, mu1.points[cols[np.argsort(rows)]]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +215,7 @@ def _resample_to(mu: EmpiricalMeasure, n: int, rng: np.random.Generator) -> np.n
 
 
 def wasserstein2(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """Exact W2 between uniform empirical measures of equal size.
+    """Exact W2 between clouds of equal size.
 
     Solves the squared-Euclidean assignment problem (shortest augmenting
     path); the size is capped so the cubic solve stays a desk-scale
@@ -283,8 +229,6 @@ def wasserstein2(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
             f"exact W2 requires equal sample counts, got {a.n} and {b.n}; "
             "use sliced_wasserstein2 for unequal counts"
         )
-    if not (a.uniform and b.uniform):
-        raise ConfigurationError("exact W2 requires uniform weights")
     if a.n > EXACT_W2_MAX_N:
         raise ConfigurationError(
             f"exact W2 capped at N={EXACT_W2_MAX_N}, got N={a.n}; "
@@ -303,28 +247,6 @@ def wasserstein2(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     return float(np.sqrt(matched))
 
 
-def _quantile_w2_sq_1d(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray, wb: np.ndarray) -> float:
-    """Squared 1-D W2 between weighted samples via quantile matching.
-
-    Integrates (Fa^-1 - Fb^-1)^2 over [0, 1] exactly on the common
-    refinement of the two cumulative-weight partitions.
-    """
-    ia = np.argsort(xa, kind="stable")
-    ib = np.argsort(xb, kind="stable")
-    xa, wa = xa[ia], wa[ia]
-    xb, wb = xb[ib], wb[ib]
-    ca = np.cumsum(wa)
-    cb = np.cumsum(wb)
-    grid = np.union1d(ca, cb)
-    edges = np.concatenate([[0.0], grid])
-    dq = np.diff(edges)
-    # quantile value on (edges[i], edges[i+1]] is the first sample whose
-    # cumulative weight strictly exceeds the left edge
-    qa = xa[np.minimum(np.searchsorted(ca, edges[:-1], side="right"), len(xa) - 1)]
-    qb = xb[np.minimum(np.searchsorted(cb, edges[:-1], side="right"), len(xb) - 1)]
-    return float(np.sum(dq * (qa - qb) ** 2))
-
-
 def sliced_wasserstein2(
     a: EmpiricalMeasure,
     b: EmpiricalMeasure,
@@ -333,11 +255,14 @@ def sliced_wasserstein2(
 ) -> float:
     """Sliced W2: dimension-scaled root mean of 1-D projected distances.
 
-    For each random unit direction the exact 1-D W2 is computed by quantile
-    matching (any sample counts and weights).  The mean of the squared 1-D
-    distances is multiplied by the ambient dimension so that measures
-    differing by a translation keep their exact W2; in dimension one the
-    estimate coincides with the exact distance for every direction.
+    Both clouds are projected onto the random unit directions at once and
+    sorted along the sample axis.  The exact 1-D W2 of each direction
+    integrates (Fa^-1 - Fb^-1)^2 over [0, 1] on the common refinement of
+    the quantile grids i/Na and j/Nb, which is the same for every direction
+    and any sample counts.  The mean of the squared 1-D distances is
+    multiplied by the ambient dimension so that measures differing by a
+    translation keep their exact W2; in dimension one the estimate
+    coincides with the exact distance for every direction.
     """
     if a.dim != b.dim:
         raise ConfigurationError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -345,14 +270,16 @@ def sliced_wasserstein2(
         raise ConfigurationError("need at least one projection")
     k = a.dim
     rng = substream(seed, "sliced_w2")
-    total = 0.0
-    for _ in range(n_projections):
-        v = rng.standard_normal(k)
-        nv = np.linalg.norm(v)
-        while nv == 0.0:
-            v = rng.standard_normal(k)
-            nv = np.linalg.norm(v)
-        v /= nv
-        total += _quantile_w2_sq_1d(a.points @ v, a.weights, b.points @ v, b.weights)
-    return float(np.sqrt(k * total / n_projections))
-
+    V, norms = _nonzero_normal_rows(rng, n_projections, k)
+    V /= norms
+    qa = np.sort(a.points @ V.T, axis=0)
+    qb = np.sort(b.points @ V.T, axis=0)
+    ca = np.cumsum(np.full(a.n, 1.0 / a.n))
+    cb = np.cumsum(np.full(b.n, 1.0 / b.n))
+    edges = np.concatenate([[0.0], np.union1d(ca, cb)])
+    # the quantile on (edges[i], edges[i+1]] is the first sample whose
+    # cumulative mass strictly exceeds the left edge
+    ia = np.minimum(np.searchsorted(ca, edges[:-1], side="right"), a.n - 1)
+    ib = np.minimum(np.searchsorted(cb, edges[:-1], side="right"), b.n - 1)
+    per_direction = np.diff(edges) @ (qa[ia] - qb[ib]) ** 2
+    return float(np.sqrt(k * per_direction.sum() / n_projections))

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .ode import pl_stage_values, rk4, rk4_stage_controls, uniform_grid
 from .regression import dataset_from_pairs
-from .seeding import generator_from_seed, stream_key, substream
+from .seeding import derived_seed, generator_from_seed, substream
 from .systems import ControlAffineSystem
 from .trajectory import PairEnsemble
 
@@ -256,7 +256,7 @@ def generate_noising_dataset(
     rows, tagged by their sample index.
     """
     n = config.n_samples
-    x0s = np.asarray(mu0_sampler(n, stream_key(config.seed, "noising", "x0") % 2**63))
+    x0s = np.asarray(mu0_sampler(n, derived_seed(config.seed, "noising", "x0")))
     x0s = np.atleast_2d(x0s.astype(float))
     if x0s.shape != (n, sys.d):
         raise ConfigurationError(
@@ -269,10 +269,7 @@ def generate_noising_dataset(
             p0s = config.p_scale * rng.standard_normal((n, sys.d))
         else:
             p0s = np.atleast_2d(
-                np.asarray(
-                    p_sampler(n, stream_key(config.seed, "noising", "p0") % 2**63),
-                    dtype=float,
-                )
+                np.asarray(p_sampler(n, derived_seed(config.seed, "noising", "p0")), dtype=float)
             )
         cost = QuadraticCost(theta=config.theta)
         ens, costates, bad = pmp_extremal_batch(
@@ -289,7 +286,7 @@ def generate_noising_dataset(
         for i in range(n):
             u_all[i] = sample_brownian_control(
                 sys.m, config.T, config.n_grid, config.sigma,
-                stream_key(config.seed, "noising", "brownian", i) % 2**63,
+                derived_seed(config.seed, "noising", "brownian", i),
             )
         states, bad = endpoint_map_batch(
             sys, x0s, t_grid, u_all, direction="reversed", blowup=config.blowup

@@ -301,10 +301,13 @@ class FeedbackLaw:
 
     def _neighbour_predict(self, zq: np.ndarray, nn: np.ndarray):
         flags = nn > EXTRAPOLATION_FACTOR * max(self.ref_nn_dist, 1.0e-300)
-        if self.method == "knn":
-            out = self._u[self._nearest(zq, self.k)].mean(axis=1)
-        else:
-            out = self._kernel_mean(zq)
+        out = np.empty((len(zq), self.m))
+        inside = ~flags
+        if inside.any():
+            if self.method == "knn":
+                out[inside] = self._u[self._nearest(zq[inside], self.k)].mean(axis=1)
+            else:
+                out[inside] = self._kernel_mean(zq[inside])
         if flags.any():
             out[flags] = self._u[self._nearest(zq[flags], EXTRAPOLATION_K)].mean(axis=1)
         return out, flags

@@ -25,6 +25,11 @@ def stream_key(master_seed: int, *path) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
+def derived_seed(master_seed: int, *path) -> int:
+    """Nonnegative 63-bit seed of the named substream, for calls that take a seed."""
+    return stream_key(master_seed, *path) % 2**63
+
+
 def substream(master_seed: int, *path) -> np.random.Generator:
     """Generator for the named substream of ``master_seed``."""
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, *path)))

@@ -278,16 +278,16 @@ def test_marginal_consistency_of_learned_flow():
     N, T = 512, 1.0
     mu0 = sample_measure("gaussian", {"mean": [-2.0, -2.0], "cov": 0.25}, N, seed=1)
     muT = sample_measure("gaussian", {"mean": [2.0, 2.0], "cov": 0.25}, N, seed=2)
-    coup = build_coupling(mu0, muT, kind="ot_matched")
-    ens = min_energy_pair_batch(A, B, coup.x0, coup.x1, T, n_grid=300)
+    x0, x1 = build_coupling(mu0, muT, kind="ot_matched")
+    ens = min_energy_pair_batch(A, B, x0, x1, T, n_grid=300)
     data = dataset_from_pairs(ens, n_time_samples=25)
     law = fit_feedback(data, method="kernel", hyperparams={"bandwidth_scale": 0.1})
-    t_grid, states, _, info = integrate_closed_loop_batch(sys, law, coup.x0, T, 200)
+    t_grid, states, _, info = integrate_closed_loop_batch(sys, law, x0, T, 200)
     assert info.excluded_count == 0
     times = [0.25 * T, 0.5 * T, 0.75 * T, T]
     flow_snaps = snapshots_from_arrays(t_grid, states, times)
     built_snaps = snapshots_from_arrays(ens.t_grid, ens.states, times)
-    scale = float(np.linalg.norm(coup.x1 - coup.x0, axis=1).mean())
+    scale = float(np.linalg.norm(x1 - x0, axis=1).mean())
     for fs, bs in zip(flow_snaps, built_snaps):
         assert wasserstein2(fs, bs) <= 0.15 * scale
 

@@ -29,3 +29,18 @@ def test_no_unused_imports():
                     if name not in read:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_stream_key_called_only_in_seeding():
+    # every derived seed or substream goes through seeding.py's helpers
+    callers = []
+    for path in sorted(Path(ctrlflow.__file__).parent.glob("*.py")):
+        if path.name == "seeding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "stream_key":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []

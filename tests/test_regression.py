@@ -194,6 +194,22 @@ def test_extrapolation_flag_and_fallback():
     assert law.ref_nn_dist > 0.0
     assert np.sqrt(d2.min()) > EXTRAPOLATION_FACTOR * law.ref_nn_dist
 
+    # an all-flagged batch and a mixed one: every row answers as it does
+    # alone, flagged rows with the EXTRAPOLATION_K mean
+    far_xs = np.array([[1000.0, -1000.0], [-800.0, 50.0], [0.0, 3000.0]])
+    mixed_xs = np.vstack([np.zeros(2), far_xs[0], data.x[3], far_xs[1]])
+    for method in ("kernel", "knn"):
+        law = fit_feedback(data, method=method, hyperparams={"time_scale": 1.0})
+        for xs, want_flags in ((far_xs, [True] * 3), (mixed_xs, [False, True, False, True])):
+            out, flags = law.predict(0.5, xs, return_flag=True)
+            assert flags.tolist() == want_flags
+            alone = np.array([law.predict(0.5, x) for x in xs])
+            assert np.allclose(out, alone, rtol=0.0, atol=1e-12)
+            for x, row in zip(xs[flags], out[flags]):
+                d2 = np.sum((z - np.array([law.time_scale * 0.5, *x])) ** 2, axis=1)
+                want = data.u[np.argsort(d2, kind="stable")[:EXTRAPOLATION_K]].mean(axis=0)
+                assert np.allclose(row, want, rtol=0.0, atol=1e-12)
+
 
 def test_mlp_learns_linear_map():
     rng = substream(37, "mlp")
