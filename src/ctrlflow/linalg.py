@@ -2,7 +2,8 @@
 
 The matrix exponential and the controllability checks serve the
 interpolants; :func:`sq_dists` is the one squared-distance block that the
-feedback law, the couplings and the target distance share.
+feedback law, the couplings and the target distance share, finished in
+place one row tile (:func:`tile_rows`) at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ _PADE6 = np.array(
         1.0 / 665280.0,
     ]
 )
+
+# entries in one row tile of a block that is finished in place: the passes
+# over a tile stay in cache
+TILE_ENTRIES = 2**17
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -80,14 +85,33 @@ def kalman_rank(A: np.ndarray, B: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(controllability_matrix(A, B)))
 
 
+def tile_rows(n_cols: int) -> int:
+    """Rows of an (n, n_cols) block that make one tile of about TILE_ENTRIES."""
+    return max(1, TILE_ENTRIES // max(1, n_cols))
+
+
 def sq_dists(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances |a_i - b_j|^2 between rows, shape (n, m).
 
-    Expanded as |a|^2 + |b|^2 - 2ab so the block is one matrix product;
+    Expanded as (|a|^2 + |b|^2) - 2ab so the block is one matrix product;
     cancellation noise below zero is clamped.  ``b_sq`` takes the cached
     row norms ``einsum("md,md->m", b, b)`` of a ``b`` that is queried often.
+
+    The product is the only block-sized allocation: it is finished in
+    place, one row tile of about ``TILE_ENTRIES`` entries at a time, as
+    (|a|^2 + |b|^2) + (-2ab), which is bit-equal to the subtraction.
     """
     if b_sq is None:
         b_sq = np.einsum("md,md->m", b, b)
-    d2 = np.einsum("nd,nd->n", a, a)[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0, out=d2)
+    a_sq = np.einsum("nd,nd->n", a, a)
+    d2 = a @ b.T
+    step = tile_rows(len(b_sq))
+    norms = np.empty((min(step, len(a_sq)), len(b_sq)))
+    for lo in range(0, len(a_sq), step):
+        tile = d2[lo : lo + step]
+        s = norms[: len(tile)]
+        np.add(a_sq[lo : lo + step, None], b_sq, out=s)
+        tile *= -2.0
+        tile += s
+        np.maximum(tile, 0.0, out=tile)
+    return d2

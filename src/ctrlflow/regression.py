@@ -23,9 +23,16 @@ A kernel law also builds a tree on z/h and sums the weights of a row's
 the top weight, at most (n - k) exp(-(d_k^2 - d_1^2)/2) in scaled
 distances, is no more than ``TRUNCATION_TOL``.  Rows that fail the bound
 get the dense Nadaraya-Watson weights from one block of scaled distances
-(:func:`ctrlflow.linalg.sq_dists`), restricted to those rows.  A law keeps
-the z/h tree only if the bound holds on at least half of a strided probe of
-its training rows; a wide bandwidth leaves it dense throughout.
+(:func:`ctrlflow.linalg.sq_dists`), restricted to those rows and turned
+into weights in place, one row tile at a time.  A law keeps the z/h tree
+only if the bound holds on at least half of a strided probe of its training
+rows; a wide bandwidth leaves it dense throughout.
+
+Every kernel weight, and the bound itself, comes from :func:`_exp_weights`:
+an argument below ``EXP_FLOOR`` = -700 gets weight 0.  Each such weight is
+below e^-700 ~ 1e-304 of its row's top weight 1, so a row leaves out at most
+n e^-700 of its mass, far inside ``TRUNCATION_TOL`` for any n below about
+1e284; numpy's exp would take its slow path for those tiny results.
 :func:`crossval_loss` selects hyperparameters on trajectory-grouped folds,
 and :func:`save_dataset` / :func:`load_dataset` write and read a run's
 ``dataset.csv``.
@@ -50,7 +57,7 @@ from .errors import (
     EmptyDatasetError,
     TrainingDivergedError,
 )
-from .linalg import sq_dists
+from .linalg import sq_dists, tile_rows
 from .seeding import substream
 from .trajectory import columns, read_table, write_table
 
@@ -62,6 +69,8 @@ EXTRAPOLATION_K = 16
 TREE_K = 32
 TRUNCATION_TOL = 1.0e-16
 PROBE_ROWS = 64
+# kernel arguments below the floor get weight 0 (see _exp_weights)
+EXP_FLOOR = -700.0
 
 # hyperparameters each method reads in fit_feedback
 HYPERPARAMS = {
@@ -132,6 +141,26 @@ def dataset_from_pairs(ens, n_time_samples: int = 25, traj_id=None) -> Regressio
         u=ens.controls[:, idx].reshape(-1, ens.m),
         traj_id=np.repeat(ids, len(idx)),
     )
+
+
+def _exp_weights(w: np.ndarray) -> np.ndarray:
+    """Kernel weights exp(w) in place, for arguments w <= 0 (row maximum 0).
+
+    Arguments below ``EXP_FLOOR`` are clamped before the exp, which keeps
+    numpy's exp on its vector path (a tiny or subnormal result leaves it),
+    and their weights are set to 0; every other weight is bit-equal to
+    ``np.exp``.  Together the zeroed weights are at most n e^-700 of the
+    row's top weight 1, far inside ``TRUNCATION_TOL``.
+    """
+    if w.size == 0 or w.min() >= EXP_FLOOR:
+        return np.exp(w, out=w)
+    # a product with the mask keeps the bits of every kept weight, and is
+    # vectorized where a masked assignment is not
+    keep = w >= EXP_FLOOR
+    np.maximum(w, EXP_FLOOR, out=w)
+    np.exp(w, out=w)
+    w *= keep
+    return w
 
 
 def _canonical_order(t, x, u):
@@ -266,7 +295,7 @@ class FeedbackLaw:
         dist, idx = self._zh_tree.query(qh, k=k)
         d2 = dist.reshape(len(qh), k) ** 2
         idx = idx.reshape(len(qh), k)
-        left_out = (self.n_train - k) * np.exp(-0.5 * (d2[:, -1] - d2[:, 0]))
+        left_out = (self.n_train - k) * _exp_weights(-0.5 * (d2[:, -1] - d2[:, 0]))
         # an overflowed distance comes with no training index
         return d2, idx, (left_out <= TRUNCATION_TOL) & (d2[:, -1] < np.inf)
 
@@ -279,22 +308,27 @@ class FeedbackLaw:
             d2, idx, ok = self._tree_weights(qh)
             d2, idx = d2[ok], idx[ok]
             emin[ok] = d2[:, 0]
-            w = np.exp(-0.5 * (d2 - d2[:, :1]))
+            w = _exp_weights(-0.5 * (d2 - d2[:, :1]))
             out[ok] = np.einsum("qk,qkm->qm", w, self._u[idx]) / w.sum(axis=1, keepdims=True)
             dense = ~ok
         if dense.any():
             # the one dense block: scaled distances of the uncertified rows,
-            # turned into weights in place
+            # turned into weights in place, one row tile at a time
             w = sq_dists(qh[dense], self._zh, self._zh_sq)
-            e = w.min(axis=1, keepdims=True)
-            w -= e
-            w *= -0.5
-            np.exp(w, out=w)
+            e = np.empty(len(w))
+            step = tile_rows(self.n_train)
+            for lo in range(0, len(w), step):
+                tile = w[lo : lo + step]
+                e[lo : lo + step] = tile.min(axis=1)
+                tile -= e[lo : lo + step, None]
+                tile *= -0.5
+                _exp_weights(tile)
             out[dense] = (w @ self._u) / w.sum(axis=1, keepdims=True)
-            emin[dense] = e[:, 0]
-        # raw weights exp(-emin/2) would all underflow: the Nadaraya-Watson
+            emin[dense] = e
+        # past -2 EXP_FLOOR even the top raw weight exp(-emin/2) would be
+        # floored, so every weight of the row would be: the Nadaraya-Watson
         # denominator degenerates, use the nearest point
-        degenerate = emin > 1400.0
+        degenerate = emin > -2.0 * EXP_FLOOR
         if degenerate.any():
             out[degenerate] = self._u[self._nearest(zq[degenerate], 1)[:, 0]]
         return out
@@ -328,9 +362,12 @@ class FeedbackLaw:
         ties by the lower canonical training index.  Kernel weights come
         from the ``TREE_K`` nearest rows of the z/h tree where the truncation
         bound holds (see :meth:`_tree_weights`), and from a dense block of
-        scaled distances, for those rows only, where it does not.  Rows
-        no training row is a finite distance from (a blown-up rollout
-        stage) get NaN and no flag.
+        scaled distances, for those rows only, where it does not.  The block
+        is the one block-sized allocation: it is turned into weights in
+        place, one row tile at a time.  Weights below e^-700 of a row's top
+        weight are 0 (``EXP_FLOOR``), which leaves out at most n e^-700 of
+        the row's mass.  Rows no training row is a finite distance from (a
+        blown-up rollout stage) get NaN and no flag.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -408,8 +445,8 @@ class FeedbackLaw:
         )
 
     def save(self, path) -> None:
-        with Path(path).open("w") as fh:
-            json.dump(self.to_json_dict(), fh)
+        # dumps runs the C encoder; dump to a file handle runs the Python one
+        Path(path).write_text(json.dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path) -> "FeedbackLaw":
@@ -574,8 +611,10 @@ def fit_feedback(
     # training loss, estimated on a seeded subsample once the dataset is
     # large; chunked so predict's one dense block, the scaled distances of
     # the rows whose truncation bound fails (all rows of a law without a
-    # z/h tree), stays bounded: one chunk's block and its matmul temporaries
-    # fit a 2^24-entry (128 MB) budget
+    # z/h tree), stays near 2^22 entries (32 MB; 256 rows once n > 16384).
+    # predict finishes that block in place, with no block-sized temporaries.
+    # The chunks also fix the order of the loss sum, so their size stays for
+    # final_loss's bits
     loss_cap = 8192
     if data.n > loss_cap:
         pick = np.sort(substream(seed, "fit", "loss_rows").choice(

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ctrlflow.errors import ConfigurationError
-from ctrlflow.linalg import check_ab, controllability_matrix, expm, kalman_rank, sq_dists
+from ctrlflow.linalg import (
+    check_ab,
+    controllability_matrix,
+    expm,
+    kalman_rank,
+    sq_dists,
+    tile_rows,
+)
 
 
 def test_expm_zero_is_identity():
@@ -128,3 +135,25 @@ def test_sq_dists_matches_direct_differences(ab):
     assert np.all(np.abs(d2 - direct) <= bound)
     # cached row norms of b give the same block bit for bit
     assert np.array_equal(sq_dists(a, b, np.einsum("md,md->m", b, b)), d2)
+
+
+@pytest.mark.parametrize("rows", ["one", "tile-1", "tile", "tile+1", "several_tiles"])
+def test_sq_dists_tiles_are_bit_equal_to_one_block(rows):
+    # the in-place row tiles give the bits of the one-shot expansion
+    # (|a|^2 + |b|^2) - 2ab, at and around a tile boundary
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal((1000, 3)) * 10.0 ** rng.integers(-3, 3, size=(1000, 1))
+    step = tile_rows(len(b))
+    assert 1 < step < 1000
+    n = {"one": 1, "tile-1": step - 1, "tile": step, "tile+1": step + 1,
+         "several_tiles": 3 * step + 7}[rows]
+    a = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-3, 3, size=(n, 1))
+    # rows of a that are rows of b: their expanded distance may round below 0
+    a[:10] = b[: len(a[:10])]
+    a_sq = np.einsum("nd,nd->n", a, a)
+    b_sq = np.einsum("md,md->m", b, b)
+    raw = (a_sq[:, None] + b_sq[None]) - 2.0 * (a @ b.T)
+    assert n < 10 or (raw < 0.0).any()
+    want = np.maximum(raw, 0)
+    assert np.array_equal(sq_dists(a, b), want)
+    assert np.array_equal(sq_dists(a, b, b_sq), want)

@@ -44,3 +44,23 @@ def test_stream_key_called_only_in_seeding():
                 if name == "stream_key":
                     callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+
+def test_np_exp_called_only_in_the_weights_helper():
+    # every kernel weight goes through regression._exp_weights, which keeps
+    # numpy's exp off its slow path for arguments below EXP_FLOOR
+    callers = []
+    for path in sorted(Path(ctrlflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "regression.py":
+            helper = next(fn for fn in tree.body
+                          if isinstance(fn, ast.FunctionDef) and fn.name == "_exp_weights")
+            allowed = set(ast.walk(helper))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and node not in allowed:
+                fn = node.func
+                if (isinstance(fn, ast.Attribute) and fn.attr == "exp"
+                        and isinstance(fn.value, ast.Name) and fn.value.id == "np"):
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []

@@ -13,12 +13,18 @@ The estimator invariants checked here:
 * the k-d tree answers match a dense reference: truncated kernel weights
   within their certified bound, neighbour sets bit for bit, with ties
   broken by the lower training index.
+* kernel weights are np.exp of their arguments, bit for bit, down to
+  EXP_FLOOR and 0 below it; a dense law whose weights are mostly floored
+  predicts the bits of the unfloored dense reference.
 """
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ctrlflow import (
     ConfigurationError,
@@ -33,7 +39,13 @@ from ctrlflow import (
     save_dataset,
 )
 from ctrlflow.linalg import sq_dists
-from ctrlflow.regression import EXTRAPOLATION_FACTOR, EXTRAPOLATION_K, TREE_K
+from ctrlflow.regression import (
+    EXP_FLOOR,
+    EXTRAPOLATION_FACTOR,
+    EXTRAPOLATION_K,
+    TREE_K,
+    _exp_weights,
+)
 from ctrlflow.seeding import substream
 from ctrlflow.trajectory import PairEnsemble
 
@@ -251,6 +263,7 @@ def test_law_serialization_round_trip(tmp_path):
         law = fit_feedback(data, method=method, hyperparams=hp, seed=2)
         path = tmp_path / f"law_{method}.json"
         law.save(path)
+        assert path.read_bytes() == json.dumps(law.to_json_dict()).encode()
         loaded = FeedbackLaw.load(path)
         assert loaded.method == method
         assert np.array_equal(loaded.predict(tq, xq), law.predict(tq, xq))
@@ -416,6 +429,43 @@ def test_truncated_kernel_matches_dense_reference(n, d, m, log_h, jitter, far, s
     got, flags = knn.predict(zq[:, 0], zq[:, 1:], return_flag=True)
     want, want_flags = _dense_reference(z, u, None, knn.ref_nn_dist, zq, k=7)
     assert np.array_equal(flags, want_flags)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, array_shapes(max_dims=2, max_side=40), elements=st.floats(-2000.0, 0.0)))
+@example(np.array([EXP_FLOOR, np.nextafter(EXP_FLOOR, 0.0), np.nextafter(EXP_FLOOR, -np.inf),
+                   -745.2, -746.0, -0.0, 0.0]))
+def test_exp_weights_floor(args):
+    got = _exp_weights(args.copy())
+    keep = args >= EXP_FLOOR
+    assert np.array_equal(got[keep], np.exp(args[keep]))
+    assert np.all(got[~keep] == 0.0)
+
+
+def test_dense_law_with_floored_weights_matches_reference():
+    # clusters far apart in bandwidths, each a tight core of 40 rows and a
+    # halo of 10: a core row's TREE_K nearest sit in its core, so the
+    # truncation bound fails and the law is dense, while most of each row's
+    # block lies past the floor and the halo gives weights between e^-700
+    # and e^-20 that must count.  Controls from uniform(-10, 10) keep every
+    # weighted sum from cancelling, the one case where a floored weight
+    # could move a last bit
+    rng = np.random.default_rng(11)
+    z = np.repeat(100.0 * rng.standard_normal((20, 3)), 50, axis=0)
+    z += rng.standard_normal(z.shape) * np.tile(np.repeat([1.0, 8.0], [40, 10]), 20)[:, None]
+    u = rng.uniform(-10.0, 10.0, size=(len(z), 2))
+    h = np.ones(3)
+    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=h)
+    assert law._zh_tree is None
+    zq = z[rng.integers(0, len(z), size=64)] + 0.5 * rng.standard_normal((64, 3))
+    scaled = sq_dists(zq / h, z / h)
+    args = -0.5 * (scaled - scaled.min(axis=1, keepdims=True))
+    assert np.mean(args < EXP_FLOOR) >= 0.5
+    assert np.any((args >= EXP_FLOOR) & (args < -20.0))
+    got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
+    want, want_flags = _dense_reference(z, u, h, law.ref_nn_dist, zq)
+    assert not flags.any() and not want_flags.any()
     assert np.array_equal(got, want)
 
 
