@@ -2,8 +2,9 @@
 
 The matrix exponential and the controllability checks serve the
 interpolants; :func:`sq_dists` is the one squared-distance block that the
-feedback law, the couplings and the target distance share, finished in
-place one row tile (:func:`tile_rows`) at a time.
+couplings and the target distance share, finished in place one row tile
+(:func:`tile_rows`) at a time.  The feedback law's dense kernel weights use
+the same tiles.
 """
 
 from __future__ import annotations
@@ -90,20 +91,18 @@ def tile_rows(n_cols: int) -> int:
     return max(1, TILE_ENTRIES // max(1, n_cols))
 
 
-def sq_dists(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances |a_i - b_j|^2 between rows, shape (n, m).
 
     Expanded as (|a|^2 + |b|^2) - 2ab so the block is one matrix product;
-    cancellation noise below zero is clamped.  ``b_sq`` takes the cached
-    row norms ``einsum("md,md->m", b, b)`` of a ``b`` that is queried often.
+    cancellation noise below zero is clamped.
 
     The product is the only block-sized allocation: it is finished in
     place, one row tile of about ``TILE_ENTRIES`` entries at a time, as
     (|a|^2 + |b|^2) + (-2ab), which is bit-equal to the subtraction.
     """
-    if b_sq is None:
-        b_sq = np.einsum("md,md->m", b, b)
     a_sq = np.einsum("nd,nd->n", a, a)
+    b_sq = np.einsum("md,md->m", b, b)
     d2 = a @ b.T
     step = tile_rows(len(b_sq))
     norms = np.empty((min(step, len(a_sq)), len(b_sq)))

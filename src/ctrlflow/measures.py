@@ -7,7 +7,8 @@ that have one.  :func:`build_coupling` pairs two clouds of equal count
 (independently, by index, or by an optimal assignment) and returns the
 paired arrays.  :func:`wasserstein2` is the exact assignment distance and
 :func:`sliced_wasserstein2` the projected one for large or unequal clouds.
-Assignment costs are :func:`ctrlflow.linalg.sq_dists` blocks.
+Assignment costs are :func:`ctrlflow.linalg.sq_dists` blocks, the one
+squared-distance block they share with the distance to a target sample.
 """
 
 from __future__ import annotations

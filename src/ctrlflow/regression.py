@@ -22,11 +22,14 @@ A kernel law also builds a tree on z/h and sums the weights of a row's
 ``TREE_K`` nearest training rows only, when the left-out weight relative to
 the top weight, at most (n - k) exp(-(d_k^2 - d_1^2)/2) in scaled
 distances, is no more than ``TRUNCATION_TOL``.  Rows that fail the bound
-get the dense Nadaraya-Watson weights from one block of scaled distances
-(:func:`ctrlflow.linalg.sq_dists`), restricted to those rows and turned
-into weights in place, one row tile at a time.  A law keeps the z/h tree
-only if the bound holds on at least half of a strided probe of its training
-rows; a wide bandwidth leaves it dense throughout.
+get the dense Nadaraya-Watson weights over every training row, one row
+tile (:func:`ctrlflow.linalg.tile_rows`) at a time.  The Gaussian weight of
+scaled rows q and z factors as exp(-|q|^2/2) exp(q.z - |z|^2/2) and the
+first factor cancels in the mean, so a tile's arguments are one matrix
+product of [q, 1] with the law's cached [z, -|z|^2/2], written to a tile
+workspace that the law allocates once.  A law keeps the z/h tree only if
+the bound holds on at least half of a strided probe of its training rows;
+a wide bandwidth leaves it dense throughout.
 
 Every kernel weight, and the bound itself, comes from :func:`_exp_weights`:
 an argument below ``EXP_FLOOR`` = -700 gets weight 0.  Each such weight is
@@ -57,7 +60,7 @@ from .errors import (
     EmptyDatasetError,
     TrainingDivergedError,
 )
-from .linalg import sq_dists, tile_rows
+from .linalg import tile_rows
 from .seeding import substream
 from .trajectory import columns, read_table, write_table
 
@@ -223,7 +226,7 @@ class FeedbackLaw:
         self.hyperparams = dict(hyperparams or {})
         self.final_loss = final_loss
         self._tree = self._zh_tree = None
-        self._h = self._zh = self._zh_sq = None
+        self._h = self._zh = self._za = self._tile = None
         if method == "mlp":
             return
         self._tree = cKDTree(z)
@@ -232,8 +235,12 @@ class FeedbackLaw:
         if bandwidth is not None:
             self._h = np.maximum(bandwidth, 1.0e-300)
             self._zh = z / self._h
-            # cached row norms so the dense fallback block is one matrix product
-            self._zh_sq = np.einsum("nd,nd->n", self._zh, self._zh)
+            # the dense path's operand [z/h, -|z/h|^2/2], stored transposed
+            # (the faster layout for its product), and the row tile that
+            # product is written to (see _dense_mean)
+            zh_sq = np.einsum("nd,nd->n", self._zh, self._zh)
+            self._za = np.vstack([self._zh.T, -0.5 * zh_sq])
+            self._tile = np.empty((tile_rows(self.n_train), self.n_train))
             # keep the z/h tree only if truncation is certified on at least
             # half of a strided probe of training rows; otherwise stay dense
             self._zh_tree = cKDTree(self._zh)
@@ -299,6 +306,32 @@ class FeedbackLaw:
         # an overflowed distance comes with no training index
         return d2, idx, (left_out <= TRUNCATION_TOL) & (d2[:, -1] < np.inf)
 
+    def _dense_mean(self, qh: np.ndarray):
+        """Nadaraya-Watson means of scaled query rows over every training row.
+
+        A row's kernel arguments are q.z - |z|^2/2, the exponent of the
+        Gaussian weight less the -|q|^2/2 that cancels in the mean: one
+        product of [q, 1] with the cached [z, -|z|^2/2], one row tile at a
+        time into the law's workspace.  Less their row maximum they become
+        weights in place.  Also returns each row's smallest squared scaled
+        distance, |q|^2 - 2 max.
+        """
+        out = np.empty((len(qh), self.m))
+        emin = np.einsum("nd,nd->n", qh, qh)
+        qa = np.column_stack([qh, np.ones(len(qh))])
+        step = len(self._tile)
+        for lo in range(0, len(qh), step):
+            rows = slice(lo, lo + step)
+            q = qa[rows]
+            tile = self._tile[: len(q)]
+            np.matmul(q, self._za, out=tile)
+            top = tile.max(axis=1)
+            emin[rows] -= 2.0 * top
+            tile -= top[:, None]
+            _exp_weights(tile)
+            out[rows] = (tile @ self._u) / tile.sum(axis=1, keepdims=True)
+        return out, emin
+
     def _kernel_mean(self, zq: np.ndarray) -> np.ndarray:
         qh = zq / self._h
         out = np.empty((len(qh), self.m))
@@ -312,19 +345,7 @@ class FeedbackLaw:
             out[ok] = np.einsum("qk,qkm->qm", w, self._u[idx]) / w.sum(axis=1, keepdims=True)
             dense = ~ok
         if dense.any():
-            # the one dense block: scaled distances of the uncertified rows,
-            # turned into weights in place, one row tile at a time
-            w = sq_dists(qh[dense], self._zh, self._zh_sq)
-            e = np.empty(len(w))
-            step = tile_rows(self.n_train)
-            for lo in range(0, len(w), step):
-                tile = w[lo : lo + step]
-                e[lo : lo + step] = tile.min(axis=1)
-                tile -= e[lo : lo + step, None]
-                tile *= -0.5
-                _exp_weights(tile)
-            out[dense] = (w @ self._u) / w.sum(axis=1, keepdims=True)
-            emin[dense] = e
+            out[dense], emin[dense] = self._dense_mean(qh[dense])
         # past -2 EXP_FLOOR even the top raw weight exp(-emin/2) would be
         # floored, so every weight of the row would be: the Nadaraya-Watson
         # denominator degenerates, use the nearest point
@@ -361,13 +382,14 @@ class FeedbackLaw:
         whose kernel weights all underflow.  Neighbour sets break distance
         ties by the lower canonical training index.  Kernel weights come
         from the ``TREE_K`` nearest rows of the z/h tree where the truncation
-        bound holds (see :meth:`_tree_weights`), and from a dense block of
-        scaled distances, for those rows only, where it does not.  The block
-        is the one block-sized allocation: it is turned into weights in
-        place, one row tile at a time.  Weights below e^-700 of a row's top
-        weight are 0 (``EXP_FLOOR``), which leaves out at most n e^-700 of
-        the row's mass.  Rows no training row is a finite distance from (a
-        blown-up rollout stage) get NaN and no flag.
+        bound holds (see :meth:`_tree_weights`), and from every training
+        row where it does not (see :meth:`_dense_mean`), one row tile at a
+        time in the law's own workspace, so no call allocates a (rows x
+        n_train) block.  Weights below e^-700 of a row's top weight are 0
+        (``EXP_FLOOR``), which leaves out at most n e^-700 of the row's
+        mass.  Rows no training row is a finite distance from (a blown-up
+        rollout stage) get NaN and no flag.  The workspace makes a law
+        unsafe to query from two threads at once.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -609,12 +631,9 @@ def fit_feedback(
         raise ConfigurationError(f"unknown regression method '{method}'")
 
     # training loss, estimated on a seeded subsample once the dataset is
-    # large; chunked so predict's one dense block, the scaled distances of
-    # the rows whose truncation bound fails (all rows of a law without a
-    # z/h tree), stays near 2^22 entries (32 MB; 256 rows once n > 16384).
-    # predict finishes that block in place, with no block-sized temporaries.
-    # The chunks also fix the order of the loss sum, so their size stays for
-    # final_loss's bits
+    # large.  The chunks fix the order of the loss sum, so their size stays
+    # for final_loss's bits; predict's memory does not depend on them (its
+    # dense weights go one row tile at a time)
     loss_cap = 8192
     if data.n > loss_cap:
         pick = np.sort(substream(seed, "fit", "loss_rows").choice(

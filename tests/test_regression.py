@@ -16,9 +16,13 @@ The estimator invariants checked here:
 * kernel weights are np.exp of their arguments, bit for bit, down to
   EXP_FLOOR and 0 below it; a dense law whose weights are mostly floored
   predicts the bits of the unfloored dense reference.
+* dense kernel means are as accurate as the expanded-distance path they
+  replaced, carry no state between calls through the law's row tile, and
+  allocate no (queries x training) block.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +42,7 @@ from ctrlflow import (
     load_dataset,
     save_dataset,
 )
-from ctrlflow.linalg import sq_dists
+from ctrlflow.linalg import TILE_ENTRIES, sq_dists, tile_rows
 from ctrlflow.regression import (
     EXP_FLOOR,
     EXTRAPOLATION_FACTOR,
@@ -349,10 +353,22 @@ def test_dataset_csv_round_trip(tmp_path):
         load_dataset(path)
 
 
+def _kernel_args(zq, z, h):
+    # a dense row's kernel arguments less their row maximum, from one product
+    # of [q/h, 1] with [z/h, -|z/h|^2/2] (exp(-|q/h|^2/2) cancels in the
+    # mean), and the row's smallest squared scaled distance |q/h|^2 - 2 max
+    qh, zh = zq / h, z / h
+    za = np.vstack([zh.T, -0.5 * np.einsum("nd,nd->n", zh, zh)])
+    args = np.column_stack([qh, np.ones(len(qh))]) @ za
+    top = args.max(axis=1)
+    return args - top[:, None], np.einsum("nd,nd->n", qh, qh) - 2.0 * top
+
+
 def _dense_reference(z, u, h, ref_nn, zq, k=None, d2=None):
     # the dense predict the k-d tree replaced: (queries x training) blocks,
-    # neighbours by stable argsort; a knn law when k is given, else kernel.
-    # d2 overrides the unscaled block (exact distances for the tie test)
+    # neighbours by stable argsort; a knn law when k is given, else kernel
+    # weights with no floor.  d2 overrides the unscaled block (exact
+    # distances for the tie test)
     if d2 is None:
         d2 = sq_dists(zq, z)
 
@@ -365,12 +381,10 @@ def _dense_reference(z, u, h, ref_nn, zq, k=None, d2=None):
     if k is not None:
         out = knn_mean(everyone, k)
     else:
-        h = np.maximum(h, 1.0e-300)
-        scaled = sq_dists(zq / h, z / h)
-        emin = scaled.min(axis=1, keepdims=True)
-        w = np.exp(-0.5 * (scaled - emin))
+        args, emin = _kernel_args(zq, z, np.maximum(h, 1.0e-300))
+        w = np.exp(args)
         out = (w @ u) / w.sum(axis=1, keepdims=True)
-        degenerate = emin[:, 0] > 1400.0
+        degenerate = emin > 1400.0
         out[degenerate] = knn_mean(degenerate, 1)
     out[flags] = knn_mean(flags, EXTRAPOLATION_K)
     return out, flags
@@ -412,7 +426,7 @@ def test_truncated_kernel_matches_dense_reference(n, d, m, log_h, jitter, far, s
     # the weight truncation leaves out (at most) the bound's share of the
     # denominator, which moves the mean by at most twice that times max|u|;
     # rows whose bound exceeds 1e-16 are dense; the reference's
-    # expanded distances carry eps-relative rounding of the norms of the
+    # augmented product carries eps-relative rounding of the norms of the
     # rows that carry weight
     qh, zh = zq / h, z / h
     exact = ((qh[:, None] - zh[None]) ** 2).sum(-1)
@@ -459,14 +473,100 @@ def test_dense_law_with_floored_weights_matches_reference():
     law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=h)
     assert law._zh_tree is None
     zq = z[rng.integers(0, len(z), size=64)] + 0.5 * rng.standard_normal((64, 3))
-    scaled = sq_dists(zq / h, z / h)
-    args = -0.5 * (scaled - scaled.min(axis=1, keepdims=True))
+    args = _kernel_args(zq, z, h)[0]
     assert np.mean(args < EXP_FLOOR) >= 0.5
     assert np.any((args >= EXP_FLOOR) & (args < -20.0))
     got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
     want, want_flags = _dense_reference(z, u, h, law.ref_nn_dist, zq)
     assert not flags.any() and not want_flags.any()
     assert np.array_equal(got, want)
+
+
+def _dense_case(case, seed):
+    # "wide": a bandwidth near the median pairwise spread, every row weighs
+    # in; "offset": a narrow bandwidth on a cloud far from the origin, where
+    # the expanded products are large against the arguments that count
+    rng = np.random.default_rng(seed)
+    if case == "wide":
+        scale = np.array([1.0, 2.0, 1.0, 0.5])
+        z = rng.standard_normal((1000, 4)) * scale
+        u = rng.standard_normal((1000, 2))
+        pairs = rng.integers(0, 1000, size=(2, 4096))
+        h = np.median(np.abs(z[pairs[0]] - z[pairs[1]]), axis=0)
+        zq = rng.standard_normal((300, 4)) * scale
+    else:
+        z = rng.uniform(-1.0, 1.0, size=(800, 4)) + np.array([3.0, 30.0, -20.0, 10.0])
+        u = rng.standard_normal((800, 3))
+        h = np.full(4, 0.3)
+        zq = z[rng.integers(0, 800, size=300)] + 0.05 * rng.standard_normal((300, 4))
+    return z, u, h, zq
+
+
+# error / max|u| of the previous dense path (|q|^2 + |z|^2 - 2 q.z blocks,
+# then exp) on each case, against the long-double reference below, measured
+# on x86-64 with OpenBLAS
+PARENT_DENSE_ERROR = {
+    ("wide", 0): 1.04e-16, ("wide", 1): 6.27e-17, ("wide", 5): 7.37e-17,
+    ("offset", 0): 3.22e-13, ("offset", 1): 3.98e-13, ("offset", 5): 3.44e-13,
+}
+
+
+@pytest.mark.parametrize("case, seed", sorted(PARENT_DENSE_ERROR))
+def test_dense_kernel_mean_matches_long_double_differences(case, seed):
+    # the augmented product expands the distances as the previous path did,
+    # so its error is of the same size: at most twice the previous path's on
+    # the same inputs, against direct differences in long double
+    z, u, h, zq = _dense_case(case, seed)
+    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=h)
+    assert law._zh_tree is None
+    got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
+    assert not flags.any()
+    qh, zh = zq.astype(np.longdouble) / h, z.astype(np.longdouble) / h
+    d2 = ((qh[:, None] - zh[None]) ** 2).sum(-1)
+    w = np.exp(-0.5 * (d2 - d2.min(axis=1, keepdims=True)))
+    want = (w @ u.astype(np.longdouble)) / w.sum(axis=1, keepdims=True)
+    err = float(np.abs(got - want).max() / np.abs(u).max())
+    assert err <= 2.0 * PARENT_DENSE_ERROR[case, seed]
+
+
+@pytest.mark.parametrize("size", ["one", "tile+1", "3 tiles"])
+def test_dense_workspace_carries_no_state_between_calls(size, tmp_path):
+    # the row tile is reused by every call of a law: a call in between, whose
+    # tiles hold other weights, must not change the next call's bits
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal((1000, 4))
+    u = rng.standard_normal((1000, 2))
+    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=np.full(4, 2.0))
+    assert law._zh_tree is None
+    step = tile_rows(law.n_train)
+    n = {"one": 1, "tile+1": step + 1, "3 tiles": 3 * step}[size]
+    a = 0.8 * rng.standard_normal((n, 4))
+    b = 0.8 * rng.standard_normal((3 * step + 5, 4))
+    first = law.predict(a[:, 0], a[:, 1:])
+    law.predict(b[:, 0], b[:, 1:])
+    again = law.predict(a[:, 0], a[:, 1:])
+    assert np.array_equal(first, again)
+    law.save(tmp_path / "law.json")
+    fresh = FeedbackLaw.load(tmp_path / "law.json")
+    assert np.array_equal(fresh.predict(a[:, 0], a[:, 1:]), first)
+
+
+def test_dense_predict_memory_stays_within_a_few_tiles():
+    # 2000 queries against 4000 rows would be a 64 MB block; the tiles reuse
+    # the law's workspace, so a call allocates little beyond its outputs
+    rng = np.random.default_rng(23)
+    z = rng.standard_normal((4000, 3))
+    u = rng.standard_normal((4000, 2))
+    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=np.full(3, 2.0))
+    assert law._zh_tree is None
+    zq = 0.8 * rng.standard_normal((2000, 3))
+    tracemalloc.start()
+    try:
+        law.predict(zq[:, 0], zq[:, 1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * TILE_ENTRIES * 8
 
 
 def test_neighbour_ties_break_by_lower_index():
