@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigurationError
-from .measures import COUPLING_KINDS, MEASURE_PARAMS
+from .measures import COUPLING_KINDS, EXACT_W2_MAX_N, MEASURE_PARAMS
 from .regression import HYPERPARAMS
 from .systems import builtin_names
 
@@ -276,6 +276,27 @@ def _validate_evaluation(kind: str, doc) -> dict:
     return out
 
 
+def _check_exact_w2_counts(kind: str, n_train: int, n_eval: int) -> None:
+    """Reject the sample counts an exact-W2 transport evaluation would fail on.
+
+    Construction-level W2 compares n_train points, the rollout scores up to
+    n_eval, and both are capped at ``EXACT_W2_MAX_N``.  An output run scores
+    its rollouts against a subsample of the n_train coupled target states,
+    which needs n_eval <= n_train.
+    """
+    if max(n_train, n_eval) > EXACT_W2_MAX_N:
+        raise ConfigurationError(
+            f"'evaluation.w2' exact is capped at N={EXACT_W2_MAX_N}, got n_train "
+            f"{n_train} and n_eval {n_eval}; use auto or sliced"
+        )
+    if kind == "output_transport" and n_eval > n_train:
+        raise ConfigurationError(
+            f"'evaluation.w2' exact scores output_transport rollouts against the "
+            f"n_train coupled states, so it needs n_eval <= n_train, got n_eval "
+            f"{n_eval} and n_train {n_train}; use auto or sliced"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, fully-defaulted experiment description."""
@@ -377,6 +398,8 @@ def validate_config(doc: dict) -> ExperimentConfig:
     evaluation = _validate_evaluation(kind, doc.get("evaluation", {}))
 
     transport = kind in TRANSPORT_KINDS
+    if transport and evaluation["w2"] == "exact":
+        _check_exact_w2_counts(kind, n_train, n_eval)
     fields = dict(
         kind=kind,
         name=name,

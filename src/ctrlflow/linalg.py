@@ -4,7 +4,9 @@ The matrix exponential and the controllability checks serve the
 interpolants; :func:`sq_dists` is the one squared-distance block that the
 couplings and the target distance share, finished in place one row tile
 (:func:`tile_rows`) at a time.  The feedback law's dense kernel weights use
-the same tiles.
+the same tiles.  :func:`floored_exp` is the one elementwise exp of the
+package: the feedback law's kernel weights and the entropic kernel of the
+exact W2 solve both go through it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ _PADE6 = np.array(
 # entries in one row tile of a block that is finished in place: the passes
 # over a tile stay in cache
 TILE_ENTRIES = 2**17
+
+# arguments of floored_exp below the floor get 0
+EXP_FLOOR = -700.0
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -84,6 +89,26 @@ def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def kalman_rank(A: np.ndarray, B: np.ndarray) -> int:
     """Numeric rank of the controllability matrix [B, AB, ..., A^(d-1)B]."""
     return int(np.linalg.matrix_rank(controllability_matrix(A, B)))
+
+
+def floored_exp(w: np.ndarray) -> np.ndarray:
+    """exp(w) in place, for arguments w <= 0 whose row maximum is 0.
+
+    Arguments below ``EXP_FLOOR`` are clamped before the exp, which keeps
+    numpy's exp on its vector path (a tiny or subnormal result leaves it),
+    and their results are set to 0; every other entry is bit-equal to
+    ``np.exp``.  Together the zeroed entries are at most n e^-700 of the
+    row's top entry 1.
+    """
+    if w.size == 0 or w.min() >= EXP_FLOOR:
+        return np.exp(w, out=w)
+    # a product with the mask keeps the bits of every kept entry, and is
+    # vectorized where a masked assignment is not
+    keep = w >= EXP_FLOOR
+    np.maximum(w, EXP_FLOOR, out=w)
+    np.exp(w, out=w)
+    w *= keep
+    return w
 
 
 def tile_rows(n_cols: int) -> int:

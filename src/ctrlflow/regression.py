@@ -31,11 +31,12 @@ workspace that the law allocates once.  A law keeps the z/h tree only if
 the bound holds on at least half of a strided probe of its training rows;
 a wide bandwidth leaves it dense throughout.
 
-Every kernel weight, and the bound itself, comes from :func:`_exp_weights`:
-an argument below ``EXP_FLOOR`` = -700 gets weight 0.  Each such weight is
-below e^-700 ~ 1e-304 of its row's top weight 1, so a row leaves out at most
-n e^-700 of its mass, far inside ``TRUNCATION_TOL`` for any n below about
-1e284; numpy's exp would take its slow path for those tiny results.
+Every kernel weight, and the bound itself, comes from
+:func:`ctrlflow.linalg.floored_exp`: an argument below ``EXP_FLOOR`` = -700
+gets weight 0.  Each such weight is below e^-700 ~ 1e-304 of its row's top
+weight 1, so a row leaves out at most n e^-700 of its mass, far inside
+``TRUNCATION_TOL`` for any n below about 1e284; numpy's exp would take its
+slow path for those tiny results.
 :func:`crossval_loss` selects hyperparameters on trajectory-grouped folds,
 and :func:`save_dataset` / :func:`load_dataset` write and read a run's
 ``dataset.csv``.
@@ -60,7 +61,7 @@ from .errors import (
     EmptyDatasetError,
     TrainingDivergedError,
 )
-from .linalg import tile_rows
+from .linalg import EXP_FLOOR, floored_exp, tile_rows
 from .seeding import substream
 from .trajectory import columns, read_table, write_table
 
@@ -72,8 +73,6 @@ EXTRAPOLATION_K = 16
 TREE_K = 32
 TRUNCATION_TOL = 1.0e-16
 PROBE_ROWS = 64
-# kernel arguments below the floor get weight 0 (see _exp_weights)
-EXP_FLOOR = -700.0
 
 # hyperparameters each method reads in fit_feedback
 HYPERPARAMS = {
@@ -144,26 +143,6 @@ def dataset_from_pairs(ens, n_time_samples: int = 25, traj_id=None) -> Regressio
         u=ens.controls[:, idx].reshape(-1, ens.m),
         traj_id=np.repeat(ids, len(idx)),
     )
-
-
-def _exp_weights(w: np.ndarray) -> np.ndarray:
-    """Kernel weights exp(w) in place, for arguments w <= 0 (row maximum 0).
-
-    Arguments below ``EXP_FLOOR`` are clamped before the exp, which keeps
-    numpy's exp on its vector path (a tiny or subnormal result leaves it),
-    and their weights are set to 0; every other weight is bit-equal to
-    ``np.exp``.  Together the zeroed weights are at most n e^-700 of the
-    row's top weight 1, far inside ``TRUNCATION_TOL``.
-    """
-    if w.size == 0 or w.min() >= EXP_FLOOR:
-        return np.exp(w, out=w)
-    # a product with the mask keeps the bits of every kept weight, and is
-    # vectorized where a masked assignment is not
-    keep = w >= EXP_FLOOR
-    np.maximum(w, EXP_FLOOR, out=w)
-    np.exp(w, out=w)
-    w *= keep
-    return w
 
 
 def _canonical_order(t, x, u):
@@ -302,7 +281,7 @@ class FeedbackLaw:
         dist, idx = self._zh_tree.query(qh, k=k)
         d2 = dist.reshape(len(qh), k) ** 2
         idx = idx.reshape(len(qh), k)
-        left_out = (self.n_train - k) * _exp_weights(-0.5 * (d2[:, -1] - d2[:, 0]))
+        left_out = (self.n_train - k) * floored_exp(-0.5 * (d2[:, -1] - d2[:, 0]))
         # an overflowed distance comes with no training index
         return d2, idx, (left_out <= TRUNCATION_TOL) & (d2[:, -1] < np.inf)
 
@@ -328,7 +307,7 @@ class FeedbackLaw:
             top = tile.max(axis=1)
             emin[rows] -= 2.0 * top
             tile -= top[:, None]
-            _exp_weights(tile)
+            floored_exp(tile)
             out[rows] = (tile @ self._u) / tile.sum(axis=1, keepdims=True)
         return out, emin
 
@@ -341,7 +320,7 @@ class FeedbackLaw:
             d2, idx, ok = self._tree_weights(qh)
             d2, idx = d2[ok], idx[ok]
             emin[ok] = d2[:, 0]
-            w = _exp_weights(-0.5 * (d2 - d2[:, :1]))
+            w = floored_exp(-0.5 * (d2 - d2[:, :1]))
             out[ok] = np.einsum("qk,qkm->qm", w, self._u[idx]) / w.sum(axis=1, keepdims=True)
             dense = ~ok
         if dense.any():

@@ -8,6 +8,7 @@ import pytest
 from ctrlflow.config import (
     KINDS,
     SCHEMA_VERSION,
+    TRANSPORT_KINDS,
     apply_overrides,
     config_hash,
     load_config,
@@ -15,6 +16,7 @@ from ctrlflow.config import (
 )
 from ctrlflow.errors import ConfigurationError
 from ctrlflow.experiments import example_config
+from ctrlflow.measures import EXACT_W2_MAX_N
 
 
 def test_example_configs_validate():
@@ -224,6 +226,40 @@ def test_evaluation_defaults_and_ranges():
     doc["evaluation"]["start"] = {"kind": "dirac", "params": {"point": [0.0, 0.0]}}
     with pytest.raises(ConfigurationError, match="start"):
         validate_config(doc)
+
+
+def _with_counts(kind, n_train, n_eval, w2):
+    doc = example_config(kind)
+    doc["n_train"], doc["n_eval"] = n_train, n_eval
+    doc["evaluation"]["w2"] = w2
+    return doc
+
+
+def test_exact_w2_counts_checked_before_compute():
+    # an output run scores its rollouts against a subsample of the n_train
+    # coupled states: with n_eval > n_train the exact solve used to raise in
+    # evaluate, after every other stage had run
+    with pytest.raises(ConfigurationError, match="n_eval <= n_train"):
+        validate_config(_with_counts("output_transport", 8, 16, "exact"))
+    for kind in TRANSPORT_KINDS:
+        # every compared count is capped
+        for n_train, n_eval in [(EXACT_W2_MAX_N + 1, 8), (EXACT_W2_MAX_N + 1, EXACT_W2_MAX_N + 1)]:
+            with pytest.raises(ConfigurationError, match=f"capped at N={EXACT_W2_MAX_N}"):
+                validate_config(_with_counts(kind, n_train, n_eval, "exact"))
+        validate_config(_with_counts(kind, EXACT_W2_MAX_N, EXACT_W2_MAX_N, "exact"))
+        validate_config(_with_counts(kind, 16, 8, "exact"))
+        validate_config(_with_counts(kind, 16, 0, "exact"))
+    for kind in ("brockett", "transport_linear"):
+        # fresh target draws match the rollout count
+        validate_config(_with_counts(kind, 8, 16, "exact"))
+        with pytest.raises(ConfigurationError, match="capped"):
+            validate_config(_with_counts(kind, 8, EXACT_W2_MAX_N + 1, "exact"))
+    # auto and sliced never raise on counts, and stabilize runs make no W2 call
+    for w2 in ("auto", "sliced"):
+        validate_config(_with_counts("output_transport", 8, 16, w2))
+        validate_config(_with_counts("output_transport", EXACT_W2_MAX_N + 1, 8, w2))
+    for kind in set(KINDS) - set(TRANSPORT_KINDS):
+        validate_config(_with_counts(kind, EXACT_W2_MAX_N + 1, EXACT_W2_MAX_N + 1, "exact"))
 
 
 def test_bootstrap_start_jitter_validated():

@@ -2,21 +2,30 @@
 
 The W2 oracle here is exhaustive: enumerate every bijection between the
 two point sets and take the cheapest. Cubic assignment must agree with it
-to near machine precision on small instances.  Sliced W2 is checked
-against a per-direction quantile-matching loop kept here as the reference.
+to near machine precision on small instances.  The dual-shifted solve
+behind both assignment sites is checked against scipy's plain solve of the
+same block: the same assignment where the optimum is unique, the same cost
+where lattice clouds tie, one cost block of extra memory at most.  Sliced
+W2 is checked against a per-direction quantile-matching loop kept here as
+the reference.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from ctrlflow import measures
 from ctrlflow.errors import ConfigurationError
+from ctrlflow.linalg import sq_dists
 from ctrlflow.measures import (
     EXACT_W2_MAX_N,
     EmpiricalMeasure,
+    _assignment,
     build_coupling,
     sample_measure,
     sliced_wasserstein2,
@@ -234,6 +243,101 @@ def test_w2_cap():
     a = EmpiricalMeasure(np.zeros((n, 1)))
     with pytest.raises(ConfigurationError):
         wasserstein2(a, a)
+
+
+# ---------------------------------------------------------------------------
+# dual-shifted assignment
+
+
+def _assignment_clouds(seed, n, d, offset, lattice):
+    rng = substream(seed, "assignment_property")
+    shift = offset * rng.choice([-1.0, 1.0], size=d)
+    if lattice:
+        # small integer points: repeated rows, exact costs, tied assignments
+        a = rng.integers(-3, 4, size=(n, d)).astype(float)
+        b = rng.integers(-3, 4, size=(n, d)) + np.round(shift)
+    else:
+        a = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+        b = rng.standard_normal((n, d)) + shift
+    return a, b, rng.permutation(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    d=st.integers(1, 6),
+    offset=st.one_of(
+        st.sampled_from([0.0, 30.0, 1.0e4]), st.floats(0.0, 30.0), st.floats(0.0, 1.0e4)
+    ),
+    lattice=st.booleans(),
+)
+def test_dual_shifted_assignment_is_the_plain_assignment(seed, n, d, offset, lattice):
+    a, b, perm = _assignment_clouds(seed, n, d, offset, lattice)
+    cost = sq_dists(a, b)
+    rows, cols = _assignment(a, b)
+    plain_rows, plain_cols = linear_sum_assignment(cost)
+    assert np.array_equal(rows, plain_rows)
+    assert np.array_equal(np.sort(cols), np.arange(n))
+    # the same cost on the block, whether or not it ties
+    gap = abs(cost[rows, cols].sum() - cost[plain_rows, plain_cols].sum())
+    assert gap <= 4 * n * np.finfo(float).eps * cost.max()
+    # the same assignment where the optimum is unique: continuous clouds near
+    # the origin.  Lattice clouds tie; far from it the block's expansion
+    # noise, about |offset|^2 eps, can pass the gap between the two best
+    # assignments (at seed=260, n=260, d=1, offset=1e4 the block ties, and
+    # the plain solve is the one 7.5e-9 above the sorted 1-D optimum)
+    if not lattice and offset <= 30.0:
+        assert np.array_equal(cols, plain_cols)
+        x0, x1 = build_coupling(EmpiricalMeasure(a), EmpiricalMeasure(b), "ot_matched")
+        assert np.array_equal(x0, a) and np.array_equal(x1, b[plain_cols])
+    mu, nu = EmpiricalMeasure(a), EmpiricalMeasure(b)
+    assert wasserstein2(mu, nu) == wasserstein2(nu, mu)
+    assert wasserstein2(mu, EmpiricalMeasure(a[perm])) == 0.0
+
+
+def test_assignment_fallbacks_solve_the_block_as_it_is(monkeypatch):
+    solved = []
+
+    def spy(cost):
+        solved.append(cost.copy())
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(measures, "linear_sum_assignment", spy)
+    cluster = substream(0, "assignment_fallback").standard_normal((64, 2))
+    far = cluster + 0.5
+    far[0] = 1.0e3
+    cases = {
+        "n = 1": (cluster[:1], cluster[1:2]),
+        # every row of the block is constant
+        "eps = 0": (cluster[:8], np.ones((8, 2))),
+        # every kernel entry of the far column is floored: v is infinite
+        "not finite": (cluster, far),
+    }
+    for name, (a, b) in cases.items():
+        solved.clear()
+        rows, cols = _assignment(a, b)
+        assert len(solved) == 1 and np.array_equal(solved[0], sq_dists(a, b)), name
+        assert np.array_equal(cols, linear_sum_assignment(sq_dists(a, b))[1]), name
+    solved.clear()
+    _assignment(cluster, cluster[::-1] + 0.5)
+    assert not np.array_equal(solved[0], sq_dists(cluster, cluster[::-1] + 0.5))
+
+
+def test_w2_solve_holds_one_block_above_the_cost_block():
+    rng = substream(0, "assignment_memory")
+    a = EmpiricalMeasure(rng.standard_normal((512, 6)))
+    b = EmpiricalMeasure(rng.standard_normal((512, 6)) + 1.0)
+    want = wasserstein2(a, b)
+    tracemalloc.start()
+    try:
+        got = wasserstein2(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    block = 512 * 512 * 8
+    assert peak <= 2 * block
 
 
 # ---------------------------------------------------------------------------

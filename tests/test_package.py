@@ -47,15 +47,16 @@ def test_stream_key_called_only_in_seeding():
 
 
 def test_np_exp_called_only_in_the_weights_helper():
-    # every kernel weight goes through regression._exp_weights, which keeps
-    # numpy's exp off its slow path for arguments below EXP_FLOOR
+    # every kernel weight and the entropic W2 kernel go through
+    # linalg.floored_exp, which keeps numpy's exp off its slow path for
+    # arguments below EXP_FLOOR
     callers = []
     for path in sorted(Path(ctrlflow.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = set()
-        if path.name == "regression.py":
+        if path.name == "linalg.py":
             helper = next(fn for fn in tree.body
-                          if isinstance(fn, ast.FunctionDef) and fn.name == "_exp_weights")
+                          if isinstance(fn, ast.FunctionDef) and fn.name == "floored_exp")
             allowed = set(ast.walk(helper))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and node not in allowed:

@@ -42,14 +42,8 @@ from ctrlflow import (
     load_dataset,
     save_dataset,
 )
-from ctrlflow.linalg import TILE_ENTRIES, sq_dists, tile_rows
-from ctrlflow.regression import (
-    EXP_FLOOR,
-    EXTRAPOLATION_FACTOR,
-    EXTRAPOLATION_K,
-    TREE_K,
-    _exp_weights,
-)
+from ctrlflow.linalg import EXP_FLOOR, TILE_ENTRIES, floored_exp, sq_dists, tile_rows
+from ctrlflow.regression import EXTRAPOLATION_FACTOR, EXTRAPOLATION_K, TREE_K
 from ctrlflow.seeding import substream
 from ctrlflow.trajectory import PairEnsemble
 
@@ -451,7 +445,7 @@ def test_truncated_kernel_matches_dense_reference(n, d, m, log_h, jitter, far, s
 @example(np.array([EXP_FLOOR, np.nextafter(EXP_FLOOR, 0.0), np.nextafter(EXP_FLOOR, -np.inf),
                    -745.2, -746.0, -0.0, 0.0]))
 def test_exp_weights_floor(args):
-    got = _exp_weights(args.copy())
+    got = floored_exp(args.copy())
     keep = args >= EXP_FLOOR
     assert np.array_equal(got[keep], np.exp(args[keep]))
     assert np.all(got[~keep] == 0.0)
