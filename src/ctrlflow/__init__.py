@@ -25,7 +25,6 @@ from .flow import (
     snapshots_from_arrays,
 )
 from .interpolants import (
-    Gramian,
     brockett_steer_pair_batch,
     equilibrium_control,
     feedback_steer_pair_batch,
@@ -96,7 +95,6 @@ __all__ = [
     "FlowInfo",
     "integrate_closed_loop_batch",
     "snapshots_from_arrays",
-    "Gramian",
     "brockett_steer_pair_batch",
     "equilibrium_control",
     "feedback_steer_pair_batch",

@@ -4,7 +4,8 @@ A config is a single JSON document with a versioned schema.  Validation is
 strict: unknown keys anywhere (regression hyperparameters and measure
 params included, per method and per measure kind) are rejected, required
 keys must be present, and scalar ranges are checked before any compute
-happens.  CLI flags may override the top-level scalar fields (master_seed,
+happens; hyperparameter values by the method's law class
+(``regression.LAWS``).  CLI flags may override the top-level scalar fields (master_seed,
 n_train, n_eval, name, output_dir) prior to validation.
 """
 
@@ -19,8 +20,9 @@ from typing import Optional
 
 from .errors import ConfigurationError
 from .measures import COUPLING_KINDS, EXACT_W2_MAX_N, MEASURE_PARAMS
-from .regression import HYPERPARAMS
-from .systems import builtin_names
+from .ode import DEFAULT_BLOWUP
+from .regression import LAWS
+from .systems import builtin_names, builtin_system
 
 SCHEMA_VERSION = 1
 
@@ -34,7 +36,6 @@ KINDS = (
 TRANSPORT_KINDS = ("transport_linear", "output_transport", "brockett")
 
 MEASURE_KINDS = tuple(MEASURE_PARAMS)
-REGRESSION_METHODS = tuple(HYPERPARAMS)
 
 # top-level scalar fields the CLI may override
 OVERRIDABLE = ("master_seed", "n_train", "n_eval", "name", "output_dir")
@@ -109,6 +110,14 @@ def _validate_measure(path: str, doc, extra_keys=()) -> dict:
         _get(f"{path}.params", params, key, None)
     for key in set(_NUMERIC_PARAMS) & set(params):
         _finite(f"{path}.params.{key}", params[key])
+    if kind == "uniform_sphere" and "dim" in params:
+        dim = _get(f"{path}.params", params, "dim", (int,))
+        center = params.get("center")
+        if dim < 1 or (isinstance(center, list) and len(center) != dim):
+            raise ConfigurationError(
+                f"'{path}.params.dim' must be a positive integer that agrees with "
+                f"center, got {dim} and center {center!r}"
+            )
     if kind == "mixture":
         comps = _get(f"{path}.params", params, "components", (list,))
         if not comps:
@@ -160,18 +169,26 @@ def _validate_system(kind: str, doc) -> dict:
     return {"name": name, "params": params}
 
 
-def _validate_regression(doc) -> dict:
+def _state_dim(system: dict) -> int:
+    """State dimension of a validated system, built here so A and B are checked."""
+    try:
+        return builtin_system(system["name"], **system["params"]).d
+    except ValueError as exc:  # a ragged A or B
+        raise ConfigurationError(f"'system.params' must hold matrices: {exc}") from exc
+
+
+def _validate_regression(doc, state_dim: int) -> dict:
     doc = _expect_mapping("regression", doc)
     _check_keys("regression", doc, ("method", "hyperparams"))
     method = _get("regression", doc, "method", (str,), "kernel")
-    if method not in REGRESSION_METHODS:
+    if method not in LAWS:
         raise ConfigurationError(
-            f"'regression.method' must be one of {list(REGRESSION_METHODS)}"
+            f"'regression.method' must be one of {list(LAWS)}"
         )
     hp = _expect_mapping(
         "regression.hyperparams", _get("regression", doc, "hyperparams", (dict,), {})
     )
-    _check_keys("regression.hyperparams", hp, HYPERPARAMS[method])
+    LAWS[method].check_hyperparams(hp, "regression.hyperparams", z_dim=1 + state_dim)
     return {"method": method, "hyperparams": hp}
 
 
@@ -219,7 +236,7 @@ def _validate_noising(kind: str, doc) -> dict:
     n_time = int(_get("noising", doc, "n_time_samples", (int,), 25))
     if n_time < 2:
         raise ConfigurationError("'noising.n_time_samples' must be >= 2")
-    blowup = float(_get("noising", doc, "blowup", (int, float), 1.0e6))
+    blowup = float(_get("noising", doc, "blowup", (int, float), DEFAULT_BLOWUP))
     if not blowup > 0:  # +inf is allowed: no size threshold
         raise ConfigurationError(f"'noising.blowup' must be positive, got {blowup}")
     out = {"T": T, "n_grid": n_grid, "n_time_samples": n_time, "blowup": blowup}
@@ -394,7 +411,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
         raise ConfigurationError(f"'n_eval' must be >= 0, got {n_eval}")
 
     system = _validate_system(kind, _get("config", doc, "system", (dict,)))
-    regression = _validate_regression(doc.get("regression", {}))
+    regression = _validate_regression(doc.get("regression", {}), _state_dim(system))
     evaluation = _validate_evaluation(kind, doc.get("evaluation", {}))
 
     transport = kind in TRANSPORT_KINDS
@@ -425,7 +442,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
         if raw_interp is None:
             if kind != "brockett":
                 raise ConfigurationError(f"'interpolant' is required for kind '{kind}'")
-            raw_interp = {"n_grid": 4000}
+            raw_interp = {}
         fields["interpolant"] = _validate_interpolant(kind, raw_interp)
     else:
         for key in ("mu0", "muT", "coupling", "interpolant"):

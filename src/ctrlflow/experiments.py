@@ -540,21 +540,13 @@ class _Stabilize:
         self.target_ref = _sample_points(cfg.target, TARGET_REF_N, derived_seed(seed, "target_ref"))
 
     def construct(self):
-        cfg, noising = self.cfg, self.cfg.noising
-        kwargs = dict(
-            T=noising["T"],
-            n_grid=noising["n_grid"],
+        cfg = self.cfg
+        ncfg = NoisingConfig(
+            kind="pmp" if cfg.kind == "stabilize_pmp" else "randomized",
             n_samples=cfg.n_train,
-            n_time_samples=noising["n_time_samples"],
-            blowup=noising["blowup"],
             seed=derived_seed(self.seed, "noising"),
+            **cfg.noising,
         )
-        if cfg.kind == "stabilize_pmp":
-            ncfg = NoisingConfig(
-                kind="pmp", theta=noising["theta"], p_scale=noising["p_scale"], **kwargs
-            )
-        else:
-            ncfg = NoisingConfig(kind="randomized", sigma=noising["sigma"], **kwargs)
 
         def target_sampler(n, s):
             return _sample_points(cfg.target, n, s).points
@@ -831,7 +823,7 @@ def _verify_fast() -> list[dict]:
 
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0], [1.0]])
-    W = gramian(A, B, 1.0).W
+    W = gramian(A, B, 1.0)
     W_exact = np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]])
     results.append(_check("gramian_closed_form", np.abs(W - W_exact).max(), 1.0e-8))
 

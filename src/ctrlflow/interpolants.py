@@ -21,8 +21,6 @@ vectorized norm would not reproduce bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -40,16 +38,7 @@ from .trajectory import PairEnsemble
 GRAMIAN_EIG_RATIO = 1.0e-10
 
 
-@dataclass(frozen=True)
-class Gramian:
-    """Finite-horizon controllability Gramian with its quadrature metadata."""
-
-    W: np.ndarray
-    T: float
-    n_quad: int
-
-
-def gramian(A: np.ndarray, B: np.ndarray, T: float, n_quad: int = 256) -> Gramian:
+def gramian(A: np.ndarray, B: np.ndarray, T: float, n_quad: int = 256) -> np.ndarray:
     """W = integral of exp(At) B B' exp(A't) over [0, T], composite Simpson.
 
     ``n_quad`` counts quadrature intervals (made even, at least 16).  The
@@ -73,19 +62,18 @@ def gramian(A: np.ndarray, B: np.ndarray, T: float, n_quad: int = 256) -> Gramia
         if k < n_quad:
             E = E @ Eh
     W = W * (h / 3.0)
-    W = 0.5 * (W + W.T)
-    return Gramian(W=W, T=float(T), n_quad=n_quad)
+    return 0.5 * (W + W.T)
 
 
-def _gramian_solve(G: Gramian, rhs: np.ndarray) -> np.ndarray:
-    eigs = np.linalg.eigvalsh(G.W)
+def _gramian_solve(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    eigs = np.linalg.eigvalsh(W)
     if eigs[0] < GRAMIAN_EIG_RATIO * max(eigs[-1], 1.0e-300):
         raise UncontrollablePairError(
             f"Gramian is numerically singular (min eig {eigs[0]:.3g}, "
             f"max eig {eigs[-1]:.3g}); the pair (A, B) is not controllable "
             "on this horizon"
         )
-    return np.linalg.solve(G.W, rhs)
+    return np.linalg.solve(W, rhs)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -116,9 +104,9 @@ def min_energy_pair_batch(
         raise ConfigurationError(
             f"endpoint batches must be (n, {d}), got {x0s.shape} and {xTs.shape}"
         )
-    G = gramian(A, B, T, n_quad)
+    W = gramian(A, B, T, n_quad)
     eAT = expm(A * T)
-    c = _gramian_solve(G, (xTs - x0s @ eAT.T).T).T  # (n, d)
+    c = _gramian_solve(W, (xTs - x0s @ eAT.T).T).T  # (n, d)
 
     t_grid = uniform_grid(T, n_grid)
     stages = stage_times(t_grid)

@@ -19,7 +19,8 @@ same constant to every assignment's total, so the optimal assignment is
 unchanged; near-optimal potentials leave the solver short augmenting
 paths.  Where there are no usable potentials (n = 1, a block whose rows
 are each constant, or a potential that is not finite) C is solved as it
-is.
+is.  A block whose row minima lie in distinct columns needs no solve at
+all: that matching is optimal.
 """
 
 from __future__ import annotations
@@ -239,14 +240,20 @@ def _assignment(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     then recomputed and shifted in place, so one block is held at a time.
     With eps = 0 (n = 1, or every row of C constant) or a potential that is
     not finite (a column whose kernel entries all fall below the floor), C
-    is solved as it is.
+    is solved as it is.  When the row argmins of C are a permutation, that
+    matching is returned unsolved: its total, the sum of the row minima, is
+    a lower bound on every matching's.
     """
     kernel = sq_dists(a, b)
-    rmin = kernel.min(axis=1)
+    rows = np.arange(len(a))
+    cols = kernel.argmin(axis=1)
+    rmin = kernel[rows, cols]
     kernel -= rmin[:, None]
     eps = SINKHORN_EPS * float(kernel.mean())
     if eps == 0.0:
         return linear_sum_assignment(sq_dists(a, b))
+    if np.unique(cols).size == len(cols):
+        return rows, cols
     kernel *= -1.0 / eps
     floored_exp(kernel)
     v = np.ones(len(a))

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .ode import pl_stage_values, rk4, rk4_stage_controls, uniform_grid
+from .ode import DEFAULT_BLOWUP, pl_stage_values, rk4, rk4_stage_controls, uniform_grid
 from .regression import dataset_from_pairs
 from .seeding import derived_seed, generator_from_seed, substream
 from .systems import ControlAffineSystem
@@ -101,7 +101,7 @@ def pmp_extremal_batch(
     p0s: np.ndarray,
     T: float,
     n_grid: int,
-    blowup: float | None = 1.0e6,
+    blowup: float | None = DEFAULT_BLOWUP,
 ) -> tuple[PairEnsemble, np.ndarray, np.ndarray]:
     """Batched extremal flow of the time-reversed system.
 
@@ -152,7 +152,7 @@ def endpoint_map_batch(
     t_grid: np.ndarray,
     u_samples: np.ndarray,
     direction: str = "reversed",
-    blowup: float | None = 1.0e6,
+    blowup: float | None = DEFAULT_BLOWUP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate +-f(omega, u(t)) for a batch of control sample paths.
 
@@ -209,7 +209,7 @@ class NoisingConfig:
     theta: float = 1.0
     sigma: float = 1.0
     p_scale: float = 1.0
-    blowup: float = 1.0e6
+    blowup: float = DEFAULT_BLOWUP
     seed: int = 0
 
     def __post_init__(self):

@@ -5,10 +5,11 @@ by trajectory id.  :func:`dataset_from_pairs` is the one flattening of a
 trajectory/control ensemble into such rows: transport runs call it on
 their steering ensemble, noising runs on their kept rows.
 
-Three estimators share one interface: k-nearest-neighbour averaging,
-Nadaraya-Watson kernel smoothing (the default), and a small fully-connected
-network trained in-repo.  Queries live in the scaled feature space
-z = (time_scale * t, x), so one metric serves both time and state.
+Each estimator is a :class:`FeedbackLaw` subclass in ``LAWS``:
+:class:`KernelLaw` (Nadaraya-Watson, the default), :class:`KnnLaw` and
+:class:`MLPLaw` (a small network trained in-repo).  Queries live in the
+scaled feature space z = (time_scale * t, x), so one metric serves both
+time and state.
 
 The kernel and knn laws build one k-d tree on z (Friedman, Bentley & Finkel
 1977) and take every neighbour question from it: the extrapolation flag,
@@ -49,7 +50,9 @@ bit-stable for a fixed seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -74,12 +77,7 @@ TREE_K = 32
 TRUNCATION_TOL = 1.0e-16
 PROBE_ROWS = 64
 
-# hyperparameters each method reads in fit_feedback
-HYPERPARAMS = {
-    "kernel": ("time_scale", "bandwidth", "bandwidth_scale"),
-    "knn": ("time_scale", "k"),
-    "mlp": ("time_scale", "hidden", "steps", "batch_size", "lr", "lr_decay"),
-}
+LAW_FORMAT = "ctrlflow.feedback_law.v2"
 
 
 @dataclass(frozen=True)
@@ -165,71 +163,115 @@ def _median_pairwise(z: np.ndarray, rng: np.random.Generator, n_pairs: int = 409
     return np.median(diffs, axis=0)
 
 
-def _median_nn_spacing(tree: cKDTree, z: np.ndarray) -> float:
-    """Median distance from a training row to its nearest other row."""
-    if len(z) < 2:
-        return 0.0
-    return float(np.median(tree.query(z, k=2)[0][:, 1]))
+def _check_positive(where: str, key: str, value, kind=Real) -> None:
+    """``value`` must be a ``kind`` number (not a bool), positive and finite."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not 0 < value < math.inf:
+        noun = "integer" if kind is Integral else "finite number"
+        raise ConfigurationError(f"'{where}.{key}' must be a positive {noun}, got {value!r}")
 
 
 class FeedbackLaw:
     """Fitted feedback law u(t, x); query it with :meth:`predict`.
 
-    A kernel or knn law builds its k-d trees here, so a loaded law has them
-    too; ``ref_nn_dist=None`` takes the median nearest-row spacing of z.
+    A subclass supplies ``method``, ``HYPERPARAMS`` (name -> default),
+    :meth:`fit`, ``_predict_rows`` and ``_state``, the keyword arguments of
+    its constructor that :meth:`from_json_dict` rebuilds it from.
     """
 
-    def __init__(
-        self,
-        method: str,
-        time_scale: float,
-        z: np.ndarray,
-        u: np.ndarray,
-        bandwidth: Optional[np.ndarray] = None,
-        k: int = 8,
-        ref_nn_dist: Optional[float] = None,
-        mlp: Optional["_MLP"] = None,
-        hyperparams: Optional[dict] = None,
-        final_loss: Optional[float] = None,
-    ):
-        if method not in HYPERPARAMS:
-            raise ConfigurationError(f"unknown regression method '{method}'")
-        self.method = method
+    def __init__(self, time_scale: float, hyperparams: Optional[dict] = None,
+                 final_loss: Optional[float] = None):
         self.time_scale = float(time_scale)
-        self._z = z
-        self._u = u
-        self.bandwidth = bandwidth
-        self.k = int(k)
-        self.ref_nn_dist = 0.0 if ref_nn_dist is None else float(ref_nn_dist)
-        self._mlp = mlp
         self.hyperparams = dict(hyperparams or {})
         self.final_loss = final_loss
-        self._tree = self._zh_tree = None
-        self._h = self._zh = self._za = self._tile = None
-        if method == "mlp":
-            return
-        self._tree = cKDTree(z)
-        if ref_nn_dist is None:
-            self.ref_nn_dist = _median_nn_spacing(self._tree, z)
-        if bandwidth is not None:
-            self._h = np.maximum(bandwidth, 1.0e-300)
-            self._zh = z / self._h
-            # the dense path's operand [z/h, -|z/h|^2/2], stored transposed
-            # (the faster layout for its product), and the row tile that
-            # product is written to (see _dense_mean)
-            zh_sq = np.einsum("nd,nd->n", self._zh, self._zh)
-            self._za = np.vstack([self._zh.T, -0.5 * zh_sq])
-            self._tile = np.empty((tile_rows(self.n_train), self.n_train))
-            # keep the z/h tree only if truncation is certified on at least
-            # half of a strided probe of training rows; otherwise stay dense
-            self._zh_tree = cKDTree(self._zh)
-            probe = self._zh[:: max(1, self.n_train // PROBE_ROWS)]
-            if 2 * np.count_nonzero(self._tree_weights(probe)[2]) < len(probe):
-                self._zh_tree = None
 
-    @property
-    def d(self) -> int:
-        return self._z.shape[1] - 1
+    @classmethod
+    def check_hyperparams(cls, hp: dict, where: str = "hyperparams",
+                          z_dim: Optional[int] = None) -> None:
+        """Reject unknown names and bad values before any compute.
+
+        A value is None where its default is, else positive, finite and of
+        its default's kind: int, tuple (a list of ints) or number.
+        ``z_dim``, when known, is the length of a per-feature bandwidth.
+        """
+        unknown = set(hp) - set(cls.HYPERPARAMS)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown key(s) in '{where}': {sorted(unknown)}; "
+                f"allowed: {sorted(cls.HYPERPARAMS)}"
+            )
+        for key, value in hp.items():
+            default = cls.HYPERPARAMS[key]
+            if isinstance(default, tuple):
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigurationError(f"'{where}.{key}' must be a list, got {value!r}")
+                for entry in value:
+                    _check_positive(where, key, entry, Integral)
+            elif value is not None or default is not None:
+                _check_positive(where, key, value, Integral if isinstance(default, int) else Real)
+
+    def _features(self, t, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        tcol = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
+        return np.column_stack([self.time_scale * tcol, x])
+
+    def predict(self, t, x: np.ndarray, return_flag: bool = False):
+        """Control estimate at query time(s) and state(s).
+
+        Accepts a single state (d,) or a batch (n, d); ``t`` may be a scalar
+        or per-row array.  With ``return_flag=True`` also returns a boolean
+        extrapolation mask: for kernel and knn laws, queries whose nearest
+        training point is more than 10x the in-sample spacing away, which
+        fall back to a wide k-nearest-neighbour average; mlp flags none.
+        """
+        x = np.asarray(x, dtype=float)
+        out, flags = self._predict_rows(self._features(t, x))
+        if x.ndim == 1:
+            out, flags = out[0], bool(flags[0])
+        return (out, flags) if return_flag else out
+
+    def to_json_dict(self) -> dict:
+        return {
+            "format": LAW_FORMAT,
+            "method": self.method,
+            "time_scale": self.time_scale,
+            "hyperparams": self.hyperparams,
+            "final_loss": self.final_loss,
+            **self._state(),
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "FeedbackLaw":
+        if doc.get("format") != LAW_FORMAT or doc.get("method") not in LAWS:
+            raise ConfigurationError("not a feedback-law document")
+        state = {k: v for k, v in doc.items() if k not in ("format", "method")}
+        return LAWS[doc["method"]](**state)
+
+    def save(self, path) -> None:
+        # dumps runs the C encoder; dump to a file handle runs the Python one
+        Path(path).write_text(json.dumps(self.to_json_dict()))
+
+    @classmethod
+    def load(cls, path) -> "FeedbackLaw":
+        with Path(path).open() as fh:
+            return cls.from_json_dict(json.load(fh))
+
+
+class _NeighbourLaw(FeedbackLaw):
+    """A law that answers from its training rows z, u through a k-d tree on z.
+
+    A loaded law builds its trees too; ``ref_nn_dist=None`` takes the
+    median nearest-row spacing of z.
+    """
+
+    def __init__(self, time_scale: float, z, u, ref_nn_dist: Optional[float] = None, **shared):
+        super().__init__(time_scale, **shared)
+        self._z = np.asarray(z, dtype=float)
+        self._u = np.asarray(u, dtype=float)
+        self._tree = cKDTree(self._z)
+        if ref_nn_dist is None:  # median distance from a row to its nearest other row
+            nearest = self._tree.query(self._z, k=2)[0][:, 1] if self.n_train > 1 else 0.0
+            ref_nn_dist = np.median(nearest)
+        self.ref_nn_dist = float(ref_nn_dist)
 
     @property
     def m(self) -> int:
@@ -239,10 +281,8 @@ class FeedbackLaw:
     def n_train(self) -> int:
         return self._z.shape[0]
 
-    def _features(self, t, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        tcol = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        return np.column_stack([self.time_scale * tcol, x])
+    def _state(self) -> dict:
+        return {"z": self._z.tolist(), "u": self._u.tolist(), "ref_nn_dist": self.ref_nn_dist}
 
     def _nearest(self, zq: np.ndarray, k: int) -> np.ndarray:
         """Indices (rows, k) of the k nearest training rows in z, nearest first.
@@ -268,6 +308,109 @@ class FeedbackLaw:
             rows = rows[open_tie]
             width = min(2 * width, n)
         return out
+
+    def _predict_rows(self, zq: np.ndarray):
+        """Means of feature rows: the subclass's ``_mean`` or, for flagged rows,
+        the ``EXTRAPOLATION_K`` mean.  Rows no training row is a finite
+        distance from (a blown-up rollout stage) get NaN and no flag.
+        """
+        nn = np.full(len(zq), np.inf)
+        finite = np.isfinite(zq).all(axis=1)
+        nn[finite] = self._tree.query(zq[finite])[0]
+        live = nn < np.inf
+        flags = live & (nn > EXTRAPOLATION_FACTOR * max(self.ref_nn_dist, 1.0e-300))
+        inside = live & ~flags
+        out = np.full((len(zq), self.m), np.nan)
+        if inside.any():
+            out[inside] = self._mean(zq[inside])
+        if flags.any():
+            out[flags] = self._u[self._nearest(zq[flags], EXTRAPOLATION_K)].mean(axis=1)
+        return out, flags
+
+
+class KnnLaw(_NeighbourLaw):
+    """Mean control of the ``k`` nearest training rows."""
+
+    method = "knn"
+    HYPERPARAMS = {"time_scale": None, "k": 8}
+
+    def __init__(self, time_scale: float, z, u, k: int, ref_nn_dist=None, **shared):
+        super().__init__(time_scale, z, u, ref_nn_dist, **shared)
+        self.k = int(k)
+
+    @classmethod
+    def fit(cls, time_scale, z, u, hp, seed):
+        return cls(time_scale, z, u, k=int(hp["k"]))
+
+    def _state(self) -> dict:
+        return {"k": self.k, **super()._state()}
+
+    def _mean(self, zq: np.ndarray) -> np.ndarray:
+        return self._u[self._nearest(zq, self.k)].mean(axis=1)
+
+
+class KernelLaw(_NeighbourLaw):
+    """Nadaraya-Watson mean with Gaussian weights at per-feature bandwidth h.
+
+    Truncated on the z/h tree or dense by row tiles, as the module docstring
+    describes.  The tile workspace makes a law unsafe to query from two
+    threads at once.
+    """
+
+    method = "kernel"
+    HYPERPARAMS = {"time_scale": None, "bandwidth": None, "bandwidth_scale": 1.0}
+
+    def __init__(self, time_scale: float, z, u, bandwidth, ref_nn_dist=None, **shared):
+        super().__init__(time_scale, z, u, ref_nn_dist, **shared)
+        self.bandwidth = np.asarray(bandwidth, dtype=float)
+        self._h = np.maximum(self.bandwidth, 1.0e-300)
+        self._zh = self._z / self._h
+        # the dense path's operand [z/h, -|z/h|^2/2], stored transposed
+        # (the faster layout for its product), and the row tile that
+        # product is written to (see _dense_mean)
+        zh_sq = np.einsum("nd,nd->n", self._zh, self._zh)
+        self._za = np.vstack([self._zh.T, -0.5 * zh_sq])
+        self._tile = np.empty((tile_rows(self.n_train), self.n_train))
+        # keep the z/h tree only if truncation is certified on at least
+        # half of a strided probe of training rows; otherwise stay dense
+        self._zh_tree = cKDTree(self._zh)
+        probe = self._zh[:: max(1, self.n_train // PROBE_ROWS)]
+        if 2 * np.count_nonzero(self._tree_weights(probe)[2]) < len(probe):
+            self._zh_tree = None
+
+    @classmethod
+    def check_hyperparams(cls, hp, where="hyperparams", z_dim=None):
+        bw = hp.get("bandwidth")
+        if isinstance(bw, (list, tuple, np.ndarray)):
+            if z_dim is not None and len(bw) != z_dim:
+                raise ConfigurationError(
+                    f"'{where}.bandwidth' has {len(bw)} entries, expected {z_dim} (t and x)"
+                )
+            for entry in bw:
+                _check_positive(where, "bandwidth", entry)
+            hp = {**hp, "bandwidth": None}
+        super().check_hyperparams(hp, where, z_dim)
+
+    @classmethod
+    def fit(cls, time_scale, z, u, hp, seed):
+        """Bandwidth: the given one, or median pairwise distance / sqrt(2) per feature."""
+        bw = hp["bandwidth"]
+        if bw is None:
+            rng = substream(seed, "fit", cls.method)
+            if len(z) > 2048:
+                # the bandwidth pairs are drawn after a 2048-row choice on
+                # this stream; the choice fixes where they fall in it, and so
+                # the fitted bandwidth of every seed
+                rng.choice(len(z), size=2048, replace=False)
+            bw = _median_pairwise(z, rng) / np.sqrt(2.0)
+        else:
+            bw = np.broadcast_to(np.asarray(bw, dtype=float), (z.shape[1],))
+        bw = bw * float(hp["bandwidth_scale"])
+        # a feature with no spread has a median distance of 0: it gets 1.0
+        return cls(time_scale, z, u, bandwidth=np.where(bw > 0, bw, 1.0))
+
+    def _state(self) -> dict:
+        return {"bandwidth": self.bandwidth.tolist(), **super()._state()}
 
     def _tree_weights(self, qh: np.ndarray):
         """The TREE_K nearest rows of the z/h tree and whether truncation holds.
@@ -311,7 +454,7 @@ class FeedbackLaw:
             out[rows] = (tile @ self._u) / tile.sum(axis=1, keepdims=True)
         return out, emin
 
-    def _kernel_mean(self, zq: np.ndarray) -> np.ndarray:
+    def _mean(self, zq: np.ndarray) -> np.ndarray:
         qh = zq / self._h
         out = np.empty((len(qh), self.m))
         emin = np.empty(len(qh))
@@ -333,176 +476,61 @@ class FeedbackLaw:
             out[degenerate] = self._u[self._nearest(zq[degenerate], 1)[:, 0]]
         return out
 
-    def _neighbour_predict(self, zq: np.ndarray, nn: np.ndarray):
-        flags = nn > EXTRAPOLATION_FACTOR * max(self.ref_nn_dist, 1.0e-300)
-        out = np.empty((len(zq), self.m))
-        inside = ~flags
-        if inside.any():
-            if self.method == "knn":
-                out[inside] = self._u[self._nearest(zq[inside], self.k)].mean(axis=1)
-            else:
-                out[inside] = self._kernel_mean(zq[inside])
-        if flags.any():
-            out[flags] = self._u[self._nearest(zq[flags], EXTRAPOLATION_K)].mean(axis=1)
-        return out, flags
 
-    def predict(self, t, x: np.ndarray, return_flag: bool = False):
-        """Control estimate at query time(s) and state(s).
+def _mlp_layers(W, b, z: np.ndarray) -> list:
+    """Input and activations of each layer of a tanh network, the last linear."""
+    acts = [z]
+    for i, (Wi, bi) in enumerate(zip(W, b)):
+        z = z @ Wi + bi
+        if i < len(W) - 1:
+            z = np.tanh(z)
+        acts.append(z)
+    return acts
 
-        Accepts a single state (d,) or a batch (n, d); ``t`` may be a scalar
-        or per-row array.  With ``return_flag=True`` also returns a boolean
-        extrapolation mask (queries whose nearest training point is more
-        than 10x the in-sample spacing away; those fall back to a wide
-        k-nearest-neighbour average).
 
-        Every neighbour question goes to the law's k-d tree on z: the flag
-        (the nearest distance), the knn mean, the ``EXTRAPOLATION_K``
-        fallback of flagged rows and the nearest-point fallback of rows
-        whose kernel weights all underflow.  Neighbour sets break distance
-        ties by the lower canonical training index.  Kernel weights come
-        from the ``TREE_K`` nearest rows of the z/h tree where the truncation
-        bound holds (see :meth:`_tree_weights`), and from every training
-        row where it does not (see :meth:`_dense_mean`), one row tile at a
-        time in the law's own workspace, so no call allocates a (rows x
-        n_train) block.  Weights below e^-700 of a row's top weight are 0
-        (``EXP_FLOOR``), which leaves out at most n e^-700 of the row's
-        mass.  Rows no training row is a finite distance from (a blown-up
-        rollout stage) get NaN and no flag.  The workspace makes a law
-        unsafe to query from two threads at once.
-        """
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        zq = self._features(t, x)
+class MLPLaw(FeedbackLaw):
+    """Tanh network on standardized features, trained in-repo by minibatch SGD.
 
-        if self.method == "mlp":
-            out = self._mlp.forward(zq)
-            flags = np.zeros(zq.shape[0], dtype=bool)
-        else:
-            # a blown-up rollout stage can be non-finite, or so large that
-            # its distance to every training row overflows: no neighbour
-            # answers such a row
-            nn = np.full(zq.shape[0], np.inf)
-            finite = np.isfinite(zq).all(axis=1)
-            nn[finite] = self._tree.query(zq[finite])[0]
-            live = nn < np.inf
-            out = np.full((zq.shape[0], self.m), np.nan)
-            flags = np.zeros(zq.shape[0], dtype=bool)
-            out[live], flags[live] = self._neighbour_predict(zq[live], nn[live])
+    The law holds the layer weights ``W``, biases ``b``, the standardization
+    of z and u and the number of rows it was fitted on; no training rows.
+    """
 
-        if single:
-            out = out[0]
-            if return_flag:
-                return out, bool(flags[0])
-            return out
-        if return_flag:
-            return out, flags
-        return out
+    method = "mlp"
+    HYPERPARAMS = {
+        "time_scale": None, "hidden": (64, 64), "steps": 3000, "batch_size": 64,
+        "lr": 0.05, "lr_decay": 1000.0,
+    }
 
-    # ------------------------------------------------------------------
-    # serialization
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "format": "ctrlflow.feedback_law.v1",
-            "method": self.method,
-            "time_scale": self.time_scale,
-            "hyperparams": self.hyperparams,
-            "final_loss": self.final_loss,
-            "k": self.k,
-            "ref_nn_dist": self.ref_nn_dist,
-        }
-        if self.method == "mlp":
-            doc["mlp"] = self._mlp.to_json_dict()
-            doc["m"] = self.m
-            doc["z_dim"] = self._z.shape[1]
-        else:
-            doc["bandwidth"] = None if self.bandwidth is None else self.bandwidth.tolist()
-            doc["z"] = self._z.tolist()
-            doc["u"] = self._u.tolist()
-        return doc
+    def __init__(self, time_scale: float, W, b, z_mean, z_std, u_mean, u_std, n_train: int,
+                 **shared):
+        super().__init__(time_scale, **shared)
+        self.W = [np.asarray(w, dtype=float) for w in W]
+        self.b = [np.asarray(v, dtype=float) for v in b]
+        self.z_mean = np.asarray(z_mean, dtype=float)
+        self.z_std = np.asarray(z_std, dtype=float)
+        self.u_mean = np.asarray(u_mean, dtype=float)
+        self.u_std = np.asarray(u_std, dtype=float)
+        self.n_train = int(n_train)
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "FeedbackLaw":
-        if doc.get("format") != "ctrlflow.feedback_law.v1":
-            raise ConfigurationError("not a feedback-law document")
-        method = doc["method"]
-        if method == "mlp":
-            mlp = _MLP.from_json_dict(doc["mlp"])
-            z = np.zeros((1, doc["z_dim"]))
-            u = np.zeros((1, doc["m"]))
-            return cls(
-                method, doc["time_scale"], z, u, mlp=mlp,
-                hyperparams=doc.get("hyperparams"), final_loss=doc.get("final_loss"),
-                k=doc.get("k", 8), ref_nn_dist=doc.get("ref_nn_dist", 0.0),
-            )
-        z = np.asarray(doc["z"], dtype=float)
-        u = np.asarray(doc["u"], dtype=float)
-        bw = doc.get("bandwidth")
-        return cls(
-            method, doc["time_scale"], z, u,
-            bandwidth=None if bw is None else np.asarray(bw, dtype=float),
-            k=doc.get("k", 8), ref_nn_dist=doc.get("ref_nn_dist", 0.0),
-            hyperparams=doc.get("hyperparams"), final_loss=doc.get("final_loss"),
-        )
-
-    def save(self, path) -> None:
-        # dumps runs the C encoder; dump to a file handle runs the Python one
-        Path(path).write_text(json.dumps(self.to_json_dict()))
-
-    @classmethod
-    def load(cls, path) -> "FeedbackLaw":
-        with Path(path).open() as fh:
-            return cls.from_json_dict(json.load(fh))
-
-
-class _MLP:
-    """Two-hidden-layer tanh network with in-repo backprop (SGD training)."""
-
-    def __init__(self, sizes: Sequence[int], seed: int):
-        self.sizes = list(sizes)
+    def fit(cls, time_scale, z, u, hp, seed):
+        """Seeded uniform init, then SGD steps; a non-finite loss raises."""
+        sizes = [z.shape[1], *hp["hidden"], u.shape[1]]
         rng = substream(seed, "mlp_init")
-        self.W = []
-        self.b = []
+        W, b = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            self.W.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.b.append(np.zeros(fan_out))
-        # standardization parameters, set by fit
-        self.z_mean = np.zeros(sizes[0])
-        self.z_std = np.ones(sizes[0])
-        self.u_mean = np.zeros(sizes[-1])
-        self.u_std = np.ones(sizes[-1])
-
-    def _forward_std(self, z: np.ndarray):
-        acts = [z]
-        h = z
-        for i, (W, b) in enumerate(zip(self.W, self.b)):
-            h = h @ W + b
-            if i < len(self.W) - 1:
-                h = np.tanh(h)
-            acts.append(h)
-        return acts
-
-    def forward(self, zq: np.ndarray) -> np.ndarray:
-        z = (zq - self.z_mean) / self.z_std
-        out = self._forward_std(z)[-1]
-        return out * self.u_std + self.u_mean
-
-    def train(self, z, u, steps, batch_size, lr0, lr_decay, seed):
-        self.z_mean = z.mean(axis=0)
-        self.z_std = np.where(z.std(axis=0) > 0, z.std(axis=0), 1.0)
-        self.u_mean = u.mean(axis=0)
-        self.u_std = np.where(u.std(axis=0) > 0, u.std(axis=0), 1.0)
-        zs = (z - self.z_mean) / self.z_std
-        us = (u - self.u_mean) / self.u_std
-        n = zs.shape[0]
+            W.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            b.append(np.zeros(fan_out))
+        z_mean, z_std = z.mean(axis=0), np.where(z.std(axis=0) > 0, z.std(axis=0), 1.0)
+        u_mean, u_std = u.mean(axis=0), np.where(u.std(axis=0) > 0, u.std(axis=0), 1.0)
+        zs, us = (z - z_mean) / z_std, (u - u_mean) / u_std
+        n, lr0, lr_decay = len(zs), float(hp["lr"]), float(hp["lr_decay"])
         rng = substream(seed, "mlp_batches")
-        for step in range(steps):
-            idx = rng.integers(0, n, size=min(batch_size, n))
-            zb, ub = zs[idx], us[idx]
-            acts = self._forward_std(zb)
-            pred = acts[-1]
-            err = pred - ub
+        for step in range(int(hp["steps"])):
+            idx = rng.integers(0, n, size=min(int(hp["batch_size"]), n))
+            acts = _mlp_layers(W, b, zs[idx])
+            err = acts[-1] - us[idx]
             # overflow here is the divergence signal, not a numerics bug
             with np.errstate(over="ignore"):
                 loss = float(np.mean(err**2))
@@ -512,36 +540,26 @@ class _MLP:
                 )
             lr = lr0 / (1.0 + step / lr_decay)
             grad = (2.0 / err.size) * err
-            for layer in range(len(self.W) - 1, -1, -1):
-                a_in = acts[layer]
-                gW = a_in.T @ grad
+            for layer in range(len(W) - 1, -1, -1):
+                gW = acts[layer].T @ grad
                 gb = grad.sum(axis=0)
                 if layer > 0:
-                    grad = (grad @ self.W[layer].T) * (1.0 - acts[layer] ** 2)
-                self.W[layer] -= lr * gW
-                self.b[layer] -= lr * gb
+                    grad = (grad @ W[layer].T) * (1.0 - acts[layer] ** 2)
+                W[layer] -= lr * gW
+                b[layer] -= lr * gb
+        return cls(time_scale, W, b, z_mean, z_std, u_mean, u_std, n_train=n)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sizes": self.sizes,
-            "W": [w.tolist() for w in self.W],
-            "b": [b.tolist() for b in self.b],
-            "z_mean": self.z_mean.tolist(),
-            "z_std": self.z_std.tolist(),
-            "u_mean": self.u_mean.tolist(),
-            "u_std": self.u_std.tolist(),
-        }
+    def _state(self) -> dict:
+        state = {key: getattr(self, key).tolist() for key in ("z_mean", "z_std", "u_mean", "u_std")}
+        W, b = [w.tolist() for w in self.W], [v.tolist() for v in self.b]
+        return {"W": W, "b": b, "n_train": self.n_train, **state}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "_MLP":
-        net = cls(doc["sizes"], seed=0)
-        net.W = [np.asarray(w, dtype=float) for w in doc["W"]]
-        net.b = [np.asarray(b, dtype=float) for b in doc["b"]]
-        net.z_mean = np.asarray(doc["z_mean"], dtype=float)
-        net.z_std = np.asarray(doc["z_std"], dtype=float)
-        net.u_mean = np.asarray(doc["u_mean"], dtype=float)
-        net.u_std = np.asarray(doc["u_std"], dtype=float)
-        return net
+    def _predict_rows(self, zq: np.ndarray):
+        out = _mlp_layers(self.W, self.b, (zq - self.z_mean) / self.z_std)[-1]
+        return out * self.u_std + self.u_mean, np.zeros(len(zq), dtype=bool)
+
+
+LAWS = {cls.method: cls for cls in (KernelLaw, KnnLaw, MLPLaw)}
 
 
 def fit_feedback(
@@ -550,64 +568,35 @@ def fit_feedback(
     hyperparams: Optional[dict] = None,
     seed: int = 0,
 ) -> FeedbackLaw:
-    """Fit a feedback law to the dataset.
+    """Fit a feedback law of one of the ``LAWS`` methods to the dataset.
 
-    Shared hyperparameters: ``time_scale`` (default: state-cloud diagonal
-    divided by the time span).  Kernel: ``bandwidth`` (scalar or per-feature
-    vector; default median pairwise distance / sqrt(2) per feature) and
-    ``bandwidth_scale`` multiplier.  knn: ``k``.  mlp: ``hidden``, ``steps``,
-    ``batch_size``, ``lr``, ``lr_decay``.
+    ``hyperparams`` are checked by the method's class, then merged over its
+    ``HYPERPARAMS`` defaults; the law keeps them as given.  ``time_scale``
+    defaults to the state-cloud diagonal divided by the time span.
 
     ``final_loss`` on the result is the mean squared training error,
     estimated on a seeded subsample of at most 8192 rows when the dataset
     is larger than that.
     """
-    hp = dict(hyperparams or {})
+    if method not in LAWS:
+        raise ConfigurationError(f"unknown regression method '{method}'")
+    law_cls = LAWS[method]
+    given = dict(hyperparams or {})
+    law_cls.check_hyperparams(given, z_dim=1 + data.d)
+    hp = {**law_cls.HYPERPARAMS, **given}
     order = _canonical_order(data.t, data.x, data.u)
     t = data.t[order]
     x = data.x[order]
     u = data.u[order]
 
-    time_scale = hp.get("time_scale")
+    time_scale = hp["time_scale"]
     if time_scale is None:
         span = float(t.max() - t.min())
         diam = float(np.linalg.norm(x.max(axis=0) - x.min(axis=0)))
         time_scale = diam / span if span > 0 and diam > 0 else 1.0
     z = np.column_stack([time_scale * t, x])
-
-    if method == "kernel":
-        bw = hp.get("bandwidth")
-        if bw is None:
-            rng = substream(seed, "fit", method)
-            if data.n > 2048:
-                # the bandwidth pairs are drawn after a 2048-row choice on
-                # this stream; the choice fixes where they fall in it, and so
-                # the fitted bandwidth of every seed
-                rng.choice(data.n, size=2048, replace=False)
-            bw = _median_pairwise(z, rng) / np.sqrt(2.0)
-        else:
-            bw = np.asarray(bw, dtype=float)
-            if bw.ndim == 0:
-                bw = np.full(z.shape[1], float(bw))
-        bw = bw * float(hp.get("bandwidth_scale", 1.0))
-        bw = np.where(bw > 0, bw, 1.0)
-        law = FeedbackLaw("kernel", time_scale, z, u, bandwidth=bw, hyperparams=hp)
-    elif method == "knn":
-        law = FeedbackLaw("knn", time_scale, z, u, k=int(hp.get("k", 8)), hyperparams=hp)
-    elif method == "mlp":
-        hidden = list(hp.get("hidden", (64, 64)))
-        net = _MLP([z.shape[1]] + hidden + [u.shape[1]], seed=seed)
-        net.train(
-            z, u,
-            steps=int(hp.get("steps", 3000)),
-            batch_size=int(hp.get("batch_size", 64)),
-            lr0=float(hp.get("lr", 0.05)),
-            lr_decay=float(hp.get("lr_decay", 1000.0)),
-            seed=seed,
-        )
-        law = FeedbackLaw("mlp", time_scale, z, u, mlp=net, hyperparams=hp)
-    else:
-        raise ConfigurationError(f"unknown regression method '{method}'")
+    law = law_cls.fit(time_scale, z, u, hp, seed)
+    law.hyperparams = given
 
     # training loss, estimated on a seeded subsample once the dataset is
     # large.  The chunks fix the order of the loss sum, so their size stays

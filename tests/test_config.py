@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ctrlflow.config import (
@@ -17,6 +18,7 @@ from ctrlflow.config import (
 from ctrlflow.errors import ConfigurationError
 from ctrlflow.experiments import example_config
 from ctrlflow.measures import EXACT_W2_MAX_N
+from ctrlflow.regression import LAWS, RegressionDataset, fit_feedback
 
 
 def test_example_configs_validate():
@@ -294,6 +296,88 @@ def test_unknown_hyperparams_rejected_per_method():
         validate_config(doc)
     doc["regression"] = {"method": "knn", "hyperparams": {"k": 4, "time_scale": 2.0}}
     assert validate_config(doc).regression["hyperparams"] == {"k": 4, "time_scale": 2.0}
+
+
+# (method, hyperparams, key named in the error); transport_linear's system
+# has two states, so a per-feature bandwidth has three entries (t and x)
+BAD_HYPERPARAMS = [
+    ("kernel", {"bandwidth_scale": -1.0}, "bandwidth_scale"),
+    ("kernel", {"bandwidth_scale": 0}, "bandwidth_scale"),
+    ("kernel", {"bandwidth": 0.0}, "bandwidth"),
+    ("kernel", {"bandwidth": [0.1, 0.1]}, "bandwidth"),
+    ("kernel", {"bandwidth": [0.1, -0.1, 0.1]}, "bandwidth"),
+    ("kernel", {"time_scale": 0.0}, "time_scale"),
+    ("knn", {"k": 0}, "k"),
+    ("knn", {"k": -3}, "k"),
+    ("knn", {"k": 2.5}, "k"),
+    ("knn", {"k": True}, "k"),
+    ("knn", {"time_scale": math.nan}, "time_scale"),
+    ("mlp", {"hidden": [16, 0]}, "hidden"),
+    ("mlp", {"hidden": 16}, "hidden"),
+    ("mlp", {"steps": 0}, "steps"),
+    ("mlp", {"batch_size": -1}, "batch_size"),
+    ("mlp", {"lr": math.inf}, "lr"),
+    ("mlp", {"lr_decay": 0.0}, "lr_decay"),
+]
+
+
+@pytest.mark.parametrize("method, hp, key", BAD_HYPERPARAMS)
+def test_bad_hyperparameter_values_rejected_before_compute(method, hp, key, monkeypatch):
+    doc = example_config("transport_linear")
+    doc["regression"] = {"method": method, "hyperparams": hp}
+    with pytest.raises(ConfigurationError, match=rf"'regression\.hyperparams\.{key}'"):
+        validate_config(doc)
+    # fit_feedback runs the same check before it fits anything
+    def fit(*args):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(LAWS[method], "fit", fit)
+    rng = np.random.default_rng(0)
+    data = RegressionDataset(t=rng.uniform(size=20), x=rng.standard_normal((20, 2)),
+                             u=rng.standard_normal((20, 1)), traj_id=np.arange(20))
+    with pytest.raises(ConfigurationError, match=rf"'hyperparams\.{key}'"):
+        fit_feedback(data, method=method, hyperparams=hp)
+
+
+def test_good_hyperparameter_values_pass_as_given():
+    for method, hp in [
+        ("kernel", {"bandwidth": [0.1, 0.2, 0.3], "bandwidth_scale": 2, "time_scale": 1.5}),
+        ("kernel", {"bandwidth": 0.5, "time_scale": None}),
+        ("knn", {"k": 1}),
+        ("mlp", {"hidden": [], "steps": 1, "batch_size": 1, "lr": 1e-3, "lr_decay": 10}),
+    ]:
+        doc = example_config("transport_linear")
+        doc["regression"] = {"method": method, "hyperparams": hp}
+        assert validate_config(doc).regression == {"method": method, "hyperparams": hp}
+
+
+def test_uniform_sphere_dim_checked():
+    for params, ok in [
+        ({"dim": 2, "center": [0.0, 0.0, 0.0]}, False),
+        ({"dim": 2.5}, False),
+        ({"dim": 0}, False),
+        ({"dim": True}, False),
+        ({"dim": 2, "center": [1.0, 1.0], "radius": 0.5}, True),
+        ({"dim": 2}, True),
+        ({"center": [1.0, 1.0]}, True),
+    ]:
+        doc = example_config("transport_linear")
+        doc["mu0"] = {"kind": "uniform_sphere", "params": params}
+        if ok:
+            assert validate_config(doc).mu0["params"] == params
+        else:
+            with pytest.raises(ConfigurationError, match=r"mu0\.params\.dim"):
+                validate_config(doc)
+
+
+def test_linear_system_matrices_checked_before_compute():
+    doc = example_config("transport_linear")
+    doc["system"] = {"name": "linear", "params": {"A": [[0.0, 1.0], [0.0]], "B": [[0.0], [1.0]]}}
+    with pytest.raises(ConfigurationError, match="system.params"):
+        validate_config(doc)
+    doc["system"]["params"]["A"] = [[0.0, 1.0]]
+    with pytest.raises(ConfigurationError, match="square"):
+        validate_config(doc)
 
 
 def test_measure_params_checked_per_kind():

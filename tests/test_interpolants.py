@@ -38,26 +38,26 @@ B_DI = np.array([[0.0], [1.0]])
 
 
 def test_gramian_identity_pair():
-    G = gramian(np.zeros((2, 2)), np.eye(2), T=1.0)
-    assert np.allclose(G.W, np.eye(2), atol=1e-12)
+    W = gramian(np.zeros((2, 2)), np.eye(2), T=1.0)
+    assert np.allclose(W, np.eye(2), atol=1e-12)
 
 
 def test_gramian_double_integrator_closed_form():
-    G = gramian(A_DI, B_DI, T=1.0)
+    W = gramian(A_DI, B_DI, T=1.0)
     expected = np.array([[1.0 / 3.0, 1.0 / 2.0], [1.0 / 2.0, 1.0]])
-    assert np.abs(G.W - expected).max() <= 1e-8
+    assert np.abs(W - expected).max() <= 1e-8
 
 
 def test_gramian_bilinear_in_B():
-    G1 = gramian(A_DI, B_DI, T=1.0)
-    G2 = gramian(A_DI, 2.0 * B_DI, T=1.0)
-    assert np.allclose(G2.W, 4.0 * G1.W, rtol=1e-12)
+    W1 = gramian(A_DI, B_DI, T=1.0)
+    W2 = gramian(A_DI, 2.0 * B_DI, T=1.0)
+    assert np.allclose(W2, 4.0 * W1, rtol=1e-12)
 
 
 def test_gramian_symmetric_positive_definite():
-    G = gramian(A_DI, B_DI, T=2.0)
-    assert np.abs(G.W - G.W.T).max() <= 1e-12
-    assert np.linalg.eigvalsh(G.W).min() > 0.0
+    W = gramian(A_DI, B_DI, T=2.0)
+    assert np.abs(W - W.T).max() <= 1e-12
+    assert np.linalg.eigvalsh(W).min() > 0.0
 
 
 def test_gramian_dimension_errors():
@@ -111,7 +111,7 @@ def test_min_energy_optimality_among_null_perturbations():
     xT = np.array([-0.8, 0.5])
     ens = min_energy_pair_batch(A_DI, B_DI, x0[None], xT[None], T, n_grid)
     t = ens.t_grid
-    W = gramian(A_DI, B_DI, T).W
+    W = gramian(A_DI, B_DI, T)
     base_cost = ens.control_energy()[0]
 
     # reachability kernel of v: integral of exp(A(T-t)) B v(t) dt

@@ -5,7 +5,8 @@ two point sets and take the cheapest. Cubic assignment must agree with it
 to near machine precision on small instances.  The dual-shifted solve
 behind both assignment sites is checked against scipy's plain solve of the
 same block: the same assignment where the optimum is unique, the same cost
-where lattice clouds tie, one cost block of extra memory at most.  Sliced
+where lattice clouds tie, one cost block of extra memory at most; a block
+whose row argmins are a permutation returns them unsolved.  Sliced
 W2 is checked against a per-direction quantile-matching loop kept here as
 the reference.
 """
@@ -322,6 +323,55 @@ def test_assignment_fallbacks_solve_the_block_as_it_is(monkeypatch):
     solved.clear()
     _assignment(cluster, cluster[::-1] + 0.5)
     assert not np.array_equal(solved[0], sq_dists(cluster, cluster[::-1] + 0.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    d=st.integers(1, 6),
+    noise=st.one_of(st.just(0.0), st.floats(1.0e-9, 1.0), st.just(np.inf)),
+)
+def test_argmin_matching_is_the_plain_assignment(seed, n, d, noise):
+    # near-identity clouds (b a permuted, jittered copy of a), whose row
+    # argmins are mostly a permutation, and independent random clouds
+    # (noise inf), whose argmins rarely are: where they are, that matching
+    # is returned and it is the solver's unique optimum
+    rng = substream(seed, "argmin_matching")
+    a = rng.standard_normal((n, d))
+    if np.isinf(noise):
+        b = rng.standard_normal((n, d)) + 0.5
+    else:
+        b = a[rng.permutation(n)] + noise * rng.standard_normal((n, d))
+    cost = sq_dists(a, b)
+    rows, cols = _assignment(a, b)
+    plain_rows, plain_cols = linear_sum_assignment(cost)
+    assert np.array_equal(rows, plain_rows)
+    assert np.array_equal(cols, plain_cols)
+    argmin = cost.argmin(axis=1)
+    if np.unique(argmin).size == n:
+        assert np.array_equal(cols, argmin)
+
+
+def test_argmin_permutation_skips_the_solver(monkeypatch):
+    solved = []
+
+    def spy(cost):
+        solved.append(cost)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(measures, "linear_sum_assignment", spy)
+    rng = substream(0, "argmin_skip")
+    a = rng.standard_normal((256, 6))
+    perm = rng.permutation(256)
+    rows, cols = _assignment(a, a[perm] + 1.0e-4 * rng.standard_normal((256, 6)))
+    assert solved == []
+    assert np.array_equal(rows, np.arange(256)) and np.array_equal(perm[cols], np.arange(256))
+    # one shared nearest column: the block is solved
+    b = a[perm].copy()
+    b[0] = b[1]
+    _assignment(a, b)
+    assert len(solved) == 1
 
 
 def test_w2_solve_holds_one_block_above_the_cost_block():

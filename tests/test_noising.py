@@ -352,7 +352,7 @@ def test_lti_extremal_energy_matches_gramian():
     sys = builtin_system("linear", A=A, B=B)
     cost = QuadraticCost(theta=1.0)
     T = 1.5
-    W = gramian(-A, -B, T, n_quad=512).W
+    W = gramian(-A, -B, T, n_quad=512)
     Winv = np.linalg.inv(W)
     EmT = expm(-A * T)
     rng = substream(19, "lti")

@@ -43,7 +43,13 @@ from ctrlflow import (
     save_dataset,
 )
 from ctrlflow.linalg import EXP_FLOOR, TILE_ENTRIES, floored_exp, sq_dists, tile_rows
-from ctrlflow.regression import EXTRAPOLATION_FACTOR, EXTRAPOLATION_K, TREE_K
+from ctrlflow.regression import (
+    EXTRAPOLATION_FACTOR,
+    EXTRAPOLATION_K,
+    TREE_K,
+    KernelLaw,
+    KnnLaw,
+)
 from ctrlflow.seeding import substream
 from ctrlflow.trajectory import PairEnsemble
 
@@ -255,18 +261,47 @@ def test_law_serialization_round_trip(tmp_path):
     data = _smooth_dataset(seed=53)
     rng = substream(59, "queries")
     tq = rng.uniform(0.0, 1.0, size=32)
-    xq = rng.uniform(-1.0, 1.0, size=(32, 2))
+    # the last rows are far out: flagged by the neighbour laws
+    xq = np.vstack([rng.uniform(-1.0, 1.0, size=(28, 2)), rng.uniform(50.0, 80.0, size=(4, 2))])
+    # each document carries what its method reads, and nothing else
+    shared = {"format", "method", "time_scale", "hyperparams", "final_loss"}
+    state = {
+        "kernel": {"bandwidth", "z", "u", "ref_nn_dist"},
+        "knn": {"k", "z", "u", "ref_nn_dist"},
+        "mlp": {"W", "b", "z_mean", "z_std", "u_mean", "u_std", "n_train"},
+    }
     for method in ("kernel", "knn", "mlp"):
         hp = {"steps": 200} if method == "mlp" else {}
         law = fit_feedback(data, method=method, hyperparams=hp, seed=2)
         path = tmp_path / f"law_{method}.json"
         law.save(path)
-        assert path.read_bytes() == json.dumps(law.to_json_dict()).encode()
+        doc = law.to_json_dict()
+        assert path.read_bytes() == json.dumps(doc).encode()
+        assert set(doc) == shared | state[method]
+        assert doc["format"] == "ctrlflow.feedback_law.v2" and doc["hyperparams"] == hp
         loaded = FeedbackLaw.load(path)
-        assert loaded.method == method
-        assert np.array_equal(loaded.predict(tq, xq), law.predict(tq, xq))
+        assert type(loaded) is type(law) and loaded.method == method
+        assert (loaded.n_train, loaded.final_loss) == (data.n, law.final_loss)
+        out, flags = loaded.predict(tq, xq, return_flag=True)
+        want, want_flags = law.predict(tq, xq, return_flag=True)
+        assert np.array_equal(out, want)
+        assert np.array_equal(flags, want_flags)
+        assert flags[-4:].all() == (method != "mlp") and not flags[:28].any()
     with pytest.raises(ConfigurationError):
         FeedbackLaw.from_json_dict({"format": "something_else"})
+    with pytest.raises(ConfigurationError):
+        FeedbackLaw.from_json_dict({**doc, "format": "ctrlflow.feedback_law.v1"})
+    with pytest.raises(ConfigurationError):
+        FeedbackLaw.from_json_dict({**doc, "method": "forest"})
+
+
+def test_zero_spread_feature_gets_unit_bandwidth():
+    # a fitted bandwidth of 0 (every row at one time) falls back to 1.0;
+    # given bandwidths must be positive (see test_config)
+    data = _smooth_dataset(seed=89)
+    flat = RegressionDataset(t=np.zeros(data.n), x=data.x, u=data.u, traj_id=data.traj_id)
+    law = fit_feedback(flat, method="kernel", hyperparams={"bandwidth_scale": 0.5})
+    assert law.bandwidth[0] == 1.0 and np.all(law.bandwidth[1:] < 1.0)
 
 
 def test_crossval_rejects_degenerate_setups():
@@ -413,7 +448,7 @@ def test_truncated_kernel_matches_dense_reference(n, d, m, log_h, jitter, far, s
         rng.standard_normal((20, d + 1)),
         far * rng.standard_normal((8, d + 1)),
     ])
-    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=h)
+    law = KernelLaw(1.0, z, u, bandwidth=h)
     got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
     want, want_flags = _dense_reference(z, u, h, law.ref_nn_dist, zq)
     assert np.array_equal(flags, want_flags)
@@ -433,7 +468,7 @@ def test_truncated_kernel_matches_dense_reference(n, d, m, log_h, jitter, far, s
     tol = (2.0 * np.minimum(bound, 1.0e-16) + rounding) * np.abs(u).max()
     assert np.all(np.abs(got - want) <= tol[:, None])
     # the knn law shares the neighbour path: same sets, same order, same bits
-    knn = FeedbackLaw("knn", 1.0, z, u, k=7)
+    knn = KnnLaw(1.0, z, u, k=7)
     got, flags = knn.predict(zq[:, 0], zq[:, 1:], return_flag=True)
     want, want_flags = _dense_reference(z, u, None, knn.ref_nn_dist, zq, k=7)
     assert np.array_equal(flags, want_flags)
@@ -464,7 +499,7 @@ def test_dense_law_with_floored_weights_matches_reference():
     z += rng.standard_normal(z.shape) * np.tile(np.repeat([1.0, 8.0], [40, 10]), 20)[:, None]
     u = rng.uniform(-10.0, 10.0, size=(len(z), 2))
     h = np.ones(3)
-    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=h)
+    law = KernelLaw(1.0, z, u, bandwidth=h)
     assert law._zh_tree is None
     zq = z[rng.integers(0, len(z), size=64)] + 0.5 * rng.standard_normal((64, 3))
     args = _kernel_args(zq, z, h)[0]
@@ -511,7 +546,7 @@ def test_dense_kernel_mean_matches_long_double_differences(case, seed):
     # so its error is of the same size: at most twice the previous path's on
     # the same inputs, against direct differences in long double
     z, u, h, zq = _dense_case(case, seed)
-    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=h)
+    law = KernelLaw(1.0, z, u, bandwidth=h)
     assert law._zh_tree is None
     got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
     assert not flags.any()
@@ -530,7 +565,7 @@ def test_dense_workspace_carries_no_state_between_calls(size, tmp_path):
     rng = np.random.default_rng(17)
     z = rng.standard_normal((1000, 4))
     u = rng.standard_normal((1000, 2))
-    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=np.full(4, 2.0))
+    law = KernelLaw(1.0, z, u, bandwidth=np.full(4, 2.0))
     assert law._zh_tree is None
     step = tile_rows(law.n_train)
     n = {"one": 1, "tile+1": step + 1, "3 tiles": 3 * step}[size]
@@ -551,7 +586,7 @@ def test_dense_predict_memory_stays_within_a_few_tiles():
     rng = np.random.default_rng(23)
     z = rng.standard_normal((4000, 3))
     u = rng.standard_normal((4000, 2))
-    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=np.full(3, 2.0))
+    law = KernelLaw(1.0, z, u, bandwidth=np.full(3, 2.0))
     assert law._zh_tree is None
     zq = 0.8 * rng.standard_normal((2000, 3))
     tracemalloc.start()
@@ -579,12 +614,12 @@ def test_neighbour_ties_break_by_lower_index():
         # the test only bites if ties straddle the k-th place
         assert np.any(srt[:, k - 1] == srt[:, k])
 
-        law = FeedbackLaw("knn", 1.0, z, u, k=k, ref_nn_dist=1.0e9)
+        law = KnnLaw(1.0, z, u, k=k, ref_nn_dist=1.0e9)
         want, _ = _dense_reference(z, u, None, 1.0e9, zq, k=k, d2=d2)
         assert np.array_equal(law.predict(zq[:, 0], zq[:, 1:]), want)
 
     # the EXTRAPOLATION_K fallback: off-lattice queries are flagged
-    law = FeedbackLaw("knn", 1.0, z, u, k=1, ref_nn_dist=0.01)
+    law = KnnLaw(1.0, z, u, k=1, ref_nn_dist=0.01)
     got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
     want, want_flags = _dense_reference(z, u, None, 0.01, zq, k=1, d2=d2)
     assert np.array_equal(flags, want_flags) and flags[100:].all()
@@ -593,7 +628,7 @@ def test_neighbour_ties_break_by_lower_index():
     # the 1-nn underflow fallback: off-lattice queries sit >= 500 bandwidths
     # from every row, so all their kernel weights underflow
     h = np.full(3, 1.0e-3)
-    law = FeedbackLaw("kernel", 1.0, z, u, bandwidth=h, ref_nn_dist=1.0e9)
+    law = KernelLaw(1.0, z, u, bandwidth=h, ref_nn_dist=1.0e9)
     want, _ = _dense_reference(z, u, h, 1.0e9, off, d2=d2[100:])
     assert np.array_equal(law.predict(off[:, 0], off[:, 1:]), want)
 
@@ -616,4 +651,3 @@ def test_ref_nn_dist_is_the_median_nearest_spacing():
     for method in ("kernel", "knn"):
         law = fit_feedback(data, method=method, hyperparams={"time_scale": 1.0})
         assert abs(law.ref_nn_dist - want) <= 1.0e-12 * want
-    assert fit_feedback(data, method="mlp", hyperparams={"steps": 1}).ref_nn_dist == 0.0
