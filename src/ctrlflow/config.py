@@ -110,13 +110,23 @@ def _validate_measure(path: str, doc, extra_keys=()) -> dict:
         _get(f"{path}.params", params, key, None)
     for key in set(_NUMERIC_PARAMS) & set(params):
         _finite(f"{path}.params.{key}", params[key])
-    if kind == "uniform_sphere" and "dim" in params:
-        dim = _get(f"{path}.params", params, "dim", (int,))
-        center = params.get("center")
-        if dim < 1 or (isinstance(center, list) and len(center) != dim):
+    if kind == "uniform_sphere":
+        radius = params.get("radius", 1.0)
+        if isinstance(radius, list) or radius < 0:
             raise ConfigurationError(
-                f"'{path}.params.dim' must be a positive integer that agrees with "
-                f"center, got {dim} and center {center!r}"
+                f"'{path}.params.radius' must be a number >= 0, got {radius!r}"
+            )
+        center = params.get("center")
+        if "dim" in params:
+            dim = _get(f"{path}.params", params, "dim", (int,))
+            if dim < 1 or (isinstance(center, list) and len(center) != dim):
+                raise ConfigurationError(
+                    f"'{path}.params.dim' must be a positive integer that agrees with "
+                    f"center, got {dim} and center {center!r}"
+                )
+        elif center is not None and not isinstance(center, list):
+            raise ConfigurationError(
+                f"'{path}.params.center' must be a list when 'dim' is absent, got {center!r}"
             )
     if kind == "mixture":
         comps = _get(f"{path}.params", params, "components", (list,))

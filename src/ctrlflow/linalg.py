@@ -92,13 +92,14 @@ def kalman_rank(A: np.ndarray, B: np.ndarray) -> int:
 
 
 def floored_exp(w: np.ndarray) -> np.ndarray:
-    """exp(w) in place, for arguments w <= 0 whose row maximum is 0.
+    """exp(w) in place, for arguments w <= 0 whose row maximum a is <= 0.
 
     Arguments below ``EXP_FLOOR`` are clamped before the exp, which keeps
     numpy's exp on its vector path (a tiny or subnormal result leaves it),
     and their results are set to 0; every other entry is bit-equal to
-    ``np.exp``.  Together the zeroed entries are at most n e^-700 of the
-    row's top entry 1.
+    ``np.exp``.  Together the zeroed entries of a row of n are at most
+    n e^(-700 - a) of its top entry e^a: a caller keeps a well above -700
+    (the kernel laws keep it at or above -600) for that share to be small.
     """
     if w.size == 0 or w.min() >= EXP_FLOOR:
         return np.exp(w, out=w)

@@ -174,7 +174,7 @@ def _nonzero_normal_rows(rng: np.random.Generator, n: int, k: int):
 
 def _sphere(params: dict) -> tuple[np.ndarray, float, int]:
     """Center, radius and dimension of a uniform_sphere (default: unit sphere about 0 in R^3)."""
-    dim = int(params.get("dim", len(params.get("center", [0.0, 0.0, 0.0]))))
+    dim = int(params["dim"]) if "dim" in params else len(params.get("center", [0.0, 0.0, 0.0]))
     center = np.asarray(params.get("center", np.zeros(dim)), dtype=float)
     radius = float(params.get("radius", 1.0))
     if radius < 0.0:

@@ -12,32 +12,51 @@ scaled feature space z = (time_scale * t, x), so one metric serves both
 time and state.
 
 The kernel and knn laws build one k-d tree on z (Friedman, Bentley & Finkel
-1977) and take every neighbour question from it: the extrapolation flag,
-the knn mean and the nearest-neighbour fallbacks.  Neighbour sets break
-distance ties by the lower canonical training index, the order of a
-stable argsort.  The extrapolation spacing ``ref_nn_dist`` is the median
-distance from a training row to its nearest other row, from a k=2
-self-query of the same tree.
+1977) and take every neighbour question from it: the knn mean, the
+nearest-neighbour fallbacks and the extrapolation flags that a law's own
+pass leaves open (below).  Neighbour sets break distance ties by the lower
+canonical training index, the order of a stable argsort.  The
+extrapolation spacing ``ref_nn_dist`` is the median distance from a
+training row to its nearest other row, from a k=2 self-query of the same
+tree.
 
 A kernel law also builds a tree on z/h and sums the weights of a row's
 ``TREE_K`` nearest training rows only, when the left-out weight relative to
 the top weight, at most (n - k) exp(-(d_k^2 - d_1^2)/2) in scaled
 distances, is no more than ``TRUNCATION_TOL``.  Rows that fail the bound
 get the dense Nadaraya-Watson weights over every training row, one row
-tile (:func:`ctrlflow.linalg.tile_rows`) at a time.  The Gaussian weight of
-scaled rows q and z factors as exp(-|q|^2/2) exp(q.z - |z|^2/2) and the
-first factor cancels in the mean, so a tile's arguments are one matrix
-product of [q, 1] with the law's cached [z, -|z|^2/2], written to a tile
-workspace that the law allocates once.  A law keeps the z/h tree only if
-the bound holds on at least half of a strided probe of its training rows;
-a wide bandwidth leaves it dense throughout.
+tile (:func:`ctrlflow.linalg.tile_rows`) at a time.  A tile's kernel
+arguments -|q - z|^2/2 of scaled rows q and z are one matrix product of
+[q, 1, -|q|^2/2] with the law's cached [z; -|z|^2/2; 1], written to a tile
+workspace that the law allocates once, and become weights in place; one
+product of the tile with the cached [u, 1] gives each row's numerator and
+denominator.  The largest argument of a row is -emin/2, where emin is its
+smallest squared scaled distance; a row with emin above ``FAR_EMIN`` = 1200
+has that maximum subtracted first.  A law keeps the z/h tree only if the
+bound holds on at least half of a strided probe of its training rows; a
+wide bandwidth leaves it dense throughout.
 
 Every kernel weight, and the bound itself, comes from
 :func:`ctrlflow.linalg.floored_exp`: an argument below ``EXP_FLOOR`` = -700
-gets weight 0.  Each such weight is below e^-700 ~ 1e-304 of its row's top
-weight 1, so a row leaves out at most n e^-700 of its mass, far inside
-``TRUNCATION_TOL`` for any n below about 1e284; numpy's exp would take its
-slow path for those tiny results.
+gets weight 0, where numpy's exp would take its slow path for the tiny
+result.  A row's top weight is at least e^-600 (1 for a shifted row), so
+each floored weight is below e^-100 of it and a row leaves out at most
+n e^-100 of its mass, inside ``TRUNCATION_TOL`` for any n below about
+1e27.  Past emin = -2 ``EXP_FLOOR`` every weight would be floored, and the
+row takes the control of its nearest training row.
+
+A row is flagged as an extrapolation when its nearest distance in z
+exceeds ``EXTRAPOLATION_FACTOR * ref_nn_dist``.  A kernel law bounds that
+distance from the emin it already has, from the dense product or the z/h
+tree: each feature is scaled by its own bandwidth, so the distance lies in
+[h_min sqrt(emin), h_max sqrt(emin)].  Widened by a slack that holds the
+rounding of emin and of the tree's own distance, several times
+eps (|q/h|^2 + max |z/h|^2) inside the root, a bracket that lies on one
+side of the threshold decides the flag as the z tree would.  Only rows
+whose bracket straddles it, or whose emin is not finite (an overflowing
+query), ask the z tree.  A knn law's neighbour query returns the nearest
+distance itself, a bracket of zero width.
+
 :func:`crossval_loss` selects hyperparameters on trajectory-grouped folds,
 and :func:`save_dataset` / :func:`load_dataset` write and read a run's
 ``dataset.csv``.
@@ -76,6 +95,9 @@ EXTRAPOLATION_K = 16
 TREE_K = 32
 TRUNCATION_TOL = 1.0e-16
 PROBE_ROWS = 64
+# a dense row whose smallest squared scaled distance exceeds this is weighed
+# relative to its top weight (see _dense_mean)
+FAR_EMIN = 1200.0
 
 LAW_FORMAT = "ctrlflow.feedback_law.v2"
 
@@ -259,6 +281,10 @@ class FeedbackLaw:
 class _NeighbourLaw(FeedbackLaw):
     """A law that answers from its training rows z, u through a k-d tree on z.
 
+    A subclass supplies ``_mean(zq) -> (means, nn_lo, nn_hi)`` for finite
+    feature rows: the law's mean control of each row, and bounds
+    nn_lo <= nn <= nn_hi on the row's nearest distance nn as this tree
+    computes it (``inf``/NaN bounds where the subclass cannot bound it).
     A loaded law builds its trees too; ``ref_nn_dist=None`` takes the
     median nearest-row spacing of z.
     """
@@ -284,47 +310,68 @@ class _NeighbourLaw(FeedbackLaw):
     def _state(self) -> dict:
         return {"z": self._z.tolist(), "u": self._u.tolist(), "ref_nn_dist": self.ref_nn_dist}
 
-    def _nearest(self, zq: np.ndarray, k: int) -> np.ndarray:
-        """Indices (rows, k) of the k nearest training rows in z, nearest first.
+    def _neighbour_mean(self, zq: np.ndarray, k: int):
+        """Mean control of each row's k nearest training rows in z, and the
+        row's nearest distance.
 
         Among equal distances the lower (canonical) training index comes
         first, the order of a stable argsort.  A tie across the k-th place
         may hide lower indices beyond the tree's answer, so such rows are
         queried again with twice the width until the last distance is larger.
+        A row with fewer than k training rows at a finite distance (an
+        overflowing query) gets a NaN mean.
         """
         n = self.n_train
         k = min(k, n)
-        out = np.empty((len(zq), k), dtype=np.intp)
+        means = np.full((len(zq), self.m), np.nan)
+        nn = np.empty(len(zq))
         rows = np.arange(len(zq))
         width = min(k + 1, n)
         while rows.size:
             dist, idx = self._tree.query(zq[rows], k=width)
             dist = dist.reshape(len(rows), width)
             idx = idx.reshape(len(rows), width)
-            open_tie = (dist[:, -1] == dist[:, k - 1]) & (width < n)
+            reached = dist[:, k - 1] < np.inf
+            open_tie = (dist[:, -1] == dist[:, k - 1]) & reached & (width < n)
             done = ~open_tie
-            order = np.lexsort((idx[done], dist[done]))[:, :k]
-            out[rows[done]] = np.take_along_axis(idx[done], order, axis=1)
+            nn[rows[done]] = dist[done, 0]
+            found = done & reached
+            order = np.lexsort((idx[found], dist[found]))[:, :k]
+            nearest = np.take_along_axis(idx[found], order, axis=1)
+            means[rows[found]] = self._u[nearest].mean(axis=1)
             rows = rows[open_tie]
             width = min(2 * width, n)
-        return out
+        return means, nn
 
     def _predict_rows(self, zq: np.ndarray):
         """Means of feature rows: the subclass's ``_mean`` or, for flagged rows,
         the ``EXTRAPOLATION_K`` mean.  Rows no training row is a finite
         distance from (a blown-up rollout stage) get NaN and no flag.
+
+        A row is flagged when its nearest distance exceeds the threshold
+        ``EXTRAPOLATION_FACTOR * ref_nn_dist``.  ``_mean`` bounds that
+        distance for every finite row; only rows whose bounds do not settle
+        the threshold, or are not finite, ask the tree.
         """
-        nn = np.full(len(zq), np.inf)
-        finite = np.isfinite(zq).all(axis=1)
-        nn[finite] = self._tree.query(zq[finite])[0]
-        live = nn < np.inf
-        flags = live & (nn > EXTRAPOLATION_FACTOR * max(self.ref_nn_dist, 1.0e-300))
-        inside = live & ~flags
+        threshold = EXTRAPOLATION_FACTOR * max(self.ref_nn_dist, 1.0e-300)
         out = np.full((len(zq), self.m), np.nan)
-        if inside.any():
-            out[inside] = self._mean(zq[inside])
+        rows = np.flatnonzero(np.isfinite(zq).all(axis=1))
+        # an overflowing row's arguments and bounds may be inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[rows], nn_lo, nn_hi = self._mean(zq[rows])
+        inside = nn_hi <= threshold
+        outside = (nn_lo > threshold) & (nn_hi < np.inf)
+        ask = ~(inside | outside)
+        nn = self._tree.query(zq[rows[ask]])[0]
+        inside[ask] = nn <= threshold
+        outside[ask] = (nn > threshold) & (nn < np.inf)
+        out[rows[~(inside | outside)]] = np.nan
+        flags = np.zeros(len(zq), dtype=bool)
+        flags[rows[outside]] = True
         if flags.any():
-            out[flags] = self._u[self._nearest(zq[flags], EXTRAPOLATION_K)].mean(axis=1)
+            # a row flagged by its bounds may still overflow the tree's distance
+            out[flags], nn = self._neighbour_mean(zq[flags], EXTRAPOLATION_K)
+            flags[flags] = nn < np.inf
         return out, flags
 
 
@@ -345,8 +392,10 @@ class KnnLaw(_NeighbourLaw):
     def _state(self) -> dict:
         return {"k": self.k, **super()._state()}
 
-    def _mean(self, zq: np.ndarray) -> np.ndarray:
-        return self._u[self._nearest(zq, self.k)].mean(axis=1)
+    def _mean(self, zq: np.ndarray):
+        # the neighbour query's nearest distance is the tree's own
+        means, nn = self._neighbour_mean(zq, self.k)
+        return means, nn, nn
 
 
 class KernelLaw(_NeighbourLaw):
@@ -365,12 +414,19 @@ class KernelLaw(_NeighbourLaw):
         self.bandwidth = np.asarray(bandwidth, dtype=float)
         self._h = np.maximum(self.bandwidth, 1.0e-300)
         self._zh = self._z / self._h
-        # the dense path's operand [z/h, -|z/h|^2/2], stored transposed
-        # (the faster layout for its product), and the row tile that
-        # product is written to (see _dense_mean)
+        # the dense path's operands [z/h; -|z/h|^2/2; 1], stored transposed
+        # (the faster layout for its product), and [u, 1], and the row tile
+        # the first product is written to (see _dense_mean)
         zh_sq = np.einsum("nd,nd->n", self._zh, self._zh)
-        self._za = np.vstack([self._zh.T, -0.5 * zh_sq])
+        self._za = np.vstack([self._zh.T, -0.5 * zh_sq, np.ones(self.n_train)])
+        self._u1 = np.column_stack([self._u, np.ones(self.n_train)])
         self._tile = np.empty((tile_rows(self.n_train), self.n_train))
+        # the nearest-distance bracket: extreme bandwidths, and the rounding
+        # slack per unit of |q/h|^2 + max |z/h|^2, several times the error
+        # bound of a (D + 2)-term dot product (see _mean)
+        self._h_min, self._h_max = float(self._h.min()), float(self._h.max())
+        self._slack = 8.0 * (self._z.shape[1] + 2) * np.finfo(float).eps
+        self._zh_sq_max = float(zh_sq.max())
         # keep the z/h tree only if truncation is certified on at least
         # half of a strided probe of training rows; otherwise stay dense
         self._zh_tree = cKDTree(self._zh)
@@ -428,19 +484,20 @@ class KernelLaw(_NeighbourLaw):
         # an overflowed distance comes with no training index
         return d2, idx, (left_out <= TRUNCATION_TOL) & (d2[:, -1] < np.inf)
 
-    def _dense_mean(self, qh: np.ndarray):
+    def _dense_mean(self, qh: np.ndarray, qh_sq: np.ndarray):
         """Nadaraya-Watson means of scaled query rows over every training row.
 
-        A row's kernel arguments are q.z - |z|^2/2, the exponent of the
-        Gaussian weight less the -|q|^2/2 that cancels in the mean: one
-        product of [q, 1] with the cached [z, -|z|^2/2], one row tile at a
-        time into the law's workspace.  Less their row maximum they become
-        weights in place.  Also returns each row's smallest squared scaled
-        distance, |q|^2 - 2 max.
+        A row's kernel arguments -|q - z|^2/2 are one product of
+        [q, 1, -|q|^2/2] with the cached [z; -|z|^2/2; 1], one row tile at a
+        time into the law's workspace, and become weights in place; their
+        product with the cached [u, 1] gives every mean's numerator and
+        denominator at once.  A row past ``FAR_EMIN`` is weighed relative to
+        its top weight.  Also returns each row's smallest squared scaled
+        distance emin, -2 times its largest argument.
         """
         out = np.empty((len(qh), self.m))
-        emin = np.einsum("nd,nd->n", qh, qh)
-        qa = np.column_stack([qh, np.ones(len(qh))])
+        emin = np.empty(len(qh))
+        qa = np.column_stack([qh, np.ones(len(qh)), -0.5 * qh_sq])
         step = len(self._tile)
         for lo in range(0, len(qh), step):
             rows = slice(lo, lo + step)
@@ -448,14 +505,20 @@ class KernelLaw(_NeighbourLaw):
             tile = self._tile[: len(q)]
             np.matmul(q, self._za, out=tile)
             top = tile.max(axis=1)
-            emin[rows] -= 2.0 * top
-            tile -= top[:, None]
+            emin[rows] = -2.0 * top
+            far = emin[rows] > FAR_EMIN
+            if far.any():
+                np.subtract(tile, top[:, None], out=tile, where=far[:, None])
             floored_exp(tile)
-            out[rows] = (tile @ self._u) / tile.sum(axis=1, keepdims=True)
+            sums = tile @ self._u1
+            out[rows] = sums[:, :-1] / sums[:, -1:]
         return out, emin
 
-    def _mean(self, zq: np.ndarray) -> np.ndarray:
+    def _mean(self, zq: np.ndarray):
+        """Means of finite feature rows, and the bracket on their nearest
+        distance that the module docstring describes."""
         qh = zq / self._h
+        qh_sq = np.einsum("nd,nd->n", qh, qh)
         out = np.empty((len(qh), self.m))
         emin = np.empty(len(qh))
         dense = np.ones(len(qh), dtype=bool)
@@ -467,14 +530,16 @@ class KernelLaw(_NeighbourLaw):
             out[ok] = np.einsum("qk,qkm->qm", w, self._u[idx]) / w.sum(axis=1, keepdims=True)
             dense = ~ok
         if dense.any():
-            out[dense], emin[dense] = self._dense_mean(qh[dense])
+            out[dense], emin[dense] = self._dense_mean(qh[dense], qh_sq[dense])
         # past -2 EXP_FLOOR even the top raw weight exp(-emin/2) would be
-        # floored, so every weight of the row would be: the Nadaraya-Watson
-        # denominator degenerates, use the nearest point
+        # floored: such a row takes the control of its nearest point
         degenerate = emin > -2.0 * EXP_FLOOR
         if degenerate.any():
-            out[degenerate] = self._u[self._nearest(zq[degenerate], 1)[:, 0]]
-        return out
+            out[degenerate] = self._neighbour_mean(zq[degenerate], 1)[0]
+        slack = self._slack * (qh_sq + self._zh_sq_max)
+        nn_lo = self._h_min * np.sqrt(np.maximum(emin - slack, 0.0))
+        nn_hi = self._h_max * np.sqrt(emin + slack)
+        return out, nn_lo, nn_hi
 
 
 def _mlp_layers(W, b, z: np.ndarray) -> list:

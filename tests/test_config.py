@@ -17,7 +17,7 @@ from ctrlflow.config import (
 )
 from ctrlflow.errors import ConfigurationError
 from ctrlflow.experiments import example_config
-from ctrlflow.measures import EXACT_W2_MAX_N
+from ctrlflow.measures import EXACT_W2_MAX_N, sample_measure
 from ctrlflow.regression import LAWS, RegressionDataset, fit_feedback
 
 
@@ -368,6 +368,28 @@ def test_uniform_sphere_dim_checked():
         else:
             with pytest.raises(ConfigurationError, match=r"mu0\.params\.dim"):
                 validate_config(doc)
+
+
+def test_uniform_sphere_radius_and_center_checked_before_sample():
+    # each of these used to pass validation and fail in stage sample
+    for params, word in [
+        ({"radius": -1.0}, r"mu0\.params\.radius"),
+        ({"dim": 2, "radius": -0.5}, r"mu0\.params\.radius"),
+        ({"radius": [1.0]}, r"mu0\.params\.radius"),
+        ({"center": 1.0}, r"mu0\.params\.center"),
+        ({"center": 1.0, "radius": 2.0}, r"mu0\.params\.center"),
+    ]:
+        doc = example_config("transport_linear")
+        doc["mu0"] = {"kind": "uniform_sphere", "params": params}
+        with pytest.raises(ConfigurationError, match=word):
+            validate_config(doc)
+    # a scalar center with a dim broadcasts; radius 0 is a point
+    for params in ({"dim": 2, "center": 1.0}, {"center": [0.0, 0.0], "radius": 0}):
+        doc = example_config("transport_linear")
+        doc["mu0"] = {"kind": "uniform_sphere", "params": params}
+        assert validate_config(doc).mu0["params"] == params
+        points = sample_measure("uniform_sphere", params, 8, seed=0).points
+        assert points.shape == (8, 2) and np.all(np.isfinite(points))
 
 
 def test_linear_system_matrices_checked_before_compute():

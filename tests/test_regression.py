@@ -17,8 +17,11 @@ The estimator invariants checked here:
   EXP_FLOOR and 0 below it; a dense law whose weights are mostly floored
   predicts the bits of the unfloored dense reference.
 * dense kernel means are as accurate as the expanded-distance path they
-  replaced, carry no state between calls through the law's row tile, and
-  allocate no (queries x training) block.
+  replaced, also for rows whose top weight is below e^-600, carry no state
+  between calls through the law's row tile, and allocate no
+  (queries x training) block.
+* extrapolation flags that a law settles from its own pass are the k-d
+  tree's, also for queries within rounding of the threshold.
 """
 
 import json
@@ -29,6 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.spatial import cKDTree
 
 from ctrlflow import (
     ConfigurationError,
@@ -46,6 +50,7 @@ from ctrlflow.linalg import EXP_FLOOR, TILE_ENTRIES, floored_exp, sq_dists, tile
 from ctrlflow.regression import (
     EXTRAPOLATION_FACTOR,
     EXTRAPOLATION_K,
+    FAR_EMIN,
     TREE_K,
     KernelLaw,
     KnnLaw,
@@ -383,14 +388,14 @@ def test_dataset_csv_round_trip(tmp_path):
 
 
 def _kernel_args(zq, z, h):
-    # a dense row's kernel arguments less their row maximum, from one product
-    # of [q/h, 1] with [z/h, -|z/h|^2/2] (exp(-|q/h|^2/2) cancels in the
-    # mean), and the row's smallest squared scaled distance |q/h|^2 - 2 max
+    # a dense row's kernel arguments -|q/h - z/h|^2/2, from one product of
+    # [q/h, 1, -|q/h|^2/2] with [z/h; -|z/h|^2/2; 1], and the row's smallest
+    # squared scaled distance, -2 times its largest argument
     qh, zh = zq / h, z / h
-    za = np.vstack([zh.T, -0.5 * np.einsum("nd,nd->n", zh, zh)])
-    args = np.column_stack([qh, np.ones(len(qh))]) @ za
-    top = args.max(axis=1)
-    return args - top[:, None], np.einsum("nd,nd->n", qh, qh) - 2.0 * top
+    qa = np.column_stack([qh, np.ones(len(qh)), -0.5 * np.einsum("nd,nd->n", qh, qh)])
+    za = np.vstack([zh.T, -0.5 * np.einsum("nd,nd->n", zh, zh), np.ones(len(zh))])
+    args = qa @ za
+    return args, -2.0 * args.max(axis=1)
 
 
 def _dense_reference(z, u, h, ref_nn, zq, k=None, d2=None):
@@ -411,8 +416,10 @@ def _dense_reference(z, u, h, ref_nn, zq, k=None, d2=None):
         out = knn_mean(everyone, k)
     else:
         args, emin = _kernel_args(zq, z, np.maximum(h, 1.0e-300))
-        w = np.exp(args)
-        out = (w @ u) / w.sum(axis=1, keepdims=True)
+        # rows past FAR_EMIN are weighed relative to their top weight
+        w = np.exp(args + np.where(emin > FAR_EMIN, 0.5 * emin, 0.0)[:, None])
+        sums = w @ np.column_stack([u, np.ones(len(u))])
+        out = sums[:, :-1] / sums[:, -1:]
         degenerate = emin > 1400.0
         out[degenerate] = knn_mean(degenerate, 1)
     out[flags] = knn_mean(flags, EXTRAPOLATION_K)
@@ -556,6 +563,71 @@ def test_dense_kernel_mean_matches_long_double_differences(case, seed):
     want = (w @ u.astype(np.longdouble)) / w.sum(axis=1, keepdims=True)
     err = float(np.abs(got - want).max() / np.abs(u).max())
     assert err <= 2.0 * PARENT_DENSE_ERROR[case, seed]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_far_dense_rows_are_weighed_relative_to_their_top_weight(seed):
+    # one tight cloud keeps the law dense; queries 34-39 bandwidths out have
+    # emin in (FAR_EMIN, -2 EXP_FLOOR], so their top weight is below e^-600.
+    # Unshifted, the floor would cut the weights of rows within e^-20 of it
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, size=(400, 3))
+    u = rng.uniform(-10.0, 10.0, size=(400, 2))
+    law = KernelLaw(1.0, z, u, bandwidth=np.ones(3), ref_nn_dist=1.0e9)
+    assert law._zh_tree is None
+    v = rng.standard_normal((400, 3))
+    zq = v / np.linalg.norm(v, axis=1, keepdims=True) * rng.uniform(34.0, 39.0, size=(400, 1))
+    d2 = ((zq.astype(np.longdouble)[:, None] - z[None]) ** 2).sum(-1)
+    emin = d2.min(axis=1)
+    keep = (emin > FAR_EMIN) & (emin < -2.0 * EXP_FLOOR - 1.0e-6)
+    zq, d2, emin = zq[keep], d2[keep], emin[keep]
+    assert len(zq) >= 100 and np.sum(emin > -2.0 * EXP_FLOOR - 20.0) >= 10
+    got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
+    assert not flags.any()
+    w = np.exp(-0.5 * (d2 - emin[:, None]))
+    want = (w @ u.astype(np.longdouble)) / w.sum(axis=1, keepdims=True)
+    # the expanded product's rounding, as in the truncation test
+    norms = (zq**2).sum(1) + (z**2).sum(1).max()
+    tol = 2.0 * (16.0 * (3 + 3) * np.finfo(float).eps * norms + 1.0e-13) * np.abs(u).max()
+    assert np.all(np.abs(got - want) <= tol[:, None])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(["wide", "offset", "narrow"]),
+    seed=st.integers(0, 2**32 - 1),
+    deltas=st.lists(st.floats(-1.0e-9, 1.0e-9), min_size=1, max_size=8),
+)
+@example(case="offset", seed=0, deltas=[0.0])
+@example(case="narrow", seed=1, deltas=[0.0])
+def test_flags_at_the_threshold_match_the_tree(case, seed, deltas):
+    # queries whose nearest training row sits within 1e-9 relative of the
+    # flag threshold, most of them within rounding of it: the bracket must
+    # hand every row it cannot settle to the tree, so the flags are the tree's
+    # the two _dense_case clouds, and the offset cloud at a bandwidth narrow
+    # enough that its rows take the z/h tree
+    z, u, h, _ = _dense_case("offset" if case == "narrow" else case, seed)
+    law = KernelLaw(1.0, z, u, bandwidth=np.full(4, 0.02) if case == "narrow" else h)
+    tree = cKDTree(z)
+    threshold = EXTRAPOLATION_FACTOR * law.ref_nn_dist
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=64)
+    deltas = np.concatenate([deltas, [0.0] * 4, signs * 10.0 ** rng.uniform(-18.0, -9.0, size=64)])
+    # a point three thresholds out from a training row, moved toward its
+    # nearest row if that is farther than the threshold: it stays nearest
+    v = rng.standard_normal((len(deltas), z.shape[1]))
+    start = z[rng.integers(0, len(z), size=len(deltas))]
+    start = start + 3.0 * threshold * v / np.linalg.norm(v, axis=1, keepdims=True)
+    d0, j = tree.query(start)
+    out = d0 > 1.01 * threshold
+    assert np.count_nonzero(out) >= len(deltas) // 2
+    start, d0, j, deltas = start[out], d0[out], j[out], deltas[out]
+    zq = z[j] + (start - z[j]) * (threshold * (1.0 + deltas) / d0)[:, None]
+    want = tree.query(zq)[0] > threshold
+    assert want.any() and not want.all()
+    for fitted in (law, KnnLaw(1.0, z, u, k=7)):
+        _, flags = fitted.predict(zq[:, 0], zq[:, 1:], return_flag=True)
+        assert np.array_equal(flags, want)
 
 
 @pytest.mark.parametrize("size", ["one", "tile+1", "3 tiles"])
