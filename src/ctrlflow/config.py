@@ -5,8 +5,11 @@ strict: unknown keys anywhere (regression hyperparameters and measure
 params included, per method and per measure kind) are rejected, required
 keys must be present, and scalar ranges are checked before any compute
 happens; hyperparameter values by the method's law class
-(``regression.LAWS``).  CLI flags may override the top-level scalar fields (master_seed,
-n_train, n_eval, name, output_dir) prior to validation.
+(``regression.LAWS``).  Each measure section is drawn from once: its params
+must sample, and its points must have the dimension of the system's state
+(its output, for an ``output_transport`` muT).  CLI flags may override the
+top-level scalar fields (master_seed, n_train, n_eval, name, output_dir)
+prior to validation.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigurationError
-from .measures import COUPLING_KINDS, EXACT_W2_MAX_N, MEASURE_PARAMS
+from .measures import COUPLING_KINDS, EXACT_W2_MAX_N, MEASURE_PARAMS, sample_measure
 from .ode import DEFAULT_BLOWUP
 from .regression import LAWS
-from .systems import builtin_names, builtin_system
+from .systems import ControlAffineSystem, builtin_names, builtin_system
 
 SCHEMA_VERSION = 1
 
@@ -95,7 +98,17 @@ def _finite(path: str, value) -> None:
         raise ConfigurationError(f"'{path}' must hold finite numbers, got {value!r}")
 
 
-def _validate_measure(path: str, doc, extra_keys=()) -> dict:
+def _check_measure_dim(path: str, got: int, dim: int, space: str) -> None:
+    if got != dim:
+        raise ConfigurationError(
+            f"'{path}' has dimension {got}, expected the {space} dimension {dim}"
+        )
+
+
+def _validate_measure(path: str, doc, dim: int, space: str = "state", extra_keys=()) -> dict:
+    """Check a measure section's keys and numbers, then draw one point from
+    it: the draw must succeed and have dimension ``dim``, the ``space``
+    dimension of the system."""
     doc = _expect_mapping(path, doc)
     _check_keys(path, doc, ("kind", "params") + tuple(extra_keys))
     kind = _get(path, doc, "kind", (str,))
@@ -118,15 +131,19 @@ def _validate_measure(path: str, doc, extra_keys=()) -> dict:
             )
         center = params.get("center")
         if "dim" in params:
-            dim = _get(f"{path}.params", params, "dim", (int,))
-            if dim < 1 or (isinstance(center, list) and len(center) != dim):
+            sphere_dim = _get(f"{path}.params", params, "dim", (int,))
+            if sphere_dim < 1 or (isinstance(center, list) and len(center) != sphere_dim):
                 raise ConfigurationError(
                     f"'{path}.params.dim' must be a positive integer that agrees with "
-                    f"center, got {dim} and center {center!r}"
+                    f"center, got {sphere_dim} and center {center!r}"
                 )
-        elif center is not None and not isinstance(center, list):
+            # before the draw, which would allocate a row of this length
+            _check_measure_dim(path, sphere_dim, dim, space)
+        elif center is not None and not (isinstance(center, list) and center):
+            # an empty center would be a sphere in R^0, which no draw leaves
             raise ConfigurationError(
-                f"'{path}.params.center' must be a list when 'dim' is absent, got {center!r}"
+                f"'{path}.params.center' must be a non-empty list when 'dim' is absent, "
+                f"got {center!r}"
             )
     if kind == "mixture":
         comps = _get(f"{path}.params", params, "components", (list,))
@@ -134,12 +151,19 @@ def _validate_measure(path: str, doc, extra_keys=()) -> dict:
             raise ConfigurationError(f"'{path}.params.components' must not be empty")
         for i, comp in enumerate(comps):
             where = f"{path}.params.components[{i}]"
-            _validate_measure(where, comp, ("weight",))
+            _validate_measure(where, comp, dim, space, ("weight",))
             _finite(f"{where}.weight", _get(where, comp, "weight", (int, float), 1.0))
+    # the shapes and values that only sampling reads: cov, box bounds,
+    # mixture weights, empirical points
+    try:
+        drawn = sample_measure(kind, params, 1, 0)
+    except (ConfigurationError, ValueError, TypeError) as exc:
+        raise ConfigurationError(f"'{path}' cannot be sampled: {exc}") from exc
+    _check_measure_dim(path, drawn.dim, dim, space)
     return {"kind": kind, "params": params}
 
 
-def _validate_eval_start(path: str, doc) -> dict:
+def _validate_eval_start(path: str, doc, dim: int) -> dict:
     doc = _expect_mapping(path, doc)
     if doc.get("kind") == "bootstrap":
         _check_keys(path, doc, ("kind", "params"))
@@ -149,7 +173,7 @@ def _validate_eval_start(path: str, doc) -> dict:
         if not 0 <= jitter < math.inf:
             raise ConfigurationError(f"'{path}.params.jitter' must be finite and >= 0")
         return {"kind": "bootstrap", "params": {"jitter": jitter}}
-    return _validate_measure(path, doc)
+    return _validate_measure(path, doc, dim)
 
 
 def _validate_system(kind: str, doc) -> dict:
@@ -179,10 +203,10 @@ def _validate_system(kind: str, doc) -> dict:
     return {"name": name, "params": params}
 
 
-def _state_dim(system: dict) -> int:
-    """State dimension of a validated system, built here so A and B are checked."""
+def _build_system(system: dict) -> ControlAffineSystem:
+    """A validated system section, built here so A and B are checked."""
     try:
-        return builtin_system(system["name"], **system["params"]).d
+        return builtin_system(system["name"], **system["params"])
     except ValueError as exc:  # a ragged A or B
         raise ConfigurationError(f"'system.params' must hold matrices: {exc}") from exc
 
@@ -265,7 +289,7 @@ def _validate_noising(kind: str, doc) -> dict:
     return out
 
 
-def _validate_evaluation(kind: str, doc) -> dict:
+def _validate_evaluation(kind: str, doc, state_dim: int) -> dict:
     doc = _expect_mapping("evaluation", doc)
     transport = kind in TRANSPORT_KINDS
     allowed = ["n_grid", "snapshot_fractions", "w2", "n_projections"]
@@ -275,9 +299,12 @@ def _validate_evaluation(kind: str, doc) -> dict:
     n_grid = int(_get("evaluation", doc, "n_grid", (int,), 300))
     _positive("evaluation", "n_grid", n_grid)
     fracs = _get("evaluation", doc, "snapshot_fractions", (list,), [0.25, 0.5, 0.75, 1.0])
+    if any(isinstance(f, bool) or not isinstance(f, (int, float)) or not 0.0 <= f <= 1.0
+           for f in fracs):
+        raise ConfigurationError(
+            f"'evaluation.snapshot_fractions' must be numbers in [0, 1], got {fracs!r}"
+        )
     fracs = [float(f) for f in fracs]
-    if any(not 0.0 <= f <= 1.0 for f in fracs):
-        raise ConfigurationError("'evaluation.snapshot_fractions' must lie in [0, 1]")
     w2 = _get("evaluation", doc, "w2", (str,), "auto")
     if w2 not in ("auto", "exact", "sliced"):
         raise ConfigurationError("'evaluation.w2' must be auto, exact, or sliced")
@@ -296,7 +323,7 @@ def _validate_evaluation(kind: str, doc) -> dict:
             else {"kind": "bootstrap", "params": {"jitter": 0.0}}
         )
         out["start"] = _validate_eval_start(
-            "evaluation.start", doc.get("start", default_start)
+            "evaluation.start", doc.get("start", default_start), state_dim
         )
         radius = float(_get("evaluation", doc, "success_radius", (int, float), 0.2))
         out["success_radius"] = _positive("evaluation", "success_radius", radius)
@@ -421,8 +448,9 @@ def validate_config(doc: dict) -> ExperimentConfig:
         raise ConfigurationError(f"'n_eval' must be >= 0, got {n_eval}")
 
     system = _validate_system(kind, _get("config", doc, "system", (dict,)))
-    regression = _validate_regression(doc.get("regression", {}), _state_dim(system))
-    evaluation = _validate_evaluation(kind, doc.get("evaluation", {}))
+    built = _build_system(system)
+    regression = _validate_regression(doc.get("regression", {}), built.d)
+    evaluation = _validate_evaluation(kind, doc.get("evaluation", {}), built.d)
 
     transport = kind in TRANSPORT_KINDS
     if transport and evaluation["w2"] == "exact":
@@ -442,8 +470,12 @@ def validate_config(doc: dict) -> ExperimentConfig:
         for key in ("target", "noising"):
             if key in doc:
                 raise ConfigurationError(f"'{key}' is not valid for kind '{kind}'")
-        fields["mu0"] = _validate_measure("mu0", _get("config", doc, "mu0", (dict,)))
-        fields["muT"] = _validate_measure("muT", _get("config", doc, "muT", (dict,)))
+        fields["mu0"] = _validate_measure("mu0", _get("config", doc, "mu0", (dict,)), built.d)
+        muT = _get("config", doc, "muT", (dict,))
+        if kind == "output_transport":
+            fields["muT"] = _validate_measure("muT", muT, built.output_dim, "output")
+        else:
+            fields["muT"] = _validate_measure("muT", muT, built.d)
         coupling = _get("config", doc, "coupling", (str,), "independent")
         if coupling not in COUPLING_KINDS:
             raise ConfigurationError(f"'coupling' must be one of {list(COUPLING_KINDS)}")
@@ -458,7 +490,9 @@ def validate_config(doc: dict) -> ExperimentConfig:
         for key in ("mu0", "muT", "coupling", "interpolant"):
             if key in doc:
                 raise ConfigurationError(f"'{key}' is not valid for kind '{kind}'")
-        fields["target"] = _validate_measure("target", _get("config", doc, "target", (dict,)))
+        fields["target"] = _validate_measure(
+            "target", _get("config", doc, "target", (dict,)), built.d
+        )
         fields["noising"] = _validate_noising(kind, _get("config", doc, "noising", (dict,)))
     return ExperimentConfig(**fields)
 

@@ -188,13 +188,6 @@ def _sample_points(spec: dict, n: int, seed: int) -> EmpiricalMeasure:
     return sample_measure(spec["kind"], spec["params"], n, seed)
 
 
-def _check_dim(name: str, measure: EmpiricalMeasure, dim: int, space: str = "system"):
-    if measure.dim != dim:
-        raise ConfigurationError(
-            f"{name} dimension {measure.dim} does not match {space} dimension {dim}"
-        )
-
-
 def _w2(a: EmpiricalMeasure, b: EmpiricalMeasure, evaluation: dict, seed: int) -> float:
     mode = evaluation["w2"]
     exact_ok = a.n == b.n and a.n <= EXACT_W2_MAX_N
@@ -402,15 +395,12 @@ class _Transport:
         self.empty_snapshots = (("snapshot_target.csv", sys.output_dim if self.output else sys.d),)
 
     def sample(self):
-        cfg, sys, seed = self.cfg, self.sys, self.seed
+        cfg, seed = self.cfg, self.seed
+        # validate_config has matched both measures to the system's dimensions
         mu0_s = _sample_points(cfg.mu0, cfg.n_train, derived_seed(seed, "mu0"))
-        _check_dim("mu0", mu0_s, sys.d)
         muT_s = _sample_points(cfg.muT, cfg.n_train, derived_seed(seed, "muT"))
         if self.output:
-            _check_dim("muT", muT_s, sys.output_dim, "output")
             muT_s = EmpiricalMeasure(points=_lift_output_targets(muT_s.points))
-        else:
-            _check_dim("muT", muT_s, sys.d)
         coupling_seed = derived_seed(seed, "coupling")
         self.x0, self.x1 = build_coupling(mu0_s, muT_s, cfg.coupling, coupling_seed)
 
@@ -534,10 +524,8 @@ class _Stabilize:
         self.T = cfg.noising["T"]
 
     def sample(self):
-        cfg, sys, seed = self.cfg, self.sys, self.seed
-        probe = _sample_points(cfg.target, 8, derived_seed(seed, "target_probe"))
-        _check_dim("target", probe, sys.d)
-        self.target_ref = _sample_points(cfg.target, TARGET_REF_N, derived_seed(seed, "target_ref"))
+        seed = derived_seed(self.seed, "target_ref")
+        self.target_ref = _sample_points(self.cfg.target, TARGET_REF_N, seed)
 
     def construct(self):
         cfg = self.cfg

@@ -20,37 +20,30 @@ extrapolation spacing ``ref_nn_dist`` is the median distance from a
 training row to its nearest other row, from a k=2 self-query of the same
 tree.
 
-A kernel law also builds a tree on z/h and sums the weights of a row's
-``TREE_K`` nearest training rows only, when the left-out weight relative to
-the top weight, at most (n - k) exp(-(d_k^2 - d_1^2)/2) in scaled
-distances, is no more than ``TRUNCATION_TOL``.  Rows that fail the bound
-get the dense Nadaraya-Watson weights over every training row, one row
-tile (:func:`ctrlflow.linalg.tile_rows`) at a time.  A tile's kernel
-arguments -|q - z|^2/2 of scaled rows q and z are one matrix product of
-[q, 1, -|q|^2/2] with the law's cached [z; -|z|^2/2; 1], written to a tile
-workspace that the law allocates once, and become weights in place; one
-product of the tile with the cached [u, 1] gives each row's numerator and
-denominator.  The largest argument of a row is -emin/2, where emin is its
-smallest squared scaled distance; a row with emin above ``FAR_EMIN`` = 1200
-has that maximum subtracted first.  A law keeps the z/h tree only if the
-bound holds on at least half of a strided probe of its training rows; a
-wide bandwidth leaves it dense throughout.
+A kernel law takes the dense Nadaraya-Watson weights over every training
+row, one row tile (:func:`ctrlflow.linalg.tile_rows`) at a time.  A tile's
+kernel arguments -|q - z|^2/2 of scaled rows q and z are one matrix product
+of [q, 1, -|q|^2/2] with the law's cached [z; -|z|^2/2; 1], written to a
+tile workspace that the law allocates once, and become weights in place;
+one product of the tile with the cached [u, 1] gives each row's numerator
+and denominator.  The largest argument of a row is -emin/2, where emin is
+its smallest squared scaled distance; a row with emin above ``FAR_EMIN`` =
+1200 has that maximum subtracted first.
 
-Every kernel weight, and the bound itself, comes from
-:func:`ctrlflow.linalg.floored_exp`: an argument below ``EXP_FLOOR`` = -700
-gets weight 0, where numpy's exp would take its slow path for the tiny
-result.  A row's top weight is at least e^-600 (1 for a shifted row), so
-each floored weight is below e^-100 of it and a row leaves out at most
-n e^-100 of its mass, inside ``TRUNCATION_TOL`` for any n below about
-1e27.  Past emin = -2 ``EXP_FLOOR`` every weight would be floored, and the
-row takes the control of its nearest training row.
+Every kernel weight comes from :func:`ctrlflow.linalg.floored_exp`: an
+argument below ``EXP_FLOOR`` = -700 gets weight 0, where numpy's exp would
+take its slow path for the tiny result.  A row's top weight is at least
+e^-600 (1 for a shifted row), so each floored weight is below e^-100 of it
+and a row leaves out at most n e^-100 of its mass.  Past emin = -2
+``EXP_FLOOR`` every weight would be floored, and the row takes the control
+of its nearest training row.
 
 A row is flagged as an extrapolation when its nearest distance in z
 exceeds ``EXTRAPOLATION_FACTOR * ref_nn_dist``.  A kernel law bounds that
-distance from the emin it already has, from the dense product or the z/h
-tree: each feature is scaled by its own bandwidth, so the distance lies in
+distance from the emin its dense product already has: each feature is
+scaled by its own bandwidth, so the distance lies in
 [h_min sqrt(emin), h_max sqrt(emin)].  Widened by a slack that holds the
-rounding of emin and of the tree's own distance, several times
+rounding of emin and of the z tree's own distance, several times
 eps (|q/h|^2 + max |z/h|^2) inside the root, a bracket that lies on one
 side of the threshold decides the flag as the z tree would.  Only rows
 whose bracket straddles it, or whose emin is not finite (an overflowing
@@ -89,14 +82,8 @@ from .trajectory import columns, read_table, write_table
 
 EXTRAPOLATION_FACTOR = 10.0
 EXTRAPOLATION_K = 16
-# kernel truncation: neighbours taken from the z/h tree, the largest
-# certified left-out weight relative to the top weight, and the number of
-# strided training rows that decide whether a law uses the tree at all
-TREE_K = 32
-TRUNCATION_TOL = 1.0e-16
-PROBE_ROWS = 64
-# a dense row whose smallest squared scaled distance exceeds this is weighed
-# relative to its top weight (see _dense_mean)
+# a row whose smallest squared scaled distance exceeds this is weighed
+# relative to its top weight (see KernelLaw._mean)
 FAR_EMIN = 1200.0
 
 LAW_FORMAT = "ctrlflow.feedback_law.v2"
@@ -401,9 +388,9 @@ class KnnLaw(_NeighbourLaw):
 class KernelLaw(_NeighbourLaw):
     """Nadaraya-Watson mean with Gaussian weights at per-feature bandwidth h.
 
-    Truncated on the z/h tree or dense by row tiles, as the module docstring
-    describes.  The tile workspace makes a law unsafe to query from two
-    threads at once.
+    Dense over every training row, one row tile at a time, as the module
+    docstring describes.  The tile workspace makes a law unsafe to query
+    from two threads at once.
     """
 
     method = "kernel"
@@ -413,12 +400,12 @@ class KernelLaw(_NeighbourLaw):
         super().__init__(time_scale, z, u, ref_nn_dist, **shared)
         self.bandwidth = np.asarray(bandwidth, dtype=float)
         self._h = np.maximum(self.bandwidth, 1.0e-300)
-        self._zh = self._z / self._h
-        # the dense path's operands [z/h; -|z/h|^2/2; 1], stored transposed
-        # (the faster layout for its product), and [u, 1], and the row tile
-        # the first product is written to (see _dense_mean)
-        zh_sq = np.einsum("nd,nd->n", self._zh, self._zh)
-        self._za = np.vstack([self._zh.T, -0.5 * zh_sq, np.ones(self.n_train)])
+        # the operands [z/h; -|z/h|^2/2; 1], stored transposed (the faster
+        # layout for its product), and [u, 1], and the row tile the first
+        # product is written to (see _mean)
+        zh = self._z / self._h
+        zh_sq = np.einsum("nd,nd->n", zh, zh)
+        self._za = np.vstack([zh.T, -0.5 * zh_sq, np.ones(self.n_train)])
         self._u1 = np.column_stack([self._u, np.ones(self.n_train)])
         self._tile = np.empty((tile_rows(self.n_train), self.n_train))
         # the nearest-distance bracket: extreme bandwidths, and the rounding
@@ -427,12 +414,6 @@ class KernelLaw(_NeighbourLaw):
         self._h_min, self._h_max = float(self._h.min()), float(self._h.max())
         self._slack = 8.0 * (self._z.shape[1] + 2) * np.finfo(float).eps
         self._zh_sq_max = float(zh_sq.max())
-        # keep the z/h tree only if truncation is certified on at least
-        # half of a strided probe of training rows; otherwise stay dense
-        self._zh_tree = cKDTree(self._zh)
-        probe = self._zh[:: max(1, self.n_train // PROBE_ROWS)]
-        if 2 * np.count_nonzero(self._tree_weights(probe)[2]) < len(probe):
-            self._zh_tree = None
 
     @classmethod
     def check_hyperparams(cls, hp, where="hyperparams", z_dim=None):
@@ -468,33 +449,11 @@ class KernelLaw(_NeighbourLaw):
     def _state(self) -> dict:
         return {"bandwidth": self.bandwidth.tolist(), **super()._state()}
 
-    def _tree_weights(self, qh: np.ndarray):
-        """The TREE_K nearest rows of the z/h tree and whether truncation holds.
-
-        Returns squared scaled distances (rows, k), their training indices,
-        and a row mask: the weight left out, relative to the top weight, is
-        at most (n - k) exp(-(d_k^2 - d_1^2)/2), which must not exceed
-        TRUNCATION_TOL.
-        """
-        k = min(TREE_K, self.n_train)
-        dist, idx = self._zh_tree.query(qh, k=k)
-        d2 = dist.reshape(len(qh), k) ** 2
-        idx = idx.reshape(len(qh), k)
-        left_out = (self.n_train - k) * floored_exp(-0.5 * (d2[:, -1] - d2[:, 0]))
-        # an overflowed distance comes with no training index
-        return d2, idx, (left_out <= TRUNCATION_TOL) & (d2[:, -1] < np.inf)
-
-    def _dense_mean(self, qh: np.ndarray, qh_sq: np.ndarray):
-        """Nadaraya-Watson means of scaled query rows over every training row.
-
-        A row's kernel arguments -|q - z|^2/2 are one product of
-        [q, 1, -|q|^2/2] with the cached [z; -|z|^2/2; 1], one row tile at a
-        time into the law's workspace, and become weights in place; their
-        product with the cached [u, 1] gives every mean's numerator and
-        denominator at once.  A row past ``FAR_EMIN`` is weighed relative to
-        its top weight.  Also returns each row's smallest squared scaled
-        distance emin, -2 times its largest argument.
-        """
+    def _mean(self, zq: np.ndarray):
+        """Means of finite feature rows over every training row, and the
+        bracket on their nearest distance, as the module docstring describes."""
+        qh = zq / self._h
+        qh_sq = np.einsum("nd,nd->n", qh, qh)
         out = np.empty((len(qh), self.m))
         emin = np.empty(len(qh))
         qa = np.column_stack([qh, np.ones(len(qh)), -0.5 * qh_sq])
@@ -512,25 +471,6 @@ class KernelLaw(_NeighbourLaw):
             floored_exp(tile)
             sums = tile @ self._u1
             out[rows] = sums[:, :-1] / sums[:, -1:]
-        return out, emin
-
-    def _mean(self, zq: np.ndarray):
-        """Means of finite feature rows, and the bracket on their nearest
-        distance that the module docstring describes."""
-        qh = zq / self._h
-        qh_sq = np.einsum("nd,nd->n", qh, qh)
-        out = np.empty((len(qh), self.m))
-        emin = np.empty(len(qh))
-        dense = np.ones(len(qh), dtype=bool)
-        if self._zh_tree is not None:
-            d2, idx, ok = self._tree_weights(qh)
-            d2, idx = d2[ok], idx[ok]
-            emin[ok] = d2[:, 0]
-            w = floored_exp(-0.5 * (d2 - d2[:, :1]))
-            out[ok] = np.einsum("qk,qkm->qm", w, self._u[idx]) / w.sum(axis=1, keepdims=True)
-            dense = ~ok
-        if dense.any():
-            out[dense], emin[dense] = self._dense_mean(qh[dense], qh_sq[dense])
         # past -2 EXP_FLOOR even the top raw weight exp(-emin/2) would be
         # floored: such a row takes the control of its nearest point
         degenerate = emin > -2.0 * EXP_FLOOR

@@ -216,10 +216,15 @@ def test_evaluation_defaults_and_ranges():
     ev = validate_config(doc).evaluation
     assert ev["start"] == {"kind": "bootstrap", "params": {"jitter": 0.0}}
 
+    # entries that are not real numbers, bools included, fail here too
+    for fracs in ([0.5, 1.5], ["x"], [{}], ["0.5"], [True], [0.5, None]):
+        doc = example_config("transport_linear")
+        doc["evaluation"]["snapshot_fractions"] = fracs
+        with pytest.raises(ConfigurationError, match=r"evaluation\.snapshot_fractions"):
+            validate_config(doc)
     doc = example_config("transport_linear")
-    doc["evaluation"]["snapshot_fractions"] = [0.5, 1.5]
-    with pytest.raises(ConfigurationError, match="snapshot_fractions"):
-        validate_config(doc)
+    doc["evaluation"]["snapshot_fractions"] = [0, 0.5, 1]
+    assert validate_config(doc).evaluation["snapshot_fractions"] == [0.0, 0.5, 1.0]
     doc = example_config("transport_linear")
     doc["evaluation"]["w2"] = "fancy"
     with pytest.raises(ConfigurationError, match="w2"):
@@ -390,6 +395,46 @@ def test_uniform_sphere_radius_and_center_checked_before_sample():
         assert validate_config(doc).mu0["params"] == params
         points = sample_measure("uniform_sphere", params, 8, seed=0).points
         assert points.shape == (8, 2) and np.all(np.isfinite(points))
+
+
+def test_measures_are_drawn_from_before_compute():
+    # each of these used to pass validation and fail in stage sample or integrate
+    gauss = {"kind": "gaussian", "params": {"mean": [0.0, 0.0]}}
+    for kind, section, spec, word in [
+        ("stabilize_pmp", "start", {"kind": "gaussian", "params": {"mean": [0.0, 0.0]}},
+         r"evaluation\.start"),
+        ("stabilize_pmp", "target", {"kind": "dirac", "params": {"point": [0.0, 0.0]}}, "target"),
+        ("transport_linear", "muT", {"kind": "dirac", "params": {"point": [0.0, 0.0, 0.0]}}, "muT"),
+        ("output_transport", "muT", {"kind": "gaussian", "params": {"mean": [0.0] * 6}}, "muT"),
+        ("transport_linear", "mu0", {"kind": "mixture", "params": {"components": [
+            {**gauss, "weight": -1.0}, gauss]}}, "mu0"),
+        ("transport_linear", "mu0", {"kind": "mixture", "params": {"components": [
+            {**gauss, "weight": 0.0}]}}, "mu0"),
+        ("transport_linear", "mu0", {"kind": "mixture", "params": {"components": [
+            gauss, {"kind": "dirac", "params": {"point": [0.0]}}]}}, r"mu0\.params\.components\[1\]"),
+        ("transport_linear", "mu0", {"kind": "uniform_box", "params": {
+            "low": [0.0, 1.0], "high": [1.0, 0.0]}}, "mu0"),
+        ("transport_linear", "mu0", {"kind": "uniform_box", "params": {
+            "low": [0.0, 0.0], "high": [1.0, 1.0, 1.0]}}, "mu0"),
+        ("transport_linear", "mu0", {"kind": "gaussian", "params": {
+            "mean": [0.0, 0.0], "cov": [[1.0, 0.0, 0.0]]}}, "mu0"),
+        ("transport_linear", "mu0", {"kind": "gaussian", "params": {
+            "mean": [0.0, 0.0], "cov": [[1.0, 2.0], [2.0, 1.0]]}}, "mu0"),
+        ("transport_linear", "mu0", {"kind": "gaussian", "params": {"mean": 0.0}}, "mu0"),
+        ("transport_linear", "mu0", {"kind": "empirical", "params": {"points": []}}, "mu0"),
+        ("transport_linear", "mu0", {"kind": "empirical", "params": {
+            "points": [[0.0, 0.0], [1.0]]}}, "mu0"),
+        ("transport_linear", "mu0", {"kind": "uniform_sphere", "params": {"dim": 3}}, "mu0"),
+        ("transport_linear", "mu0", {"kind": "uniform_sphere", "params": {"center": []}},
+         r"mu0\.params\.center"),
+    ]:
+        doc = example_config(kind)
+        if section == "start":
+            doc["evaluation"]["start"] = spec
+        else:
+            doc[section] = spec
+        with pytest.raises(ConfigurationError, match=word):
+            validate_config(doc)
 
 
 def test_linear_system_matrices_checked_before_compute():

@@ -154,17 +154,16 @@ def test_run_determinism_bit_equal(tmp_path):
     assert a.config_hash == b.config_hash
 
 
-def test_stage_failure_flags_partial_manifest(tmp_path):
-    # 3-D initial measure on a 2-D system dies in the sample stage
-    doc = cheap_brockett()
-    doc["system"] = {"name": "linear", "params": {"A": [[0.0, 1.0], [0.0, 0.0]],
-                                                  "B": [[0.0], [1.0]]}}
-    doc["kind"] = "transport_linear"
-    doc["interpolant"] = {"T": 1.0, "n_grid": 100, "n_quad": 16}
-    doc["mu0"] = {"kind": "gaussian", "params": {"mean": [0.0, 0.0, 0.0], "cov": 1.0}}
-    doc["muT"] = {"kind": "gaussian", "params": {"mean": [1.0, 1.0], "cov": 1.0}}
+def _broken_sample_points(spec, n, seed):
+    # validation draws its own points, so a measure that fails only here
+    # is a failure of the sample stage
+    raise ValueError("sampling failed")
+
+
+def test_stage_failure_flags_partial_manifest(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_sample_points", _broken_sample_points)
     with pytest.raises(StageError) as err:
-        run_experiment(doc, output_root=tmp_path)
+        run_experiment(cheap_brockett(), output_root=tmp_path)
     assert err.value.stage == "sample"
     run_dirs = list(tmp_path.iterdir())
     assert len(run_dirs) == 1
@@ -341,16 +340,17 @@ def test_cli_run_plot_and_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
     assert main(["verify", "bogus"]) == 2
 
+    # a measure that does not match the system is a config error
+    bad_dim = cheap_brockett()
+    bad_dim["mu0"] = {"kind": "gaussian", "params": {"mean": [0.0, 0.0], "cov": 1.0}}
+    bad.write_text(json.dumps(bad_dim))
+    assert main(["run", str(bad), "--output-root", str(tmp_path / "none")]) == 2
+    assert not (tmp_path / "none").exists()
+
     # stage failures exit 3 and leave the partial marker
-    broken = cheap_brockett()
-    broken["kind"] = "transport_linear"
-    broken["system"] = {"name": "linear", "params": {"A": [[0.0]], "B": [[1.0]]}}
-    broken["interpolant"] = {"T": 1.0, "n_grid": 100, "n_quad": 16}
-    broken["mu0"] = {"kind": "gaussian", "params": {"mean": [0.0, 0.0], "cov": 1.0}}
-    broken["muT"] = {"kind": "gaussian", "params": {"mean": [0.0, 0.0], "cov": 1.0}}
-    stage_cfg = tmp_path / "stage.json"
-    stage_cfg.write_text(json.dumps(broken))
-    assert main(["run", str(stage_cfg), "--output-root", str(tmp_path / "s")]) == 3
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_sample_points", _broken_sample_points)
+        assert main(["run", str(cfg_path), "--output-root", str(tmp_path / "s")]) == 3
     capsys.readouterr()
 
     # env var supplies the output root when the flag is absent

@@ -10,9 +10,9 @@ The estimator invariants checked here:
   permutation of the dataset rows (rows are canonically sorted at fit time).
 * queries far from the training cloud are flagged and answered with a wide
   nearest-neighbour average instead of a degenerate kernel ratio.
-* the k-d tree answers match a dense reference: truncated kernel weights
-  within their certified bound, neighbour sets bit for bit, with ties
-  broken by the lower training index.
+* the k-d tree and the dense kernel path match a dense reference: kernel
+  means within the rounding of the augmented product, neighbour sets bit
+  for bit, with ties broken by the lower training index.
 * kernel weights are np.exp of their arguments, bit for bit, down to
   EXP_FLOOR and 0 below it; a dense law whose weights are mostly floored
   predicts the bits of the unfloored dense reference.
@@ -51,7 +51,6 @@ from ctrlflow.regression import (
     EXTRAPOLATION_FACTOR,
     EXTRAPOLATION_K,
     FAR_EMIN,
-    TREE_K,
     KernelLaw,
     KnnLaw,
 )
@@ -437,13 +436,13 @@ def _dense_reference(z, u, h, ref_nn, zq, k=None, d2=None):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=400, d=3, m=2, log_h=-6.0, jitter=[0.0] * 5, far=1.0, seed=1)  # collapsed: 1-nn
-@example(n=400, d=3, m=2, log_h=3.0, jitter=[0.0] * 5, far=1.0, seed=2)  # wide: dense
-@example(n=400, d=3, m=2, log_h=-4.0, jitter=[0.0] * 5, far=50.0, seed=3)  # truncated
-@example(n=400, d=3, m=2, log_h=-3.0, jitter=[0.0] * 5, far=1.0, seed=5)  # both
+@example(n=400, d=3, m=2, log_h=3.0, jitter=[0.0] * 5, far=1.0, seed=2)  # wide
+@example(n=400, d=3, m=2, log_h=-4.0, jitter=[0.0] * 5, far=50.0, seed=3)  # narrow, far out
+@example(n=400, d=3, m=2, log_h=-3.0, jitter=[0.0] * 5, far=1.0, seed=5)  # narrow
 def test_truncated_kernel_matches_dense_reference(n, d, m, log_h, jitter, far, seed):
     rng = np.random.default_rng(seed)
-    # rows at log-uniform scales: dense cores where the bound fails, sparse
-    # rims where it holds, often both under one law
+    # rows at log-uniform scales: dense cores and sparse rims, often both
+    # under one law
     scale = 10.0 ** rng.uniform(-3.0, 0.0, size=(n, 1))
     z = rng.standard_normal((n, d + 1)) * scale
     u = rng.uniform(-10.0, 10.0, size=(n, m))
@@ -459,20 +458,15 @@ def test_truncated_kernel_matches_dense_reference(n, d, m, log_h, jitter, far, s
     got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
     want, want_flags = _dense_reference(z, u, h, law.ref_nn_dist, zq)
     assert np.array_equal(flags, want_flags)
-    # the weight truncation leaves out (at most) the bound's share of the
-    # denominator, which moves the mean by at most twice that times max|u|;
-    # rows whose bound exceeds 1e-16 are dense; the reference's
-    # augmented product carries eps-relative rounding of the norms of the
-    # rows that carry weight
+    # the law and the reference expand the distances in the same augmented
+    # product, which carries eps-relative rounding of the norms of the rows
+    # that carry weight, a row's 32 nearest
     qh, zh = zq / h, z / h
     exact = ((qh[:, None] - zh[None]) ** 2).sum(-1)
     order = np.argsort(exact, axis=1)
-    srt = np.take_along_axis(exact, order, axis=1)
-    k = min(TREE_K, n)
-    bound = (n - k) * np.exp(-0.5 * (srt[:, k - 1] - srt[:, 0]))
-    norms = (qh**2).sum(1) + (zh**2).sum(1)[order[:, :k]].max(axis=1)
+    norms = (qh**2).sum(1) + (zh**2).sum(1)[order[:, :32]].max(axis=1)
     rounding = 16.0 * (d + 3) * np.finfo(float).eps * norms + 1.0e-13
-    tol = (2.0 * np.minimum(bound, 1.0e-16) + rounding) * np.abs(u).max()
+    tol = rounding * np.abs(u).max()
     assert np.all(np.abs(got - want) <= tol[:, None])
     # the knn law shares the neighbour path: same sets, same order, same bits
     knn = KnnLaw(1.0, z, u, k=7)
@@ -495,19 +489,16 @@ def test_exp_weights_floor(args):
 
 def test_dense_law_with_floored_weights_matches_reference():
     # clusters far apart in bandwidths, each a tight core of 40 rows and a
-    # halo of 10: a core row's TREE_K nearest sit in its core, so the
-    # truncation bound fails and the law is dense, while most of each row's
-    # block lies past the floor and the halo gives weights between e^-700
-    # and e^-20 that must count.  Controls from uniform(-10, 10) keep every
-    # weighted sum from cancelling, the one case where a floored weight
-    # could move a last bit
+    # halo of 10: most of each row's block lies past the floor and the halo
+    # gives weights between e^-700 and e^-20 that must count.  Controls from
+    # uniform(-10, 10) keep every weighted sum from cancelling, the one case
+    # where a floored weight could move a last bit
     rng = np.random.default_rng(11)
     z = np.repeat(100.0 * rng.standard_normal((20, 3)), 50, axis=0)
     z += rng.standard_normal(z.shape) * np.tile(np.repeat([1.0, 8.0], [40, 10]), 20)[:, None]
     u = rng.uniform(-10.0, 10.0, size=(len(z), 2))
     h = np.ones(3)
     law = KernelLaw(1.0, z, u, bandwidth=h)
-    assert law._zh_tree is None
     zq = z[rng.integers(0, len(z), size=64)] + 0.5 * rng.standard_normal((64, 3))
     args = _kernel_args(zq, z, h)[0]
     assert np.mean(args < EXP_FLOOR) >= 0.5
@@ -554,7 +545,6 @@ def test_dense_kernel_mean_matches_long_double_differences(case, seed):
     # the same inputs, against direct differences in long double
     z, u, h, zq = _dense_case(case, seed)
     law = KernelLaw(1.0, z, u, bandwidth=h)
-    assert law._zh_tree is None
     got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
     assert not flags.any()
     qh, zh = zq.astype(np.longdouble) / h, z.astype(np.longdouble) / h
@@ -567,14 +557,13 @@ def test_dense_kernel_mean_matches_long_double_differences(case, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_far_dense_rows_are_weighed_relative_to_their_top_weight(seed):
-    # one tight cloud keeps the law dense; queries 34-39 bandwidths out have
-    # emin in (FAR_EMIN, -2 EXP_FLOOR], so their top weight is below e^-600.
+    # one tight cloud; queries 34-39 bandwidths out have emin in
+    # (FAR_EMIN, -2 EXP_FLOOR], so their top weight is below e^-600.
     # Unshifted, the floor would cut the weights of rows within e^-20 of it
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, size=(400, 3))
     u = rng.uniform(-10.0, 10.0, size=(400, 2))
     law = KernelLaw(1.0, z, u, bandwidth=np.ones(3), ref_nn_dist=1.0e9)
-    assert law._zh_tree is None
     v = rng.standard_normal((400, 3))
     zq = v / np.linalg.norm(v, axis=1, keepdims=True) * rng.uniform(34.0, 39.0, size=(400, 1))
     d2 = ((zq.astype(np.longdouble)[:, None] - z[None]) ** 2).sum(-1)
@@ -586,7 +575,7 @@ def test_far_dense_rows_are_weighed_relative_to_their_top_weight(seed):
     assert not flags.any()
     w = np.exp(-0.5 * (d2 - emin[:, None]))
     want = (w @ u.astype(np.longdouble)) / w.sum(axis=1, keepdims=True)
-    # the expanded product's rounding, as in the truncation test
+    # the expanded product's rounding, as in the reference test above
     norms = (zq**2).sum(1) + (z**2).sum(1).max()
     tol = 2.0 * (16.0 * (3 + 3) * np.finfo(float).eps * norms + 1.0e-13) * np.abs(u).max()
     assert np.all(np.abs(got - want) <= tol[:, None])
@@ -604,8 +593,7 @@ def test_flags_at_the_threshold_match_the_tree(case, seed, deltas):
     # queries whose nearest training row sits within 1e-9 relative of the
     # flag threshold, most of them within rounding of it: the bracket must
     # hand every row it cannot settle to the tree, so the flags are the tree's
-    # the two _dense_case clouds, and the offset cloud at a bandwidth narrow
-    # enough that its rows take the z/h tree
+    # the two _dense_case clouds, and the offset cloud at a narrow bandwidth
     z, u, h, _ = _dense_case("offset" if case == "narrow" else case, seed)
     law = KernelLaw(1.0, z, u, bandwidth=np.full(4, 0.02) if case == "narrow" else h)
     tree = cKDTree(z)
@@ -638,7 +626,6 @@ def test_dense_workspace_carries_no_state_between_calls(size, tmp_path):
     z = rng.standard_normal((1000, 4))
     u = rng.standard_normal((1000, 2))
     law = KernelLaw(1.0, z, u, bandwidth=np.full(4, 2.0))
-    assert law._zh_tree is None
     step = tile_rows(law.n_train)
     n = {"one": 1, "tile+1": step + 1, "3 tiles": 3 * step}[size]
     a = 0.8 * rng.standard_normal((n, 4))
@@ -659,7 +646,6 @@ def test_dense_predict_memory_stays_within_a_few_tiles():
     z = rng.standard_normal((4000, 3))
     u = rng.standard_normal((4000, 2))
     law = KernelLaw(1.0, z, u, bandwidth=np.full(3, 2.0))
-    assert law._zh_tree is None
     zq = 0.8 * rng.standard_normal((2000, 3))
     tracemalloc.start()
     try:
