@@ -1,27 +1,34 @@
 """Experiment configuration: schema validation, defaults, hashing.
 
-A config is a single JSON document with a versioned schema.  Validation is
-strict: unknown keys anywhere (regression hyperparameters and measure
-params included, per method and per measure kind) are rejected, required
-keys must be present, and scalar ranges are checked before any compute
-happens; hyperparameter values by the method's law class
-(``regression.LAWS``).  Each measure section is drawn from once: its params
-must sample, and its points must have the dimension of the system's state
-(its output, for an ``output_transport`` muT).  CLI flags may override the
-top-level scalar fields (master_seed, n_train, n_eval, name, output_dir)
-prior to validation.
+A config is a single JSON document with a versioned schema, validated
+strictly before any compute: unknown keys anywhere are rejected, required
+keys must be present, and every value is checked.  Two tables say what is
+accepted.  ``KIND_SPECS`` gives each experiment kind its systems and the keys
+and defaults of its own sections (a transport kind's ``interpolant``, a
+stabilize kind's ``noising`` and default ``evaluation.start``).  ``_RULES``
+gives each section key its one check, and a key means the same thing in
+every section it appears in.  ``_section`` walks a section with both.
+Measure params are checked per measure kind, hyperparameters by the
+method's law class (``regression.LAWS``), and each measure is drawn from
+once: it must sample, in the dimension of the system's state (its output,
+for an output kind's muT).  Steering preconditions (a controllable linear
+pair, placeable poles, the Brockett grid minimum) come from
+``interpolants``.  CLI flags may override the top-level scalar fields
+(master_seed, n_train, n_eval, name, output_dir) prior to validation.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, UncontrollablePairError
+from .interpolants import BROCKETT_MIN_GRID, check_controllable, check_poles
 from .measures import COUPLING_KINDS, EXACT_W2_MAX_N, MEASURE_PARAMS, sample_measure
 from .ode import DEFAULT_BLOWUP
 from .regression import LAWS
@@ -29,21 +36,14 @@ from .systems import ControlAffineSystem, builtin_names, builtin_system
 
 SCHEMA_VERSION = 1
 
-KINDS = (
-    "transport_linear",
-    "output_transport",
-    "brockett",
-    "stabilize_pmp",
-    "stabilize_random",
-)
-TRANSPORT_KINDS = ("transport_linear", "output_transport", "brockett")
-
 MEASURE_KINDS = tuple(MEASURE_PARAMS)
 
-# top-level scalar fields the CLI may override
-OVERRIDABLE = ("master_seed", "n_train", "n_eval", "name", "output_dir")
-
 _REQUIRED = object()
+
+# top-level scalar fields every kind takes, with their defaults, beside name
+# (whose default is the kind); the CLI may override each of them
+_SCALARS = {"master_seed": 0, "output_dir": None, "n_train": _REQUIRED, "n_eval": _REQUIRED}
+OVERRIDABLE = ("name", *_SCALARS)
 
 
 def _expect_mapping(name: str, value) -> dict:
@@ -60,30 +60,19 @@ def _check_keys(section: str, doc: dict, allowed) -> None:
         )
 
 
+def _typed(path: str, value, types):
+    # bool is an int subclass; reject it unless bool is explicitly allowed
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ConfigurationError(f"'{path}' has wrong type {type(value).__name__}")
+    return value
+
+
 def _get(section: str, doc: dict, key: str, types, default=_REQUIRED):
     if key not in doc:
         if default is _REQUIRED:
             raise ConfigurationError(f"'{section}' is missing required key '{key}'")
         return default
-    value = doc[key]
-    if types is not None:
-        # bool is an int subclass; reject it unless bool is explicitly allowed
-        bad = not isinstance(value, types) or (
-            isinstance(value, bool) and bool not in types
-        )
-        if bad:
-            raise ConfigurationError(
-                f"'{section}.{key}' has wrong type {type(value).__name__}"
-            )
-    return value
-
-
-def _positive(section: str, key: str, value):
-    if not 0 < value < math.inf:
-        raise ConfigurationError(
-            f"'{section}.{key}' must be positive and finite, got {value}"
-        )
-    return value
+    return doc[key] if types is None else _typed(f"{section}.{key}", doc[key], types)
 
 
 # measure params that hold numbers or (nested) lists of numbers
@@ -111,19 +100,19 @@ def _validate_measure(path: str, doc, dim: int, space: str = "state", extra_keys
     dimension of the system."""
     doc = _expect_mapping(path, doc)
     _check_keys(path, doc, ("kind", "params") + tuple(extra_keys))
-    kind = _get(path, doc, "kind", (str,))
-    if kind not in MEASURE_KINDS:
+    measure = _get(path, doc, "kind", (str,))
+    if measure not in MEASURE_KINDS:
         raise ConfigurationError(
-            f"'{path}.kind' must be one of {list(MEASURE_KINDS)}, got '{kind}'"
+            f"'{path}.kind' must be one of {list(MEASURE_KINDS)}, got '{measure}'"
         )
     params = _expect_mapping(f"{path}.params", _get(path, doc, "params", (dict,), {}))
-    required, optional = MEASURE_PARAMS[kind]
+    required, optional = MEASURE_PARAMS[measure]
     _check_keys(f"{path}.params", params, required + optional)
     for key in required:
         _get(f"{path}.params", params, key, None)
     for key in set(_NUMERIC_PARAMS) & set(params):
         _finite(f"{path}.params.{key}", params[key])
-    if kind == "uniform_sphere":
+    if measure == "uniform_sphere":
         radius = params.get("radius", 1.0)
         if isinstance(radius, list) or radius < 0:
             raise ConfigurationError(
@@ -145,7 +134,7 @@ def _validate_measure(path: str, doc, dim: int, space: str = "state", extra_keys
                 f"'{path}.params.center' must be a non-empty list when 'dim' is absent, "
                 f"got {center!r}"
             )
-    if kind == "mixture":
+    if measure == "mixture":
         comps = _get(f"{path}.params", params, "components", (list,))
         if not comps:
             raise ConfigurationError(f"'{path}.params.components' must not be empty")
@@ -156,27 +145,138 @@ def _validate_measure(path: str, doc, dim: int, space: str = "state", extra_keys
     # the shapes and values that only sampling reads: cov, box bounds,
     # mixture weights, empirical points
     try:
-        drawn = sample_measure(kind, params, 1, 0)
+        drawn = sample_measure(measure, params, 1, 0)
     except (ConfigurationError, ValueError, TypeError) as exc:
         raise ConfigurationError(f"'{path}' cannot be sampled: {exc}") from exc
     _check_measure_dim(path, drawn.dim, dim, space)
-    return {"kind": kind, "params": params}
+    return {"kind": measure, "params": params}
 
 
-def _validate_eval_start(path: str, doc, dim: int) -> dict:
+def _validate_eval_start(path: str, doc, system: ControlAffineSystem) -> dict:
     doc = _expect_mapping(path, doc)
     if doc.get("kind") == "bootstrap":
         _check_keys(path, doc, ("kind", "params"))
-        params = _expect_mapping(f"{path}.params", doc.get("params", {}))
-        _check_keys(f"{path}.params", params, ("jitter",))
-        jitter = float(_get(f"{path}.params", params, "jitter", (int, float), 0.0))
-        if not 0 <= jitter < math.inf:
-            raise ConfigurationError(f"'{path}.params.jitter' must be finite and >= 0")
-        return {"kind": "bootstrap", "params": {"jitter": jitter}}
-    return _validate_measure(path, doc, dim)
+        params = _section(f"{path}.params", doc.get("params", {}), {"jitter": 0.0})
+        return {"kind": "bootstrap", "params": params}
+    return _validate_measure(path, doc, system.d)
 
 
-def _validate_system(kind: str, doc) -> dict:
+def _at(path: str, check, *args):
+    """Run a steering precondition of ``interpolants``, naming ``path`` in its error."""
+    try:
+        check(*args)
+    except (ConfigurationError, UncontrollablePairError) as exc:
+        raise ConfigurationError(f"'{path}': {exc}") from exc
+
+
+class _Num(NamedTuple):
+    """A number key: an int if ``integral``, else a real returned as float;
+    at least ``low`` (``low_ok``) or above it; finite unless ``inf_ok``."""
+
+    integral: bool
+    low: float
+    low_ok: bool
+    inf_ok: bool = False
+
+    def __call__(self, path: str, value, system=None):
+        if self.integral:
+            value = int(_typed(path, value, (int,)))
+        else:
+            value = float(_typed(path, value, (int, float)))
+        above = value >= self.low if self.low_ok else value > self.low  # False for nan
+        if not (above and (value < math.inf or self.inf_ok)):
+            bound = f">= {self.low}" if self.low_ok else "positive"
+            finite = "" if self.inf_ok or self.integral else " and finite"
+            raise ConfigurationError(f"'{path}' must be {bound}{finite}, got {value}")
+        return value
+
+
+class _Str(NamedTuple):
+    """A string key, one of ``options`` if any; None passes if ``optional``."""
+
+    options: tuple = ()
+    optional: bool = False
+
+    def __call__(self, path: str, value, system=None):
+        if value is None and self.optional:
+            return None
+        _typed(path, value, (str,))
+        if self.options and value not in self.options:
+            raise ConfigurationError(
+                f"'{path}' must be one of {list(self.options)}, got {value!r}"
+            )
+        return value
+
+
+def _fractions(path: str, value, system=None) -> list:
+    if not isinstance(value, list) or any(
+        isinstance(f, bool) or not isinstance(f, (int, float)) or not 0.0 <= f <= 1.0
+        for f in value
+    ):
+        raise ConfigurationError(f"'{path}' must be a list of numbers in [0, 1], got {value!r}")
+    return [float(f) for f in value]
+
+
+def _poles(path: str, value, system: ControlAffineSystem) -> list:
+    if not isinstance(value, list) or not value or not all(
+        isinstance(p, (int, float)) and -math.inf < p < 0 for p in value
+    ):
+        raise ConfigurationError(f"'{path}' must be a list of negative reals, got {value!r}")
+    poles = [float(p) for p in value]
+    _at(path, check_poles, poles, system.d, system.m)
+    return poles
+
+
+# the one check of each key, wherever it appears; a rule takes the key's
+# dotted path, its value and the built system, and returns the canonical value
+_RULES = {
+    # top-level scalars
+    "name": _Str(),
+    "master_seed": _Num(True, -math.inf, True),
+    "output_dir": _Str(optional=True),
+    "n_train": _Num(True, 1, True),
+    "n_eval": _Num(True, 0, True),
+    "coupling": _Str(COUPLING_KINDS),
+    # interpolant, noising and evaluation keys
+    "T": _Num(False, 0, False),
+    "n_grid": _Num(True, 0, False),
+    "n_quad": _Num(True, 0, False),
+    "poles": _poles,
+    "n_time_samples": _Num(True, 2, True),
+    "blowup": _Num(False, 0, False, inf_ok=True),  # +inf: no size threshold
+    "theta": _Num(False, 0, False),
+    "p_scale": _Num(False, 0, False),
+    "sigma": _Num(False, 0, True),
+    "snapshot_fractions": _fractions,
+    "w2": _Str(("auto", "exact", "sliced")),
+    "n_projections": _Num(True, 0, False),
+    "start": _validate_eval_start,
+    "success_radius": _Num(False, 0, False),
+    # bootstrap evaluation.start params
+    "jitter": _Num(False, 0, True),
+}
+
+
+def _section(path: str, doc, defaults: dict, system: Optional[ControlAffineSystem] = None) -> dict:
+    """Walk one section: reject keys without a default, require the
+    ``_REQUIRED`` ones, fill in the others, and run each key's rule."""
+    doc = _expect_mapping(path, doc)
+    _check_keys(path, doc, defaults)
+    out = {}
+    for key, default in defaults.items():
+        if key in doc:
+            value = doc[key]
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"'{path}' is missing required key '{key}'")
+        else:
+            value = copy.deepcopy(default)
+        out[key] = _RULES[key](f"{path}.{key}", value, system)
+    return out
+
+
+def _validate_system(kind: str, doc) -> tuple[dict, ControlAffineSystem]:
+    """The system section and the system it builds, so A and B are checked:
+    a linear pair must be controllable for its steering."""
     doc = _expect_mapping("system", doc)
     _check_keys("system", doc, ("name", "params"))
     name = _get("system", doc, "name", (str,))
@@ -189,26 +289,18 @@ def _validate_system(kind: str, doc) -> dict:
             raise ConfigurationError("'system.params' needs matrices A and B for 'linear'")
     elif params:
         raise ConfigurationError(f"system '{name}' takes no params")
-    allowed = {
-        "transport_linear": ("linear", "six_state_default"),
-        "output_transport": ("six_state_default",),
-        "brockett": ("brockett",),
-        "stabilize_pmp": ("unicycle", "brockett", "martinet"),
-        "stabilize_random": ("unicycle", "brockett", "martinet"),
-    }[kind]
+    allowed = KIND_SPECS[kind].systems
     if name not in allowed:
         raise ConfigurationError(
             f"experiment kind '{kind}' supports systems {list(allowed)}, got '{name}'"
         )
-    return {"name": name, "params": params}
-
-
-def _build_system(system: dict) -> ControlAffineSystem:
-    """A validated system section, built here so A and B are checked."""
     try:
-        return builtin_system(system["name"], **system["params"])
+        built = builtin_system(name, **params)
     except ValueError as exc:  # a ragged A or B
         raise ConfigurationError(f"'system.params' must hold matrices: {exc}") from exc
+    if name == "linear":
+        _at("system.params", check_controllable, params["A"], params["B"])
+    return {"name": name, "params": params}, built
 
 
 def _validate_regression(doc, state_dim: int) -> dict:
@@ -226,111 +318,7 @@ def _validate_regression(doc, state_dim: int) -> dict:
     return {"method": method, "hyperparams": hp}
 
 
-def _validate_interpolant(kind: str, doc) -> dict:
-    doc = _expect_mapping("interpolant", doc)
-    if kind == "brockett":
-        _check_keys("interpolant", doc, ("n_grid",))
-        n_grid = int(_get("interpolant", doc, "n_grid", (int,), 4000))
-        _positive("interpolant", "n_grid", n_grid)
-        return {"n_grid": n_grid}
-    if kind == "transport_linear":
-        _check_keys("interpolant", doc, ("T", "n_grid", "n_quad"))
-        T = float(_get("interpolant", doc, "T", (int, float)))
-        _positive("interpolant", "T", T)
-        n_grid = int(_get("interpolant", doc, "n_grid", (int,), 2000))
-        n_quad = int(_get("interpolant", doc, "n_quad", (int,), 256))
-        _positive("interpolant", "n_grid", n_grid)
-        _positive("interpolant", "n_quad", n_quad)
-        return {"T": T, "n_grid": n_grid, "n_quad": n_quad}
-    # output_transport: pole-placement steering toward lifted targets
-    _check_keys("interpolant", doc, ("T", "n_grid", "poles"))
-    T = float(_get("interpolant", doc, "T", (int, float)))
-    _positive("interpolant", "T", T)
-    n_grid = int(_get("interpolant", doc, "n_grid", (int,), 2000))
-    _positive("interpolant", "n_grid", n_grid)
-    poles = _get("interpolant", doc, "poles", (list,))
-    if not poles or not all(
-        isinstance(p, (int, float)) and -math.inf < p < 0 for p in poles
-    ):
-        raise ConfigurationError("'interpolant.poles' must be a list of negative reals")
-    return {"T": T, "n_grid": n_grid, "poles": [float(p) for p in poles]}
-
-
-def _validate_noising(kind: str, doc) -> dict:
-    doc = _expect_mapping("noising", doc)
-    common = ("T", "n_grid", "n_time_samples", "blowup")
-    if kind == "stabilize_pmp":
-        _check_keys("noising", doc, common + ("theta", "p_scale"))
-    else:
-        _check_keys("noising", doc, common + ("sigma",))
-    T = float(_get("noising", doc, "T", (int, float)))
-    _positive("noising", "T", T)
-    n_grid = int(_get("noising", doc, "n_grid", (int,), 2000))
-    _positive("noising", "n_grid", n_grid)
-    n_time = int(_get("noising", doc, "n_time_samples", (int,), 25))
-    if n_time < 2:
-        raise ConfigurationError("'noising.n_time_samples' must be >= 2")
-    blowup = float(_get("noising", doc, "blowup", (int, float), DEFAULT_BLOWUP))
-    if not blowup > 0:  # +inf is allowed: no size threshold
-        raise ConfigurationError(f"'noising.blowup' must be positive, got {blowup}")
-    out = {"T": T, "n_grid": n_grid, "n_time_samples": n_time, "blowup": blowup}
-    if kind == "stabilize_pmp":
-        out["theta"] = _positive(
-            "noising", "theta", float(_get("noising", doc, "theta", (int, float), 1.0))
-        )
-        out["p_scale"] = _positive(
-            "noising", "p_scale", float(_get("noising", doc, "p_scale", (int, float), 1.0))
-        )
-    else:
-        sigma = float(_get("noising", doc, "sigma", (int, float), 1.0))
-        if not 0 <= sigma < math.inf:
-            raise ConfigurationError(f"'noising.sigma' must be finite and >= 0, got {sigma}")
-        out["sigma"] = sigma
-    return out
-
-
-def _validate_evaluation(kind: str, doc, state_dim: int) -> dict:
-    doc = _expect_mapping("evaluation", doc)
-    transport = kind in TRANSPORT_KINDS
-    allowed = ["n_grid", "snapshot_fractions", "w2", "n_projections"]
-    if not transport:
-        allowed += ["start", "success_radius"]
-    _check_keys("evaluation", doc, allowed)
-    n_grid = int(_get("evaluation", doc, "n_grid", (int,), 300))
-    _positive("evaluation", "n_grid", n_grid)
-    fracs = _get("evaluation", doc, "snapshot_fractions", (list,), [0.25, 0.5, 0.75, 1.0])
-    if any(isinstance(f, bool) or not isinstance(f, (int, float)) or not 0.0 <= f <= 1.0
-           for f in fracs):
-        raise ConfigurationError(
-            f"'evaluation.snapshot_fractions' must be numbers in [0, 1], got {fracs!r}"
-        )
-    fracs = [float(f) for f in fracs]
-    w2 = _get("evaluation", doc, "w2", (str,), "auto")
-    if w2 not in ("auto", "exact", "sliced"):
-        raise ConfigurationError("'evaluation.w2' must be auto, exact, or sliced")
-    n_proj = int(_get("evaluation", doc, "n_projections", (int,), 128))
-    _positive("evaluation", "n_projections", n_proj)
-    out = {
-        "n_grid": n_grid,
-        "snapshot_fractions": fracs,
-        "w2": w2,
-        "n_projections": n_proj,
-    }
-    if not transport:
-        default_start = (
-            {"kind": "gaussian", "params": {"mean": [0.0, 0.0, 0.0], "cov": 1.0}}
-            if kind == "stabilize_pmp"
-            else {"kind": "bootstrap", "params": {"jitter": 0.0}}
-        )
-        out["start"] = _validate_eval_start(
-            "evaluation.start", doc.get("start", default_start), state_dim
-        )
-        radius = float(_get("evaluation", doc, "success_radius", (int, float), 0.2))
-        out["success_radius"] = _positive("evaluation", "success_radius", radius)
-    return out
-
-
-def _check_exact_w2_counts(kind: str, n_train: int, n_eval: int) -> None:
+def _check_exact_w2_counts(output: bool, n_train: int, n_eval: int) -> None:
     """Reject the sample counts an exact-W2 transport evaluation would fail on.
 
     Construction-level W2 compares n_train points, the rollout scores up to
@@ -343,12 +331,72 @@ def _check_exact_w2_counts(kind: str, n_train: int, n_eval: int) -> None:
             f"'evaluation.w2' exact is capped at N={EXACT_W2_MAX_N}, got n_train "
             f"{n_train} and n_eval {n_eval}; use auto or sliced"
         )
-    if kind == "output_transport" and n_eval > n_train:
+    if output and n_eval > n_train:
         raise ConfigurationError(
             f"'evaluation.w2' exact scores output_transport rollouts against the "
             f"n_train coupled states, so it needs n_eval <= n_train, got n_eval "
             f"{n_eval} and n_train {n_train}; use auto or sliced"
         )
+
+
+_EVALUATION = {"n_grid": 300, "snapshot_fractions": [0.25, 0.5, 0.75, 1.0], "w2": "auto",
+               "n_projections": 128}
+_NOISING = {"T": _REQUIRED, "n_grid": 2000, "n_time_samples": 25, "blowup": DEFAULT_BLOWUP}
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """What one experiment kind accepts; see ``KIND_SPECS``.  Sections map
+    each key to its default or ``_REQUIRED``."""
+
+    systems: tuple  # the system names it runs on
+    interpolant: Optional[dict] = None  # a transport kind's interpolant section
+    noising: Optional[dict] = None  # a stabilize kind's noising section
+    evaluation: dict = field(default_factory=_EVALUATION.copy)
+    # muT lives in output space, and exact W2 scores rollouts against the
+    # n_train coupled states
+    output: bool = False
+    # a steering precondition on the validated interpolant section
+    check: Optional[Callable[[dict], None]] = None
+
+
+def _stabilize(noising: dict, start: dict) -> KindSpec:
+    return KindSpec(("unicycle", "brockett", "martinet"), noising={**_NOISING, **noising},
+                    evaluation={**_EVALUATION, "start": start, "success_radius": 0.2})
+
+
+# What each experiment kind accepts.  A new kind adds an entry here: its
+# systems and the keys and defaults of its own sections (an interpolant for
+# a transport kind; noising and evaluation start for a stabilize kind).
+# Each key it names needs a rule in _RULES (a key it shares with another
+# section takes that rule as it is), and experiments.py needs its pipeline.
+KIND_SPECS = {
+    "transport_linear": KindSpec(
+        systems=("linear", "six_state_default"),
+        interpolant={"T": _REQUIRED, "n_grid": 2000, "n_quad": 256},
+    ),
+    "output_transport": KindSpec(
+        systems=("six_state_default",),
+        interpolant={"T": _REQUIRED, "n_grid": 2000, "poles": _REQUIRED},
+        output=True,
+    ),
+    "brockett": KindSpec(
+        systems=("brockett",),
+        interpolant={"n_grid": 4000},
+        check=lambda interp: _Num(True, BROCKETT_MIN_GRID, True)(
+            "interpolant.n_grid", interp["n_grid"]
+        ),
+    ),
+    "stabilize_pmp": _stabilize(
+        {"theta": 1.0, "p_scale": 1.0},
+        {"kind": "gaussian", "params": {"mean": [0.0, 0.0, 0.0], "cov": 1.0}},
+    ),
+    "stabilize_random": _stabilize(
+        {"sigma": 1.0}, {"kind": "bootstrap", "params": {"jitter": 0.0}}
+    ),
+}
+KINDS = tuple(KIND_SPECS)
+TRANSPORT_KINDS = tuple(k for k, spec in KIND_SPECS.items() if spec.interpolant is not None)
 
 
 @dataclass(frozen=True)
@@ -369,31 +417,18 @@ class ExperimentConfig:
     coupling: Optional[str] = None
     interpolant: Optional[dict] = None
     target: Optional[dict] = None
-    noising: Optional[dict] = field(default=None)
+    noising: Optional[dict] = None
 
     def to_canonical_dict(self) -> dict:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "name": self.name,
-            "master_seed": self.master_seed,
-            "n_train": self.n_train,
-            "n_eval": self.n_eval,
-            "system": self.system,
-            "regression": self.regression,
-            "evaluation": self.evaluation,
-        }
-        if self.output_dir is not None:
-            doc["output_dir"] = self.output_dir
-        for key in ("mu0", "muT", "coupling", "interpolant", "target", "noising"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
-        return doc
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {"schema_version": SCHEMA_VERSION, **{k: v for k, v in values if v is not None}}
 
     @property
     def hash(self) -> str:
         return config_hash(self)
+
+
+_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def config_hash(cfg: "ExperimentConfig | dict") -> str:
@@ -403,98 +438,43 @@ def config_hash(cfg: "ExperimentConfig | dict") -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-_TOP_KEYS = (
-    "schema_version",
-    "kind",
-    "name",
-    "master_seed",
-    "output_dir",
-    "n_train",
-    "n_eval",
-    "system",
-    "regression",
-    "evaluation",
-    "mu0",
-    "muT",
-    "coupling",
-    "interpolant",
-    "target",
-    "noising",
-)
-
-
 def validate_config(doc: dict) -> ExperimentConfig:
     """Validate a raw JSON document and fill in defaults."""
     doc = _expect_mapping("config", doc)
-    _check_keys("config", doc, _TOP_KEYS)
+    _check_keys("config", doc, ("schema_version",) + _FIELDS)
     version = _get("config", doc, "schema_version", (int,))
     if version != SCHEMA_VERSION:
         raise ConfigurationError(
             f"schema_version {version} unsupported (expected {SCHEMA_VERSION})"
         )
     kind = _get("config", doc, "kind", (str,))
-    if kind not in KINDS:
+    if kind not in KIND_SPECS:
         raise ConfigurationError(f"'kind' must be one of {list(KINDS)}, got '{kind}'")
-    name = _get("config", doc, "name", (str,), kind)
-    master_seed = _get("config", doc, "master_seed", (int,), 0)
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigurationError("'output_dir' must be a string")
-    n_train = int(_get("config", doc, "n_train", (int,)))
-    if n_train < 1:
-        raise ConfigurationError(f"'n_train' must be >= 1, got {n_train}")
-    n_eval = int(_get("config", doc, "n_eval", (int,)))
-    if n_eval < 0:
-        raise ConfigurationError(f"'n_eval' must be >= 0, got {n_eval}")
-
-    system = _validate_system(kind, _get("config", doc, "system", (dict,)))
-    built = _build_system(system)
-    regression = _validate_regression(doc.get("regression", {}), built.d)
-    evaluation = _validate_evaluation(kind, doc.get("evaluation", {}), built.d)
-
-    transport = kind in TRANSPORT_KINDS
-    if transport and evaluation["w2"] == "exact":
-        _check_exact_w2_counts(kind, n_train, n_eval)
-    fields = dict(
-        kind=kind,
-        name=name,
-        master_seed=master_seed,
-        output_dir=output_dir,
-        n_train=n_train,
-        n_eval=n_eval,
-        system=system,
-        regression=regression,
-        evaluation=evaluation,
-    )
+    spec = KIND_SPECS[kind]
+    transport = spec.interpolant is not None
+    scalars = {"name": kind, **_SCALARS, **({"coupling": "independent"} if transport else {})}
+    out = _section("config", {k: doc[k] for k in scalars if k in doc}, scalars)
+    out["kind"] = kind
+    out["system"], built = _validate_system(kind, _get("config", doc, "system", (dict,)))
+    out["regression"] = _validate_regression(doc.get("regression", {}), built.d)
+    out["evaluation"] = _section("evaluation", doc.get("evaluation", {}), spec.evaluation, built)
     if transport:
-        for key in ("target", "noising"):
-            if key in doc:
-                raise ConfigurationError(f"'{key}' is not valid for kind '{kind}'")
-        fields["mu0"] = _validate_measure("mu0", _get("config", doc, "mu0", (dict,)), built.d)
-        muT = _get("config", doc, "muT", (dict,))
-        if kind == "output_transport":
-            fields["muT"] = _validate_measure("muT", muT, built.output_dim, "output")
-        else:
-            fields["muT"] = _validate_measure("muT", muT, built.d)
-        coupling = _get("config", doc, "coupling", (str,), "independent")
-        if coupling not in COUPLING_KINDS:
-            raise ConfigurationError(f"'coupling' must be one of {list(COUPLING_KINDS)}")
-        fields["coupling"] = coupling
-        raw_interp = doc.get("interpolant")
-        if raw_interp is None:
-            if kind != "brockett":
-                raise ConfigurationError(f"'interpolant' is required for kind '{kind}'")
-            raw_interp = {}
-        fields["interpolant"] = _validate_interpolant(kind, raw_interp)
+        if out["evaluation"]["w2"] == "exact":
+            _check_exact_w2_counts(spec.output, out["n_train"], out["n_eval"])
+        out["mu0"] = _validate_measure("mu0", _get("config", doc, "mu0", (dict,)), built.d)
+        muT_space = (built.output_dim, "output") if spec.output else (built.d, "state")
+        out["muT"] = _validate_measure("muT", _get("config", doc, "muT", (dict,)), *muT_space)
+        interp = _section("interpolant", doc.get("interpolant", {}), spec.interpolant, built)
+        if spec.check is not None:
+            spec.check(interp)
+        out["interpolant"] = interp
     else:
-        for key in ("mu0", "muT", "coupling", "interpolant"):
-            if key in doc:
-                raise ConfigurationError(f"'{key}' is not valid for kind '{kind}'")
-        fields["target"] = _validate_measure(
-            "target", _get("config", doc, "target", (dict,)), built.d
-        )
-        fields["noising"] = _validate_noising(kind, _get("config", doc, "noising", (dict,)))
-    return ExperimentConfig(**fields)
+        target = _get("config", doc, "target", (dict,))
+        out["target"] = _validate_measure("target", target, built.d)
+        out["noising"] = _section("noising", doc.get("noising", {}), spec.noising)
+    for key in sorted(set(doc) & set(_FIELDS) - set(out)):
+        raise ConfigurationError(f"'{key}' is not valid for kind '{kind}'")
+    return ExperimentConfig(**out)
 
 
 def apply_overrides(doc: dict, overrides: dict) -> dict:

@@ -14,6 +14,9 @@ the stated system from each start to its target within a stated tolerance:
     two-phase sinusoidal steering of the Brockett system between arbitrary
     points on [0, 4*pi] (meta ``endpoint_error``, ``loop_amplitude``).
 
+Preconditions on the inputs alone are exported (``check_controllable``,
+``check_poles``, ``BROCKETT_MIN_GRID``) for config validation.
+
 A single pair is a one-row batch.  Errors that reach metrics and files are
 taken row by row with :func:`numpy.linalg.norm`, whose summation a
 vectorized norm would not reproduce bit for bit.
@@ -36,6 +39,34 @@ from .systems import builtin_system
 from .trajectory import PairEnsemble
 
 GRAMIAN_EIG_RATIO = 1.0e-10
+# fewest RK4 steps of the two-phase Brockett steering
+BROCKETT_MIN_GRID = 8
+
+
+def check_controllable(A, B) -> None:
+    """Raise UncontrollablePairError unless (A, B) passes the Kalman rank test."""
+    A, B = check_ab(A, B)
+    if kalman_rank(A, B) < A.shape[0]:
+        raise UncontrollablePairError("(A, B) is not controllable")
+
+
+def check_poles(poles, d: int, m: int) -> np.ndarray:
+    """The poles as a complex array if ``place_poles`` can assign them with d
+    states and m inputs: d of them, closed under conjugation, and for m > 1
+    none repeated more often than m (the assignment stays diagonalizable)."""
+    poles = np.asarray(poles, dtype=complex)
+    if poles.shape != (d,):
+        raise ConfigurationError(f"need exactly {d} poles, got shape {poles.shape}")
+    if not np.allclose(np.sort_complex(poles), np.sort_complex(np.conj(poles))):
+        raise ConfigurationError("pole list must be closed under conjugation")
+    if m > 1:
+        _, counts = np.unique(np.round(poles, 9), return_counts=True)
+        if counts.max() > m:
+            raise ConfigurationError(
+                f"pole multiplicity {counts.max()} exceeds input count {m}; "
+                "the diagonalizable assignment cannot realize it"
+            )
+    return poles
 
 
 def gramian(A: np.ndarray, B: np.ndarray, T: float, n_quad: int = 256) -> np.ndarray:
@@ -138,19 +169,13 @@ def place_poles(A: np.ndarray, B: np.ndarray, poles, seed: int = 0) -> np.ndarra
 
     Single-input pairs use Ackermann's formula; multi-input pairs assign a
     real block-diagonal eigenstructure by solving a Sylvester equation with
-    random right-hand vectors, retrying on poor conditioning.  The pole list
-    must be closed under conjugation and no pole may repeat more often than
-    the number of inputs (the assignment stays diagonalizable).
+    random right-hand vectors, retrying on poor conditioning.  The pair must
+    be controllable and the pole list must pass ``check_poles``.
     """
     A, B = check_ab(A, B)
     d, m = A.shape[0], B.shape[1]
-    poles = np.asarray(poles, dtype=complex)
-    if poles.shape != (d,):
-        raise ConfigurationError(f"need exactly {d} poles, got shape {poles.shape}")
-    if kalman_rank(A, B) < d:
-        raise UncontrollablePairError("(A, B) is not controllable; cannot place poles")
-    if not np.allclose(np.sort_complex(poles), np.sort_complex(np.conj(poles))):
-        raise ConfigurationError("pole list must be closed under conjugation")
+    poles = check_poles(poles, d, m)
+    check_controllable(A, B)
 
     if m == 1:
         phi = np.real_if_close(np.poly(poles))
@@ -167,12 +192,6 @@ def place_poles(A: np.ndarray, B: np.ndarray, poles, seed: int = 0) -> np.ndarra
         return K
 
     # multi-input: real block form of the poles
-    _, counts = np.unique(np.round(poles, 9), return_counts=True)
-    if counts.max() > m:
-        raise ConfigurationError(
-            f"pole multiplicity {counts.max()} exceeds input count {m}; "
-            "the diagonalizable assignment cannot realize it"
-        )
     Lam = _real_block_form(poles)
     rng = substream(seed, "place_poles")
     Id = np.eye(d)
@@ -308,8 +327,8 @@ def brockett_steer_pair_batch(
     if xs.shape != ys.shape or xs.shape[1] != 3:
         raise ConfigurationError("endpoints must be matching (n, 3) batches")
     n = xs.shape[0]
-    if n_grid < 8:
-        raise ConfigurationError("n_grid must be at least 8")
+    if n_grid < BROCKETT_MIN_GRID:
+        raise ConfigurationError(f"n_grid must be at least {BROCKETT_MIN_GRID}")
     if n_grid % 2:
         n_grid += 1
     K = n_grid

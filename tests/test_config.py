@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctrlflow import config as config_module
 from ctrlflow.config import (
     KINDS,
     SCHEMA_VERSION,
+    KIND_SPECS,
     TRANSPORT_KINDS,
     apply_overrides,
     config_hash,
@@ -16,8 +20,9 @@ from ctrlflow.config import (
     validate_config,
 )
 from ctrlflow.errors import ConfigurationError
-from ctrlflow.experiments import example_config
-from ctrlflow.measures import EXACT_W2_MAX_N, sample_measure
+from ctrlflow.experiments import example_config, run_experiment
+from ctrlflow.interpolants import BROCKETT_MIN_GRID
+from ctrlflow.measures import COUPLING_KINDS, EXACT_W2_MAX_N, sample_measure
 from ctrlflow.regression import LAWS, RegressionDataset, fit_feedback
 
 
@@ -557,3 +562,148 @@ def test_load_config_roundtrip(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigurationError, match="not valid JSON"):
         load_config(bad)
+
+
+# sha256 of each example config's canonical form: the run directory name and
+# every stored config.json depend on it, so a schema change that moves one
+# of these must be deliberate
+EXAMPLE_HASHES = {
+    "transport_linear": "ac454a173518a7729df27e7a50c8922b6d3d54647f69779575e3eb78b67ecb34",
+    "output_transport": "98c4d61624fcf9ce7ac2feaa120b04ef40c62b3af8aaf0d449740cc75643443a",
+    "brockett": "2c36c0f08a8d5543ec933af3c651488e48e1976b5c145558543c252d24fec50a",
+    "stabilize_pmp": "4bd01d50da37e3c159a3fed6ff3664fc33aa12e97486403f559f296027551ec5",
+    "stabilize_random": "1a1aaea84604327e38634db974d309a5137d47129c51542cf4a9c88dab8c7159",
+}
+
+
+def test_example_config_hashes_pinned():
+    assert {kind: validate_config(example_config(kind)).hash for kind in KINDS} == EXAMPLE_HASHES
+
+
+def test_steering_preconditions_checked_before_construct(tmp_path):
+    # each of these used to pass validation and fail in stage construct
+    uncontrollable = {"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [1.0]]}
+    for kind, section, key, value, word in [
+        ("brockett", "interpolant", "n_grid", 4, r"'interpolant\.n_grid' must be >= 8"),
+        ("output_transport", "interpolant", "poles", [-2.0, -2.4, -3.0],
+         r"'interpolant\.poles'.*exactly 6 poles"),
+        ("output_transport", "interpolant", "poles", [-2.0] * 6,
+         r"'interpolant\.poles'.*multiplicity 6 exceeds input count 3"),
+        ("transport_linear", "system", "params", uncontrollable,
+         r"'system\.params'.*not controllable"),
+    ]:
+        doc = example_config(kind)
+        doc[section][key] = value
+        with pytest.raises(ConfigurationError, match=word):
+            validate_config(doc)
+        with pytest.raises(ConfigurationError, match=word):
+            run_experiment(doc, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    # the bounds themselves pass
+    doc = example_config("brockett")
+    doc["interpolant"]["n_grid"] = 8
+    assert validate_config(doc).interpolant == {"n_grid": 8}
+    doc = example_config("output_transport")
+    doc["interpolant"]["poles"] = [-1.0, -1.0, -1.0, -2.0, -2.0, -3]
+    assert validate_config(doc).interpolant["poles"] == [-1.0, -1.0, -1.0, -2.0, -2.0, -3.0]
+
+
+def _sections(kind):
+    """(section, key) of every key the kind's own sections take."""
+    spec = KIND_SPECS[kind]
+    out = [("config", key) for key in ("name", *config_module._SCALARS)]
+    if kind in TRANSPORT_KINDS:
+        out.append(("config", "coupling"))
+    for section in ("evaluation", "interpolant", "noising"):
+        out += [(section, key) for key in getattr(spec, section) or {}]
+    return out
+
+
+def _set(doc, section, key, value):
+    (doc if section == "config" else doc.setdefault(section, {}))[key] = value
+
+
+# valid values for every section key; the counts keep n_eval <= n_train <=
+# EXACT_W2_MAX_N, so exact W2 is valid for every kind
+_POSITIVE = st.floats(1e-6, 1e6) | st.integers(1, 10**6)
+_VALID = {
+    "name": st.text(max_size=8),
+    "master_seed": st.integers(-(2**62), 2**62),
+    "output_dir": st.none() | st.text(min_size=1, max_size=8),
+    "n_train": st.integers(64, EXACT_W2_MAX_N),
+    "n_eval": st.integers(0, 64),
+    "coupling": st.sampled_from(COUPLING_KINDS),
+    "T": _POSITIVE,
+    "n_grid": st.integers(BROCKETT_MIN_GRID, 10**6),
+    "n_quad": st.integers(1, 10**4),
+    "poles": st.lists(st.integers(1, 1000), min_size=6, max_size=6, unique=True).map(
+        lambda ps: [-p / 100 for p in ps]),
+    "n_time_samples": st.integers(2, 10**4),
+    "blowup": _POSITIVE | st.just(math.inf),
+    "theta": _POSITIVE,
+    "p_scale": _POSITIVE,
+    "sigma": st.floats(0.0, 1e6) | st.integers(0, 10**6),
+    "snapshot_fractions": st.lists(st.floats(0.0, 1.0) | st.integers(0, 1), max_size=6),
+    "w2": st.sampled_from(["auto", "exact", "sliced"]),
+    "n_projections": st.integers(1, 10**4),
+    "start": st.floats(0.0, 10.0).map(lambda j: {"kind": "bootstrap", "params": {"jitter": j}})
+    | st.just({"kind": "dirac", "params": {"point": [0.5, -0.5, 0.0]}}),
+    "success_radius": _POSITIVE,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(KINDS), data=st.data())
+def test_walker_round_trips_drawn_sections(kind, data):
+    doc = example_config(kind)
+    for section, key in _sections(kind):
+        if key in ("n_train", "n_eval") or data.draw(st.booleans(), label=f"set {section}.{key}"):
+            _set(doc, section, key, data.draw(_VALID[key], label=f"{section}.{key}"))
+    cfg = validate_config(doc)
+    canon = cfg.to_canonical_dict()
+    again = validate_config(json.loads(json.dumps(canon)))
+    assert again == cfg and again.hash == cfg.hash
+    # canonical types: reals are floats, counts ints
+    for section in ("interpolant", "noising", "evaluation"):
+        for key, value in (canon.get(section) or {}).items():
+            if key in ("T", "theta", "p_scale", "sigma", "blowup", "success_radius"):
+                assert type(value) is float
+            elif key.startswith("n_"):
+                assert type(value) is int
+    assert all(type(f) is float for f in cfg.evaluation["snapshot_fractions"])
+    assert all(type(p) is float for p in (cfg.interpolant or {}).get("poles", []))
+
+
+def _just_outside(rule):
+    """Values one step past a number rule's bounds."""
+    if rule.integral:
+        out = [rule.low - 1 if rule.low_ok else rule.low]
+    else:
+        out = [math.nextafter(rule.low, -math.inf) if rule.low_ok else float(rule.low), math.nan]
+        out += [] if rule.inf_ok else [math.inf]
+    return out
+
+
+def test_number_rules_reject_values_just_outside_their_bounds():
+    checked = set()
+    for kind in KINDS:
+        for section, key in _sections(kind):
+            rule = config_module._RULES[key]
+            if not isinstance(rule, config_module._Num) or rule.low == -math.inf:
+                continue
+            for bad in _just_outside(rule):
+                doc = example_config(kind)
+                _set(doc, section, key, bad)
+                with pytest.raises(ConfigurationError, match=rf"'{section}\.{key}' must be"):
+                    validate_config(doc)
+            checked.add(key)
+    # the bootstrap start params go through the same walker
+    for bad in _just_outside(config_module._RULES["jitter"]):
+        doc = example_config("stabilize_random")
+        doc["evaluation"]["start"] = {"kind": "bootstrap", "params": {"jitter": bad}}
+        with pytest.raises(ConfigurationError, match=r"'evaluation\.start\.params\.jitter'"):
+            validate_config(doc)
+    checked.add("jitter")
+    numbers = {k for k, r in config_module._RULES.items()
+               if isinstance(r, config_module._Num) and r.low > -math.inf}
+    assert checked == numbers

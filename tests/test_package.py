@@ -65,3 +65,19 @@ def test_np_exp_called_only_in_the_weights_helper():
                         and isinstance(fn.value, ast.Name) and fn.value.id == "np"):
                     callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+
+def test_config_reads_kind_facts_from_its_table():
+    # what an experiment kind accepts lives in config.KIND_SPECS: config.py
+    # compares `kind` against no string literal
+    tree = ast.parse((Path(ctrlflow.__file__).parent / "config.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            names = {getattr(op, "id", getattr(op, "attr", None)) for op in operands}
+            literal = any(isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                          for op in operands for sub in ast.walk(op))
+            if "kind" in names and literal:
+                found.append(node.lineno)
+    assert found == []
