@@ -439,8 +439,12 @@ def config_hash(cfg: "ExperimentConfig | dict") -> str:
 
 
 def validate_config(doc: dict) -> ExperimentConfig:
-    """Validate a raw JSON document and fill in defaults."""
-    doc = _expect_mapping("config", doc)
+    """Validate a raw JSON document and fill in defaults.
+
+    The result shares no object with ``doc``: a later edit of the caller's
+    document leaves the config, and so its hash, unchanged.
+    """
+    doc = copy.deepcopy(_expect_mapping("config", doc))
     _check_keys("config", doc, ("schema_version",) + _FIELDS)
     version = _get("config", doc, "schema_version", (int,))
     if version != SCHEMA_VERSION:

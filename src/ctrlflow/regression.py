@@ -20,8 +20,9 @@ extrapolation spacing ``ref_nn_dist`` is the median distance from a
 training row to its nearest other row, from a k=2 self-query of the same
 tree.
 
-A kernel law takes the dense Nadaraya-Watson weights over every training
-row, one row tile (:func:`ctrlflow.linalg.tile_rows`) at a time.  A tile's
+A kernel law takes the dense Nadaraya-Watson weights over the training
+rows of a time window (below), one row tile
+(:func:`ctrlflow.linalg.tile_rows`) at a time.  A tile's
 kernel arguments -|q - z|^2/2 of scaled rows q and z are one matrix product
 of [q, 1, -|q|^2/2] with the law's cached [z; -|z|^2/2; 1], written to a
 tile workspace that the law allocates once, and become weights in place;
@@ -29,6 +30,29 @@ one product of the tile with the cached [u, 1] gives each row's numerator
 and denominator.  The largest argument of a row is -emin/2, where emin is
 its smallest squared scaled distance; a row with emin above ``FAR_EMIN`` =
 1200 has that maximum subtracted first.
+
+A row tile sums only its time window: one contiguous range of columns
+that holds every training row whose time alone can still carry weight for
+it.  Let th_j be row j's scaled time and delta_j its distance to the span
+of the tile's scaled query times: every argument in column j is at most
+-delta_j^2/2.  The tile first writes the core, the columns at the training
+times nearest its first and last query times and all columns between.  The
+core's smallest row maximum A is at most every row's top argument, so a
+column with delta_j^2 > 2(L - A), L = ``WINDOW_MARGIN`` + ln n = 42 + ln n,
+weighs below e^-L of its row's top weight, and all such columns together
+below e^-42 (about 6e-19) of it, far under a double's rounding.  The tile
+writes the two side ranges that 2(L - A), widened by the rounding slack
+below, keeps, and then sums those columns alone; no entry is computed
+twice.  A row's nearest training row carries its top argument, at least
+A, so it is kept: emin, and with it the far shift, the degenerate rule and
+the flags, are exact.  A tile whose columns all lie within sqrt(2L) of its
+times could drop none even at a top argument of 0, and takes one product
+over every column.  The window needs the training rows in nondecreasing
+time order; every fitted law is (``_canonical_order`` sorts t first), and
+so every saved one.  A law built by hand out of that order is checked once
+and keeps every column; it is not sorted, since the column order fixes the
+bits of its sums.  A rollout call queries one t, and the fit loss pass
+sends training rows in t order, so a tile's times span few time samples.
 
 Every kernel weight comes from :func:`ctrlflow.linalg.floored_exp`: an
 argument below ``EXP_FLOOR`` = -700 gets weight 0, where numpy's exp would
@@ -85,6 +109,10 @@ EXTRAPOLATION_K = 16
 # a row whose smallest squared scaled distance exceeds this is weighed
 # relative to its top weight (see KernelLaw._mean)
 FAR_EMIN = 1200.0
+# a row tile keeps the training rows whose time alone leaves them within
+# e^-(WINDOW_MARGIN + ln n) of the tile's smallest top weight (see
+# KernelLaw._tile_args)
+WINDOW_MARGIN = 42.0
 
 LAW_FORMAT = "ctrlflow.feedback_law.v2"
 
@@ -343,15 +371,17 @@ class _NeighbourLaw(FeedbackLaw):
         threshold = EXTRAPOLATION_FACTOR * max(self.ref_nn_dist, 1.0e-300)
         out = np.full((len(zq), self.m), np.nan)
         rows = np.flatnonzero(np.isfinite(zq).all(axis=1))
+        zr = zq if len(rows) == len(zq) else zq[rows]
         # an overflowing row's arguments and bounds may be inf or NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            out[rows], nn_lo, nn_hi = self._mean(zq[rows])
+            out[rows], nn_lo, nn_hi = self._mean(zr)
         inside = nn_hi <= threshold
         outside = (nn_lo > threshold) & (nn_hi < np.inf)
         ask = ~(inside | outside)
-        nn = self._tree.query(zq[rows[ask]])[0]
-        inside[ask] = nn <= threshold
-        outside[ask] = (nn > threshold) & (nn < np.inf)
+        if ask.any():
+            nn = self._tree.query(zr[ask])[0]
+            inside[ask] = nn <= threshold
+            outside[ask] = (nn > threshold) & (nn < np.inf)
         out[rows[~(inside | outside)]] = np.nan
         flags = np.zeros(len(zq), dtype=bool)
         flags[rows[outside]] = True
@@ -388,9 +418,10 @@ class KnnLaw(_NeighbourLaw):
 class KernelLaw(_NeighbourLaw):
     """Nadaraya-Watson mean with Gaussian weights at per-feature bandwidth h.
 
-    Dense over every training row, one row tile at a time, as the module
-    docstring describes.  The tile workspace makes a law unsafe to query
-    from two threads at once.
+    Dense, one row tile at a time, as the module docstring describes; a
+    law whose rows are in time order, as every fitted or loaded law is,
+    sums each tile over its certified time window only.  The tile workspace
+    makes a law unsafe to query from two threads at once.
     """
 
     method = "kernel"
@@ -414,6 +445,10 @@ class KernelLaw(_NeighbourLaw):
         self._h_min, self._h_max = float(self._h.min()), float(self._h.max())
         self._slack = 8.0 * (self._z.shape[1] + 2) * np.finfo(float).eps
         self._zh_sq_max = float(zh_sq.max())
+        # the time window: 2L with L = WINDOW_MARGIN + ln n, for rows in
+        # nondecreasing scaled time only (see _tile_args)
+        self._reach = 2.0 * (WINDOW_MARGIN + math.log(self.n_train))
+        self._t_sorted = bool(np.all(np.diff(self._za[0]) >= 0.0))
 
     @classmethod
     def check_hyperparams(cls, hp, where="hyperparams", z_dim=None):
@@ -449,9 +484,39 @@ class KernelLaw(_NeighbourLaw):
     def _state(self) -> dict:
         return {"bandwidth": self.bandwidth.tolist(), **super()._state()}
 
+    def _tile_args(self, q: np.ndarray, tile: np.ndarray):
+        """Write the kernel arguments of the augmented query rows ``q`` to
+        the columns [a, b) of ``tile`` that their time window keeps, each
+        once, and return (a, b); see the module docstring."""
+        n, th = self.n_train, self._za[0]
+        t0, t1 = q[:, 0].min(), q[:, 0].max()
+        # 2L, widened by the rounding of an argument and of a time distance
+        reach = self._reach + self._slack * (self._zh_sq_max - 2.0 * q[:, -1].min())
+        # (NaN compares false: an overflowing tile takes the full range)
+        gap = max(t0 - th[0], th[-1] - t1, 0.0)
+        if not (self._t_sorted and gap * gap > reach):
+            np.matmul(q, self._za, out=tile)
+            return 0, n
+        # the core: the columns at the training times nearest t0 and t1,
+        # and all between; its smallest row maximum bounds every row's top
+        tau = np.array((t0, t1))
+        i = np.searchsorted(th, tau)
+        below, above = th[np.maximum(i - 1, 0)], th[np.minimum(i, n - 1)]
+        near = np.where(tau - below <= above - tau, below, above)
+        c0, c1 = np.searchsorted(th, near[0], "left"), np.searchsorted(th, near[1], "right")
+        np.matmul(q, self._za[:, c0:c1], out=tile[:, c0:c1])
+        width = math.sqrt(reach - 2.0 * tile[:, c0:c1].max(axis=1).min())
+        a = min(np.searchsorted(th, t0 - width, "left"), c0)
+        b = max(np.searchsorted(th, t1 + width, "right"), c1)
+        for lo, hi in ((a, c0), (c1, b)):
+            if lo < hi:
+                np.matmul(q, self._za[:, lo:hi], out=tile[:, lo:hi])
+        return a, b
+
     def _mean(self, zq: np.ndarray):
-        """Means of finite feature rows over every training row, and the
-        bracket on their nearest distance, as the module docstring describes."""
+        """Means of finite feature rows over the training rows their time
+        window keeps, and the bracket on their nearest distance, as the
+        module docstring describes."""
         qh = zq / self._h
         qh_sq = np.einsum("nd,nd->n", qh, qh)
         out = np.empty((len(qh), self.m))
@@ -461,15 +526,15 @@ class KernelLaw(_NeighbourLaw):
         for lo in range(0, len(qh), step):
             rows = slice(lo, lo + step)
             q = qa[rows]
-            tile = self._tile[: len(q)]
-            np.matmul(q, self._za, out=tile)
+            a, b = self._tile_args(q, self._tile[: len(q)])
+            tile = self._tile[: len(q), a:b]
             top = tile.max(axis=1)
             emin[rows] = -2.0 * top
             far = emin[rows] > FAR_EMIN
             if far.any():
                 np.subtract(tile, top[:, None], out=tile, where=far[:, None])
             floored_exp(tile)
-            sums = tile @ self._u1
+            sums = tile @ self._u1[a:b]
             out[rows] = sums[:, :-1] / sums[:, -1:]
         # past -2 EXP_FLOOR even the top raw weight exp(-emin/2) would be
         # floored: such a row takes the control of its nearest point

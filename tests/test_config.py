@@ -580,6 +580,37 @@ def test_example_config_hashes_pinned():
     assert {kind: validate_config(example_config(kind)).hash for kind in KINDS} == EXAMPLE_HASHES
 
 
+def _edit_in_place(value):
+    # every dict gets a new key and every scalar in it a new value; every
+    # list gets a new entry, after its own entries are edited
+    if isinstance(value, dict):
+        for key in list(value):
+            if isinstance(value[key], (dict, list)):
+                _edit_in_place(value[key])
+            else:
+                value[key] = 9.0
+        value["edited"] = 9.0
+    elif isinstance(value, list):
+        for entry in value:
+            if isinstance(entry, (dict, list)):
+                _edit_in_place(entry)
+        value.append(9.0)
+
+
+def test_validated_config_shares_nothing_with_its_document():
+    # the run directory name and config.json come from cfg.hash, so an edit
+    # of the caller's document after validation must not reach the config:
+    # the edit reaches every nested section, system.params,
+    # regression.hyperparams and each measure's params among them
+    for kind in KINDS:
+        doc = example_config(kind)
+        cfg = validate_config(doc)
+        before, canon = cfg.hash, json.dumps(cfg.to_canonical_dict(), sort_keys=True)
+        _edit_in_place(doc)
+        assert cfg.hash == before, kind
+        assert json.dumps(cfg.to_canonical_dict(), sort_keys=True) == canon, kind
+
+
 def test_steering_preconditions_checked_before_construct(tmp_path):
     # each of these used to pass validation and fail in stage construct
     uncontrollable = {"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [1.0]]}

@@ -22,6 +22,10 @@ The estimator invariants checked here:
   (queries x training) block.
 * extrapolation flags that a law settles from its own pass are the k-d
   tree's, also for queries within rounding of the threshold.
+* a kernel law in time order, which every fitted and loaded law is, sums
+  each row tile over its certified time window and still matches the
+  dense reference, also where the weight lies a time sample away from
+  the query's nearest one.
 """
 
 import json
@@ -709,3 +713,116 @@ def test_ref_nn_dist_is_the_median_nearest_spacing():
     for method in ("kernel", "knn"):
         law = fit_feedback(data, method=method, hyperparams={"time_scale": 1.0})
         assert abs(law.ref_nn_dist - want) <= 1.0e-12 * want
+
+
+def _time_ordered_case(n_times, n_per, d, discrete, gap, log_ht, log_hx, seed):
+    # training rows in nondecreasing t, as every fitted law holds them: time
+    # samples gap*h_t apart (dataset_from_pairs), or continuous t
+    rng = np.random.default_rng(seed)
+    h = np.array([10.0**log_ht] + [10.0**log_hx] * d)
+    n = n_times * n_per
+    if discrete:
+        t = np.repeat(gap * h[0] * np.arange(n_times), n_per)
+    else:
+        t = np.sort(rng.uniform(0.0, gap * h[0] * n_times, size=n))
+    z = np.column_stack([t, rng.standard_normal((n, d))])
+    u = rng.uniform(-10.0, 10.0, size=(n, 2))
+    return rng, z, u, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_times=st.integers(2, 30),
+    n_per=st.integers(1, 40),
+    d=st.integers(1, 3),
+    discrete=st.booleans(),
+    gap=st.floats(0.5, 6.0),
+    log_ht=st.floats(-3.0, 1.0),
+    log_hx=st.floats(-1.5, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_times=25, n_per=40, d=3, discrete=True, gap=4.0, log_ht=-2.0, log_hx=-1.0, seed=1)
+@example(n_times=25, n_per=40, d=3, discrete=True, gap=0.5, log_ht=0.0, log_hx=0.0, seed=2)
+@example(n_times=30, n_per=40, d=2, discrete=False, gap=3.0, log_ht=-1.0, log_hx=-1.5, seed=3)
+def test_time_window_matches_dense_reference(n_times, n_per, d, discrete, gap, log_ht, log_hx,
+                                             seed):
+    # a law in time order sums each tile over its time window: it must match
+    # the reference over every row, within the same rounding as
+    # test_truncated_kernel_matches_dense_reference, with equal flags
+    rng, z, u, h = _time_ordered_case(n_times, n_per, d, discrete, gap, log_ht, log_hx, seed)
+    t_samples = np.unique(z[:, 0])
+    t_lo, t_hi = t_samples[0], t_samples[-1]
+    x_near = z[rng.integers(0, len(z), size=8), 1:] + 0.3 * h[1:] * rng.standard_normal((8, d))
+    v = rng.standard_normal((8, d))
+    # 30-60 bandwidths from a training state: past FAR_EMIN, some past 1-nn
+    x_far = z[rng.integers(0, len(z), size=8), 1:] + (
+        v / np.linalg.norm(v, axis=1, keepdims=True) * h[1:] * rng.uniform(30.0, 60.0, (8, 1)))
+    mid = 0.5 * (t_samples[:-1] + t_samples[1:])
+    times = [
+        rng.choice(t_samples),  # on a time sample
+        rng.choice(mid),  # between two
+        t_lo - h[0] * rng.uniform(0.5, 30.0),  # before the first
+        t_hi + h[0] * rng.uniform(0.5, 30.0),  # after the last
+        rng.uniform(t_lo, t_hi),
+    ]
+    # rollout calls share one t; the last call holds training rows in t
+    # order, as the fit loss pass sends them
+    calls = [np.column_stack([np.full(8, tq), xq]) for tq in times for xq in (x_near, x_far)]
+    calls.append(z[np.sort(rng.integers(0, len(z), size=40))] + 0.1 * h * rng.standard_normal((40, d + 1)))
+    for ref_nn in (None, 1.0e9):  # flagged far rows, and far rows weighed
+        law = KernelLaw(1.0, z, u, bandwidth=h, ref_nn_dist=ref_nn)
+        for zq in calls:
+            got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
+            want, want_flags = _dense_reference(z, u, h, law.ref_nn_dist, zq)
+            assert np.array_equal(flags, want_flags)
+            qh, zh = zq / h, z / h
+            exact = ((qh[:, None] - zh[None]) ** 2).sum(-1)
+            order = np.argsort(exact, axis=1)
+            norms = (qh**2).sum(1) + (zh**2).sum(1)[order[:, :32]].max(axis=1)
+            tol = (16.0 * (d + 3) * np.finfo(float).eps * norms + 1.0e-13) * np.abs(u).max()
+            assert np.all(np.abs(got - want) <= tol[:, None])
+
+
+def test_time_window_keeps_weight_a_time_sample_away():
+    # time samples 1 h_t apart and one far off.  Every row at t = 1, the
+    # sample nearest the query time 0.9, sits 10 bandwidths from the query
+    # state; one row at t = 0 sits on it and carries all the weight.  The
+    # core is the t = 1 sample alone: the certificate must widen the window
+    # to t = 0, and may drop t = 40
+    rng = np.random.default_rng(5)
+    n_per = 50
+    t = np.repeat([0.0, 1.0, 2.0, 40.0], n_per)
+    x = 10.0 + rng.standard_normal((len(t), 2))
+    x[0] = 0.0
+    u = np.repeat([[1.0], [-1.0], [-1.0], [-1.0]], n_per, axis=0)
+    u[0] = 5.0
+    law = KernelLaw(1.0, np.column_stack([t, x]), u, bandwidth=np.ones(3), ref_nn_dist=1.0e9)
+    windows = []
+    tile_args = law._tile_args
+    law._tile_args = lambda q, tile: windows.append(tile_args(q, tile)) or windows[-1]
+    zq = np.array([[0.9, 0.0, 0.0], [0.9, 0.1, -0.1]])
+    got = law.predict(zq[:, 0], zq[:, 1:])
+    want, _ = _dense_reference(law._z, u, np.ones(3), 1.0e9, zq)
+    assert np.all(np.abs(got - want) <= 1.0e-12) and np.all(got > 4.9)
+    assert windows == [(0, 3 * n_per)]
+
+
+def test_fitted_kernel_law_rows_are_in_time_order(tmp_path):
+    # the time window needs the rows in nondecreasing t; fitting sorts them
+    # (t first) and save/load keeps them, so the window is on for every
+    # fitted or loaded law.  A law built out of t order keeps every column
+    rng = substream(89, "time order")
+    n = 600
+    data = RegressionDataset(
+        t=rng.choice(np.linspace(0.0, 1.0, 25), size=n), x=rng.standard_normal((n, 2)),
+        u=rng.standard_normal((n, 1)), traj_id=np.arange(n),
+    )
+    assert np.any(np.diff(data.t) < 0.0)
+    law = fit_feedback(data, method="kernel", hyperparams={"bandwidth_scale": 0.1})
+    law.save(tmp_path / "law.json")
+    loaded = FeedbackLaw.load(tmp_path / "law.json")
+    for fitted in (law, loaded):
+        assert np.all(np.diff(fitted._z[:, 0]) >= 0.0) and fitted._t_sorted
+    assert np.array_equal(loaded._z, law._z)
+    shuffled = KernelLaw(1.0, law._z[::-1], law._u[::-1], bandwidth=law.bandwidth)
+    assert not shuffled._t_sorted
