@@ -78,6 +78,11 @@ distance itself, a bracket of zero width.
 and :func:`save_dataset` / :func:`load_dataset` write and read a run's
 ``dataset.csv``.
 
+The mlp law's network runs in float32 (weights, activations and its SGD),
+between a float64 standardization of z and u; ``predict`` returns float64
+for every law.  A v2 mlp document written with float64 weights loads with
+them rounded to float32.
+
 Rows are canonicalized (lexicographically sorted) when a law is fitted,
 which makes fitting and prediction invariant to dataset row order and
 bit-stable for a fixed seed.
@@ -563,6 +568,17 @@ class MLPLaw(FeedbackLaw):
 
     The law holds the layer weights ``W``, biases ``b``, the standardization
     of z and u and the number of rows it was fitted on; no training rows.
+
+    The network runs in float32: weights, biases, activations, errors,
+    gradients and the SGD updates.  Its fit error sits far above float32
+    rounding, and single precision halves the cost of its products and
+    vectorizes its tanh.  The standardization stays in float64, and so does
+    every control ``predict`` returns: a query is standardized in float64,
+    cast to float32 for the network, and its output cast back before it is
+    de-standardized.  The constructor casts ``W`` and ``b`` to float32, so a
+    saved law (its float32 values written as exact JSON doubles) loads bit
+    for bit, and a v2 document written with float64 weights loads with them
+    rounded to float32.
     """
 
     method = "mlp"
@@ -574,8 +590,8 @@ class MLPLaw(FeedbackLaw):
     def __init__(self, time_scale: float, W, b, z_mean, z_std, u_mean, u_std, n_train: int,
                  **shared):
         super().__init__(time_scale, **shared)
-        self.W = [np.asarray(w, dtype=float) for w in W]
-        self.b = [np.asarray(v, dtype=float) for v in b]
+        self.W = [np.asarray(w, dtype=np.float32) for w in W]
+        self.b = [np.asarray(v, dtype=np.float32) for v in b]
         self.z_mean = np.asarray(z_mean, dtype=float)
         self.z_std = np.asarray(z_std, dtype=float)
         self.u_mean = np.asarray(u_mean, dtype=float)
@@ -584,17 +600,23 @@ class MLPLaw(FeedbackLaw):
 
     @classmethod
     def fit(cls, time_scale, z, u, hp, seed):
-        """Seeded uniform init, then SGD steps; a non-finite loss raises."""
+        """Seeded uniform init, then SGD steps; a non-finite loss raises.
+
+        The initial weights are drawn in float64 and rounded to float32; the
+        standardized rows are rounded once.  Python-float scalars keep every
+        update in float32.
+        """
         sizes = [z.shape[1], *hp["hidden"], u.shape[1]]
         rng = substream(seed, "mlp_init")
         W, b = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            W.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            b.append(np.zeros(fan_out))
+            W.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32))
+            b.append(np.zeros(fan_out, dtype=np.float32))
         z_mean, z_std = z.mean(axis=0), np.where(z.std(axis=0) > 0, z.std(axis=0), 1.0)
         u_mean, u_std = u.mean(axis=0), np.where(u.std(axis=0) > 0, u.std(axis=0), 1.0)
-        zs, us = (z - z_mean) / z_std, (u - u_mean) / u_std
+        zs = ((z - z_mean) / z_std).astype(np.float32)
+        us = ((u - u_mean) / u_std).astype(np.float32)
         n, lr0, lr_decay = len(zs), float(hp["lr"]), float(hp["lr_decay"])
         rng = substream(seed, "mlp_batches")
         for step in range(int(hp["steps"])):
@@ -625,7 +647,8 @@ class MLPLaw(FeedbackLaw):
         return {"W": W, "b": b, "n_train": self.n_train, **state}
 
     def _predict_rows(self, zq: np.ndarray):
-        out = _mlp_layers(self.W, self.b, (zq - self.z_mean) / self.z_std)[-1]
+        zs = ((zq - self.z_mean) / self.z_std).astype(np.float32)
+        out = _mlp_layers(self.W, self.b, zs)[-1].astype(float)
         return out * self.u_std + self.u_mean, np.zeros(len(zq), dtype=bool)
 
 

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .ode import integrate_samples, pl_stage_values, rk4_stage_controls
 
+WRITE_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class PairEnsemble:
@@ -113,12 +115,19 @@ def columns(prefix: str, n: int) -> list[str]:
 def write_table(path: str | Path, header: list[str], table, int_cols: int = 0) -> None:
     """Write ``table`` (rows x len(header)) in the run-directory CSV format.
 
-    The first ``int_cols`` columns are integer ids written as ``%d``.
+    The first ``int_cols`` columns are integer ids written as ``%d``.  Rows
+    are formatted a block of ``WRITE_BLOCK_ROWS`` at a time, by one ``%``
+    of the row format repeated over the block's flattened values: the same
+    bytes as one ``fmt % tuple(row)`` per row, without a tuple per row, and
+    with the flat tuple's temporary memory bounded by the block.
     """
     table = np.asarray(table, dtype=float).reshape(len(table), len(header))
     fmt = ",".join(["%d"] * int_cols + ["%.17g"] * (len(header) - int_cols)) + "\r\n"
-    text = ",".join(header) + "\r\n" + "".join(fmt % tuple(row) for row in table.tolist())
-    Path(path).write_text(text, newline="")
+    parts = [",".join(header) + "\r\n"]
+    for lo in range(0, len(table), WRITE_BLOCK_ROWS):
+        block = table[lo : lo + WRITE_BLOCK_ROWS]
+        parts.append((fmt * len(block)) % tuple(block.ravel().tolist()))
+    Path(path).write_text("".join(parts), newline="")
 
 
 def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:

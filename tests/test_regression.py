@@ -143,6 +143,9 @@ def test_fit_is_bit_deterministic():
         b = fit_feedback(data, method=method, hyperparams=hp, seed=4)
         assert a.final_loss == b.final_loss
         assert np.array_equal(a.predict(tq, xq), b.predict(tq, xq))
+        if method == "mlp":
+            for wa, wb in zip(a.W + a.b, b.W + b.b):
+                assert wa.tobytes() == wb.tobytes()
 
 
 def test_fit_invariant_to_row_permutation():
@@ -255,6 +258,42 @@ def test_mlp_divergence_raises():
     with pytest.raises(TrainingDivergedError):
         fit_feedback(data, method="mlp",
                      hyperparams={"steps": 200, "lr": 1e8}, seed=0)
+
+
+def test_mlp_network_is_float32_between_float64_standardization(tmp_path):
+    data = _smooth_dataset(seed=43)
+    rng = substream(45, "queries")
+    tq = rng.uniform(0.0, 1.0, size=32)
+    xq = rng.uniform(-1.0, 1.0, size=(32, 2))
+    law = fit_feedback(data, method="mlp", hyperparams={"steps": 200}, seed=3)
+    law.save(tmp_path / "law.json")
+    loaded = FeedbackLaw.load(tmp_path / "law.json")
+    for fitted in (law, loaded):
+        assert all(a.dtype == np.float32 for a in fitted.W + fitted.b)
+        assert all(a.dtype == np.float64 for a in (fitted.z_mean, fitted.z_std,
+                                                     fitted.u_mean, fitted.u_std))
+        assert fitted.predict(tq, xq).dtype == np.float64
+        assert fitted.predict(0.5, xq[0]).dtype == np.float64
+
+    # a v2 document with float64 weights loads with them rounded to float32
+    # and stays close to their float64 evaluation
+    doc = law.to_json_dict()
+    W64 = [rng.uniform(-1.0, 1.0, size=np.shape(w)) / np.sqrt(len(w)) for w in doc["W"]]
+    b64 = [rng.uniform(-0.5, 0.5, size=np.shape(v)) for v in doc["b"]]
+    old = FeedbackLaw.from_json_dict(
+        json.loads(json.dumps({**doc, "W": [w.tolist() for w in W64],
+                               "b": [v.tolist() for v in b64]})))
+    assert all(a.dtype == np.float32 for a in old.W + old.b)
+    z = np.column_stack([old.time_scale * tq, xq])
+    h = (z - old.z_mean) / old.z_std
+    for i, (Wi, bi) in enumerate(zip(W64, b64)):
+        h = h @ Wi + bi
+        if i < len(W64) - 1:
+            h = np.tanh(h)
+    want = h * old.u_std + old.u_mean
+    got = old.predict(tq, xq)
+    assert not np.array_equal(got, want)
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
 def test_default_time_scale_is_diameter_over_span():

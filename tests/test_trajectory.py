@@ -15,6 +15,7 @@ from ctrlflow.interpolants import min_energy_pair_batch
 from ctrlflow.regression import dataset_from_pairs
 from ctrlflow.systems import builtin_system
 from ctrlflow.trajectory import (
+    WRITE_BLOCK_ROWS,
     PairEnsemble,
     load_pair_csv,
     read_table,
@@ -235,3 +236,28 @@ def test_table_round_trip_keeps_every_float(tmp_path_factory, table, ids):
         assert np.array_equal(got, table, equal_nan=True)
         finite = ~np.isnan(table)  # signed zeros and infinities keep their sign
         assert np.array_equal(np.signbit(got[finite]), np.signbit(table[finite]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([0, 1, 7, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS + 1,
+                     2 * WRITE_BLOCK_ROWS + 3]),
+    st.integers(1, 4),
+    st.integers(0, 1),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_write_table_bytes_match_per_row_format(tmp_path_factory, n_rows, n_cols, int_cols,
+                                                values, seed):
+    # every block of rows is written as the rows one at a time would be
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, *values])
+    table = pool[rng.integers(0, len(pool), size=(n_rows, n_cols))]
+    if int_cols:
+        table[:, 0] = rng.integers(-(2**53), 2**53, size=n_rows)
+    header = [f"c_{j}" for j in range(n_cols)]
+    fmt = ",".join(["%d"] * int_cols + ["%.17g"] * (n_cols - int_cols)) + "\r\n"
+    want = ",".join(header) + "\r\n" + "".join(fmt % tuple(row) for row in table.tolist())
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    write_table(path, header, table, int_cols=int_cols)
+    assert path.read_bytes() == want.encode()
