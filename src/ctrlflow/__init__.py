@@ -2,8 +2,8 @@
 
 The package builds feedback laws in three steps: construct trajectory/control
 ensembles between two sample clouds (exact steering primitives or noising
-runs), regress the conditional-mean control on (time, state), and integrate
-the resulting closed loop forward (transport) or reversed (stabilization).
+runs, re-timed into forward trajectories), regress the conditional-mean
+control on (time, state), and integrate the resulting closed loop forward.
 """
 
 from .config import SCHEMA_VERSION, ExperimentConfig, config_hash, load_config
@@ -65,7 +65,6 @@ from .systems import (
     builtin_names,
     builtin_system,
     linear_system,
-    negate_system,
     six_state_matrices,
     six_state_output,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "builtin_names",
     "builtin_system",
     "linear_system",
-    "negate_system",
     "six_state_matrices",
     "six_state_output",
     "PairEnsemble",

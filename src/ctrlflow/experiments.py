@@ -2,11 +2,13 @@
 
 Every experiment runs one five-stage skeleton: sample the marginals,
 construct trajectory/control ensembles, fit the conditional-mean feedback
-law, integrate the learned closed loop, and evaluate (then persist).  Two
-hook classes supply what differs: ``_Transport`` (steering interpolants,
-forward rollout) and ``_Stabilize`` (noising runs, reversed rollout).  The
-skeleton writes the artifacts common to all kinds, including the header-only
-snapshots of an empty or all-blown-up rollout.  A stage failure aborts with
+law, integrate the learned closed loop forward on the configured system,
+and evaluate (then persist).  Two hook classes supply what differs:
+``_Transport`` (steering interpolants) and ``_Stabilize`` (noising runs,
+whose rows :func:`~ctrlflow.noising.generate_noising_dataset` returns
+re-timed into forward trajectories).  The skeleton writes the artifacts
+common to all kinds, including the header-only snapshots of an empty or
+all-blown-up rollout.  A stage failure aborts with
 :class:`~ctrlflow.errors.StageError` naming the stage; the partially
 written run directory is flagged in its manifest.
 
@@ -14,6 +16,10 @@ A run directory holds ``config.json``, ``snapshot_*.csv`` point clouds, up
 to 32 saved rollouts in ``eval_trajectories/`` (transport runs also keep
 ``train_pairs/``), ``dataset.csv``, ``law.json``, ``report.json`` and
 ``manifest.json``; CSVs use the one table format of :mod:`ctrlflow.trajectory`.
+Times in every CSV and in ``law.json`` are rollout times, t = 0 at the
+rollout start.  In a stabilize run the ``dataset.csv`` row at time s holds
+the noising state and control at noising time T - s, so ``law.json``
+drives the configured system itself forward from the noised cloud.
 The manifest (``ctrlflow.manifest.v2``) is the only provenance record: the
 config hash, ``files`` in write order, a ``sha256`` map with the digest of
 every listed file, and ``partial``/``failed_stage`` for an aborted run.
@@ -61,7 +67,7 @@ from .noising import (
 from .ode import raise_on_blowup
 from .regression import RegressionDataset, dataset_from_pairs, fit_feedback, save_dataset
 from .seeding import derived_seed, substream
-from .systems import builtin_system, negate_system, six_state_matrices, six_state_output
+from .systems import builtin_system, six_state_matrices, six_state_output
 from .trajectory import PairEnsemble, load_pair_csv, save_pair_bundle
 from .trajectory import columns, read_table, write_table
 
@@ -328,8 +334,7 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
         if cfg.n_eval == 0:
             return None
         return integrate_closed_loop_batch(
-            kind.flow_system, law, kind.starts(), kind.T, cfg.evaluation["n_grid"],
-            direction=kind.direction,
+            sys, law, kind.starts(), kind.T, cfg.evaluation["n_grid"]
         )
 
     rollout = _stage("integrate", integrate)
@@ -362,9 +367,7 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
             for rel, dim in kind.empty_snapshots:
                 run.write_snapshot(rel, np.empty((0, dim)), dim)
         saved = np.where(kept)[0][:MAX_SAVED_TRAJECTORIES]
-        rollouts = PairEnsemble(
-            t_grid, states[saved], controls[saved], meta={"direction": kind.direction}
-        )
+        rollouts = PairEnsemble(t_grid, states[saved], controls[saved])
         run.write_bundle(rollouts, "eval_trajectories", "eval")
 
         for name in save_dataset(data, run.dir / "dataset.csv"):
@@ -380,15 +383,13 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
 
 
 class _Transport:
-    """Steering interpolants between coupled samples of mu0 and muT, rolled forward."""
+    """Steering interpolants between coupled samples of mu0 and muT."""
 
-    direction = "forward"
     scored = "transport"
 
     def __init__(self, cfg: ExperimentConfig, sys):
         self.cfg = cfg
         self.sys = sys
-        self.flow_system = sys
         self.seed = cfg.master_seed
         self.output = cfg.kind == "output_transport"
         # what evaluate_rollout writes besides the common snapshots, as (name, dim)
@@ -507,9 +508,8 @@ class _Transport:
 
 
 class _Stabilize:
-    """Noising runs from the target set, rolled back by the reversed closed loop."""
+    """Noising runs from the target set, re-timed to flow back onto it."""
 
-    direction = "reversed"
     scored = "distance"
     train_pairs = None
     empty_snapshots = ()
@@ -517,9 +517,6 @@ class _Stabilize:
     def __init__(self, cfg: ExperimentConfig, sys):
         self.cfg = cfg
         self.sys = sys
-        # The noising rollouts follow the negated dynamics, so their time
-        # reversal is the reversed loop of the negated system (net +f).
-        self.flow_system = negate_system(sys)
         self.seed = cfg.master_seed
         self.T = cfg.noising["T"]
 

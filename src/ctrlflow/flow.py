@@ -1,11 +1,10 @@
 """Closed-loop integration of learned feedback laws and marginal extraction.
 
-``forward`` integrates z' = f(z, u(t, z)) from t = 0 to T, reproducing the
-training-time flow.  ``reversed`` integrates z' = -f(z, u(T - t, z)), the
-time reversal of that flow: starting it from the time-T marginal carries
-mass back to the time-0 marginal, which is how noising runs are turned into
-stabilizing controllers.  A law trained on noising data (which runs along
--f) is reversed on ``negate_system(sys)``, so the net field is +f.
+:func:`integrate_closed_loop_batch` integrates z' = f(z, u(t, z)) from
+t = 0 to T, reproducing the training-time flow.  Every experiment kind
+rolls out this way: a stabilizing law is fitted on noising rows that
+:func:`ctrlflow.noising.generate_noising_dataset` has already re-timed into
+forward trajectories of +f, so its closed loop needs no reversal.
 
 The rollout is a field callback for :func:`ctrlflow.ode.rk4`, which owns
 the step loop and the blow-up policy; the callback queries the law at each
@@ -57,15 +56,13 @@ def integrate_closed_loop_batch(
     z0s: np.ndarray,
     T: float,
     n_grid: int,
-    direction: str = "forward",
     blowup: float | None = DEFAULT_BLOWUP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, FlowInfo]:
     """RK4 closed-loop rollout for a batch of starts.
 
-    The law is queried at every RK4 stage with the effective time (t for
-    ``forward``, T - t for ``reversed``; the field is negated in the
-    reversed direction).  ``law`` may also be any batch-aware callable
-    (t, states (n, d)) -> controls (n, m), useful for synthetic checks.
+    The law is queried at every RK4 stage with the stage time.  ``law`` may
+    also be any batch-aware callable (t, states (n, d)) -> controls (n, m),
+    useful for synthetic checks.
 
     Returns (t_grid, states (n, K+1, d), controls (n, K+1, m), info) where
     controls are the commanded values at the grid nodes.  Extrapolation
@@ -73,10 +70,6 @@ def integrate_closed_loop_batch(
     Blown-up trajectories freeze at their last good state and are flagged
     in ``info.bad_time``.
     """
-    if direction not in ("forward", "reversed"):
-        raise ConfigurationError(f"unknown direction '{direction}'")
-    sgn = 1.0 if direction == "forward" else -1.0
-    T = float(T)
     z0s = np.atleast_2d(np.asarray(z0s, dtype=float))
     if z0s.shape[1] != sys.d:
         raise ConfigurationError(f"starts have dimension {z0s.shape[1]}, expected {sys.d}")
@@ -89,11 +82,10 @@ def integrate_closed_loop_batch(
     def query(t: float, x: np.ndarray, node: int | None):
         # node controls (and extrapolation flags) are kept; stage queries are not
         nonlocal controls
-        t_eff = t if direction == "forward" else T - t
         if is_law:
-            u, node_flags = law.predict(t_eff, x, return_flag=True)
+            u, node_flags = law.predict(t, x, return_flag=True)
         else:
-            u, node_flags = law(t_eff, x), None
+            u, node_flags = law(t, x), None
         u = _coerce_u(u, n)
         if node is not None:
             if controls is None:
@@ -104,7 +96,7 @@ def integrate_closed_loop_batch(
         return u
 
     def field(k, stage, t, x):
-        return sgn * sys.rhs(x, query(t, x, k if stage == 0 else None))
+        return sys.rhs(x, query(t, x, k if stage == 0 else None))
 
     states, bad_time = rk4(field, z0s, t_grid, blowup)
     with np.errstate(over="ignore", invalid="ignore"):

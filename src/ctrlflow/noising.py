@@ -8,15 +8,18 @@ either by extremal controls of the reversed optimal control problem (kind
 paths (kind ``randomized``: :func:`sample_brownian_control` arrays driving
 :func:`endpoint_map_batch`).  Either run is one
 :class:`~ctrlflow.trajectory.PairEnsemble`; :func:`generate_noising_dataset`
-drops its blown-up rows and flattens the rest with
-:func:`ctrlflow.regression.dataset_from_pairs` into the (t, X_t, U_t)
-triples that supervise the feedback regression.  The closed-loop reversal
-of the learned law then carries mass back onto the target set.
+drops its blown-up rows, flattens the rest with
+:func:`ctrlflow.regression.dataset_from_pairs` and re-times each (t, X_t,
+U_t) triple as (T - t, X_t, U_t).  That re-timing is the time reversal:
+x(s) = omega(T - s) solves x' = f(x, u(T - s)), so the re-timed rows are
+forward trajectories of +f, from the noised cloud onto the target set,
+under the same controls.  The law fitted on them is rolled forward like
+any other (:mod:`ctrlflow.flow`), and it carries mass onto the target set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -151,21 +154,17 @@ def endpoint_map_batch(
     x0s: np.ndarray,
     t_grid: np.ndarray,
     u_samples: np.ndarray,
-    direction: str = "reversed",
     blowup: float | None = DEFAULT_BLOWUP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate +-f(omega, u(t)) for a batch of control sample paths.
+    """Integrate the noising dynamics omega' = -f(omega, u(t)) for a batch
+    of control sample paths.
 
     ``u_samples`` is (n, K+1, m), one path per row of the (n, d) starts
-    ``x0s``, interpreted piecewise-linearly; direction ``forward`` uses +f,
-    ``reversed`` uses -f.  Returns (states, bad_time).
+    ``x0s``, interpreted piecewise-linearly.  Returns (states, bad_time).
     """
-    if direction not in ("forward", "reversed"):
-        raise ConfigurationError(f"unknown direction '{direction}'")
-    sgn = 1.0 if direction == "forward" else -1.0
 
     def rhs(x, u):
-        return sgn * sys.rhs(x, u)
+        return -sys.rhs(x, u)
 
     return rk4_stage_controls(rhs, x0s, t_grid, pl_stage_values(u_samples), blowup)
 
@@ -243,7 +242,7 @@ def generate_noising_dataset(
     mu0_sampler: Callable[[int, int], np.ndarray],
     p_sampler: Callable[[int, int], np.ndarray] | None = None,
 ):
-    """Noising trajectories from the target measure, flattened for regression.
+    """Noising trajectories from the target measure, re-timed for regression.
 
     ``mu0_sampler(n, seed)`` draws starting states on the target set.  For
     kind ``pmp``, initial costates come from ``p_sampler`` (default
@@ -253,7 +252,9 @@ def generate_noising_dataset(
 
     Returns ``(dataset, report)`` where dataset is the
     :func:`ctrlflow.regression.dataset_from_pairs` flattening of the kept
-    rows, tagged by their sample index.
+    rows, tagged by their sample index, with each noising time t replaced
+    by the rollout time T - t (see the module docstring).  The report's
+    ``endpoints`` are the noised states omega(T), where rollouts start.
     """
     n = config.n_samples
     x0s = np.asarray(mu0_sampler(n, derived_seed(config.seed, "noising", "x0")))
@@ -288,9 +289,7 @@ def generate_noising_dataset(
                 sys.m, config.T, config.n_grid, config.sigma,
                 derived_seed(config.seed, "noising", "brownian", i),
             )
-        states, bad = endpoint_map_batch(
-            sys, x0s, t_grid, u_all, direction="reversed", blowup=config.blowup
-        )
+        states, bad = endpoint_map_batch(sys, x0s, t_grid, u_all, blowup=config.blowup)
         ens = PairEnsemble(t_grid, states, u_all)
         keep = ~np.isfinite(bad)
         drift = None
@@ -308,5 +307,5 @@ def generate_noising_dataset(
         raise ConfigurationError("all noising trajectories blew up; nothing to fit")
     kept = np.where(keep)[0]
     report.endpoints = ens.states[kept, -1]
-    dataset = dataset_from_pairs(ens.select(kept), config.n_time_samples, traj_id=kept)
-    return dataset, report
+    rows = dataset_from_pairs(ens.select(kept), config.n_time_samples, traj_id=kept)
+    return replace(rows, t=config.T - rows.t), report

@@ -1,9 +1,12 @@
 """Feedback-law regression: u(t, x) as a conditional mean of dataset controls.
 
 The training set is a :class:`RegressionDataset` of (t, x, u) rows tagged
-by trajectory id.  :func:`dataset_from_pairs` is the one flattening of a
-trajectory/control ensemble into such rows: transport runs call it on
-their steering ensemble, noising runs on their kept rows.
+by trajectory id, its times in rollout time: a fitted law is queried at
+the times of the forward closed loop it drives.  :func:`dataset_from_pairs`
+is the one flattening of a trajectory/control ensemble into such rows:
+transport runs call it on their steering ensemble, noising runs on their
+kept rows before flipping each time t to T - t
+(:func:`ctrlflow.noising.generate_noising_dataset`).
 
 Each estimator is a :class:`FeedbackLaw` subclass in ``LAWS``:
 :class:`KernelLaw` (Nadaraya-Watson, the default), :class:`KnnLaw` and
@@ -58,9 +61,14 @@ Every kernel weight comes from :func:`ctrlflow.linalg.floored_exp`: an
 argument below ``EXP_FLOOR`` = -700 gets weight 0, where numpy's exp would
 take its slow path for the tiny result.  A row's top weight is at least
 e^-600 (1 for a shifted row), so each floored weight is below e^-100 of it
-and a row leaves out at most n e^-100 of its mass.  Past emin = -2
-``EXP_FLOOR`` every weight would be floored, and the row takes the control
-of its nearest training row.
+and a row leaves out at most n e^-100 of its mass.  No row is floored
+whole: past ``FAR_EMIN`` its top weight is 1.  A row with emin above -2
+``EXP_FLOOR`` = 1400 takes the control of its nearest training row
+instead of its kernel mean.  That is a policy, not a numerical necessity:
+so far from every training row the shifted mean rests on the few rows
+nearest in the scaled metric, and on the reduced stabilize_random example
+it steered rollouts worse (larger p90 terminal distance, more
+extrapolating nodes) than the nearest row's control.
 
 A row is flagged as an extrapolation when its nearest distance in z
 exceeds ``EXTRAPOLATION_FACTOR * ref_nn_dist``.  A kernel law bounds that
@@ -473,13 +481,7 @@ class KernelLaw(_NeighbourLaw):
         """Bandwidth: the given one, or median pairwise distance / sqrt(2) per feature."""
         bw = hp["bandwidth"]
         if bw is None:
-            rng = substream(seed, "fit", cls.method)
-            if len(z) > 2048:
-                # the bandwidth pairs are drawn after a 2048-row choice on
-                # this stream; the choice fixes where they fall in it, and so
-                # the fitted bandwidth of every seed
-                rng.choice(len(z), size=2048, replace=False)
-            bw = _median_pairwise(z, rng) / np.sqrt(2.0)
+            bw = _median_pairwise(z, substream(seed, "fit", cls.method)) / np.sqrt(2.0)
         else:
             bw = np.broadcast_to(np.asarray(bw, dtype=float), (z.shape[1],))
         bw = bw * float(hp["bandwidth_scale"])
@@ -541,8 +543,7 @@ class KernelLaw(_NeighbourLaw):
             floored_exp(tile)
             sums = tile @ self._u1[a:b]
             out[rows] = sums[:, :-1] / sums[:, -1:]
-        # past -2 EXP_FLOOR even the top raw weight exp(-emin/2) would be
-        # floored: such a row takes the control of its nearest point
+        # the nearest-row policy for rows past -2 EXP_FLOOR (module docstring)
         degenerate = emin > -2.0 * EXP_FLOOR
         if degenerate.any():
             out[degenerate] = self._neighbour_mean(zq[degenerate], 1)[0]
@@ -692,9 +693,7 @@ def fit_feedback(
     law.hyperparams = given
 
     # training loss, estimated on a seeded subsample once the dataset is
-    # large.  The chunks fix the order of the loss sum, so their size stays
-    # for final_loss's bits; predict's memory does not depend on them (its
-    # dense weights go one row tile at a time)
+    # large; one predict call, whose dense weights go one row tile at a time
     loss_cap = 8192
     if data.n > loss_cap:
         pick = np.sort(substream(seed, "fit", "loss_rows").choice(
@@ -702,12 +701,7 @@ def fit_feedback(
         t_l, x_l, u_l = t[pick], x[pick], u[pick]
     else:
         t_l, x_l, u_l = t, x, u
-    chunk = max(256, 2**22 // max(1, data.n))
-    sq_sum = 0.0
-    for lo in range(0, len(t_l), chunk):
-        pred = law.predict(t_l[lo : lo + chunk], x_l[lo : lo + chunk])
-        sq_sum += float(np.sum((pred - u_l[lo : lo + chunk]) ** 2))
-    law.final_loss = sq_sum / len(t_l)
+    law.final_loss = float(np.sum((law.predict(t_l, x_l) - u_l) ** 2)) / len(t_l)
     return law
 
 

@@ -33,7 +33,6 @@ The module also hosts the builtin catalog used by the experiments:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -160,27 +159,6 @@ def linear_system(
         driftless=bool(np.all(A == 0.0)),
         output_map=output_map,
         output_dim=output_dim,
-    )
-
-
-def negate_system(sys: ControlAffineSystem) -> ControlAffineSystem:
-    """System with every field negated: x' = -f0(x) - G(x) u.
-
-    Useful when a dataset was generated along the negated dynamics (as the
-    noising flows are) and a downstream routine expects the generating
-    system itself.  Output map and driftless flag carry over unchanged.
-    """
-
-    def _neg(fn: FieldFn) -> FieldFn:
-        return lambda x: -fn(x)
-
-    return dataclasses.replace(
-        sys,
-        name=f"neg_{sys.name}",
-        f0=_neg(sys.f0),
-        jac_f0=_neg(sys.jac_f0),
-        G=_neg(sys.G),
-        jac_G=_neg(sys.jac_G),
     )
 
 

@@ -3,13 +3,10 @@
 Oracles:
 
 * scalar single integrator with law(t, x) = -x has the exact solution
-  z0 * exp(-t); with law(t, x) = t the forward endpoint is z0 + T^2/2 and
-  the reversed endpoint z0 - T^2/2 (RK4 is exact on cubics), which pins the
-  reversed convention z' = -f(z, u(T - t, z)).
-* forward integration followed by reversed integration from the endpoint
-  with the same law is the identity up to integrator error.
-* reversing a law fitted on noising data (which runs along -f) carries a
-  noising endpoint back near its start.
+  z0 * exp(-t); with law(t, x) = t the endpoint is z0 + T^2/2 (RK4 is
+  exact on cubics), which pins that the law is queried at the stage time.
+* a law fitted on re-timed noising data, rolled forward on the system
+  itself, carries a noising endpoint back near its start.
 """
 
 import numpy as np
@@ -29,7 +26,6 @@ from ctrlflow import (
     generate_noising_dataset,
     integrate_closed_loop_batch,
     min_energy_pair_batch,
-    negate_system,
     sample_measure,
     snapshots_from_arrays,
     wasserstein2,
@@ -47,14 +43,11 @@ def test_zero_law_driftless_is_constant():
     sys = builtin_system("brockett")
     law = lambda t, x: np.zeros((x.shape[0], 2))
     z0s = substream(1, "z0").standard_normal((5, 3))
-    for direction in ("forward", "reversed"):
-        t_grid, states, controls, info = integrate_closed_loop_batch(
-            sys, law, z0s, 1.0, 50, direction=direction
-        )
-        assert states.shape == (5, 51, 3) and controls.shape == (5, 51, 2)
-        assert np.all(states == z0s[:, None, :])
-        assert np.all(controls == 0.0)
-        assert info.excluded_count == 0
+    t_grid, states, controls, info = integrate_closed_loop_batch(sys, law, z0s, 1.0, 50)
+    assert states.shape == (5, 51, 3) and controls.shape == (5, 51, 2)
+    assert np.all(states == z0s[:, None, :])
+    assert np.all(controls == 0.0)
+    assert info.excluded_count == 0
 
 
 def test_synthetic_exponential_decay():
@@ -67,33 +60,13 @@ def test_synthetic_exponential_decay():
     assert info.excluded_count == 0
 
 
-def test_reversed_uses_negated_field_and_flipped_time():
-    # law(t, x) = t: forward endpoint z0 + T^2/2, reversed z0 - T^2/2
+def test_law_is_queried_at_stage_time():
+    # law(t, x) = t: endpoint z0 + T^2/2
     sys = _scalar_integrator()
     law = lambda t, x: np.full((x.shape[0], 1), t)
-    z0 = np.array([[0.7]])
     T = 2.0
-    _, fwd, _, _ = integrate_closed_loop_batch(sys, law, z0, T, 64, "forward")
-    _, rev, _, _ = integrate_closed_loop_batch(sys, law, z0, T, 64, "reversed")
-    assert abs(fwd[0, -1, 0] - (0.7 + 0.5 * T**2)) < 1e-12
-    assert abs(rev[0, -1, 0] - (0.7 - 0.5 * T**2)) < 1e-12
-
-
-def test_forward_then_reversed_returns_to_start():
-    # two-way integration identity for a smooth fitted law
-    rng = substream(9, "data")
-    n = 1500
-    x = rng.uniform(-2.0, 2.0, size=(n, 2))
-    t = rng.uniform(0.0, 1.0, size=n)
-    u = 0.3 * np.column_stack([np.sin(x[:, 1]), np.cos(x[:, 0])])
-    data = RegressionDataset(t=t, x=x, u=u, traj_id=np.arange(n))
-    law = fit_feedback(data, method="kernel",
-                       hyperparams={"bandwidth": 0.5, "time_scale": 1.0})
-    sys = builtin_system("linear", A=np.zeros((2, 2)), B=np.eye(2))
-    z0s = rng.uniform(-1.0, 1.0, size=(8, 2))
-    _, fwd, _, _ = integrate_closed_loop_batch(sys, law, z0s, 1.0, 1000, "forward")
-    _, rev, _, _ = integrate_closed_loop_batch(sys, law, fwd[:, -1], 1.0, 1000, "reversed")
-    assert np.max(np.linalg.norm(rev[:, -1] - z0s, axis=1)) < 1e-6
+    _, states, _, _ = integrate_closed_loop_batch(sys, law, np.array([[0.7]]), T, 64)
+    assert abs(states[0, -1, 0] - (0.7 + 0.5 * T**2)) < 1e-12
 
 
 def test_rk4_order_on_closed_loop():
@@ -149,11 +122,9 @@ def test_law_rollout_overflowing_to_inf_is_excluded_not_an_error():
         assert not flag[1:].any()
 
 
-def test_direction_and_dimension_validation():
+def test_dimension_validation():
     sys = _scalar_integrator()
     law = lambda t, x: -x
-    with pytest.raises(ConfigurationError):
-        integrate_closed_loop_batch(sys, law, np.zeros((1, 1)), 1.0, 50, "upward")
     with pytest.raises(ConfigurationError):
         integrate_closed_loop_batch(sys, law, np.zeros((1, 3)), 1.0, 50)
 
@@ -252,19 +223,17 @@ def test_marginal_snapshot_hits_steering_targets():
 
 def test_reversal_returns_noising_endpoint_to_start():
     # round trip of the stabilization pipeline at the unicycle pilot
-    # configuration: noising from the origin, fit, then reverse from one
-    # stored endpoint back toward the origin.  The law is a conditional
-    # mean, so the round trip is approximate; this endpoint lands at
-    # distance 0.071 when measured, pinned here with headroom at 0.1.
+    # configuration: noising from the origin, fit on the re-timed rows, then
+    # roll forward from one stored endpoint back toward the origin.  The law
+    # is a conditional mean, so the round trip is approximate; this endpoint
+    # lands at distance 0.071 when measured, pinned here with headroom at 0.1.
     sys = builtin_system("unicycle")
     cfg = NoisingConfig(kind="pmp", T=2.0, n_grid=600, n_samples=800,
                         n_time_samples=50, p_scale=6.0, seed=123)
     ds, report = generate_noising_dataset(sys, cfg, lambda n, s: np.zeros((n, 3)))
     law = fit_feedback(ds, method="kernel", hyperparams={"bandwidth_scale": 0.05})
     endpoint = report.endpoints[5]
-    _, states, _, info = integrate_closed_loop_batch(
-        negate_system(sys), law, endpoint[None, :], cfg.T, 200, "reversed"
-    )
+    _, states, _, info = integrate_closed_loop_batch(sys, law, endpoint[None, :], cfg.T, 200)
     assert info.excluded_count == 0
     assert np.linalg.norm(states[0, -1]) <= 0.1
 

@@ -8,14 +8,24 @@ that alters the numerics on purpose regenerates the file with
     PYTHONPATH=src python tests/test_golden.py
 
 and says why in its description.
+
+Each case's saved ``law.json`` is also a feedback law of its configured
+system in rollout time: rolled forward from ``snapshot_initial.csv`` over
+the run's horizon, it reproduces ``snapshot_achieved.csv`` bit for bit.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ctrlflow.experiments import example_config, run_experiment
+from ctrlflow.config import TRANSPORT_KINDS
+from ctrlflow.experiments import BROCKETT_HORIZON, example_config, run_experiment
+from ctrlflow.flow import integrate_closed_loop_batch
+from ctrlflow.regression import FeedbackLaw
+from ctrlflow.systems import builtin_system
+from ctrlflow.trajectory import read_table
 
 GOLDEN = Path(__file__).with_name("golden_metrics.json")
 
@@ -88,11 +98,47 @@ def hex_metrics(metrics: dict) -> dict:
     return {key: float(value).hex() for key, value in sorted(metrics.items())}
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The report of a case, run once per module."""
+    reports = {}
+
+    def run(name):
+        if name not in reports:
+            root = tmp_path_factory.mktemp(name)
+            reports[name] = run_experiment(case_config(name), output_root=root)
+        return reports[name]
+
+    return run
+
+
+def _horizon(cfg: dict) -> float:
+    if cfg["kind"] == "brockett":
+        return BROCKETT_HORIZON
+    return cfg["interpolant" if cfg["kind"] in TRANSPORT_KINDS else "noising"]["T"]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_metrics_bit_equal(name, tmp_path):
+def test_golden_metrics_bit_equal(name, golden_run):
     want = json.loads(GOLDEN.read_text())[name]
-    report = run_experiment(case_config(name), output_root=tmp_path)
-    assert hex_metrics(report.metrics) == want
+    assert hex_metrics(golden_run(name).metrics) == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_saved_law_replays_rollout(name, golden_run):
+    report = golden_run(name)
+    # no golden rollout is excluded, so the snapshots hold the whole batch
+    assert report.metrics["excluded_eval"] == 0
+    run = Path(report.output_dir)
+    cfg = json.loads((run / "config.json").read_text())
+    sys = builtin_system(cfg["system"]["name"], **cfg["system"]["params"])
+    law = FeedbackLaw.load(run / "law.json")
+    starts = read_table(run / "snapshot_initial.csv")[1][:, 1:]
+    achieved = read_table(run / "snapshot_achieved.csv")[1][:, 1:]
+    _, states, _, _ = integrate_closed_loop_batch(
+        sys, law, starts, _horizon(cfg), cfg["evaluation"]["n_grid"]
+    )
+    assert np.array_equal(states[:, -1], achieved)
 
 
 def test_wide_start_case_extrapolates():

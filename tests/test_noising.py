@@ -11,6 +11,8 @@ Closed forms used as oracles:
 * the extremal system is canonically Hamiltonian, so H is conserved.
 * Brockett fields f1 = (1, 0, x2), f2 = (0, 1, 0) give exact endpoints
   under constant controls.
+* the noising dataset re-times noising time t as rollout time s = T - t, so
+  a single-integrator row at s sits at x = -(T - s) p0 / 2.
 * for LTI dynamics the extremal through (x0, p0) is the minimum-energy
   control between its own endpoints, so its energy must equal the Gramian
   quadratic form of the reversed system.
@@ -35,7 +37,7 @@ from ctrlflow import (
     sample_brownian_control,
 )
 from ctrlflow.linalg import expm
-from ctrlflow.ode import raise_on_blowup, uniform_grid
+from ctrlflow.ode import pl_stage_values, raise_on_blowup, rk4_stage_controls, uniform_grid
 from ctrlflow.seeding import substream
 
 
@@ -172,9 +174,9 @@ def test_endpoint_map_brockett_constant_control():
     x0 = np.array([0.0, c, 0.0])
     t_grid = np.linspace(0.0, 1.0, 101)
     u = np.tile(np.array([1.0, 0.0]), (1, 101, 1))
-    fwd, bad_f = endpoint_map_batch(sys, x0[None, :], t_grid, u, direction="forward")
+    fwd, bad_f = rk4_stage_controls(sys.rhs, x0[None, :], t_grid, pl_stage_values(u))
     assert np.allclose(fwd[0, -1], [1.0, c, c], atol=1e-12)
-    rev, bad_r = endpoint_map_batch(sys, x0[None, :], t_grid, u, direction="reversed")
+    rev, bad_r = endpoint_map_batch(sys, x0[None, :], t_grid, u)
     assert np.allclose(rev[0, -1], [-1.0, c, -c], atol=1e-12)
     assert np.isnan(bad_f[0]) and np.isnan(bad_r[0])
 
@@ -184,31 +186,22 @@ def test_endpoint_map_zero_sigma_is_identity_for_driftless():
     path = sample_brownian_control(2, 1.0, 64, 0.0, seed=4)
     assert path.shape == (65, 2) and np.all(path == 0.0)
     states, _ = endpoint_map_batch(
-        sys, np.array([[0.3, -0.5, 0.2]]), uniform_grid(1.0, 64), path[None], direction="reversed"
+        sys, np.array([[0.3, -0.5, 0.2]]), uniform_grid(1.0, 64), path[None]
     )
     assert np.allclose(states[0, -1], [0.3, -0.5, 0.2], atol=1e-14)
 
 
 def test_endpoint_map_forward_reversed_round_trip():
-    # integrating forward, then reversing with the time-flipped control,
-    # must return to the start up to RK4 error
+    # integrating +f forward, then the noising dynamics -f with the
+    # time-flipped control, must return to the start up to RK4 error
     sys = builtin_system("unicycle")
     path = sample_brownian_control(2, 1.0, 1500, 0.5, seed=21)
     t_grid = uniform_grid(1.0, 1500)
     x0 = np.array([0.4, 0.1, -0.3])
-    fwd, _ = endpoint_map_batch(sys, x0[None, :], t_grid, path[None], direction="forward")
-    states, bad = endpoint_map_batch(
-        sys, fwd[:, -1], t_grid, path[::-1][None, :, :], direction="reversed"
-    )
+    fwd, _ = rk4_stage_controls(sys.rhs, x0[None, :], t_grid, pl_stage_values(path[None]))
+    states, bad = endpoint_map_batch(sys, fwd[:, -1], t_grid, path[::-1][None, :, :])
     assert not np.isfinite(bad[0])
     assert np.linalg.norm(states[0, -1] - x0) < 1e-6
-
-
-def test_endpoint_map_direction_validation():
-    sys = builtin_system("brockett")
-    with pytest.raises(ConfigurationError):
-        endpoint_map_batch(sys, np.zeros((1, 3)), np.linspace(0, 1, 11),
-                           np.zeros((1, 11, 2)), direction="sideways")
 
 
 def test_brownian_path_statistics():
@@ -257,7 +250,7 @@ def test_dataset_single_integrator_closed_form():
     assert ds.n == 6 * 5
     assert np.allclose(np.unique(ds.t), [0.0, 0.5, 1.0, 1.5, 2.0])
     assert np.allclose(ds.u, 0.5 * c[None, :], atol=1e-12)
-    assert np.allclose(ds.x, -0.5 * ds.t[:, None] * c[None, :], atol=1e-12)
+    assert np.allclose(ds.x, -0.5 * (cfg.T - ds.t)[:, None] * c[None, :], atol=1e-12)
     assert len(np.unique(ds.traj_id)) == 6
     assert np.all(np.bincount(ds.traj_id) == 5)
 
@@ -302,10 +295,11 @@ def test_dataset_randomized_martinet_spreads():
     stds = np.std(report.endpoints, axis=0)
     assert stds[0] > 0.1 and stds[1] > 0.1
     assert float(np.mean(np.linalg.norm(report.endpoints, axis=1))) > 0.1
-    # Brownian controls start at zero, so the t = 0 rows carry zero control
-    at0 = ds.t == 0.0
-    assert at0.sum() == 40
-    assert np.all(ds.u[at0] == 0.0)
+    # Brownian controls start at zero, so the rows at noising time 0, rollout
+    # time T, carry zero control
+    at_start = ds.t == cfg.T
+    assert at_start.sum() == 40
+    assert np.all(ds.u[at_start] == 0.0)
 
 
 def test_dataset_blowup_exclusion():
