@@ -68,11 +68,7 @@ from .systems import (
     six_state_matrices,
     six_state_output,
 )
-from .trajectory import (
-    PairEnsemble,
-    load_pair_csv,
-    save_pair_bundle,
-)
+from .trajectory import PairEnsemble
 
 __version__ = "0.1.0"
 
@@ -129,8 +125,6 @@ __all__ = [
     "six_state_matrices",
     "six_state_output",
     "PairEnsemble",
-    "load_pair_csv",
-    "save_pair_bundle",
     "run_experiment",
     "emit_plot_data",
     "verify",

@@ -12,14 +12,20 @@ all-blown-up rollout.  A stage failure aborts with
 :class:`~ctrlflow.errors.StageError` naming the stage; the partially
 written run directory is flagged in its manifest.
 
-A run directory holds ``config.json``, ``snapshot_*.csv`` point clouds, up
-to 32 saved rollouts in ``eval_trajectories/`` (transport runs also keep
-``train_pairs/``), ``dataset.csv``, ``law.json``, ``report.json`` and
-``manifest.json``; CSVs use the one table format of :mod:`ctrlflow.trajectory`.
-Times in every CSV and in ``law.json`` are rollout times, t = 0 at the
-rollout start.  In a stabilize run the ``dataset.csv`` row at time s holds
-the noising state and control at noising time T - s, so ``law.json``
-drives the configured system itself forward from the noised cloud.
+A run directory holds files only, no subdirectories: ``config.json``,
+``snapshot_*.csv`` point clouds, ``eval_trajectories.csv``,
+``dataset.csv``, ``law.json``, ``train_pairs.csv`` (transport runs),
+``report.json`` and ``manifest.json``.  CSVs use the one table format of
+:mod:`ctrlflow.trajectory`; the three trajectory files are its trajectory
+table (``traj_id, t, x_*, u_*``).  ``eval_trajectories.csv`` holds up to
+32 rollouts, ``traj_id`` i being sample i of ``snapshot_initial.csv`` and
+``snapshot_achieved.csv``.  ``train_pairs.csv`` holds the first 32
+steering pairs, ``traj_id`` i being coupled pair i, the id its rows carry
+in ``dataset.csv``.  Times in every CSV and in ``law.json`` are rollout
+times, t = 0 at the rollout start.  In a stabilize run the ``dataset.csv``
+row at time s holds the noising state and control at noising time T - s,
+so ``law.json`` drives the configured system itself forward from the
+noised cloud.
 The manifest (``ctrlflow.manifest.v2``) is the only provenance record: the
 config hash, ``files`` in write order, a ``sha256`` map with the digest of
 every listed file, and ``partial``/``failed_stage`` for an aborted run.
@@ -68,8 +74,8 @@ from .ode import raise_on_blowup
 from .regression import RegressionDataset, dataset_from_pairs, fit_feedback, save_dataset
 from .seeding import derived_seed, substream
 from .systems import builtin_system, six_state_matrices, six_state_output
-from .trajectory import PairEnsemble, load_pair_csv, save_pair_bundle
-from .trajectory import columns, read_table, write_table
+from .trajectory import PairEnsemble, columns, read_table, read_trajectories
+from .trajectory import write_table, write_trajectories
 
 BROCKETT_HORIZON = 4.0 * math.pi
 MAX_SAVED_TRAJECTORIES = 32
@@ -152,7 +158,11 @@ class _RunDir:
         path = self.dir / rel
         if not path.exists():
             raise ConfigurationError(f"artifact '{rel}' was not written")
-        self.sha256[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256()
+        with path.open("rb") as fh:
+            while chunk := fh.read(1 << 16):
+                digest.update(chunk)
+        self.sha256[rel] = digest.hexdigest()
 
     def write_json(self, rel: str, doc: dict) -> None:
         (self.dir / rel).write_text(json.dumps(doc, indent=2, sort_keys=True))
@@ -164,9 +174,9 @@ class _RunDir:
         write_table(self.dir / rel, ["sample_id", *columns("x", dim)], table, int_cols=1)
         self.add(rel)
 
-    def write_bundle(self, ens: PairEnsemble, subdir: str, prefix: str) -> None:
-        for name in save_pair_bundle(ens, self.dir / subdir, prefix):
-            self.add(f"{subdir}/{name}")
+    def write_ensemble(self, rel: str, ens: PairEnsemble) -> None:
+        write_trajectories(self.dir / rel, *ens.rows())
+        self.add(rel)
 
     def write_manifest(self, partial: bool = False, failed_stage: Optional[str] = None):
         doc = {
@@ -366,17 +376,19 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
             # no surviving rollout: the kind's rollout snapshots hold headers only
             for rel, dim in kind.empty_snapshots:
                 run.write_snapshot(rel, np.empty((0, dim)), dim)
+        # the first kept rollouts, so traj_id i is snapshot sample i
         saved = np.where(kept)[0][:MAX_SAVED_TRAJECTORIES]
-        rollouts = PairEnsemble(t_grid, states[saved], controls[saved])
-        run.write_bundle(rollouts, "eval_trajectories", "eval")
+        run.write_ensemble(
+            "eval_trajectories.csv", PairEnsemble(t_grid, states[saved], controls[saved])
+        )
 
-        for name in save_dataset(data, run.dir / "dataset.csv"):
-            run.add(name)
+        save_dataset(data, run.dir / "dataset.csv")
+        run.add("dataset.csv")
         law.save(run.dir / "law.json")
         run.add("law.json")
         if kind.train_pairs is not None:
             train = kind.train_pairs.select(slice(MAX_SAVED_TRAJECTORIES))
-            run.write_bundle(train, "train_pairs", "train")
+            run.write_ensemble("train_pairs.csv", train)
         return metrics, notes
 
     return _stage("evaluate", evaluate)
@@ -435,8 +447,7 @@ class _Transport:
         """Construction-level metrics and the constructed marginal snapshots."""
         pairs, seed, evaluation = self.train_pairs, self.seed, self.cfg.evaluation
         metrics["mean_pair_distance"] = _mean_pair_distance(self.x0, self.x1)
-        errors = pairs.meta.get("endpoint_error", pairs.meta.get("terminal_error"))
-        metrics["max_endpoint_error"] = float(np.max(errors))
+        metrics["max_endpoint_error"] = float(np.max(pairs.meta["endpoint_error"]))
         # construction-level quality: endpoints of the training ensemble
         end_constructed = pairs.states[:, -1]
         metrics["w2_construction_terminal"] = float(_w2(
@@ -645,14 +656,17 @@ def emit_plot_data(run_dir) -> list[str]:
         cols = " ".join(f"x_{j + 1}" for j in range(dim)) if dim else "x_*"
         emit(f"plot_scatter_{role}.dat", f"# {role} scatter: {cols}", [pts])
 
-    # trajectory polylines
-    index_path = run_dir / "eval_trajectories" / "eval_index.json"
-    entries = json.loads(index_path.read_text()).get("pairs", []) if index_path.exists() else []
-    pairs = [load_pair_csv(index_path.parent / entry["file"]) for entry in entries]
+    # trajectory polylines (t, x): a new block wherever traj_id changes
+    traj_path = run_dir / "eval_trajectories.csv"
+    polylines = []
+    if traj_path.exists():
+        ids, t, x, _ = read_trajectories(traj_path)
+        if len(ids):
+            polylines = np.split(np.column_stack([t, x]), np.flatnonzero(np.diff(ids)) + 1)
     emit(
         "plot_trajectories.dat",
         "# closed-loop trajectories: t x_1 .. x_d (blank-line separated blocks)",
-        [np.column_stack([p.t_grid, p.states[0]]) for p in pairs],
+        polylines,
         labelled=True,
     )
 
@@ -660,14 +674,14 @@ def emit_plot_data(run_dir) -> list[str]:
     target_snap = run_dir / "snapshot_target.csv"
     ref_points = _read_snapshot(target_snap) if target_snap.exists() else np.empty((0, 0))
     series = np.empty((0, 4))
-    if pairs and len(ref_points):
+    if polylines and len(ref_points):
         # output-transport targets live in output space
         space = six_state_output if kind == "output_transport" else np.asarray
         dists = np.stack(
-            [_distance_to_target(space(p.states[0]), target_spec, ref_points) for p in pairs]
+            [_distance_to_target(space(p[:, 1:]), target_spec, ref_points) for p in polylines]
         )
         stats = (np.median(dists, axis=0), np.quantile(dists, 0.9, axis=0), dists.mean(axis=0))
-        series = np.column_stack([pairs[0].t_grid, *stats])
+        series = np.column_stack([polylines[0][:, 0], *stats])
     emit(
         "plot_distance.dat",
         "# distance to target over the saved rollouts: t median p90 mean",
@@ -802,8 +816,6 @@ def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -
 
 
 def _verify_fast() -> list[dict]:
-    from .systems import builtin_system as _bs
-
     results = []
 
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -833,7 +845,7 @@ def _verify_fast() -> list[dict]:
     ens = brockett_steer_pair_batch(xs, ys, n_grid=4000)
     results.append(_check("brockett_random_endpoints", ens.meta["endpoint_error"].max(), 1.0e-6))
 
-    unicycle = _bs("unicycle")
+    unicycle = builtin_system("unicycle")
     cost = QuadraticCost()
     rng = substream(123, "verify", "pmp")
     starts = rng.uniform(-1.0, 1.0, size=(10, 2, 3))  # (x0, p0) per extremal

@@ -2,17 +2,17 @@
 
 Each constructor steers a batch of n (start, target) rows at once and
 returns one :class:`~ctrlflow.trajectory.PairEnsemble` whose controls drive
-the stated system from each start to its target within a stated tolerance:
+the stated system from each start to its target within a stated tolerance,
+and whose meta ``endpoint_error`` holds each row's |x(T) - target|:
 
 ``min_energy_pair_batch``
     minimum-energy steering of a controllable LTI pair through the
-    controllability Gramian (meta ``endpoint_error``),
+    controllability Gramian,
 ``feedback_steer_pair_batch``
-    stabilizing-gain steering of an LTI system to equilibrium points (meta
-    ``terminal_error``),
+    stabilizing-gain steering of an LTI system to equilibrium points,
 ``brockett_steer_pair_batch``
     two-phase sinusoidal steering of the Brockett system between arbitrary
-    points on [0, 4*pi] (meta ``endpoint_error``, ``loop_amplitude``).
+    points on [0, 4*pi] (also meta ``loop_amplitude``).
 
 Preconditions on the inputs alone are exported (``check_controllable``,
 ``check_poles``, ``BROCKETT_MIN_GRID``) for config validation.
@@ -280,7 +280,7 @@ def feedback_steer_pair_batch(
 
     The control is u = K(x - y) + alpha_y, where alpha_y is the equilibrium
     control of y (:func:`equilibrium_control`).  Requires A + BK Hurwitz and
-    each y in the equilibrium set; the terminal error is recorded in the
+    each y in the equilibrium set; the endpoint error is recorded in the
     meta (it decays like the slowest closed-loop mode, it is not forced to
     zero).
     """
@@ -309,7 +309,7 @@ def feedback_steer_pair_batch(
     states, _ = rk4(field, x0s, t_grid, blowup=None)
     controls = (states - ys[:, None, :]) @ K.T + alphas[:, None, :]
     errs = _row_norms(states[:, -1] - ys)
-    return PairEnsemble(t_grid, states, controls, meta={"terminal_error": errs})
+    return PairEnsemble(t_grid, states, controls, meta={"endpoint_error": errs})
 
 
 def brockett_steer_pair_batch(

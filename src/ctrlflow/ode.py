@@ -148,24 +148,3 @@ def raise_on_blowup(bad_time: np.ndarray) -> None:
     if len(bad):
         raise BlowUpError(float(bad_time[bad[0]]))
 
-
-def integrate_samples(y: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Integral of sampled values over the grid, composite Simpson rule.
-
-    ``y`` has shape (..., K + 1); an odd number of steps falls back to
-    trapezoid on the final interval. The grid must be uniform.
-    """
-    y = np.asarray(y, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    K = len(t_grid) - 1
-    h = (t_grid[-1] - t_grid[0]) / K
-    n_simpson = K if K % 2 == 0 else K - 1
-    total = np.zeros(y.shape[:-1])
-    if n_simpson >= 2:
-        w = np.ones(n_simpson + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        total = total + (h / 3.0) * np.tensordot(y[..., : n_simpson + 1], w, axes=([-1], [0]))
-    if n_simpson != K:
-        total = total + 0.5 * h * (y[..., -2] + y[..., -1])
-    return total

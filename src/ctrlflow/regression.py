@@ -82,9 +82,11 @@ whose bracket straddles it, or whose emin is not finite (an overflowing
 query), ask the z tree.  A knn law's neighbour query returns the nearest
 distance itself, a bracket of zero width.
 
-:func:`crossval_loss` selects hyperparameters on trajectory-grouped folds,
-and :func:`save_dataset` / :func:`load_dataset` write and read a run's
-``dataset.csv``.
+:func:`crossval_loss` selects hyperparameters on trajectory-grouped folds.
+:func:`save_dataset` / :func:`load_dataset` write and read a run's
+``dataset.csv``: the dataset's rows as a trajectory table of
+:mod:`ctrlflow.trajectory` (the table of the run's saved rollouts and
+steering pairs too), tagged with their ``traj_id``.
 
 The mlp law's network runs in float32 (weights, activations and its SGD),
 between a float64 standardization of z and u; ``predict`` returns float64
@@ -115,7 +117,7 @@ from .errors import (
 )
 from .linalg import EXP_FLOOR, floored_exp, tile_rows
 from .seeding import substream
-from .trajectory import columns, read_table, write_table
+from .trajectory import read_trajectories, write_trajectories
 
 EXTRAPOLATION_FACTOR = 10.0
 EXTRAPOLATION_K = 16
@@ -179,18 +181,13 @@ def dataset_from_pairs(ens, n_time_samples: int = 25, traj_id=None) -> Regressio
     """Flatten a :class:`~ctrlflow.trajectory.PairEnsemble` into (t, x, u) triples.
 
     Keeps ``n_time_samples`` evenly spaced grid nodes (rounded, duplicates
-    dropped) of every row, row by row.  Row i is tagged ``traj_id[i]``
-    (default i).
+    dropped) of every row, row by row (:meth:`PairEnsemble.rows`).  Row i is
+    tagged ``traj_id[i]`` (default i).
     """
     K = len(ens.t_grid) - 1
     idx = np.unique(np.round(np.linspace(0, K, n_time_samples)).astype(int))
-    ids = np.arange(ens.n) if traj_id is None else np.asarray(traj_id)
-    return RegressionDataset(
-        t=np.tile(ens.t_grid[idx], ens.n),
-        x=ens.states[:, idx].reshape(-1, ens.d),
-        u=ens.controls[:, idx].reshape(-1, ens.m),
-        traj_id=np.repeat(ids, len(idx)),
-    )
+    ids, t, x, u = ens.rows(idx, traj_id)
+    return RegressionDataset(t=t, x=x, u=u, traj_id=ids)
 
 
 def _canonical_order(t, x, u):
@@ -754,23 +751,12 @@ def crossval_loss(
 # dataset persistence
 
 
-def save_dataset(data: RegressionDataset, path) -> list[str]:
-    """CSV with columns traj_id, t, x_*, u_*; returns the written file names.
-
-    Provenance (config hash, file sha256) lives in the run manifest.
-    """
-    path = Path(path)
-    header = ["traj_id", "t", *columns("x", data.d), *columns("u", data.m)]
-    write_table(path, header, np.column_stack([data.traj_id, data.t, data.x, data.u]), int_cols=1)
-    return [path.name]
+def save_dataset(data: RegressionDataset, path) -> None:
+    """The dataset as a trajectory table; provenance lives in the run manifest."""
+    write_trajectories(path, data.traj_id, data.t, data.x, data.u)
 
 
 def load_dataset(path) -> RegressionDataset:
     """Inverse of :func:`save_dataset`; a header-only file raises ``EmptyDatasetError``."""
-    header, table = read_table(path)
-    d = sum(1 for h in header if h.startswith("x_"))
-    m = sum(1 for h in header if h.startswith("u_"))
-    return RegressionDataset(
-        t=table[:, 1], x=table[:, 2 : 2 + d], u=table[:, 2 + d : 2 + d + m],
-        traj_id=table[:, 0].astype(int),
-    )
+    traj_id, t, x, u = read_trajectories(path)
+    return RegressionDataset(t=t, x=x, u=u, traj_id=traj_id)

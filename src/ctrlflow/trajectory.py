@@ -1,4 +1,4 @@
-"""Trajectory/control ensembles on one shared time grid, and the one CSV table format.
+"""Trajectory/control ensembles on one shared time grid, and the run-directory tables.
 
 A :class:`PairEnsemble` holds n trajectory/control pairs as ``(n, K+1, .)``
 arrays on one ``(K+1,)`` grid: the unit that the steering constructions and
@@ -8,19 +8,24 @@ consistency checks run once per ensemble.
 Every CSV of a run directory is written by :func:`write_table` and read by
 :func:`read_table`: a header row, then comma-separated ``%.17g`` values (id
 columns ``%d``), so floats read back bit for bit; lines end in ``\\r\\n``.
-:func:`save_pair_bundle` writes one such CSV per ensemble row plus an index.
+Rows are stacked, formatted and written a block of ``WRITE_BLOCK_ROWS`` at
+a time, so no whole-table text (nor trajectory-table array) is ever held.
+
+The trajectory table is the one layout of (trajectory, t, x, u) rows:
+columns ``traj_id, t, x_1..x_d, u_1..u_m``, the rows of one trajectory
+consecutive, zero rows allowed.  A run's regression dataset, saved rollouts
+and saved steering pairs are such tables, written by
+:func:`write_trajectories` and read by :func:`read_trajectories`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .ode import integrate_samples, pl_stage_values, rk4_stage_controls
 
 WRITE_BLOCK_ROWS = 1024
 
@@ -32,8 +37,7 @@ class PairEnsemble:
     ``states[i, k]`` and ``controls[i, k]`` belong to row i at ``t_grid[k]``;
     between grid points the control is understood as the piecewise-linear
     interpolant.  ``meta`` maps a name to an (n,) array of per-row
-    construction diagnostics such as endpoint errors; a scalar value is
-    shared by every row.
+    construction diagnostics such as endpoint errors.
     """
 
     t_grid: np.ndarray
@@ -58,10 +62,8 @@ class PairEnsemble:
             )
         meta = {k: np.asarray(v) for k, v in self.meta.items()}
         for k, v in meta.items():
-            if v.ndim and v.shape != (len(x),):
-                raise ConfigurationError(
-                    f"meta '{k}' has shape {v.shape}, expected ({len(x)},) or a scalar"
-                )
+            if v.shape != (len(x),):
+                raise ConfigurationError(f"meta '{k}' has shape {v.shape}, expected ({len(x)},)")
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "states", x)
         object.__setattr__(self, "controls", u)
@@ -85,26 +87,22 @@ class PairEnsemble:
 
     def select(self, rows) -> "PairEnsemble":
         """The ensemble of the given rows (index array, boolean mask or slice)."""
-        meta = {k: v[rows] if v.ndim else v for k, v in self.meta.items()}
+        meta = {k: v[rows] for k, v in self.meta.items()}
         return PairEnsemble(self.t_grid, self.states[rows], self.controls[rows], meta)
 
-    def control_energy(self) -> np.ndarray:
-        """(n,) integrals of |u(t)|^2 over the horizon (Simpson on the grid)."""
-        return integrate_samples(np.sum(self.controls**2, axis=2), self.t_grid)
+    def rows(self, nodes=slice(None), traj_id=None):
+        """Trajectory-table rows ``(traj_id, t, x, u)`` at the grid ``nodes``.
 
-    def residual_error(self, sys) -> np.ndarray:
-        """(n,) consistency of each row with the dynamics.
-
-        Re-integrates the stored controls (piecewise-linear convention)
-        from ``states[:, 0]`` with RK4 on the same grid and returns each
-        row's max state deviation relative to its trajectory scale.
+        Row by row, in grid order; row i is tagged ``traj_id[i]`` (default i).
         """
-        states, _ = rk4_stage_controls(
-            sys.rhs, self.states[:, 0], self.t_grid, pl_stage_values(self.controls),
-            blowup=None,
+        t = self.t_grid[nodes]
+        ids = np.arange(self.n) if traj_id is None else np.asarray(traj_id)
+        return (
+            np.repeat(ids, len(t)),
+            np.tile(t, self.n),
+            self.states[:, nodes].reshape(-1, self.d),
+            self.controls[:, nodes].reshape(-1, self.m),
         )
-        dev = np.abs(states - self.states).max(axis=(1, 2))
-        return dev / (1.0 + np.abs(self.states).max(axis=(1, 2)))
 
 
 def columns(prefix: str, n: int) -> list[str]:
@@ -112,22 +110,25 @@ def columns(prefix: str, n: int) -> list[str]:
     return [f"{prefix}_{j + 1}" for j in range(n)]
 
 
+def _write_rows(path: str | Path, header: list[str], int_cols: int, n_rows: int, block) -> None:
+    # block(rows) stacks the table rows of a slice; one % of the row format
+    # repeated over its flattened values writes the same bytes as one
+    # ``fmt % tuple(row)`` per row, without a tuple per row
+    fmt = ",".join(["%d"] * int_cols + ["%.17g"] * (len(header) - int_cols)) + "\r\n"
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n_rows, WRITE_BLOCK_ROWS):
+            rows = block(slice(lo, lo + WRITE_BLOCK_ROWS))
+            fh.write((fmt * len(rows)) % tuple(rows.ravel().tolist()))
+
+
 def write_table(path: str | Path, header: list[str], table, int_cols: int = 0) -> None:
     """Write ``table`` (rows x len(header)) in the run-directory CSV format.
 
-    The first ``int_cols`` columns are integer ids written as ``%d``.  Rows
-    are formatted a block of ``WRITE_BLOCK_ROWS`` at a time, by one ``%``
-    of the row format repeated over the block's flattened values: the same
-    bytes as one ``fmt % tuple(row)`` per row, without a tuple per row, and
-    with the flat tuple's temporary memory bounded by the block.
+    The first ``int_cols`` columns are integer ids written as ``%d``.
     """
     table = np.asarray(table, dtype=float).reshape(len(table), len(header))
-    fmt = ",".join(["%d"] * int_cols + ["%.17g"] * (len(header) - int_cols)) + "\r\n"
-    parts = [",".join(header) + "\r\n"]
-    for lo in range(0, len(table), WRITE_BLOCK_ROWS):
-        block = table[lo : lo + WRITE_BLOCK_ROWS]
-        parts.append((fmt * len(block)) % tuple(block.ravel().tolist()))
-    Path(path).write_text("".join(parts), newline="")
+    _write_rows(path, header, int_cols, len(table), lambda s: table[s])
 
 
 def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -141,39 +142,18 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
-def load_pair_csv(path: str | Path) -> PairEnsemble:
-    """One CSV of :func:`save_pair_bundle` as a one-row ensemble (meta is not kept).
+def write_trajectories(path: str | Path, traj_id, t, x, u) -> None:
+    """Write the trajectory table of rows ``(traj_id[r], t[r], x[r], u[r])``.
 
-    A header-only file raises :class:`ConfigurationError`.
+    ``traj_id`` and ``t`` are (rows,) arrays, ``x`` (rows, d) and ``u``
+    (rows, m); zero rows write the header alone.
     """
+    header = ["traj_id", "t", *columns("x", x.shape[1]), *columns("u", u.shape[1])]
+    _write_rows(path, header, 1, len(t), lambda s: np.column_stack([traj_id[s], t[s], x[s], u[s]]))
+
+
+def read_trajectories(path: str | Path):
+    """Inverse of :func:`write_trajectories`: ``(traj_id, t, x, u)`` arrays."""
     header, table = read_table(path)
     d = sum(1 for h in header if h.startswith("x_"))
-    m = sum(1 for h in header if h.startswith("u_"))
-    return PairEnsemble(table[:, 0], table[None, :, 1 : 1 + d], table[None, :, 1 + d : 1 + d + m])
-
-
-def save_pair_bundle(ens: PairEnsemble, directory: str | Path, prefix: str) -> list[str]:
-    """One CSV (columns t, x_1..x_d, u_1..u_m) per row plus ``<prefix>_index.json``.
-
-    The index holds the row count and, per row, its file and meta values.
-    Returns the list of written file names (relative to ``directory``).
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    header = ["t", *columns("x", ens.d), *columns("u", ens.m)]
-    meta = {k: np.broadcast_to(v, (ens.n,)) for k, v in ens.meta.items()}
-    written = []
-    entries = []
-    for i in range(ens.n):
-        fname = f"{prefix}_{i:04d}.csv"
-        write_table(
-            directory / fname, header, np.column_stack([ens.t_grid, ens.states[i], ens.controls[i]])
-        )
-        written.append(fname)
-        entries.append({"file": fname, **{k: v[i].item() for k, v in meta.items()}})
-    index = {"count": ens.n, "pairs": entries}
-    index_name = f"{prefix}_index.json"
-    with (directory / index_name).open("w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-    written.append(index_name)
-    return written
+    return table[:, 0].astype(int), table[:, 1], table[:, 2 : 2 + d], table[:, 2 + d :]

@@ -30,6 +30,7 @@ from ctrlflow.experiments import (
 from ctrlflow.flow import snapshots_from_arrays
 from ctrlflow.ode import uniform_grid
 from ctrlflow.seeding import substream
+from ctrlflow.trajectory import read_trajectories
 
 
 def cheap_brockett(**over):
@@ -187,7 +188,7 @@ def test_partial_manifest_hashes_files_written_before_failure(tmp_path, monkeypa
     assert manifest["partial"] is True and manifest["failed_stage"] == "evaluate"
     # everything up to the dataset is listed with its digest
     assert "snapshot_achieved.csv" in manifest["files"]
-    assert "eval_trajectories/eval_index.json" in manifest["files"]
+    assert "eval_trajectories.csv" in manifest["files"]
     assert "dataset.csv" not in manifest["files"]
     assert_hashes_match(run_dir, manifest)
 
@@ -209,6 +210,8 @@ def test_n_eval_zero_headers_only(tmp_path):
     for name in ("snapshot_initial.csv", "snapshot_achieved.csv"):
         rows = (run_dir / name).read_text().strip().splitlines()
         assert len(rows) == 1 and rows[0].startswith("sample_id")
+    rows = (run_dir / "eval_trajectories.csv").read_text().strip().splitlines()
+    assert rows == ["traj_id,t,x_1,x_2,x_3,u_1,u_2"]
     # plot files degrade to headers as well
     for rel in emit_plot_data(run_dir):
         lines = (run_dir / rel).read_text().splitlines()
@@ -300,7 +303,7 @@ def test_stabilize_run_plots_and_distance_series(tmp_path):
 
 def test_stabilize_pilot_report_contract(tmp_path):
     # pilot-sized run: the report carries the distance metrics and the
-    # manifest points at stored noising/evaluation trajectory files
+    # manifest points at the stored dataset and evaluation trajectory tables
     doc = example_config("stabilize_pmp")
     doc["n_train"] = 400
     doc["n_eval"] = 100
@@ -316,10 +319,11 @@ def test_stabilize_pilot_report_contract(tmp_path):
     ):
         assert key in report.metrics
     run_dir = Path(report.output_dir)
-    evals = [f for f in report.manifest if f.startswith("eval_trajectories/")]
-    assert len(evals) > 1 and all((run_dir / f).exists() for f in evals)
-    for name in ("dataset.csv", "law.json"):
+    for name in ("eval_trajectories.csv", "dataset.csv", "law.json"):
         assert name in report.manifest and (run_dir / name).exists()
+    ids = read_trajectories(run_dir / "eval_trajectories.csv")[0]
+    assert np.array_equal(np.unique(ids), np.arange(32))
+    assert "train_pairs.csv" not in report.manifest  # stabilize runs steer no pairs
 
 
 def test_cli_run_plot_and_exit_codes(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,12 @@ and says why in its description.
 Each case's saved ``law.json`` is also a feedback law of its configured
 system in rollout time: rolled forward from ``snapshot_initial.csv`` over
 the run's horizon, it reproduces ``snapshot_achieved.csv`` bit for bit.
+
+Each case's run directory is checked once, when the fixture runs it: its
+files are exactly the manifest's, the rollouts in ``eval_trajectories.csv``
+run from the ``snapshot_initial.csv`` to the ``snapshot_achieved.csv``
+sample of their ``traj_id``, and a transport case's ``train_pairs.csv``
+holds the rows of ``dataset.csv`` at the dataset's time samples.
 """
 
 import json
@@ -21,11 +27,16 @@ import numpy as np
 import pytest
 
 from ctrlflow.config import TRANSPORT_KINDS
-from ctrlflow.experiments import BROCKETT_HORIZON, example_config, run_experiment
+from ctrlflow.experiments import (
+    BROCKETT_HORIZON,
+    MAX_SAVED_TRAJECTORIES,
+    example_config,
+    run_experiment,
+)
 from ctrlflow.flow import integrate_closed_loop_batch
 from ctrlflow.regression import FeedbackLaw
 from ctrlflow.systems import builtin_system
-from ctrlflow.trajectory import read_table
+from ctrlflow.trajectory import read_table, read_trajectories
 
 GOLDEN = Path(__file__).with_name("golden_metrics.json")
 
@@ -98,15 +109,43 @@ def hex_metrics(metrics: dict) -> dict:
     return {key: float(value).hex() for key, value in sorted(metrics.items())}
 
 
+def check_run_dir(run: Path) -> None:
+    """The run directory's files and trajectory tables (see module docstring)."""
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert all(path.is_file() for path in run.iterdir())
+    assert {path.name for path in run.iterdir()} == {*manifest["files"], "manifest.json"}
+
+    ids, _, x, _ = read_trajectories(run / "eval_trajectories.csv")
+    starts = read_table(run / "snapshot_initial.csv")[1][:, 1:]
+    achieved = read_table(run / "snapshot_achieved.csv")[1][:, 1:]
+    assert np.array_equal(np.unique(ids), np.arange(min(len(starts), MAX_SAVED_TRAJECTORIES)))
+    for i in np.unique(ids):
+        assert np.array_equal(x[ids == i][0], starts[i])
+        assert np.array_equal(x[ids == i][-1], achieved[i])
+
+    kind = json.loads((run / "config.json").read_text())["kind"]
+    assert (run / "train_pairs.csv").exists() == (kind in TRANSPORT_KINDS)
+    if kind in TRANSPORT_KINDS:
+        pair_ids, pair_t, pair_x, pair_u = read_trajectories(run / "train_pairs.csv")
+        data_ids, data_t, data_x, data_u = read_trajectories(run / "dataset.csv")
+        for i in np.unique(pair_ids):
+            rows, data_rows = pair_ids == i, data_ids == i
+            sampled = np.isin(pair_t[rows], data_t[data_rows])
+            assert np.array_equal(pair_t[rows][sampled], data_t[data_rows])
+            assert np.array_equal(pair_x[rows][sampled], data_x[data_rows])
+            assert np.array_equal(pair_u[rows][sampled], data_u[data_rows])
+
+
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
-    """The report of a case, run once per module."""
+    """The report of a case, run and its run directory checked once per module."""
     reports = {}
 
     def run(name):
         if name not in reports:
             root = tmp_path_factory.mktemp(name)
             reports[name] = run_experiment(case_config(name), output_root=root)
+            check_run_dir(Path(reports[name].output_dir))
         return reports[name]
 
     return run

@@ -39,6 +39,7 @@ from ctrlflow import (
 from ctrlflow.linalg import expm
 from ctrlflow.ode import pl_stage_values, raise_on_blowup, rk4_stage_controls, uniform_grid
 from ctrlflow.seeding import substream
+from helpers import control_energy
 
 
 def test_quadratic_cost_validation():
@@ -356,10 +357,10 @@ def test_lti_extremal_energy_matches_gramian():
         ens, _, bad = pmp_extremal_batch(sys, cost, x0[None], p0[None], T, 3000)
         raise_on_blowup(bad)
         xT = ens.states[0, -1]
-        energy = ens.control_energy()[0]
+        energy = control_energy(ens)[0]
         delta = xT - EmT @ x0
         opt = float(delta @ Winv @ delta)
         assert abs(energy - opt) <= 1e-6 * max(1.0, abs(opt))
         # and the constructive minimum-energy route agrees too
         me = min_energy_pair_batch(-A, -B, x0[None], xT[None], T, n_grid=2000)
-        assert abs(me.control_energy()[0] - opt) <= 1e-6 * max(1.0, abs(opt))
+        assert abs(control_energy(me)[0] - opt) <= 1e-6 * max(1.0, abs(opt))

@@ -5,7 +5,6 @@ import pytest
 
 from ctrlflow.errors import BlowUpError, ConfigurationError
 from ctrlflow.ode import (
-    integrate_samples,
     pl_stage_values,
     raise_on_blowup,
     rk4,
@@ -13,6 +12,7 @@ from ctrlflow.ode import (
     stage_times,
     uniform_grid,
 )
+from helpers import integrate_samples
 
 
 def test_uniform_grid_endpoints():

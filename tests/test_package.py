@@ -46,6 +46,29 @@ def test_stream_key_called_only_in_seeding():
     assert callers == []
 
 
+def test_trajectory_table_layout_only_in_trajectory():
+    # the (traj_id, t, x, u) table is the one format of trajectory rows on
+    # disk: no other module names its id column or writes an index file (a
+    # dataclass setting its own traj_id field names an attribute, not a column)
+    found = []
+    for path in sorted(Path(ctrlflow.__file__).parent.glob("*.py")):
+        if path.name == "trajectory.py":
+            continue
+        tree = ast.parse(path.read_text())
+        attr_names = {
+            call.args[1] for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and len(call.args) > 1
+            and getattr(call.func, "attr", getattr(call.func, "id", None))
+            in ("setattr", "__setattr__")
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node not in attr_names
+                    and (node.value == "traj_id" or node.value.endswith("_index.json"))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_np_exp_called_only_in_the_weights_helper():
     # every kernel weight and the entropic W2 kernel go through
     # linalg.floored_exp, which keeps numpy's exp off its slow path for

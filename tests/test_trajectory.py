@@ -2,7 +2,6 @@
 
 import csv
 import io
-import json
 
 import numpy as np
 import pytest
@@ -17,11 +16,12 @@ from ctrlflow.systems import builtin_system
 from ctrlflow.trajectory import (
     WRITE_BLOCK_ROWS,
     PairEnsemble,
-    load_pair_csv,
     read_table,
-    save_pair_bundle,
+    read_trajectories,
     write_table,
+    write_trajectories,
 )
+from helpers import control_energy, residual_error
 
 A_DI = np.array([[0.0, 1.0], [0.0, 0.0]])
 B_DI = np.array([[0.0], [1.0]])
@@ -69,7 +69,7 @@ def test_horizon_and_endpoints():
 def test_control_energy_simpson_exact():
     # u(t) = 2at so the energy integral is 4a^2/3, exact under Simpson
     ens = _simple_ensemble(21, scales=(1.0, 2.0))
-    assert np.allclose(ens.control_energy(), [4.0 / 3.0, 16.0 / 3.0], rtol=0.0, atol=1e-12)
+    assert np.allclose(control_energy(ens), [4.0 / 3.0, 16.0 / 3.0], rtol=0.0, atol=1e-12)
 
 
 def test_residual_error_accepts_consistent_pair():
@@ -77,8 +77,8 @@ def test_residual_error_accepts_consistent_pair():
     sys = builtin_system("linear", A=A_DI, B=B_DI)
     x0s = np.array([[0.0, 0.0], [0.5, -0.2]])
     ens = min_energy_pair_batch(A_DI, B_DI, x0s, np.array([[1.0, 0.0], [-1.0, 0.3]]), 1.0, 400)
-    assert ens.residual_error(sys).shape == (2,)
-    assert ens.residual_error(sys).max() <= 1e-6
+    assert residual_error(ens, sys).shape == (2,)
+    assert residual_error(ens, sys).max() <= 1e-6
 
 
 def test_residual_error_flags_wrong_controls():
@@ -86,52 +86,32 @@ def test_residual_error_flags_wrong_controls():
     ens = min_energy_pair_batch(A_DI, B_DI, np.zeros((2, 2)), np.eye(2), 1.0, 400)
     bumped = ens.controls.copy()
     bumped[1] += 1.0
-    errors = PairEnsemble(ens.t_grid, ens.states, bumped).residual_error(sys)
+    errors = residual_error(PairEnsemble(ens.t_grid, ens.states, bumped), sys)
     assert errors[0] <= 1e-6 and errors[1] > 1e-2
 
 
 def test_csv_round_trip(tmp_path):
-    ens = _simple_ensemble()
-    save_pair_bundle(ens, tmp_path, "pair")
-    path = tmp_path / "pair_0000.csv"
-    back = load_pair_csv(path)
-    assert np.array_equal(back.t_grid, ens.t_grid)
-    assert np.array_equal(back.states, ens.states)
-    assert np.array_equal(back.controls, ens.controls)
+    ens = _simple_ensemble(scales=(1.0, 2.0))
+    path = tmp_path / "pairs.csv"
+    write_trajectories(path, *ens.rows())
+    ids, t, x, u = read_trajectories(path)
+    assert np.array_equal(ids, np.repeat([0, 1], 11))
+    assert np.array_equal(t, np.tile(ens.t_grid, 2))
+    assert np.array_equal(x, ens.states.reshape(-1, 2))
+    assert np.array_equal(u, ens.controls.reshape(-1, 1))
 
-    # a header-only file holds no pair
+    # a header-only file holds no rows
     path.write_text(path.read_text().splitlines()[0] + "\r\n")
-    with pytest.raises(ConfigurationError):
-        load_pair_csv(path)
+    ids, t, x, u = read_trajectories(path)
+    assert (ids.shape, t.shape, x.shape, u.shape) == ((0,), (0,), (0, 2), (0, 1))
 
 
 def test_csv_header_names_dimensions(tmp_path):
-    save_pair_bundle(_simple_ensemble(), tmp_path, "pair")
-    header = (tmp_path / "pair_0000.csv").read_text().splitlines()[0]
-    assert header.split(",") == ["t", "x_1", "x_2", "u_1"]
-
-
-def test_bundle_writes_index_and_files(tmp_path):
-    ens = _simple_ensemble(7, scales=(1.0, 2.0))
-    ens = PairEnsemble(
-        ens.t_grid, ens.states, ens.controls,
-        meta={"endpoint_error": np.array([1.5e-7, 0.0]), "direction": "forward"},
-    )
-    names = save_pair_bundle(ens, tmp_path, prefix="train")
-    assert names == ["train_0000.csv", "train_0001.csv", "train_index.json"]
-    index = json.loads((tmp_path / "train_index.json").read_text())
-    assert index["count"] == 2
-    assert index["pairs"][0] == {
-        "file": "train_0000.csv", "endpoint_error": 1.5e-7, "direction": "forward"
-    }
-    assert index["pairs"][1]["direction"] == "forward"  # a scalar is shared by every row
-    for name in names:
-        assert (tmp_path / name).exists()
-
-    # an empty ensemble writes only its count-0 index
-    assert save_pair_bundle(ens.select(slice(0)), tmp_path / "empty", "eval") == ["eval_index.json"]
-    index = json.loads((tmp_path / "empty" / "eval_index.json").read_text())
-    assert index == {"count": 0, "pairs": []}
+    path = tmp_path / "pairs.csv"
+    write_trajectories(path, *_simple_ensemble().rows(traj_id=[7]))
+    header, first = path.read_text().splitlines()[:2]
+    assert header.split(",") == ["traj_id", "t", "x_1", "x_2", "u_1"]
+    assert first.split(",")[0] == "7"  # ids are written as integers
 
 
 @st.composite
@@ -147,23 +127,23 @@ def _ensembles(draw, min_rows=0):
     states = draw(arrays(np.float64, (n, K + 1, d), elements=values))
     controls = draw(arrays(np.float64, (n, K + 1, m), elements=values))
     errors = draw(arrays(np.float64, (n,), elements=values))
-    return PairEnsemble(grid, states, controls, meta={"err": errors, "direction": "forward"})
+    return PairEnsemble(grid, states, controls, meta={"err": errors})
 
 
 @settings(max_examples=60, deadline=None)
-@given(_ensembles())
-def test_bundle_round_trip_keeps_every_row(tmp_path_factory, ens):
-    directory = tmp_path_factory.mktemp("bundle")
-    names = save_pair_bundle(ens, directory, "eval")
-    assert len(names) == ens.n + 1
-    index = json.loads((directory / "eval_index.json").read_text())
-    assert index["count"] == ens.n
-    for i, entry in enumerate(index["pairs"]):
-        back = load_pair_csv(directory / entry["file"])
-        assert np.array_equal(back.t_grid, ens.t_grid)
-        assert np.array_equal(back.states[0], ens.states[i])
-        assert np.array_equal(back.controls[0], ens.controls[i])
-        assert entry["err"] == ens.meta["err"][i] and entry["direction"] == "forward"
+@given(_ensembles(), st.data())
+def test_trajectory_table_round_trip(tmp_path_factory, ens, data):
+    ids = data.draw(st.lists(st.integers(0, 2**53), min_size=ens.n, max_size=ens.n))
+    path = tmp_path_factory.mktemp("table") / "traj.csv"
+    rows = ens.rows(traj_id=np.array(ids, dtype=np.int64))
+    write_trajectories(path, *rows)
+    back = read_trajectories(path)
+    for want, got in zip(rows, back):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    if ens.n == 0:
+        header = ["traj_id", "t", *(f"x_{j + 1}" for j in range(ens.d)),
+                  *(f"u_{j + 1}" for j in range(ens.m))]
+        assert path.read_bytes() == (",".join(header) + "\r\n").encode()
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,6 +176,8 @@ def test_ensemble_rejects_bad_grid_and_meta(ens, at, extra):
         PairEnsemble(t[::-1], ens.states, ens.controls)
     with pytest.raises(ConfigurationError):
         PairEnsemble(ens.t_grid, ens.states, ens.controls, meta={"err": np.zeros(ens.n + extra)})
+    with pytest.raises(ConfigurationError):  # a meta value is one entry per row, not a scalar
+        PairEnsemble(ens.t_grid, ens.states, ens.controls, meta={"direction": "forward"})
     if ens.n == 0:
         with pytest.raises(EmptyDatasetError):
             dataset_from_pairs(ens)
