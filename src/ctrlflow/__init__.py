@@ -133,8 +133,9 @@ __all__ = [
 
 
 def __getattr__(name):
-    # experiments pulls in most of the package; import lazily to keep
-    # `import ctrlflow` cheap and cycle-free
+    # experiments is imported on first use.  That saves little: every module
+    # it needs is imported above, and scipy (spatial, optimize) is most of
+    # the cost of `import ctrlflow`
     if name in ("run_experiment", "emit_plot_data", "verify", "ExperimentReport"):
         from . import experiments
 

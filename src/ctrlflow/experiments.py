@@ -21,11 +21,16 @@ table (``traj_id, t, x_*, u_*``).  ``eval_trajectories.csv`` holds up to
 32 rollouts, ``traj_id`` i being sample i of ``snapshot_initial.csv`` and
 ``snapshot_achieved.csv``.  ``train_pairs.csv`` holds the first 32
 steering pairs, ``traj_id`` i being coupled pair i, the id its rows carry
-in ``dataset.csv``.  Times in every CSV and in ``law.json`` are rollout
-times, t = 0 at the rollout start.  In a stabilize run the ``dataset.csv``
-row at time s holds the noising state and control at noising time T - s,
-so ``law.json`` drives the configured system itself forward from the
-noised cloud.
+in ``dataset.csv``.  It keeps each pair at the construction nodes nearest
+the ``evaluation.n_grid + 1`` rollout times
+(:func:`~ctrlflow.trajectory.grid_nodes`, the node rule of the dataset's
+time samples): a constructed node per row, at the construction grid's own
+time, and as many rows per pair as a saved rollout has when the
+construction grid is at least as fine.  Times in every CSV and in
+``law.json`` are rollout times, t = 0 at the rollout start.  In a
+stabilize run the ``dataset.csv`` row at time s holds the noising state
+and control at noising time T - s, so ``law.json`` drives the configured
+system itself forward from the noised cloud.
 The manifest (``ctrlflow.manifest.v2``) is the only provenance record: the
 config hash, ``files`` in write order, a ``sha256`` map with the digest of
 every listed file, and ``partial``/``failed_stage`` for an aborted run.
@@ -74,7 +79,7 @@ from .ode import raise_on_blowup
 from .regression import RegressionDataset, dataset_from_pairs, fit_feedback, save_dataset
 from .seeding import derived_seed, substream
 from .systems import builtin_system, six_state_matrices, six_state_output
-from .trajectory import PairEnsemble, columns, read_table, read_trajectories
+from .trajectory import PairEnsemble, columns, grid_nodes, read_table, read_trajectories
 from .trajectory import write_table, write_trajectories
 
 BROCKETT_HORIZON = 4.0 * math.pi
@@ -174,8 +179,8 @@ class _RunDir:
         write_table(self.dir / rel, ["sample_id", *columns("x", dim)], table, int_cols=1)
         self.add(rel)
 
-    def write_ensemble(self, rel: str, ens: PairEnsemble) -> None:
-        write_trajectories(self.dir / rel, *ens.rows())
+    def write_ensemble(self, rel: str, ens: PairEnsemble, nodes=slice(None)) -> None:
+        write_trajectories(self.dir / rel, *ens.rows(nodes))
         self.add(rel)
 
     def write_manifest(self, partial: bool = False, failed_stage: Optional[str] = None):
@@ -388,7 +393,9 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
         run.add("law.json")
         if kind.train_pairs is not None:
             train = kind.train_pairs.select(slice(MAX_SAVED_TRAJECTORIES))
-            run.write_ensemble("train_pairs.csv", train)
+            # the construction nodes nearest the rollout grid
+            nodes = grid_nodes(len(train.t_grid) - 1, cfg.evaluation["n_grid"] + 1)
+            run.write_ensemble("train_pairs.csv", train, nodes)
         return metrics, notes
 
     return _stage("evaluate", evaluate)

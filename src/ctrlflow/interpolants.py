@@ -255,16 +255,22 @@ def _verify_poles(A, B, K, poles, tol: float = 1.0e-6) -> None:
 
 
 def equilibrium_control(A: np.ndarray, B: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """alpha with A y + B alpha = 0, or InfeasibleTargetError if none exists."""
+    """alpha with A y + B alpha = 0, or InfeasibleTargetError if none exists.
+
+    ``y`` is one target (d,) or a batch (n, d), solved by one least-squares
+    call; the error names the first infeasible target's row.
+    """
     A, B = check_ab(A, B)
-    y = np.asarray(y, dtype=float)
-    alpha, _, _, _ = np.linalg.lstsq(B, -A @ y, rcond=None)
-    residual = float(np.linalg.norm(A @ y + B @ alpha))
-    if residual > 1.0e-8 * (1.0 + np.linalg.norm(A @ y)):
+    ay = A @ np.asarray(y, dtype=float).T
+    alpha, _, _, _ = np.linalg.lstsq(B, -ay, rcond=None)
+    residual = np.atleast_1d(np.linalg.norm(ay + B @ alpha, axis=0))
+    bad = np.flatnonzero(residual > 1.0e-8 * (1.0 + np.linalg.norm(ay, axis=0)))
+    if bad.size:
         raise InfeasibleTargetError(
-            f"target is not an equilibrium: residual |Ay + B alpha| = {residual:.3g}"
+            f"target {bad[0]} is not an equilibrium: residual |Ay + B alpha| = "
+            f"{residual[bad[0]]:.3g}"
         )
-    return alpha
+    return alpha.T
 
 
 def feedback_steer_pair_batch(
@@ -298,7 +304,7 @@ def feedback_steer_pair_batch(
         raise UnstableGainError(
             f"A + BK is not Hurwitz (max real eigenvalue {eigs.real.max():.3g})"
         )
-    alphas = np.stack([equilibrium_control(A, B, y) for y in ys])
+    alphas = equilibrium_control(A, B, ys)
 
     t_grid = uniform_grid(T, n_grid)
 

@@ -86,7 +86,10 @@ distance itself, a bracket of zero width.
 :func:`save_dataset` / :func:`load_dataset` write and read a run's
 ``dataset.csv``: the dataset's rows as a trajectory table of
 :mod:`ctrlflow.trajectory` (the table of the run's saved rollouts and
-steering pairs too), tagged with their ``traj_id``.
+steering pairs too), tagged with their ``traj_id``.  Dataset rows and saved
+steering pairs sample a construction grid by one node rule,
+:func:`ctrlflow.trajectory.grid_nodes`: the dataset at ``n_time_samples``
+times, the saved pairs at the evaluation grid's times.
 
 The mlp law's network runs in float32 (weights, activations and its SGD),
 between a float64 standardization of z and u; ``predict`` returns float64
@@ -117,7 +120,7 @@ from .errors import (
 )
 from .linalg import EXP_FLOOR, floored_exp, tile_rows
 from .seeding import substream
-from .trajectory import read_trajectories, write_trajectories
+from .trajectory import grid_nodes, read_trajectories, write_trajectories
 
 EXTRAPOLATION_FACTOR = 10.0
 EXTRAPOLATION_K = 16
@@ -180,13 +183,12 @@ class RegressionDataset:
 def dataset_from_pairs(ens, n_time_samples: int = 25, traj_id=None) -> RegressionDataset:
     """Flatten a :class:`~ctrlflow.trajectory.PairEnsemble` into (t, x, u) triples.
 
-    Keeps ``n_time_samples`` evenly spaced grid nodes (rounded, duplicates
-    dropped) of every row, row by row (:meth:`PairEnsemble.rows`).  Row i is
-    tagged ``traj_id[i]`` (default i).
+    Keeps the grid nodes nearest ``n_time_samples`` evenly spaced times
+    (:func:`~ctrlflow.trajectory.grid_nodes`) of every row, row by row
+    (:meth:`PairEnsemble.rows`).  Row i is tagged ``traj_id[i]`` (default i).
     """
-    K = len(ens.t_grid) - 1
-    idx = np.unique(np.round(np.linspace(0, K, n_time_samples)).astype(int))
-    ids, t, x, u = ens.rows(idx, traj_id)
+    nodes = grid_nodes(len(ens.t_grid) - 1, n_time_samples)
+    ids, t, x, u = ens.rows(nodes, traj_id)
     return RegressionDataset(t=t, x=x, u=u, traj_id=ids)
 
 

@@ -105,6 +105,14 @@ class PairEnsemble:
         )
 
 
+def grid_nodes(K: int, n: int) -> np.ndarray:
+    """Indices of the nodes of a ``(K+1,)`` grid nearest n evenly spaced times.
+
+    Rounded half to even, duplicates dropped: strictly increasing, from 0 to K.
+    """
+    return np.unique(np.round(np.linspace(0, K, n)).astype(int))
+
+
 def columns(prefix: str, n: int) -> list[str]:
     """Column names ``prefix_1 .. prefix_n``."""
     return [f"{prefix}_{j + 1}" for j in range(n)]

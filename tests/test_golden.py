@@ -17,7 +17,12 @@ Each case's run directory is checked once, when the fixture runs it: its
 files are exactly the manifest's, the rollouts in ``eval_trajectories.csv``
 run from the ``snapshot_initial.csv`` to the ``snapshot_achieved.csv``
 sample of their ``traj_id``, and a transport case's ``train_pairs.csv``
-holds the rows of ``dataset.csv`` at the dataset's time samples.
+holds each saved pair i at the construction nodes nearest the evaluation
+grid: its times are the construction grid at ``grid_nodes(K, n_grid + 1)``
+(K construction steps, n_grid evaluation steps), its first row is the
+coupled start, its last row is sample i of ``snapshot_constructed_t1.csv``,
+and at each time that is also one of the dataset's time samples its row is
+the ``dataset.csv`` row of ``traj_id`` i.
 """
 
 import json
@@ -34,9 +39,10 @@ from ctrlflow.experiments import (
     run_experiment,
 )
 from ctrlflow.flow import integrate_closed_loop_batch
+from ctrlflow.ode import uniform_grid
 from ctrlflow.regression import FeedbackLaw
 from ctrlflow.systems import builtin_system
-from ctrlflow.trajectory import read_table, read_trajectories
+from ctrlflow.trajectory import grid_nodes, read_table, read_trajectories
 
 GOLDEN = Path(__file__).with_name("golden_metrics.json")
 
@@ -123,17 +129,30 @@ def check_run_dir(run: Path) -> None:
         assert np.array_equal(x[ids == i][0], starts[i])
         assert np.array_equal(x[ids == i][-1], achieved[i])
 
-    kind = json.loads((run / "config.json").read_text())["kind"]
-    assert (run / "train_pairs.csv").exists() == (kind in TRANSPORT_KINDS)
-    if kind in TRANSPORT_KINDS:
+    cfg = json.loads((run / "config.json").read_text())
+    assert (run / "train_pairs.csv").exists() == (cfg["kind"] in TRANSPORT_KINDS)
+    if cfg["kind"] in TRANSPORT_KINDS:
+        K = cfg["interpolant"]["n_grid"]  # even in every case, as brockett needs
+        nodes = grid_nodes(K, cfg["evaluation"]["n_grid"] + 1)
+        pair_t_want = uniform_grid(_horizon(cfg), K)[nodes]
+        ends = read_table(run / "snapshot_constructed_t1.csv")[1][:, 1:]
         pair_ids, pair_t, pair_x, pair_u = read_trajectories(run / "train_pairs.csv")
         data_ids, data_t, data_x, data_u = read_trajectories(run / "dataset.csv")
+        n_saved = min(cfg["n_train"], MAX_SAVED_TRAJECTORIES)
+        assert np.array_equal(np.unique(pair_ids), np.arange(n_saved))
         for i in np.unique(pair_ids):
             rows, data_rows = pair_ids == i, data_ids == i
-            sampled = np.isin(pair_t[rows], data_t[data_rows])
-            assert np.array_equal(pair_t[rows][sampled], data_t[data_rows])
-            assert np.array_equal(pair_x[rows][sampled], data_x[data_rows])
-            assert np.array_equal(pair_u[rows][sampled], data_u[data_rows])
+            assert np.array_equal(pair_t[rows], pair_t_want)
+            # the dataset's first row of a pair is its coupled start, at t = 0
+            assert data_t[data_rows][0] == 0.0
+            assert np.array_equal(pair_x[rows][0], data_x[data_rows][0])
+            assert np.array_equal(pair_x[rows][-1], ends[i])
+            shared = np.isin(data_t[data_rows], pair_t[rows])
+            assert shared.sum() >= 2  # t = 0 and t = T at least
+            in_pair = np.isin(pair_t[rows], data_t[data_rows])
+            assert np.array_equal(pair_t[rows][in_pair], data_t[data_rows][shared])
+            assert np.array_equal(pair_x[rows][in_pair], data_x[data_rows][shared])
+            assert np.array_equal(pair_u[rows][in_pair], data_u[data_rows][shared])
 
 
 @pytest.fixture(scope="module")

@@ -282,6 +282,22 @@ def test_equilibrium_control_residual():
     assert np.linalg.norm(A @ y + B @ alpha) <= 1e-10
 
 
+def test_equilibrium_control_batch_matches_rows_and_names_first_bad_row():
+    from ctrlflow.systems import six_state_matrices
+
+    A, B = six_state_matrices()
+    ys = np.zeros((5, 6))
+    ys[:, 0] = np.linspace(-2.0, 2.0, 5)
+    alphas = equilibrium_control(A, B, ys)
+    assert alphas.shape == (5, B.shape[1])
+    assert np.array_equal(alphas, np.stack([equilibrium_control(A, B, y) for y in ys]))
+    # nonzero velocity cannot be held (double integrator)
+    bad = np.zeros((4, 2))
+    bad[[2, 3], 1] = 1.0
+    with pytest.raises(InfeasibleTargetError, match="target 2 "):
+        equilibrium_control(A_DI, B_DI, bad)
+
+
 # ---------------------------------------------------------------------------
 # Brockett steering
 

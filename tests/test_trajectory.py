@@ -16,6 +16,7 @@ from ctrlflow.systems import builtin_system
 from ctrlflow.trajectory import (
     WRITE_BLOCK_ROWS,
     PairEnsemble,
+    grid_nodes,
     read_table,
     read_trajectories,
     write_table,
@@ -162,6 +163,18 @@ def test_dataset_from_pairs_flattens_row_by_row(ens, n_time_samples, given_ids, 
     assert np.array_equal(ds.t, [ens.t_grid[k] for _, k in rows])
     assert np.array_equal(ds.x, np.array([ens.states[i, k] for i, k in rows]))
     assert np.array_equal(ds.u, np.array([ens.controls[i, k] for i, k in rows]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5000), st.integers(2, 5000), st.integers(1, 500), st.integers(1, 50))
+def test_grid_nodes_increase_from_first_to_last_node(K, n, steps, spacing):
+    nodes = grid_nodes(K, n)
+    assert nodes.dtype.kind == "i"
+    assert nodes[0] == 0 and nodes[-1] == K
+    assert np.all(np.diff(nodes) > 0)
+    assert len(nodes) <= min(n, K + 1)
+    # n - 1 = steps divides K = steps * spacing: every spacing-th node
+    assert np.array_equal(grid_nodes(steps * spacing, steps + 1), np.arange(steps + 1) * spacing)
 
 
 @settings(max_examples=40, deadline=None)
