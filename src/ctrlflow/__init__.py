@@ -19,6 +19,7 @@ from .errors import (
     UnknownSystemError,
     UnstableGainError,
 )
+from .experiments import ExperimentReport, emit_plot_data, run_experiment, verify
 from .flow import (
     FlowInfo,
     integrate_closed_loop_batch,
@@ -131,13 +132,3 @@ __all__ = [
     "ExperimentReport",
 ]
 
-
-def __getattr__(name):
-    # experiments is imported on first use.  That saves little: every module
-    # it needs is imported above, and scipy (spatial, optimize) is most of
-    # the cost of `import ctrlflow`
-    if name in ("run_experiment", "emit_plot_data", "verify", "ExperimentReport"):
-        from . import experiments
-
-        return getattr(experiments, name)
-    raise AttributeError(f"module 'ctrlflow' has no attribute '{name}'")

@@ -86,7 +86,6 @@ BROCKETT_HORIZON = 4.0 * math.pi
 MAX_SAVED_TRAJECTORIES = 32
 TARGET_REF_N = 512
 
-STAGES = ("sample", "construct", "fit", "integrate", "evaluate")
 MANIFEST_FORMAT = "ctrlflow.manifest.v2"
 
 

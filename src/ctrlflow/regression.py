@@ -15,9 +15,9 @@ scaled feature space z = (time_scale * t, x), so one metric serves both
 time and state.
 
 The kernel and knn laws build one k-d tree on z (Friedman, Bentley & Finkel
-1977) and take every neighbour question from it: the knn mean, the
-nearest-neighbour fallbacks and the extrapolation flags that a law's own
-pass leaves open (below).  Neighbour sets break distance ties by the lower
+1977) and take every neighbour question from it: the knn mean, the kernel
+law's nearest-row rule (below) and the extrapolation flags that a law's own
+pass leaves open.  Neighbour sets break distance ties by the lower
 canonical training index, the order of a stable argsort.  The
 extrapolation spacing ``ref_nn_dist`` is the median distance from a
 training row to its nearest other row, from a k=2 self-query of the same
@@ -71,9 +71,10 @@ it steered rollouts worse (larger p90 terminal distance, more
 extrapolating nodes) than the nearest row's control.
 
 A row is flagged as an extrapolation when its nearest distance in z
-exceeds ``EXTRAPOLATION_FACTOR * ref_nn_dist``.  A kernel law bounds that
-distance from the emin its dense product already has: each feature is
-scaled by its own bandwidth, so the distance lies in
+exceeds ``EXTRAPOLATION_FACTOR * ref_nn_dist``.  The flag is a diagnostic:
+a flagged row keeps the control its law's own mean gave it.  A kernel law
+bounds that distance from the emin its dense product already has: each
+feature is scaled by its own bandwidth, so the distance lies in
 [h_min sqrt(emin), h_max sqrt(emin)].  Widened by a slack that holds the
 rounding of emin and of the z tree's own distance, several times
 eps (|q/h|^2 + max |z/h|^2) inside the root, a bracket that lies on one
@@ -123,7 +124,6 @@ from .seeding import substream
 from .trajectory import grid_nodes, read_trajectories, write_trajectories
 
 EXTRAPOLATION_FACTOR = 10.0
-EXTRAPOLATION_K = 16
 # a row whose smallest squared scaled distance exceeds this is weighed
 # relative to its top weight (see KernelLaw._mean)
 FAR_EMIN = 1200.0
@@ -269,8 +269,8 @@ class FeedbackLaw:
         Accepts a single state (d,) or a batch (n, d); ``t`` may be a scalar
         or per-row array.  With ``return_flag=True`` also returns a boolean
         extrapolation mask: for kernel and knn laws, queries whose nearest
-        training point is more than 10x the in-sample spacing away, which
-        fall back to a wide k-nearest-neighbour average; mlp flags none.
+        training point is more than 10x the in-sample spacing away; mlp
+        flags none.  A flag changes no control.
         """
         x = np.asarray(x, dtype=float)
         out, flags = self._predict_rows(self._features(t, x))
@@ -371,9 +371,10 @@ class _NeighbourLaw(FeedbackLaw):
         return means, nn
 
     def _predict_rows(self, zq: np.ndarray):
-        """Means of feature rows: the subclass's ``_mean`` or, for flagged rows,
-        the ``EXTRAPOLATION_K`` mean.  Rows no training row is a finite
-        distance from (a blown-up rollout stage) get NaN and no flag.
+        """Means of feature rows from the subclass's ``_mean``, and their
+        extrapolation flags.  Rows whose nearest distance is finite neither
+        by the bounds nor by the tree (a blown-up rollout stage) get NaN and
+        no flag.
 
         A row is flagged when its nearest distance exceeds the threshold
         ``EXTRAPOLATION_FACTOR * ref_nn_dist``.  ``_mean`` bounds that
@@ -397,10 +398,6 @@ class _NeighbourLaw(FeedbackLaw):
         out[rows[~(inside | outside)]] = np.nan
         flags = np.zeros(len(zq), dtype=bool)
         flags[rows[outside]] = True
-        if flags.any():
-            # a row flagged by its bounds may still overflow the tree's distance
-            out[flags], nn = self._neighbour_mean(zq[flags], EXTRAPOLATION_K)
-            flags[flags] = nn < np.inf
         return out, flags
 
 

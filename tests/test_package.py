@@ -1,6 +1,7 @@
 """Public surface of the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import ctrlflow
@@ -29,6 +30,30 @@ def test_no_unused_imports():
                     if name not in read:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_module_constants_are_read():
+    # every module-level ALL_CAPS name of the package is read or imported
+    # somewhere in it: a constant no code reads is dead
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(ctrlflow.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            for target in node.targets if isinstance(node, ast.Assign) else []:
+                if (isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
+                        and target.id not in used):
+                    unread.append(f"{name}: {target.id}")
+    assert unread == []
 
 
 def test_stream_key_called_only_in_seeding():

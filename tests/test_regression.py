@@ -8,8 +8,8 @@ The estimator invariants checked here:
   constant predictor (and 1-nn interpolates them exactly).
 * fitting is bit-deterministic for a fixed seed and invariant to a
   permutation of the dataset rows (rows are canonically sorted at fit time).
-* queries far from the training cloud are flagged and answered with a wide
-  nearest-neighbour average instead of a degenerate kernel ratio.
+* queries far from the training cloud are flagged, and a flag changes no
+  control: a flagged row keeps its law's own mean.
 * the k-d tree and the dense kernel path match a dense reference: kernel
   means within the rounding of the augmented product, neighbour sets bit
   for bit, with ties broken by the lower training index.
@@ -53,7 +53,6 @@ from ctrlflow import (
 from ctrlflow.linalg import EXP_FLOOR, TILE_ENTRIES, floored_exp, sq_dists, tile_rows
 from ctrlflow.regression import (
     EXTRAPOLATION_FACTOR,
-    EXTRAPOLATION_K,
     FAR_EMIN,
     KernelLaw,
     KnnLaw,
@@ -196,7 +195,7 @@ def test_kernel_locality_between_clusters():
     assert np.allclose(pb, [3.0, 2.0], atol=1e-6)
 
 
-def test_extrapolation_flag_and_fallback():
+def test_extrapolation_flags_change_no_control():
     rng = substream(31, "extrap")
     n = 40
     data = RegressionDataset(
@@ -211,31 +210,30 @@ def test_extrapolation_flag_and_fallback():
     far_x = np.array([1000.0, -1000.0])
     far, flag_far = law.predict(0.5, far_x, return_flag=True)
     assert flag_far is True
-    # fallback is the mean of the EXTRAPOLATION_K nearest controls
+    # sanity on the flag threshold itself
     zq = np.array([law.time_scale * 0.5, *far_x])
     z = np.column_stack([law.time_scale * data.t, data.x])
     d2 = np.sum((z - zq[None, :]) ** 2, axis=1)
-    idx = np.argsort(d2)[:EXTRAPOLATION_K]
-    assert np.allclose(far, data.u[idx].mean(axis=0), atol=1e-12)
-    # sanity on the flag threshold itself
     assert law.ref_nn_dist > 0.0
     assert np.sqrt(d2.min()) > EXTRAPOLATION_FACTOR * law.ref_nn_dist
 
-    # an all-flagged batch and a mixed one: every row answers as it does
-    # alone, flagged rows with the EXTRAPOLATION_K mean
-    far_xs = np.array([[1000.0, -1000.0], [-800.0, 50.0], [0.0, 3000.0]])
-    mixed_xs = np.vstack([np.zeros(2), far_xs[0], data.x[3], far_xs[1]])
+    # an all-flagged batch and a mixed one: the flags are the threshold's,
+    # every row answers as it does alone, and every row, flagged or not,
+    # gets the bits of the same law with a threshold nothing crosses
+    far_xs = np.array([[1000.0, -1000.0], [-800.0, 50.0], [0.0, 3000.0], [8.0, -8.0]])
+    mixed_xs = np.vstack([np.zeros(2), far_xs[0], data.x[3], far_xs[1], far_xs[3]])
     for method in ("kernel", "knn"):
         law = fit_feedback(data, method=method, hyperparams={"time_scale": 1.0})
-        for xs, want_flags in ((far_xs, [True] * 3), (mixed_xs, [False, True, False, True])):
+        unflagged = FeedbackLaw.from_json_dict({**law.to_json_dict(), "ref_nn_dist": 1.0e300})
+        for xs, want_flags in ((far_xs, [True] * 4),
+                               (mixed_xs, [False, True, False, True, True])):
             out, flags = law.predict(0.5, xs, return_flag=True)
             assert flags.tolist() == want_flags
             alone = np.array([law.predict(0.5, x) for x in xs])
             assert np.allclose(out, alone, rtol=0.0, atol=1e-12)
-            for x, row in zip(xs[flags], out[flags]):
-                d2 = np.sum((z - np.array([law.time_scale * 0.5, *x])) ** 2, axis=1)
-                want = data.u[np.argsort(d2, kind="stable")[:EXTRAPOLATION_K]].mean(axis=0)
-                assert np.allclose(row, want, rtol=0.0, atol=1e-12)
+            want, none = unflagged.predict(0.5, xs, return_flag=True)
+            assert not none.any()
+            assert np.array_equal(out, want)
 
 
 def test_mlp_learns_linear_map():
@@ -463,7 +461,6 @@ def _dense_reference(z, u, h, ref_nn, zq, k=None, d2=None):
         out = sums[:, :-1] / sums[:, -1:]
         degenerate = emin > 1400.0
         out[degenerate] = knn_mean(degenerate, 1)
-    out[flags] = knn_mean(flags, EXTRAPOLATION_K)
     return out, flags
 
 
@@ -710,7 +707,7 @@ def test_neighbour_ties_break_by_lower_index():
     zq = np.vstack([on, off])
     d2 = ((zq[:, None] - z[None]) ** 2).sum(-1)
     srt = np.sort(d2, axis=1)
-    for k in (1, 5, EXTRAPOLATION_K, 50):
+    for k in (1, 5, 16, 50):
         # the test only bites if ties straddle the k-th place
         assert np.any(srt[:, k - 1] == srt[:, k])
 
@@ -718,7 +715,7 @@ def test_neighbour_ties_break_by_lower_index():
         want, _ = _dense_reference(z, u, None, 1.0e9, zq, k=k, d2=d2)
         assert np.array_equal(law.predict(zq[:, 0], zq[:, 1:]), want)
 
-    # the EXTRAPOLATION_K fallback: off-lattice queries are flagged
+    # off-lattice queries are flagged, and keep the k = 1 mean
     law = KnnLaw(1.0, z, u, k=1, ref_nn_dist=0.01)
     got, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
     want, want_flags = _dense_reference(z, u, None, 0.01, zq, k=1, d2=d2)
