@@ -240,7 +240,6 @@ _RULES = {
     # interpolant, noising and evaluation keys
     "T": _Num(False, 0, False),
     "n_grid": _Num(True, 0, False),
-    "n_quad": _Num(True, 0, False),
     "poles": _poles,
     "n_time_samples": _Num(True, 2, True),
     "blowup": _Num(False, 0, False, inf_ok=True),  # +inf: no size threshold
@@ -373,7 +372,7 @@ def _stabilize(noising: dict, start: dict) -> KindSpec:
 KIND_SPECS = {
     "transport_linear": KindSpec(
         systems=("linear", "six_state_default"),
-        interpolant={"T": _REQUIRED, "n_grid": 2000, "n_quad": 256},
+        interpolant={"T": _REQUIRED, "n_grid": 2000},
     ),
     "output_transport": KindSpec(
         systems=("six_state_default",),

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,10 +47,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import TRANSPORT_KINDS, ExperimentConfig, validate_config
+from .config import KIND_SPECS, TRANSPORT_KINDS, ExperimentConfig, validate_config
 from .errors import ConfigurationError, StageError
 from .flow import FlowInfo, integrate_closed_loop_batch, snapshots_from_arrays
 from .interpolants import (
+    BROCKETT_HORIZON,
     brockett_steer_pair_batch,
     feedback_steer_pair_batch,
     gramian,
@@ -82,7 +82,6 @@ from .systems import builtin_system, six_state_matrices, six_state_output
 from .trajectory import PairEnsemble, columns, grid_nodes, read_table, read_trajectories
 from .trajectory import write_table, write_trajectories
 
-BROCKETT_HORIZON = 4.0 * math.pi
 MAX_SAVED_TRAJECTORIES = 32
 TARGET_REF_N = 512
 
@@ -409,7 +408,7 @@ class _Transport:
         self.cfg = cfg
         self.sys = sys
         self.seed = cfg.master_seed
-        self.output = cfg.kind == "output_transport"
+        self.output = KIND_SPECS[cfg.kind].output
         # what evaluate_rollout writes besides the common snapshots, as (name, dim)
         self.empty_snapshots = (("snapshot_target.csv", sys.output_dim if self.output else sys.d),)
 
@@ -428,9 +427,7 @@ class _Transport:
         if cfg.kind == "transport_linear":
             A, B = _transport_matrices(cfg)
             self.T = interp["T"]
-            self.train_pairs = min_energy_pair_batch(
-                A, B, x0, x1, self.T, n_grid=interp["n_grid"], n_quad=interp["n_quad"]
-            )
+            self.train_pairs = min_energy_pair_batch(A, B, x0, x1, self.T, n_grid=interp["n_grid"])
         elif self.output:
             A, B = _transport_matrices(cfg)
             self.T = interp["T"]
@@ -636,11 +633,13 @@ def emit_plot_data(run_dir) -> list[str]:
     sha256 = {rel: manifest["sha256"][rel] for rel in manifest["files"]}  # keep write order
     run = _RunDir(run_dir, manifest["config_hash"], sha256)
 
-    target_spec, kind = None, None
+    target_spec, output = None, False
     cfg_path = run_dir / "config.json"
     if cfg_path.exists():
         doc = json.loads(cfg_path.read_text())
         target_spec, kind = doc.get("target"), doc.get("kind")
+        # a missing or unknown kind reads as not output
+        output = isinstance(kind, str) and kind in KIND_SPECS and KIND_SPECS[kind].output
 
     written: list[str] = []
 
@@ -682,7 +681,7 @@ def emit_plot_data(run_dir) -> list[str]:
     series = np.empty((0, 4))
     if polylines and len(ref_points):
         # output-transport targets live in output space
-        space = six_state_output if kind == "output_transport" else np.asarray
+        space = six_state_output if output else np.asarray
         dists = np.stack(
             [_distance_to_target(space(p[:, 1:]), target_spec, ref_points) for p in polylines]
         )
@@ -719,7 +718,7 @@ def example_config(kind: str) -> dict:
             "mu0": {"kind": "gaussian", "params": {"mean": [-2.0, -2.0], "cov": 0.25}},
             "muT": {"kind": "gaussian", "params": {"mean": [2.0, 2.0], "cov": 0.25}},
             "coupling": "independent",
-            "interpolant": {"T": 1.0, "n_grid": 1000, "n_quad": 256},
+            "interpolant": {"T": 1.0, "n_grid": 1000},
             "regression": {"method": "kernel", "hyperparams": {"bandwidth_scale": 0.1}},
             "evaluation": {"n_grid": 200},
         }

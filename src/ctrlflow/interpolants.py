@@ -7,7 +7,8 @@ and whose meta ``endpoint_error`` holds each row's |x(T) - target|:
 
 ``min_energy_pair_batch``
     minimum-energy steering of a controllable LTI pair through the
-    controllability Gramian,
+    controllability Gramian (:func:`gramian`, exact from a block matrix
+    exponential),
 ``feedback_steer_pair_batch``
     stabilizing-gain steering of an LTI system to equilibrium points,
 ``brockett_steer_pair_batch``
@@ -15,16 +16,19 @@ and whose meta ``endpoint_error`` holds each row's |x(T) - target|:
     points on [0, 4*pi] (also meta ``loop_amplitude``).
 
 Preconditions on the inputs alone are exported (``check_controllable``,
-``check_poles``, ``BROCKETT_MIN_GRID``) for config validation.
+``check_poles``, ``BROCKETT_MIN_GRID``) for config validation, and
+``BROCKETT_HORIZON`` is the Brockett steering's horizon.
 
-A single pair is a one-row batch.  Errors that reach metrics and files are
-taken row by row with :func:`numpy.linalg.norm`, whose summation a
-vectorized norm would not reproduce bit for bit.
+Every matrix exponential is :func:`scipy.linalg.expm`.  A single pair is a
+one-row batch.  Errors that reach metrics and files are taken row by row
+with :func:`numpy.linalg.norm`, whose summation a vectorized norm would not
+reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import (
     ConfigurationError,
@@ -32,15 +36,16 @@ from .errors import (
     UncontrollablePairError,
     UnstableGainError,
 )
-from .linalg import check_ab, controllability_matrix, expm, kalman_rank
+from .linalg import check_ab, controllability_matrix, kalman_rank
 from .ode import rk4, rk4_stage_controls, stage_times, uniform_grid
 from .seeding import substream
 from .systems import builtin_system
 from .trajectory import PairEnsemble
 
 GRAMIAN_EIG_RATIO = 1.0e-10
-# fewest RK4 steps of the two-phase Brockett steering
+# fewest RK4 steps of the two-phase Brockett steering, and its horizon
 BROCKETT_MIN_GRID = 8
+BROCKETT_HORIZON = 4.0 * np.pi
 
 
 def check_controllable(A, B) -> None:
@@ -69,30 +74,32 @@ def check_poles(poles, d: int, m: int) -> np.ndarray:
     return poles
 
 
-def gramian(A: np.ndarray, B: np.ndarray, T: float, n_quad: int = 256) -> np.ndarray:
-    """W = integral of exp(At) B B' exp(A't) over [0, T], composite Simpson.
+def gramian(A: np.ndarray, B: np.ndarray, T: float) -> np.ndarray:
+    """W(T) = integral of exp(At) B B' exp(A't) over [0, T], in closed form.
 
-    ``n_quad`` counts quadrature intervals (made even, at least 16).  The
-    result is symmetrized so eigenvalue checks see an exactly symmetric
-    matrix.
+    Van Loan's block exponential (C. F. Van Loan, "Computing integrals
+    involving the matrix exponential", IEEE TAC 23(3), 1978): with
+    C = [[-A, BB'], [0, A']] and E = expm(Ch), the lower-right block is
+    exp(A'h) and the upper-right block is exp(-Ah) W(h), so
+    W(h) = E[d:, d:]' E[:d, d:].  That product loses accuracy as exp(-Ah)
+    grows (to 6e-10 relative at h = T = 3 for a stable A with entries of
+    order 1), so h is T halved until |A|_1 h <= 1, and W is doubled back
+    up by W(2h) = W(h) + exp(Ah) W(h) exp(A'h), a sum of positive
+    semidefinite terms.  The result is symmetrized so eigenvalue checks see
+    an exactly symmetric matrix.
     """
     A, B = check_ab(A, B)
     if not np.isfinite(T) or T <= 0:
         raise ConfigurationError(f"horizon must be positive, got {T}")
-    n_quad = max(16, int(n_quad))
-    if n_quad % 2:
-        n_quad += 1
-    h = T / n_quad
-    Eh = expm(A * h)
-    BBt = B @ B.T
-    E = np.eye(A.shape[0])
-    W = np.zeros_like(A)
-    for k in range(n_quad + 1):
-        w = 1.0 if k in (0, n_quad) else (4.0 if k % 2 else 2.0)
-        W = W + w * (E @ BBt @ E.T)
-        if k < n_quad:
-            E = E @ Eh
-    W = W * (h / 3.0)
+    d = A.shape[0]
+    h, doublings = T, 0
+    while np.linalg.norm(A, 1) * h > 1.0:
+        h, doublings = h / 2.0, doublings + 1
+    E = expm(np.block([[-A, B @ B.T], [np.zeros_like(A), A.T]]) * h)
+    W, eAh = E[d:, d:].T @ E[:d, d:], E[d:, d:].T
+    for _ in range(doublings):
+        W = W + eAh @ W @ eAh.T
+        eAh = eAh @ eAh
     return 0.5 * (W + W.T)
 
 
@@ -118,14 +125,15 @@ def min_energy_pair_batch(
     xTs: np.ndarray,
     T: float,
     n_grid: int = 2000,
-    n_quad: int = 256,
 ) -> PairEnsemble:
     """Minimum-energy steering of x' = Ax + Bu from each row of x0s to xTs in time T.
 
-    The control is u(t) = B' exp(A'(T-t)) W^-1 (xT - exp(AT) x0); states are
-    produced by RK4 with ``n_grid`` steps using the analytic control at the
-    stage times.  Each terminal state must land within 1e-6 * (1 + |xT|) of
-    its target.
+    The control is u(t) = B' exp(A'(T-t)) W^-1 (xT - exp(AT) x0), with the
+    Gramian W = W(T) of :func:`gramian` in closed form, so the control
+    carries no quadrature error.  B' exp(A'(T-t)) is marched over the RK4
+    stage times by a half-step exponential, and the states are produced by
+    RK4 with ``n_grid`` steps using that control at the stage times.  Each
+    terminal state must land within 1e-6 * (1 + |xT|) of its target.
     """
     A, B = check_ab(A, B)
     d = A.shape[0]
@@ -135,7 +143,7 @@ def min_energy_pair_batch(
         raise ConfigurationError(
             f"endpoint batches must be (n, {d}), got {x0s.shape} and {xTs.shape}"
         )
-    W = gramian(A, B, T, n_quad)
+    W = gramian(A, B, T)
     eAT = expm(A * T)
     c = _gramian_solve(W, (xTs - x0s @ eAT.T).T).T  # (n, d)
 
@@ -338,8 +346,7 @@ def brockett_steer_pair_batch(
     if n_grid % 2:
         n_grid += 1
     K = n_grid
-    T = 4.0 * np.pi
-    t_grid = uniform_grid(T, K)
+    t_grid = uniform_grid(BROCKETT_HORIZON, K)
     half = K // 2
     rhs = builtin_system("brockett").rhs
 

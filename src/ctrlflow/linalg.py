@@ -1,12 +1,12 @@
 """Small dense linear-algebra kernels.
 
-The matrix exponential and the controllability checks serve the
-interpolants; :func:`sq_dists` is the one squared-distance block that the
-couplings and the target distance share, finished in place one row tile
-(:func:`tile_rows`) at a time.  The feedback law's dense kernel weights use
-the same tiles.  :func:`floored_exp` is the one elementwise exp of the
-package: the feedback law's kernel weights and the entropic kernel of the
-exact W2 solve both go through it.
+The (A, B) shape check and the Kalman rank test serve the interpolants,
+whose matrix exponentials are scipy's.  :func:`sq_dists` is the one
+squared-distance block that the couplings and the target distance share,
+finished in place one row tile (:func:`tile_rows`) at a time.  The feedback
+law's dense kernel weights use the same tiles.  :func:`floored_exp` is the
+one elementwise exp of the package: the feedback law's kernel weights and
+the entropic kernel of the exact W2 solve both go through it.
 """
 
 from __future__ import annotations
@@ -15,53 +15,12 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Pade(6,6) numerator coefficients for exp(z); the denominator uses the same
-# coefficients with alternating signs.
-_PADE6 = np.array(
-    [
-        1.0,
-        1.0 / 2.0,
-        5.0 / 44.0,
-        1.0 / 66.0,
-        1.0 / 792.0,
-        1.0 / 15840.0,
-        1.0 / 665280.0,
-    ]
-)
-
 # entries in one row tile of a block that is finished in place: the passes
 # over a tile stay in cache
 TILE_ENTRIES = 2**17
 
 # arguments of floored_exp below the floor get 0
 EXP_FLOOR = -700.0
-
-
-def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Pade(6) core.
-
-    The argument is halved until its 1-norm is at most 0.5, the rational
-    approximant is evaluated there, and the result is squared back up.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ConfigurationError(f"expm expects a square matrix, got shape {A.shape}")
-    d = A.shape[0]
-    norm = np.linalg.norm(A, 1)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        A = A / (2.0**squarings)
-
-    powers = [np.eye(d)]
-    for _ in range(6):
-        powers.append(powers[-1] @ A)
-    num = sum(c * P for c, P in zip(_PADE6, powers))
-    den = sum(c * P for c, P in zip(_PADE6 * (-1.0) ** np.arange(7), powers))
-    E = np.linalg.solve(den, num)
-    for _ in range(squarings):
-        E = E @ E
-    return E
 
 
 def check_ab(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -194,6 +194,10 @@ def test_noising_schema_per_kind():
     doc["noising"]["adjoint_sign"] = "canonical"  # removed knob: now an unknown key
     with pytest.raises(ConfigurationError, match="unknown key.*adjoint_sign"):
         validate_config(doc)
+    doc = example_config("transport_linear")
+    doc["interpolant"]["n_quad"] = 256  # removed knob: the Gramian is exact
+    with pytest.raises(ConfigurationError, match="unknown key.*n_quad"):
+        validate_config(doc)
     doc = example_config("stabilize_pmp")
     doc["noising"]["n_time_samples"] = 1
     with pytest.raises(ConfigurationError, match="n_time_samples"):
@@ -568,7 +572,7 @@ def test_load_config_roundtrip(tmp_path):
 # every stored config.json depend on it, so a schema change that moves one
 # of these must be deliberate
 EXAMPLE_HASHES = {
-    "transport_linear": "ac454a173518a7729df27e7a50c8922b6d3d54647f69779575e3eb78b67ecb34",
+    "transport_linear": "4642709316e8c8a5ae90859973c0265c8760fd71e4d0c82f2bea1aa3260b0d5d",
     "output_transport": "98c4d61624fcf9ce7ac2feaa120b04ef40c62b3af8aaf0d449740cc75643443a",
     "brockett": "2c36c0f08a8d5543ec933af3c651488e48e1976b5c145558543c252d24fec50a",
     "stabilize_pmp": "4bd01d50da37e3c159a3fed6ff3664fc33aa12e97486403f559f296027551ec5",
@@ -666,7 +670,6 @@ _VALID = {
     "coupling": st.sampled_from(COUPLING_KINDS),
     "T": _POSITIVE,
     "n_grid": st.integers(BROCKETT_MIN_GRID, 10**6),
-    "n_quad": st.integers(1, 10**4),
     "poles": st.lists(st.integers(1, 1000), min_size=6, max_size=6, unique=True).map(
         lambda ps: [-p / 100 for p in ps]),
     "n_time_samples": st.integers(2, 10**4),
@@ -738,3 +741,10 @@ def test_number_rules_reject_values_just_outside_their_bounds():
     numbers = {k for k, r in config_module._RULES.items()
                if isinstance(r, config_module._Num) and r.low > -math.inf}
     assert checked == numbers
+
+
+def test_every_rule_is_taken_by_some_section():
+    # a rule that no top-level scalar, kind section or bootstrap param takes
+    # checks nothing: the key it names has gone from the schema
+    taken = {key for kind in KINDS for _, key in _sections(kind)} | {"jitter"}
+    assert set(config_module._RULES) == taken

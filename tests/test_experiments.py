@@ -17,7 +17,6 @@ from ctrlflow.cli import main
 from ctrlflow.config import validate_config
 from ctrlflow.errors import ConfigurationError, StageError
 from ctrlflow.experiments import (
-    BROCKETT_HORIZON,
     ExperimentReport,
     _read_snapshot,
     _RunDir,
@@ -28,6 +27,7 @@ from ctrlflow.experiments import (
     verify,
 )
 from ctrlflow.flow import snapshots_from_arrays
+from ctrlflow.interpolants import BROCKETT_HORIZON
 from ctrlflow.ode import uniform_grid
 from ctrlflow.seeding import substream
 from ctrlflow.trajectory import read_trajectories
@@ -114,7 +114,7 @@ def test_identity_transport_near_zero_w2(tmp_path):
         "mu0": {"kind": "empirical", "params": {"points": pts}},
         "muT": {"kind": "empirical", "params": {"points": pts}},
         "coupling": "paired",
-        "interpolant": {"T": 1.0, "n_grid": 200, "n_quad": 32},
+        "interpolant": {"T": 1.0, "n_grid": 200},
         "regression": {"method": "kernel", "hyperparams": {}},
         "evaluation": {"n_grid": 100, "w2": "exact"},
     }

@@ -32,13 +32,9 @@ import numpy as np
 import pytest
 
 from ctrlflow.config import TRANSPORT_KINDS
-from ctrlflow.experiments import (
-    BROCKETT_HORIZON,
-    MAX_SAVED_TRAJECTORIES,
-    example_config,
-    run_experiment,
-)
+from ctrlflow.experiments import MAX_SAVED_TRAJECTORIES, example_config, run_experiment
 from ctrlflow.flow import integrate_closed_loop_batch
+from ctrlflow.interpolants import BROCKETT_HORIZON
 from ctrlflow.ode import uniform_grid
 from ctrlflow.regression import FeedbackLaw
 from ctrlflow.systems import builtin_system
@@ -60,7 +56,7 @@ CASES = {
         {
             "n_train": 32,
             "n_eval": 16,
-            "interpolant": {"n_grid": 200, "n_quad": 64},
+            "interpolant": {"n_grid": 200},
             "evaluation": {"n_grid": 40},
         },
     ),

@@ -10,6 +10,10 @@ Closed-form oracles used here:
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 
 from ctrlflow.errors import (
     ConfigurationError,
@@ -25,7 +29,6 @@ from ctrlflow.interpolants import (
     min_energy_pair_batch,
     place_poles,
 )
-from ctrlflow.linalg import expm
 from ctrlflow.systems import builtin_system
 from helpers import control_energy, integrate_samples, residual_error
 
@@ -43,9 +46,43 @@ def test_gramian_identity_pair():
 
 
 def test_gramian_double_integrator_closed_form():
-    W = gramian(A_DI, B_DI, T=1.0)
-    expected = np.array([[1.0 / 3.0, 1.0 / 2.0], [1.0 / 2.0, 1.0]])
-    assert np.abs(W - expected).max() <= 1e-8
+    for T in (0.5, 1.0, 6.0):
+        W = gramian(A_DI, B_DI, T)
+        expected = np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
+        assert np.abs(W - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@st.composite
+def _gramian_cases(draw):
+    d, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    A = draw(arrays(float, (d, d), elements=entries))
+    B = draw(arrays(float, (d, m), elements=entries))
+    return A, B, draw(st.floats(0.1, 3.0))
+
+
+# a stable A on which one block exponential over the whole horizon errs by
+# 6e-10 relative
+_STABLE_4 = (
+    np.array([[-1.0, -1, 0, 1], [-1, -1, 1, 1], [-1, -1, -1, 0], [1, 1, 1, -1]]),
+    np.array([[1.0, -1], [1, -1], [0, 0], [1, 1]]),
+    3.0,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gramian_cases())
+@example(_STABLE_4)
+def test_gramian_matches_a_fine_simpson_reference(case):
+    # reference: 4000-step Simpson sum of exp(At) B B' exp(A't), whose
+    # error on these cases is far below the asserted 1e-10 relative
+    A, B, T = case
+    t = np.linspace(0.0, T, 4001)
+    eAtB = expm(t[:, None, None] * A) @ B  # (K+1, d, m)
+    ref = integrate_samples(np.einsum("kim,kjm->ijk", eAtB, eAtB), t)
+    W = gramian(A, B, T)
+    assert np.array_equal(W, W.T)
+    assert np.linalg.norm(W - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_gramian_bilinear_in_B():

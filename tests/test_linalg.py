@@ -1,9 +1,4 @@
-"""Matrix exponential and controllability rank oracles.
-
-The expm checks compare against closed forms: nilpotent series terminate
-exactly, rotations have the textbook cosine/sine form, and diagonal
-matrices exponentiate entrywise.
-"""
+"""Controllability rank oracles and the squared-distance and tile kernels."""
 
 import numpy as np
 import pytest
@@ -15,59 +10,10 @@ from ctrlflow.errors import ConfigurationError
 from ctrlflow.linalg import (
     check_ab,
     controllability_matrix,
-    expm,
     kalman_rank,
     sq_dists,
     tile_rows,
 )
-
-
-def test_expm_zero_is_identity():
-    assert np.allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-
-
-def test_expm_nilpotent_closed_form():
-    # N^2 = 0 so exp(N) = I + N exactly
-    N = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(expm(N), np.eye(2) + N, atol=1e-14)
-
-
-def test_expm_double_integrator_block():
-    # A = [[0,1],[0,0]] scaled by t: exp(At) = [[1,t],[0,1]]
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for t in (0.25, 1.0, 3.7):
-        assert np.allclose(expm(A * t), np.array([[1.0, t], [0.0, 1.0]]), atol=1e-12)
-
-
-def test_expm_rotation():
-    w = 1.3
-    A = np.array([[0.0, -w], [w, 0.0]])
-    expected = np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
-    assert np.allclose(expm(A), expected, atol=1e-12)
-
-
-def test_expm_diagonal():
-    d = np.array([-2.0, 0.5, 3.0])
-    assert np.allclose(expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-12)
-
-
-def test_expm_large_norm_scaling_squaring():
-    # norm >> 1 exercises the squaring phase; oracle via eigendecomposition
-    rng = np.random.default_rng(5)
-    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    d = np.array([-8.0, -3.0, 2.0, 6.0])
-    A = Q @ np.diag(d) @ Q.T
-    expected = Q @ np.diag(np.exp(d)) @ Q.T
-    assert np.allclose(expm(A), expected, rtol=1e-10, atol=1e-10)
-
-
-def test_expm_group_property_random():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        A = rng.standard_normal((3, 3))
-        one = expm(A)
-        half = expm(A / 2.0)
-        assert np.allclose(half @ half, one, rtol=1e-9, atol=1e-9)
 
 
 def test_kalman_rank_double_integrator():
