@@ -12,6 +12,15 @@ all-blown-up rollout.  A stage failure aborts with
 :class:`~ctrlflow.errors.StageError` naming the stage; the partially
 written run directory is flagged in its manifest.
 
+``construct`` hands the later stages copies of what they read, and no
+stage after it holds a steering ensemble: fit reads the hook's one
+regression dataset ``data``.  A transport hook keeps, besides ``data``
+(:func:`~ctrlflow.regression.dataset_from_pairs` of the pairs), the
+constructed snapshot points, the pairs' endpoints and endpoint errors,
+and the saved pairs of ``train_pairs.csv``; a stabilize hook keeps the
+noising dataset and its report, whose noised endpoints seed bootstrap
+rollout starts.
+
 A run directory holds files only, no subdirectories: ``config.json``,
 ``snapshot_*.csv`` point clouds, ``eval_trajectories.csv``,
 ``dataset.csv``, ``law.json``, ``train_pairs.csv`` (transport runs),
@@ -177,8 +186,8 @@ class _RunDir:
         write_table(self.dir / rel, ["sample_id", *columns("x", dim)], table, int_cols=1)
         self.add(rel)
 
-    def write_ensemble(self, rel: str, ens: PairEnsemble, nodes=slice(None)) -> None:
-        write_trajectories(self.dir / rel, *ens.rows(nodes))
+    def write_ensemble(self, rel: str, ens: PairEnsemble) -> None:
+        write_trajectories(self.dir / rel, *ens.rows())
         self.add(rel)
 
     def write_manifest(self, partial: bool = False, failed_stage: Optional[str] = None):
@@ -332,16 +341,14 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
     _stage("construct", kind.construct)
 
     def fit():
-        data = kind.dataset()
-        law = fit_feedback(
-            data,
+        return fit_feedback(
+            kind.data,
             method=cfg.regression["method"],
             hyperparams=cfg.regression["hyperparams"],
             seed=derived_seed(seed, "fit"),
         )
-        return data, law
 
-    data, law = _stage("fit", fit)
+    law = _stage("fit", fit)
 
     def integrate():
         if cfg.n_eval == 0:
@@ -385,22 +392,23 @@ def _run_pipeline(cfg: ExperimentConfig, run: _RunDir):
             "eval_trajectories.csv", PairEnsemble(t_grid, states[saved], controls[saved])
         )
 
-        save_dataset(data, run.dir / "dataset.csv")
+        save_dataset(kind.data, run.dir / "dataset.csv")
         run.add("dataset.csv")
         law.save(run.dir / "law.json")
         run.add("law.json")
-        if kind.train_pairs is not None:
-            train = kind.train_pairs.select(slice(MAX_SAVED_TRAJECTORIES))
-            # the construction nodes nearest the rollout grid
-            nodes = grid_nodes(len(train.t_grid) - 1, cfg.evaluation["n_grid"] + 1)
-            run.write_ensemble("train_pairs.csv", train, nodes)
+        if kind.saved_pairs is not None:
+            run.write_ensemble("train_pairs.csv", kind.saved_pairs)
         return metrics, notes
 
     return _stage("evaluate", evaluate)
 
 
 class _Transport:
-    """Steering interpolants between coupled samples of mu0 and muT."""
+    """Steering interpolants between coupled samples of mu0 and muT.
+
+    ``data`` is the regression dataset of the steered pairs; ``construct``
+    drops the pairs themselves once it has taken what evaluate reads.
+    """
 
     scored = "transport"
 
@@ -423,24 +431,37 @@ class _Transport:
         self.x0, self.x1 = build_coupling(mu0_s, muT_s, cfg.coupling, coupling_seed)
 
     def construct(self):
+        """Steer the coupled pairs and keep what the later stages read of them."""
         cfg, x0, x1, interp = self.cfg, self.x0, self.x1, self.cfg.interpolant
         if cfg.kind == "transport_linear":
             A, B = _transport_matrices(cfg)
             self.T = interp["T"]
-            self.train_pairs = min_energy_pair_batch(A, B, x0, x1, self.T, n_grid=interp["n_grid"])
+            pairs = min_energy_pair_batch(A, B, x0, x1, self.T, n_grid=interp["n_grid"])
         elif self.output:
             A, B = _transport_matrices(cfg)
             self.T = interp["T"]
             K = place_poles(A, B, interp["poles"], seed=derived_seed(self.seed, "poles"))
-            self.train_pairs = feedback_steer_pair_batch(
+            pairs = feedback_steer_pair_batch(
                 A, B, K, ys=x1, x0s=x0, T=self.T, n_grid=interp["n_grid"]
             )
         else:
             self.T = BROCKETT_HORIZON
-            self.train_pairs = brockett_steer_pair_batch(x0, x1, n_grid=interp["n_grid"])
+            pairs = brockett_steer_pair_batch(x0, x1, n_grid=interp["n_grid"])
 
-    def dataset(self) -> RegressionDataset:
-        return dataset_from_pairs(self.train_pairs)
+        # copies only: a view such as states[:, -1] would keep the ensemble alive
+        self.data = dataset_from_pairs(pairs)
+        self.fractions = cfg.evaluation["snapshot_fractions"]
+        self.constructed = snapshots_from_arrays(
+            pairs.t_grid, pairs.states, _snapshot_times(self.fractions, self.T, pairs.t_grid)
+        )
+        self.endpoints = pairs.states[:, -1].copy()
+        self.endpoint_error = pairs.meta["endpoint_error"]
+        # the first pairs at the construction nodes nearest the rollout grid
+        nodes = grid_nodes(len(pairs.t_grid) - 1, cfg.evaluation["n_grid"] + 1)
+        saved = slice(MAX_SAVED_TRAJECTORIES)
+        self.saved_pairs = PairEnsemble(
+            pairs.t_grid[nodes], pairs.states[saved, nodes], pairs.controls[saved, nodes]
+        )
 
     def starts(self) -> np.ndarray:
         cfg = self.cfg
@@ -448,13 +469,12 @@ class _Transport:
 
     def evaluate_ensemble(self, run: _RunDir, metrics: dict) -> list:
         """Construction-level metrics and the constructed marginal snapshots."""
-        pairs, seed, evaluation = self.train_pairs, self.seed, self.cfg.evaluation
+        seed, evaluation = self.seed, self.cfg.evaluation
         metrics["mean_pair_distance"] = _mean_pair_distance(self.x0, self.x1)
-        metrics["max_endpoint_error"] = float(np.max(pairs.meta["endpoint_error"]))
+        metrics["max_endpoint_error"] = float(np.max(self.endpoint_error))
         # construction-level quality: endpoints of the training ensemble
-        end_constructed = pairs.states[:, -1]
         metrics["w2_construction_terminal"] = float(_w2(
-            EmpiricalMeasure(points=end_constructed),
+            EmpiricalMeasure(points=self.endpoints),
             EmpiricalMeasure(points=self.x1),
             evaluation,
             derived_seed(seed, "w2", "construction"),
@@ -463,16 +483,12 @@ class _Transport:
             # sample-level output identity: push the constructed endpoints
             # through h and compare with the coupled target draws themselves
             metrics["w2_construction_output"] = float(_w2(
-                EmpiricalMeasure(points=six_state_output(end_constructed)),
+                EmpiricalMeasure(points=six_state_output(self.endpoints)),
                 EmpiricalMeasure(points=six_state_output(self.x1)),
                 evaluation,
                 derived_seed(seed, "w2", "construction_output"),
             ))
 
-        self.fractions = evaluation["snapshot_fractions"]
-        self.constructed = snapshots_from_arrays(
-            pairs.t_grid, pairs.states, _snapshot_times(self.fractions, self.T, pairs.t_grid)
-        )
         for frac, meas in zip(self.fractions, self.constructed):
             run.write_snapshot(f"snapshot_constructed_t{frac:g}.csv", meas.points, self.sys.d)
         return []
@@ -522,10 +538,13 @@ class _Transport:
 
 
 class _Stabilize:
-    """Noising runs from the target set, re-timed to flow back onto it."""
+    """Noising runs from the target set, re-timed to flow back onto it.
+
+    ``data`` is the re-timed noising dataset, built in ``construct``.
+    """
 
     scored = "distance"
-    train_pairs = None
+    saved_pairs = None
     empty_snapshots = ()
 
     def __init__(self, cfg: ExperimentConfig, sys):
@@ -551,9 +570,6 @@ class _Stabilize:
             return _sample_points(cfg.target, n, s).points
 
         self.data, self.nreport = generate_noising_dataset(self.sys, ncfg, target_sampler)
-
-    def dataset(self) -> RegressionDataset:
-        return self.data
 
     def starts(self) -> np.ndarray:
         cfg = self.cfg

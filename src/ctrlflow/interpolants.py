@@ -19,10 +19,13 @@ Preconditions on the inputs alone are exported (``check_controllable``,
 ``check_poles``, ``BROCKETT_MIN_GRID``) for config validation, and
 ``BROCKETT_HORIZON`` is the Brockett steering's horizon.
 
-Every matrix exponential is :func:`scipy.linalg.expm`.  A single pair is a
-one-row batch.  Errors that reach metrics and files are taken row by row
-with :func:`numpy.linalg.norm`, whose summation a vectorized norm would not
-reproduce bit for bit.
+Every matrix exponential is :func:`scipy.linalg.expm`.  Each returned
+array owns its memory, and the one per-node array computed from the RK4
+states afterwards, the feedback controls, is built one row tile
+(:func:`~ctrlflow.linalg.row_tiles`) at a time, so no temporary of the
+ensemble's size is made.  A single pair is a one-row batch.  Errors that
+reach metrics and files are taken row by row with :func:`numpy.linalg.norm`,
+whose summation a vectorized norm would not reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     UncontrollablePairError,
     UnstableGainError,
 )
-from .linalg import check_ab, controllability_matrix, kalman_rank
+from .linalg import check_ab, controllability_matrix, kalman_rank, row_tiles
 from .ode import rk4, rk4_stage_controls, stage_times, uniform_grid
 from .seeding import substream
 from .systems import builtin_system
@@ -169,7 +172,9 @@ def min_energy_pair_batch(
             raise ConfigurationError(
                 f"terminal error {err:.3g} exceeds tol {tol:.3g}; increase n_grid"
             )
-    return PairEnsemble(t_grid, states, u_stages[:, 0::2], meta={"endpoint_error": errs})
+    # a copy: the strided view of the node stages would keep every stage alive
+    controls = u_stages[:, 0::2].copy()
+    return PairEnsemble(t_grid, states, controls, meta={"endpoint_error": errs})
 
 
 def place_poles(A: np.ndarray, B: np.ndarray, poles, seed: int = 0) -> np.ndarray:
@@ -321,7 +326,12 @@ def feedback_steer_pair_batch(
         return x @ A.T + u @ B.T
 
     states, _ = rk4(field, x0s, t_grid, blowup=None)
-    controls = (states - ys[:, None, :]) @ K.T + alphas[:, None, :]
+    # the node controls of the same formula, one row tile of the states at a time
+    controls = np.empty(states.shape[:2] + (m,))
+    for rows in row_tiles(len(states), states[0].size):
+        u = controls[rows]
+        np.matmul(states[rows] - ys[rows, None, :], K.T, out=u)
+        u += alphas[rows, None, :]
     errs = _row_norms(states[:, -1] - ys)
     return PairEnsemble(t_grid, states, controls, meta={"endpoint_error": errs})
 

@@ -3,10 +3,12 @@
 The (A, B) shape check and the Kalman rank test serve the interpolants,
 whose matrix exponentials are scipy's.  :func:`sq_dists` is the one
 squared-distance block that the couplings and the target distance share,
-finished in place one row tile (:func:`tile_rows`) at a time.  The feedback
-law's dense kernel weights use the same tiles.  :func:`floored_exp` is the
-one elementwise exp of the package: the feedback law's kernel weights and
-the entropic kernel of the exact W2 solve both go through it.
+finished in place one row tile (:func:`tile_rows`, :func:`row_tiles`) at a
+time.  The feedback law's dense kernel weights and the per-node arrays of
+the steering and noising constructions use the same tiles.
+:func:`floored_exp` is the one elementwise exp of the package: the feedback
+law's kernel weights and the entropic kernel of the exact W2 solve both go
+through it.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ def tile_rows(n_cols: int) -> int:
     return max(1, TILE_ENTRIES // max(1, n_cols))
 
 
+def row_tiles(n: int, n_cols: int) -> list[slice]:
+    """The row slices of an (n, n_cols) block, one row tile (:func:`tile_rows`) each."""
+    step = tile_rows(n_cols)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances |a_i - b_j|^2 between rows, shape (n, m).
 
@@ -89,12 +97,11 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a_sq = np.einsum("nd,nd->n", a, a)
     b_sq = np.einsum("md,md->m", b, b)
     d2 = a @ b.T
-    step = tile_rows(len(b_sq))
-    norms = np.empty((min(step, len(a_sq)), len(b_sq)))
-    for lo in range(0, len(a_sq), step):
-        tile = d2[lo : lo + step]
+    norms = np.empty((min(tile_rows(len(b_sq)), len(a_sq)), len(b_sq)))
+    for rows in row_tiles(len(a_sq), len(b_sq)):
+        tile = d2[rows]
         s = norms[: len(tile)]
-        np.add(a_sq[lo : lo + step, None], b_sq, out=s)
+        np.add(a_sq[rows, None], b_sq, out=s)
         tile *= -2.0
         tile += s
         np.maximum(tile, 0.0, out=tile)

@@ -8,28 +8,36 @@ either by extremal controls of the reversed optimal control problem (kind
 paths (kind ``randomized``: :func:`sample_brownian_control` arrays driving
 :func:`endpoint_map_batch`).  Either run is one
 :class:`~ctrlflow.trajectory.PairEnsemble`; :func:`generate_noising_dataset`
-drops its blown-up rows, flattens the rest with
-:func:`ctrlflow.regression.dataset_from_pairs` and re-times each (t, X_t,
-U_t) triple as (T - t, X_t, U_t).  That re-timing is the time reversal:
-x(s) = omega(T - s) solves x' = f(x, u(T - s)), so the re-timed rows are
-forward trajectories of +f, from the noised cloud onto the target set,
-under the same controls.  The law fitted on them is rolled forward like
-any other (:mod:`ctrlflow.flow`), and it carries mass onto the target set.
+drops its blown-up rows, flattens the rest at the dataset's time samples
+(:func:`~ctrlflow.trajectory.grid_nodes`, as
+:func:`ctrlflow.regression.dataset_from_pairs` does) and re-times each
+(t, X_t, U_t) triple as (T - t, X_t, U_t).  That re-timing is the time
+reversal: x(s) = omega(T - s) solves x' = f(x, u(T - s)), so the re-timed
+rows are forward trajectories of +f, from the noised cloud onto the target
+set, under the same controls.  The law fitted on them is rolled forward
+like any other (:mod:`ctrlflow.flow`), and it carries mass onto the target
+set.
+
+The per-node arrays of an extremal run (its controls and Hamiltonians) are
+built one row tile (:func:`~ctrlflow.linalg.row_tiles`) at a time, and the
+dataset copies only the kept rows at its time samples, so no temporary of
+the ensemble's size is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .ode import DEFAULT_BLOWUP, pl_stage_values, rk4, rk4_stage_controls, uniform_grid
-from .regression import dataset_from_pairs
+from .linalg import row_tiles
+from .regression import RegressionDataset
 from .seeding import derived_seed, generator_from_seed, substream
 from .systems import ControlAffineSystem
-from .trajectory import PairEnsemble
+from .trajectory import PairEnsemble, grid_nodes
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,15 @@ def _pmp_field(sys, cost):
     return fld
 
 
+def _node_tiles(sys: ControlAffineSystem, states: np.ndarray) -> list[slice]:
+    """Row tiles of (n, K+1, d) states for per-node work on ``sys``.
+
+    A tile's nodes hold G, f0 and f, d (m + 2) entries each, in about
+    ``TILE_ENTRIES``.
+    """
+    return row_tiles(len(states), states.shape[1] * sys.d * (sys.m + 2))
+
+
 def pmp_extremal_batch(
     sys: ControlAffineSystem,
     cost: QuadraticCost,
@@ -124,10 +141,10 @@ def pmp_extremal_batch(
     traj, bad_time = rk4(_pmp_field(sys, cost), Y0, t_grid, blowup)
     states = traj[:, :, : sys.d]
     costates = traj[:, :, sys.d :]
-    n, Kp1, d = states.shape
-    flat_w = states.reshape(-1, d)
-    flat_p = costates.reshape(-1, d)
-    controls = pmp_optimal_control(sys, cost, flat_w, flat_p).reshape(n, Kp1, sys.m)
+    controls = np.empty(states.shape[:2] + (sys.m,))
+    for rows in _node_tiles(sys, states):
+        w, p = states[rows].reshape(-1, sys.d), costates[rows].reshape(-1, sys.d)
+        controls[rows] = pmp_optimal_control(sys, cost, w, p).reshape(-1, len(t_grid), sys.m)
     return PairEnsemble(t_grid, states, controls), costates, bad_time
 
 
@@ -140,13 +157,14 @@ def hamiltonian_drift(
     """max_t |H(t) - H(0)| / (1 + |H(0)|) per extremal, shape (n,).
 
     ``states`` and ``costates`` are (n, K+1, d), as from
-    :func:`pmp_extremal_batch`.
+    :func:`pmp_extremal_batch`; H is evaluated one row tile at a time.
     """
-    n = states.shape[0]
-    H = hamiltonian(
-        sys, cost, states.reshape(-1, sys.d), costates.reshape(-1, sys.d)
-    ).reshape(n, -1)
-    return np.abs(H - H[:, :1]).max(axis=1) / (1.0 + np.abs(H[:, 0]))
+    drift = np.empty(len(states))
+    for rows in _node_tiles(sys, states):
+        w, p = states[rows].reshape(-1, sys.d), costates[rows].reshape(-1, sys.d)
+        H = hamiltonian(sys, cost, w, p).reshape(-1, states.shape[1])
+        drift[rows] = np.abs(H - H[:, :1]).max(axis=1) / (1.0 + np.abs(H[:, 0]))
+    return drift
 
 
 def endpoint_map_batch(
@@ -250,9 +268,9 @@ def generate_noising_dataset(
     independent Brownian control path with the configured sigma.  Blown-up
     trajectories are dropped and reported with a warning entry.
 
-    Returns ``(dataset, report)`` where dataset is the
-    :func:`ctrlflow.regression.dataset_from_pairs` flattening of the kept
-    rows, tagged by their sample index, with each noising time t replaced
+    Returns ``(dataset, report)`` where dataset flattens the kept rows at
+    the nodes :func:`ctrlflow.regression.dataset_from_pairs` would keep,
+    tagged by their sample index, with each noising time t replaced
     by the rollout time T - t (see the module docstring).  The report's
     ``endpoints`` are the noised states omega(T), where rollouts start.
     """
@@ -279,7 +297,7 @@ def generate_noising_dataset(
         keep = ~np.isfinite(bad)
         drift = None
         if keep.any():
-            drift = float(hamiltonian_drift(sys, cost, ens.states[keep], costates[keep]).max())
+            drift = float(hamiltonian_drift(sys, cost, ens.states, costates)[keep].max())
     else:
         # independent Brownian path per sample, stream keyed by sample index
         t_grid = uniform_grid(config.T, config.n_grid)
@@ -307,5 +325,9 @@ def generate_noising_dataset(
         raise ConfigurationError("all noising trajectories blew up; nothing to fit")
     kept = np.where(keep)[0]
     report.endpoints = ens.states[kept, -1]
-    rows = dataset_from_pairs(ens.select(kept), config.n_time_samples, traj_id=kept)
-    return replace(rows, t=config.T - rows.t), report
+    # the kept rows at the dataset's time samples only
+    nodes = grid_nodes(config.n_grid, config.n_time_samples)
+    picked = np.ix_(kept, nodes)
+    sampled = PairEnsemble(ens.t_grid[nodes], ens.states[picked], ens.controls[picked])
+    ids, t, x, u = sampled.rows(traj_id=kept)
+    return RegressionDataset(t=config.T - t, x=x, u=u, traj_id=ids), report

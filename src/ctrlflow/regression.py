@@ -119,7 +119,7 @@ from .errors import (
     EmptyDatasetError,
     TrainingDivergedError,
 )
-from .linalg import EXP_FLOOR, floored_exp, tile_rows
+from .linalg import EXP_FLOOR, floored_exp, row_tiles, tile_rows
 from .seeding import substream
 from .trajectory import grid_nodes, read_trajectories, write_trajectories
 
@@ -525,9 +525,7 @@ class KernelLaw(_NeighbourLaw):
         out = np.empty((len(qh), self.m))
         emin = np.empty(len(qh))
         qa = np.column_stack([qh, np.ones(len(qh)), -0.5 * qh_sq])
-        step = len(self._tile)
-        for lo in range(0, len(qh), step):
-            rows = slice(lo, lo + step)
+        for rows in row_tiles(len(qh), self.n_train):
             q = qa[rows]
             a, b = self._tile_args(q, self._tile[: len(q)])
             tile = self._tile[: len(q), a:b]

@@ -1,11 +1,13 @@
 """End-to-end runner: artifacts, determinism, stage failures, CLI, verify."""
 
 import csv
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +161,51 @@ def _broken_sample_points(spec, n, seed):
     # validation draws its own points, so a measure that fails only here
     # is a failure of the sample stage
     raise ValueError("sampling failed")
+
+
+def cheap_linear(**over):
+    doc = example_config("transport_linear")
+    doc.update(
+        {
+            "name": "tiny_linear",
+            "n_train": 16,
+            "n_eval": 8,
+            "interpolant": {"T": 1.0, "n_grid": 100},
+            "evaluation": {"n_grid": 20},
+        }
+    )
+    doc.update(over)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "steer, doc",
+    [
+        ("brockett_steer_pair_batch", cheap_brockett),
+        ("feedback_steer_pair_batch", cheap_output),
+        ("min_energy_pair_batch", cheap_linear),
+    ],
+)
+def test_construct_keeps_no_steering_ensemble(steer, doc, tmp_path, monkeypatch):
+    # construct takes copies of what the later stages read; from fit on,
+    # neither the steering ensemble nor its arrays are alive
+    refs, alive = [], []
+    steer_fn, fit_fn = getattr(experiments, steer), experiments.fit_feedback
+
+    def recording_steer(*args, **kwargs):
+        ens = steer_fn(*args, **kwargs)
+        refs.extend(weakref.ref(obj) for obj in (ens, ens.states, ens.controls))
+        return ens
+
+    def checking_fit(*args, **kwargs):
+        gc.collect()
+        alive.extend(ref() is not None for ref in refs)
+        return fit_fn(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, steer, recording_steer)
+    monkeypatch.setattr(experiments, "fit_feedback", checking_fit)
+    run_experiment(doc(), output_root=tmp_path)
+    assert alive == [False, False, False]
 
 
 def test_stage_failure_flags_partial_manifest(tmp_path, monkeypatch):

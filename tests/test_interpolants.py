@@ -8,6 +8,8 @@ Closed-form oracles used here:
   - Brockett phase-2 vertical displacement equals pi * c
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +31,8 @@ from ctrlflow.interpolants import (
     min_energy_pair_batch,
     place_poles,
 )
-from ctrlflow.systems import builtin_system
+from ctrlflow.linalg import TILE_ENTRIES, tile_rows
+from ctrlflow.systems import builtin_system, six_state_matrices
 from helpers import control_energy, integrate_samples, residual_error
 
 A_DI = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -176,6 +179,16 @@ def test_min_energy_optimality_among_null_perturbations():
         assert base_cost <= cost + 1e-8
 
 
+def test_min_energy_controls_own_their_memory():
+    # a strided view of the RK4 stage controls would keep all 2K + 1 stages alive
+    rng = np.random.default_rng(8)
+    ens = min_energy_pair_batch(
+        A_DI, B_DI, rng.standard_normal((5, 2)), rng.standard_normal((5, 2)), 1.0, n_grid=100
+    )
+    assert ens.controls.shape == (5, 101, 1)
+    assert ens.controls.base is None and ens.controls.flags.c_contiguous
+
+
 def test_min_energy_uncontrollable_rejected():
     A = np.diag([1.0, 2.0])
     B = np.array([[1.0], [0.0]])
@@ -287,6 +300,46 @@ def test_feedback_steer_exponential_envelope():
     e2 = feedback_steer_pair_batch(A_DI, B_DI, K, y, x0, T=9.0, n_grid=1800)
     e1, e2 = e1.meta["endpoint_error"][0], e2.meta["endpoint_error"][0]
     assert e2 / e1 <= np.exp(lam * 3.0) * 1.01
+
+
+def _six_state_steering(n: int, seed: int):
+    """Gain, equilibrium targets and starts of n six-state steering rows."""
+    A, B = six_state_matrices()
+    K = place_poles(A, B, [-2.0, -2.0, -2.0, -2.4, -2.4, -2.4], seed=0)
+    rng = np.random.default_rng(seed)
+    ys = np.zeros((n, 6))
+    ys[:, [0, 2]] = rng.standard_normal((n, 2))  # zero-velocity states are equilibria
+    return A, B, K, ys, rng.standard_normal((n, 6))
+
+
+def test_feedback_steer_memory_is_the_ensemble_and_two_tiles():
+    # the node controls are built one row tile of the states at a time, so
+    # nothing beyond the returned arrays and two tiles is alive at once (a
+    # one-shot (states - y) K' allocates a second copy of the states)
+    A, B, K, ys, x0s = _six_state_steering(256, seed=41)
+    tracemalloc.start()
+    try:
+        ens = feedback_steer_pair_batch(A, B, K, ys, x0s, T=6.0, n_grid=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (ens.t_grid, ens.states, ens.controls, *ens.meta.values()))
+    assert peak <= held + 2 * 8 * TILE_ENTRIES
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from(["1", "tile - 1", "tile", "tile + 1", "3 tiles"]),
+    st.integers(0, 2**16),
+)
+def test_feedback_node_controls_match_the_one_shot_formula(size, seed):
+    n_grid = 400
+    tile = tile_rows((n_grid + 1) * 6)
+    n = {"1": 1, "tile - 1": tile - 1, "tile": tile, "tile + 1": tile + 1, "3 tiles": 3 * tile}
+    A, B, K, ys, x0s = _six_state_steering(n[size], seed)
+    ens = feedback_steer_pair_batch(A, B, K, ys, x0s, T=6.0, n_grid=n_grid)
+    alphas = equilibrium_control(A, B, ys)
+    assert np.array_equal(ens.controls, (ens.states - ys[:, None, :]) @ K.T + alphas[:, None, :])
 
 
 def test_feedback_steer_rejects_unstable_gain():

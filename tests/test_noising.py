@@ -18,8 +18,12 @@ Closed forms used as oracles:
   quadratic form of the reversed system.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ctrlflow import (
@@ -37,6 +41,7 @@ from ctrlflow import (
     pmp_optimal_control,
     sample_brownian_control,
 )
+from ctrlflow.linalg import TILE_ENTRIES, tile_rows
 from ctrlflow.ode import pl_stage_values, raise_on_blowup, rk4_stage_controls, uniform_grid
 from ctrlflow.seeding import substream
 from helpers import control_energy
@@ -127,6 +132,31 @@ def test_hamiltonian_conserved_unicycle():
     raise_on_blowup(bad)
     drift = hamiltonian_drift(sys, cost, ens.states, costates)
     assert drift.shape == (10,) and np.all(drift < 1e-8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from(["1", "tile - 1", "tile", "tile + 1", "3 tiles"]),
+    st.integers(0, 2**16),
+)
+def test_pmp_node_controls_and_drift_match_the_one_shot_formulas(size, seed):
+    # both are built one row tile at a time; the reference evaluates every
+    # node at once, on contiguous copies of the states and costates
+    sys = builtin_system("unicycle")
+    cost = QuadraticCost(theta=0.7)
+    n_grid = 300
+    tile = tile_rows((n_grid + 1) * sys.d * (sys.m + 2))
+    n = {"1": 1, "tile - 1": tile - 1, "tile": tile, "tile + 1": tile + 1, "3 tiles": 3 * tile}
+    rng = np.random.default_rng(seed)
+    x0s, p0s = rng.standard_normal((2, n[size], 3))
+    ens, costates, _ = pmp_extremal_batch(sys, cost, x0s, p0s, 1.0, n_grid)
+    w = np.ascontiguousarray(ens.states).reshape(-1, 3)
+    p = np.ascontiguousarray(costates).reshape(-1, 3)
+    want = pmp_optimal_control(sys, cost, w, p).reshape(ens.controls.shape)
+    assert np.array_equal(ens.controls, want)
+    H = hamiltonian(sys, cost, w, p).reshape(n[size], -1)
+    want = np.abs(H - H[:, :1]).max(axis=1) / (1.0 + np.abs(H[:, 0]))
+    assert np.array_equal(hamiltonian_drift(sys, cost, ens.states, costates), want)
 
 
 def test_extremal_batch_shape_errors():
@@ -254,6 +284,26 @@ def test_dataset_single_integrator_closed_form():
     assert np.allclose(ds.x, -0.5 * (cfg.T - ds.t)[:, None] * c[None, :], atol=1e-12)
     assert len(np.unique(ds.traj_id)) == 6
     assert np.all(np.bincount(ds.traj_id) == 5)
+
+
+def test_noising_memory_is_the_extremals_and_two_tiles():
+    # per-node controls and Hamiltonians are built one row tile at a time and
+    # the dataset takes the kept rows at its time samples only, so nothing
+    # beyond the (n, K+1, 2d) extremal array, the node controls, the outputs
+    # and two tiles is alive at once
+    sys = builtin_system("unicycle")
+    n, n_grid = 160, 300
+    cfg = NoisingConfig(kind="pmp", T=2.0, n_grid=n_grid, n_samples=n, p_scale=6.0, seed=5)
+    tracemalloc.start()
+    try:
+        ds, report = generate_noising_dataset(sys, cfg, lambda k, s: np.zeros((k, 3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_kept == n
+    extremals = 8 * n * (n_grid + 1) * (2 * sys.d + sys.m)
+    outputs = sum(a.nbytes for a in (ds.t, ds.x, ds.u, ds.traj_id, report.endpoints))
+    assert peak <= extremals + outputs + 2 * 8 * TILE_ENTRIES
 
 
 def test_dataset_determinism_and_seed_sensitivity():
