@@ -848,23 +848,23 @@ def _verify_fast() -> list[dict]:
     ens = min_energy_pair_batch(A, B, np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0, n_grid=400)
     u_exact = 6.0 - 12.0 * ens.t_grid
     u_err = np.abs(ens.controls[0, :, 0] - u_exact).max()
-    results.append(_check("min_energy_canonical_control", u_err, 1.0e-8))
+    results.append(_check("min_energy_canonical_control", u_err, 1.0e-12))
 
     rng = substream(123, "verify", "min_energy")
     x0s = rng.uniform(-1.0, 1.0, size=(100, 2))
     xTs = rng.uniform(-1.0, 1.0, size=(100, 2))
     ens = min_energy_pair_batch(A, B, x0s, xTs, 1.0, n_grid=400)
-    results.append(_check("min_energy_terminal_error", ens.meta["endpoint_error"].max(), 1.0e-5))
+    results.append(_check("min_energy_terminal_error", ens.meta["endpoint_error"].max(), 1.0e-12))
 
     ys = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     ens = brockett_steer_pair_batch(np.zeros((2, 3)), ys, n_grid=4000)
-    results.append(_check("brockett_canonical_cases", ens.meta["endpoint_error"].max(), 1.0e-8))
+    results.append(_check("brockett_canonical_cases", ens.meta["endpoint_error"].max(), 1.0e-12))
 
     rng = substream(123, "verify", "brockett")
     xs = rng.uniform(-1.0, 1.0, size=(100, 3))
     ys = rng.uniform(-1.0, 1.0, size=(100, 3))
     ens = brockett_steer_pair_batch(xs, ys, n_grid=4000)
-    results.append(_check("brockett_random_endpoints", ens.meta["endpoint_error"].max(), 1.0e-6))
+    results.append(_check("brockett_random_endpoints", ens.meta["endpoint_error"].max(), 1.0e-12))
 
     unicycle = builtin_system("unicycle")
     cost = QuadraticCost()

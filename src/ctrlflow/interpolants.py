@@ -19,9 +19,13 @@ Preconditions on the inputs alone are exported (``check_controllable``,
 ``check_poles``, ``BROCKETT_MIN_GRID``) for config validation, and
 ``BROCKETT_HORIZON`` is the Brockett steering's horizon.
 
-Every matrix exponential is :func:`scipy.linalg.expm`.  Each returned
-array owns its memory, and the one per-node array computed from the RK4
-states afterwards, the feedback controls, is built one row tile
+Every steering flow here has a closed form, and each constructor evaluates
+its states and controls at the nodes of a uniform grid: nothing is
+integrated, so the grid sets where the ensemble is sampled and not how
+accurate it is.  Every matrix exponential is :func:`scipy.linalg.expm`,
+one batched call for all the nodes of a grid.  Each returned array owns
+its memory and is written in place: the states and the minimum-energy
+controls by one matrix product each, the feedback controls one row tile
 (:func:`~ctrlflow.linalg.row_tiles`) at a time, so no temporary of the
 ensemble's size is made.  A single pair is a one-row batch.  Errors that
 reach metrics and files are taken row by row with :func:`numpy.linalg.norm`,
@@ -40,13 +44,13 @@ from .errors import (
     UnstableGainError,
 )
 from .linalg import check_ab, controllability_matrix, kalman_rank, row_tiles
-from .ode import rk4, rk4_stage_controls, stage_times, uniform_grid
+from .ode import uniform_grid
 from .seeding import substream
-from .systems import builtin_system
 from .trajectory import PairEnsemble
 
 GRAMIAN_EIG_RATIO = 1.0e-10
-# fewest RK4 steps of the two-phase Brockett steering, and its horizon
+# fewest grid steps of the two-phase Brockett steering (four per phase),
+# and its horizon
 BROCKETT_MIN_GRID = 8
 BROCKETT_HORIZON = 4.0 * np.pi
 
@@ -131,12 +135,12 @@ def min_energy_pair_batch(
 ) -> PairEnsemble:
     """Minimum-energy steering of x' = Ax + Bu from each row of x0s to xTs in time T.
 
-    The control is u(t) = B' exp(A'(T-t)) W^-1 (xT - exp(AT) x0), with the
-    Gramian W = W(T) of :func:`gramian` in closed form, so the control
-    carries no quadrature error.  B' exp(A'(T-t)) is marched over the RK4
-    stage times by a half-step exponential, and the states are produced by
-    RK4 with ``n_grid`` steps using that control at the stage times.  Each
-    terminal state must land within 1e-6 * (1 + |xT|) of its target.
+    u(t) = B' exp(A'(T-t)) c and x(t) = exp(At) x0 + W(t) exp(A'(T-t)) c,
+    with c = W(T)^-1 (xT - exp(AT) x0) and W the Gramian of :func:`gramian`:
+    W(t_{k+1}) = W(t_k) + exp(A t_k) W(h) exp(A' t_k) from node to node, and
+    W(T) itself at the last node.  Each terminal state must land within
+    1e-6 * (1 + |xT|) of its target; only a poorly conditioned Gramian solve
+    can miss it.
     """
     A, B = check_ab(A, B)
     d = A.shape[0]
@@ -146,34 +150,35 @@ def min_energy_pair_batch(
         raise ConfigurationError(
             f"endpoint batches must be (n, {d}), got {x0s.shape} and {xTs.shape}"
         )
-    W = gramian(A, B, T)
-    eAT = expm(A * T)
-    c = _gramian_solve(W, (xTs - x0s @ eAT.T).T).T  # (n, d)
-
     t_grid = uniform_grid(T, n_grid)
-    stages = stage_times(t_grid)
-    # Bt_e[j] = B' exp(A'(T - stages[j])), built by marching with a half step
-    half = expm(-A.T * (stages[1] - stages[0]))
-    Et = expm(A.T * T)
-    Bt_e = np.empty((len(stages), B.shape[1], d))
-    for j in range(len(stages)):
-        Bt_e[j] = B.T @ Et
-        Et = Et @ half
-    u_stages = np.einsum("jmd,nd->njm", Bt_e, c)
+    eAt = expm(t_grid[:, None, None] * A)  # exp(A t_k)
+    # on the uniform grid T - t_k is t_{K-k}, so exp(A'(T - t_k)) = exp(A t_{K-k})'
+    eAtT = eAt[::-1].transpose(0, 2, 1)
+    W = gramian(A, B, T)
+    c = _gramian_solve(W, (xTs - x0s @ eAt[-1].T).T).T  # (n, d)
+    W_t = np.zeros_like(eAt)
+    np.cumsum(eAt[:-2] @ gramian(A, B, t_grid[1]) @ eAt[:-2].transpose(0, 2, 1),
+              axis=0, out=W_t[1:-1])
+    # the solve's own W(T): the terminal state is xT up to the solve's residual
+    W_t[-1] = W
 
-    def rhs(x, u):
-        return x @ A.T + u @ B.T
+    # node k of a row is [x0, c] @ [exp(A t_k), W(t_k) exp(A'(T - t_k))]' for
+    # the state and c @ (B' exp(A'(T - t_k)))' for the control
+    n, K1 = len(x0s), len(t_grid)
+    states = np.empty((n, K1, d))
+    flow = np.concatenate([eAt, W_t @ eAtT], axis=2).reshape(K1 * d, 2 * d)
+    np.matmul(np.hstack([x0s, c]), flow.T, out=states.reshape(n, -1))
+    controls = np.empty((n, K1, B.shape[1]))
+    np.matmul(c, (B.T @ eAtT).reshape(-1, d).T, out=controls.reshape(n, -1))
 
-    states, _ = rk4_stage_controls(rhs, x0s, t_grid, u_stages, blowup=None)
     errs = _row_norms(states[:, -1] - xTs)
     tols = 1.0e-6 * (1.0 + _row_norms(xTs))
     for err, tol in zip(errs, tols):
         if err > tol:
             raise ConfigurationError(
-                f"terminal error {err:.3g} exceeds tol {tol:.3g}; increase n_grid"
+                f"terminal error {err:.3g} exceeds tol {tol:.3g}: the Gramian solve "
+                "is too poorly conditioned on this horizon"
             )
-    # a copy: the strided view of the node stages would keep every stage alive
-    controls = u_stages[:, 0::2].copy()
     return PairEnsemble(t_grid, states, controls, meta={"endpoint_error": errs})
 
 
@@ -320,18 +325,17 @@ def feedback_steer_pair_batch(
     alphas = equilibrium_control(A, B, ys)
 
     t_grid = uniform_grid(T, n_grid)
-
-    def field(k, stage, t, x):
-        u = (x - ys) @ K.T + alphas
-        return x @ A.T + u @ B.T
-
-    states, _ = rk4(field, x0s, t_grid, blowup=None)
-    # the node controls of the same formula, one row tile of the states at a time
-    controls = np.empty(states.shape[:2] + (m,))
-    for rows in row_tiles(len(states), states[0].size):
-        u = controls[rows]
-        np.matmul(states[rows] - ys[rows, None, :], K.T, out=u)
-        u += alphas[rows, None, :]
+    # rows (k, i) of exp((A + BK) t_k): the error x - y decays along them
+    flow = expm(t_grid[:, None, None] * (A + B @ K)).reshape(-1, d)
+    n = len(x0s)
+    states = np.empty((n, len(t_grid), d))
+    np.matmul(x0s - ys, flow.T, out=states.reshape(n, -1))
+    states += ys[:, None, :]
+    # the node controls u = K(x - y) + alpha, one row tile of x - y at a time
+    controls = np.empty((n, len(t_grid), m))
+    for rows in row_tiles(n, states[0].size):
+        np.matmul(states[rows] - ys[rows, None, :], K.T, out=controls[rows])
+    controls += alphas[:, None, :]
     errs = _row_norms(states[:, -1] - ys)
     return PairEnsemble(t_grid, states, controls, meta={"endpoint_error": errs})
 
@@ -341,10 +345,14 @@ def brockett_steer_pair_batch(
 ) -> PairEnsemble:
     """Steer the Brockett system from each row of xs to ys on the horizon [0, 4*pi].
 
-    Phase 1 (constant controls) moves the first two coordinates linearly to
-    their targets over [0, 2*pi].  Phase 2 applies u = (sin t, c cos t),
-    which returns the first two coordinates to rest and advances the third
-    by pi * c, with c = (y3 - omega3(2*pi)) / pi.
+    Phase 1 applies the constant control a = (y12 - x12) / (2*pi) over
+    [0, 2*pi]: x12 = x12(0) + a t and x3 = x3(0) + a1 (x2(0) t + a2 t^2 / 2).
+    Phase 2 applies u = (sin t, c cos t) from the midpoint m:
+    x1 = m1 + 1 - cos t, x2 = m2 + c sin t and
+    x3 = m3 + m2 (1 - cos t) + c ((t - 2*pi)/2 - sin 2t / 4), which returns
+    x12 to m12 = y12 and advances x3 by pi * c, with c = (y3 - m3) / pi.
+    ``n_grid`` is rounded up to even; node ``n_grid / 2`` holds phase 1's
+    control.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
@@ -355,28 +363,29 @@ def brockett_steer_pair_batch(
         raise ConfigurationError(f"n_grid must be at least {BROCKETT_MIN_GRID}")
     if n_grid % 2:
         n_grid += 1
-    K = n_grid
-    t_grid = uniform_grid(BROCKETT_HORIZON, K)
-    half = K // 2
-    rhs = builtin_system("brockett").rhs
+    t_grid = uniform_grid(BROCKETT_HORIZON, n_grid)
+    half = n_grid // 2
+    states = np.empty((n, n_grid + 1, 3))
+    controls = np.empty((n, n_grid + 1, 2))
 
     # phase 1: constant controls over [0, 2*pi]
     t1 = t_grid[: half + 1]
-    c12 = (ys[:, :2] - xs[:, :2]) / (2.0 * np.pi)  # (n, 2)
-    u1_stages = np.broadcast_to(c12[:, None, :], (n, 2 * half + 1, 2)).copy()
-    states1, _ = rk4_stage_controls(rhs, xs, t1, u1_stages, blowup=None)
+    a = (ys[:, :2] - xs[:, :2]) / (2.0 * np.pi)  # (n, 2)
+    states[:, : half + 1, :2] = xs[:, None, :2] + a[:, None, :] * t1[:, None]
+    states[:, : half + 1, 2] = xs[:, 2:] + a[:, :1] * (xs[:, 1:2] * t1 + 0.5 * a[:, 1:] * t1**2)
+    controls[:, : half + 1] = a[:, None, :]
 
     # phase 2: sinusoidal loop over (2*pi, 4*pi]
-    omega_mid = states1[:, -1]
-    c = (ys[:, 2] - omega_mid[:, 2]) / np.pi  # (n,)
-    t2 = t_grid[half:]
-    st2 = stage_times(t2)
-    u2_stages = np.empty((n, len(st2), 2))
-    u2_stages[:, :, 0] = np.sin(st2)[None, :]
-    u2_stages[:, :, 1] = c[:, None] * np.cos(st2)[None, :]
-    states2, _ = rk4_stage_controls(rhs, omega_mid, t2, u2_stages, blowup=None)
+    t2 = t_grid[half + 1 :]
+    m = states[:, half]
+    c = (ys[:, 2] - m[:, 2]) / np.pi  # (n,)
+    one_minus_cos, sin = 1.0 - np.cos(t2), np.sin(t2)
+    states[:, half + 1 :, 0] = m[:, :1] + one_minus_cos
+    states[:, half + 1 :, 1] = m[:, 1:2] + c[:, None] * sin
+    loop = (t2 - 2.0 * np.pi) / 2.0 - np.sin(2.0 * t2) / 4.0
+    states[:, half + 1 :, 2] = m[:, 2:] + m[:, 1:2] * one_minus_cos + c[:, None] * loop
+    controls[:, half + 1 :, 0] = sin
+    controls[:, half + 1 :, 1] = c[:, None] * np.cos(t2)
 
-    states = np.concatenate([states1, states2[:, 1:]], axis=1)
-    controls = np.concatenate([u1_stages[:, 0::2], u2_stages[:, 2::2]], axis=1)
     meta = {"endpoint_error": _row_norms(states[:, -1] - ys), "loop_amplitude": c}
     return PairEnsemble(t_grid, states, controls, meta)

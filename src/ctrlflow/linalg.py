@@ -4,8 +4,9 @@ The (A, B) shape check and the Kalman rank test serve the interpolants,
 whose matrix exponentials are scipy's.  :func:`sq_dists` is the one
 squared-distance block that the couplings and the target distance share,
 finished in place one row tile (:func:`tile_rows`, :func:`row_tiles`) at a
-time.  The feedback law's dense kernel weights and the per-node arrays of
-the steering and noising constructions use the same tiles.
+time.  The feedback law's dense kernel weights, the feedback steering's
+node controls and the per-node arrays of the noising constructions use the
+same tiles.
 :func:`floored_exp` is the one elementwise exp of the package: the feedback
 law's kernel weights and the entropic kernel of the exact W2 solve both go
 through it.

@@ -1,14 +1,16 @@
 """Fixed-step RK4 integration, batched over trajectories.
 
-:func:`rk4` is the one step loop: every integration in the package (open
-loop with stored controls, extremal flows, steering feedback, the learned
-closed loop) supplies a field callback that is told the step index and
-RK4 stage, and :func:`rk4` owns the update and the blow-up policy.  A
-whole batch of trajectories advances at once (states are (n, d) arrays),
-which keeps per-sample arithmetic identical to the single-trajectory path
-while avoiding Python-level loops over samples.  Trajectories that leave
-the finite regime (or exceed the blow-up threshold) are frozen at their
-last good state and flagged, so one bad sample cannot poison a batch.
+:func:`rk4` is the one step loop: every integration in the package
+(noising's open loop with stored controls and its extremal flows, and the
+learned closed loop) supplies a field callback that is told the step index
+and RK4 stage, and :func:`rk4` owns the update and the blow-up policy.
+Steering integrates nothing: :mod:`ctrlflow.interpolants` takes its exact
+flows in closed form.  A whole batch of trajectories advances at once
+(states are (n, d) arrays), which keeps per-sample arithmetic identical to
+the single-trajectory path while avoiding Python-level loops over samples.
+Trajectories that leave the finite regime (or exceed the blow-up threshold)
+are frozen at their last good state and flagged, so one bad sample cannot
+poison a batch.
 """
 
 from __future__ import annotations
@@ -29,16 +31,6 @@ def uniform_grid(T: float, n_steps: int) -> np.ndarray:
     if not np.isfinite(T) or T <= 0:
         raise ConfigurationError(f"horizon must be positive and finite, got {T}")
     return np.linspace(0.0, float(T), int(n_steps) + 1)
-
-
-def stage_times(t_grid: np.ndarray) -> np.ndarray:
-    """Interleaved node and midpoint times, shape (2K + 1,) for K steps."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    mids = 0.5 * (t_grid[:-1] + t_grid[1:])
-    out = np.empty(2 * len(t_grid) - 1)
-    out[0::2] = t_grid
-    out[1::2] = mids
-    return out
 
 
 def pl_stage_values(samples: np.ndarray) -> np.ndarray:
@@ -113,7 +105,7 @@ def rk4(
     return states, bad_time
 
 
-# stage_times index offset of each RK4 stage within step k (2k + offset)
+# u_stages index offset of each RK4 stage within step k (2k + offset)
 _STAGE_OFFSET = (0, 1, 1, 2)
 
 
@@ -127,7 +119,7 @@ def rk4_stage_controls(
     """Integrate ``x' = rhs(x, u(t))`` with control values given per RK4 stage.
 
     ``u_stages`` has shape (n, 2K + 1, m): even indices are the node values,
-    odd indices the midpoint values (see :func:`stage_times`).
+    odd indices the midpoint values.
     """
     u_stages = np.asarray(u_stages, dtype=float)
     K = len(t_grid) - 1

@@ -124,6 +124,9 @@ from .seeding import substream
 from .trajectory import grid_nodes, read_trajectories, write_trajectories
 
 EXTRAPOLATION_FACTOR = 10.0
+# entries of a 2-D array that FeedbackLaw.save turns into JSON at once (at
+# least one row)
+JSON_CHUNK_ENTRIES = 2**10
 # a row whose smallest squared scaled distance exceeds this is weighed
 # relative to its top weight (see KernelLaw._mean)
 FAR_EMIN = 1200.0
@@ -212,6 +215,11 @@ def _median_pairwise(z: np.ndarray, rng: np.random.Generator, n_pairs: int = 409
     return np.median(diffs, axis=0)
 
 
+def _listed(value):
+    """``value`` as JSON would hold it: a numpy array becomes nested lists."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def _check_positive(where: str, key: str, value, kind=Real) -> None:
     """``value`` must be a ``kind`` number (not a bool), positive and finite."""
     if isinstance(value, bool) or not isinstance(value, kind) or not 0 < value < math.inf:
@@ -224,7 +232,8 @@ class FeedbackLaw:
 
     A subclass supplies ``method``, ``HYPERPARAMS`` (name -> default),
     :meth:`fit`, ``_predict_rows`` and ``_state``, the keyword arguments of
-    its constructor that :meth:`from_json_dict` rebuilds it from.
+    its constructor that :meth:`from_json_dict` rebuilds it from (numpy
+    arrays or JSON values; :meth:`to_json_dict` lists the arrays).
     """
 
     def __init__(self, time_scale: float, hyperparams: Optional[dict] = None,
@@ -278,7 +287,8 @@ class FeedbackLaw:
             out, flags = out[0], bool(flags[0])
         return (out, flags) if return_flag else out
 
-    def to_json_dict(self) -> dict:
+    def _document(self) -> dict:
+        """The law's document, its arrays still numpy arrays."""
         return {
             "format": LAW_FORMAT,
             "method": self.method,
@@ -288,6 +298,9 @@ class FeedbackLaw:
             **self._state(),
         }
 
+    def to_json_dict(self) -> dict:
+        return {key: _listed(value) for key, value in self._document().items()}
+
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FeedbackLaw":
         if doc.get("format") != LAW_FORMAT or doc.get("method") not in LAWS:
@@ -296,8 +309,25 @@ class FeedbackLaw:
         return LAWS[doc["method"]](**state)
 
     def save(self, path) -> None:
-        # dumps runs the C encoder; dump to a file handle runs the Python one
-        Path(path).write_text(json.dumps(self.to_json_dict()))
+        """Write ``json.dumps(self.to_json_dict())`` to ``path``, byte for byte,
+        a 2-D array (a neighbour law's rows) ``JSON_CHUNK_ENTRIES`` entries at
+        a time: no list or string of a whole array is made.  ``json.dumps``
+        runs the C encoder, ``json.dump`` to a file handle the Python one."""
+        with Path(path).open("w") as fh:
+            sep = "{"
+            for key, value in self._document().items():
+                fh.write(f"{sep}{json.dumps(key)}: ")
+                sep = ", "
+                if not (isinstance(value, np.ndarray) and value.ndim == 2 and len(value)):
+                    fh.write(json.dumps(_listed(value)))
+                    continue
+                step = max(1, JSON_CHUNK_ENTRIES // max(1, value.shape[1]))
+                for lo in range(0, len(value), step):
+                    # the rows of a chunk without the brackets of its outer list
+                    fh.write(("[" if lo == 0 else ", ")
+                             + json.dumps(value[lo : lo + step].tolist())[1:-1])
+                fh.write("]")
+            fh.write("}")
 
     @classmethod
     def load(cls, path) -> "FeedbackLaw":
@@ -335,7 +365,7 @@ class _NeighbourLaw(FeedbackLaw):
         return self._z.shape[0]
 
     def _state(self) -> dict:
-        return {"z": self._z.tolist(), "u": self._u.tolist(), "ref_nn_dist": self.ref_nn_dist}
+        return {"z": self._z, "u": self._u, "ref_nn_dist": self.ref_nn_dist}
 
     def _neighbour_mean(self, zq: np.ndarray, k: int):
         """Mean control of each row's k nearest training rows in z, and the
@@ -485,7 +515,7 @@ class KernelLaw(_NeighbourLaw):
         return cls(time_scale, z, u, bandwidth=np.where(bw > 0, bw, 1.0))
 
     def _state(self) -> dict:
-        return {"bandwidth": self.bandwidth.tolist(), **super()._state()}
+        return {"bandwidth": self.bandwidth, **super()._state()}
 
     def _tile_args(self, q: np.ndarray, tile: np.ndarray):
         """Write the kernel arguments of the augmented query rows ``q`` to
@@ -637,7 +667,7 @@ class MLPLaw(FeedbackLaw):
         return cls(time_scale, W, b, z_mean, z_std, u_mean, u_std, n_train=n)
 
     def _state(self) -> dict:
-        state = {key: getattr(self, key).tolist() for key in ("z_mean", "z_std", "u_mean", "u_std")}
+        state = {key: getattr(self, key) for key in ("z_mean", "z_std", "u_mean", "u_std")}
         W, b = [w.tolist() for w in self.W], [v.tolist() for v in self.b]
         return {"W": W, "b": b, "n_train": self.n_train, **state}
 

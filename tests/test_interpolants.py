@@ -12,10 +12,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 from ctrlflow.errors import (
     ConfigurationError,
@@ -24,6 +24,7 @@ from ctrlflow.errors import (
     UnstableGainError,
 )
 from ctrlflow.interpolants import (
+    BROCKETT_MIN_GRID,
     brockett_steer_pair_batch,
     equilibrium_control,
     feedback_steer_pair_batch,
@@ -33,10 +34,32 @@ from ctrlflow.interpolants import (
 )
 from ctrlflow.linalg import TILE_ENTRIES, tile_rows
 from ctrlflow.systems import builtin_system, six_state_matrices
-from helpers import control_energy, integrate_samples, residual_error
+from helpers import control_energy, fine_rk4, integrate_samples, residual_error
 
 A_DI = np.array([[0.0, 1.0], [0.0, 0.0]])
 B_DI = np.array([[0.0], [1.0]])
+
+# a rounding floor for the comparisons with fine RK4, relative to a row's
+# scale: far above the double rounding that about a thousand steps sum up
+RK4_FLOOR = 1e-11
+
+
+def _assert_exact_flow(ens, field, x0):
+    """Each row of ``ens`` agrees at every node with fine RK4 of ``field``
+    from ``x0``, within the RK4 run's own error bound plus the rounding
+    floor; columns of ``x0`` past the ensemble's states (a costate) ride
+    along."""
+    K = len(ens.t_grid) - 1
+    ref, bound = fine_rk4(field, x0, ens.t_grid, max(4, 512 // K))
+    ref = ref[..., : ens.states.shape[2]]
+    dev = np.abs(ens.states - ref).max(axis=(1, 2))
+    assert np.all(dev <= bound + RK4_FLOOR * (1.0 + np.abs(ref).max(axis=(1, 2))))
+
+
+def _endpoint_errors(ens, ys):
+    errs = np.array([np.linalg.norm(row) for row in ens.states[:, -1] - ys])
+    assert np.array_equal(ens.meta["endpoint_error"], errs)
+    return errs
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +138,15 @@ def test_min_energy_single_integrator_constant_control():
     ens = min_energy_pair_batch(
         np.zeros((2, 2)), np.eye(2), np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0, 200
     )
-    assert np.abs(ens.controls - np.array([1.0, 0.0])).max() <= 1e-10
+    assert np.abs(ens.controls - np.array([1.0, 0.0])).max() <= 1e-14
     # straight-line states
-    assert np.allclose(ens.states[0, :, 0], ens.t_grid, atol=1e-10)
+    assert np.allclose(ens.states[0, :, 0], ens.t_grid, rtol=0.0, atol=1e-14)
 
 
 def test_min_energy_canonical_control_formula():
     ens = min_energy_pair_batch(A_DI, B_DI, np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0, 2000)
     expected = 6.0 - 12.0 * ens.t_grid
-    assert np.abs(ens.controls[0, :, 0] - expected).max() <= 1e-8
+    assert np.abs(ens.controls[0, :, 0] - expected).max() <= 1e-12
 
 
 def test_min_energy_zero_displacement():
@@ -138,7 +161,7 @@ def test_min_energy_random_pairs_terminal():
     xTs = rng.uniform(-1.0, 1.0, size=(100, 2))
     ens = min_energy_pair_batch(A_DI, B_DI, x0s, xTs, 1.0, 2000)
     errs = np.linalg.norm(ens.states[:, -1] - xTs, axis=1)
-    assert errs.max() <= 1e-5
+    assert errs.max() <= 1e-12
     assert np.allclose(ens.meta["endpoint_error"], errs, rtol=1e-12, atol=0.0)
 
 
@@ -180,13 +203,52 @@ def test_min_energy_optimality_among_null_perturbations():
 
 
 def test_min_energy_controls_own_their_memory():
-    # a strided view of the RK4 stage controls would keep all 2K + 1 stages alive
+    # the node controls are one array of their own, not a view of a larger one
     rng = np.random.default_rng(8)
     ens = min_energy_pair_batch(
         A_DI, B_DI, rng.standard_normal((5, 2)), rng.standard_normal((5, 2)), 1.0, n_grid=100
     )
     assert ens.controls.shape == (5, 101, 1)
     assert ens.controls.base is None and ens.controls.flags.c_contiguous
+
+
+@st.composite
+def _min_energy_cases(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, d))
+    n = draw(st.integers(1, 4))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    A = draw(arrays(float, (d, d), elements=entries))
+    B = draw(arrays(float, (d, m), elements=entries))
+    ends = draw(arrays(float, (2, n, d), elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
+    return A, B, ends[0], ends[1], draw(st.floats(0.5, 2.0)), draw(st.integers(1, 64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_min_energy_cases())
+@example((A_DI, B_DI, np.array([[0.3, -0.4]]), np.array([[-0.8, 0.5]]), 1.0, 8))
+def test_min_energy_states_are_the_exact_flow_of_the_controls(case):
+    # the returned controls are B' exp(A'(T - t)) c for one c per row; RK4
+    # of x' = Ax + BB'p, p' = -A'p from p(0) = exp(A'T) c re-integrates them
+    A, B, x0s, xTs, T, n_grid = case
+    W = gramian(A, B, T)
+    assume(np.linalg.cond(W) <= 1e3)
+    ens = min_energy_pair_batch(A, B, x0s, xTs, T, n_grid)
+    d, m = B.shape
+    t = ens.t_grid
+    basis = (B.T @ expm((T - t)[:, None, None] * A.T)).reshape(-1, d)  # ((K+1) m, d)
+    c = np.linalg.lstsq(basis, ens.controls.reshape(len(x0s), -1).T, rcond=None)[0].T
+    fitted = (c @ basis.T).reshape(ens.controls.shape)
+    assert np.abs(fitted - ens.controls).max() <= 1e-12 * (1.0 + np.abs(ens.controls).max())
+    assert np.array_equal(ens.states[:, 0], x0s)
+
+    def field(j, tt, z):
+        x, p = z[:, :d], z[:, d:]
+        return np.hstack([x @ A.T + p @ B @ B.T, -p @ A])
+
+    _assert_exact_flow(ens, field, np.hstack([x0s, c @ expm(A * T)]))
+    errs = _endpoint_errors(ens, xTs)
+    assert np.all(errs <= 1e-12 * (1.0 + np.linalg.norm(xTs, axis=1)))
 
 
 def test_min_energy_uncontrollable_rejected():
@@ -262,9 +324,9 @@ def test_feedback_steer_scalar_decay():
         T=5.0,
         n_grid=2000,
     )
-    assert np.allclose(ens.states[0, :, 0], np.exp(-ens.t_grid), atol=1e-9)
+    assert np.allclose(ens.states[0, :, 0], np.exp(-ens.t_grid), rtol=0.0, atol=1e-14)
     terminal = abs(ens.states[0, -1, 0])
-    assert abs(terminal - np.exp(-5.0)) <= 1e-9
+    assert abs(terminal - np.exp(-5.0)) <= 1e-14
     assert ens.meta["endpoint_error"][0] == terminal
 
 
@@ -342,6 +404,49 @@ def test_feedback_node_controls_match_the_one_shot_formula(size, seed):
     assert np.array_equal(ens.controls, (ens.states - ys[:, None, :]) @ K.T + alphas[:, None, :])
 
 
+@st.composite
+def _feedback_cases(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, d))
+    n = draw(st.integers(1, 4))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    A = draw(arrays(float, (d, d), elements=entries))
+    B = draw(arrays(float, (d, m), elements=entries))
+    poles = draw(st.lists(st.floats(-3.0, -0.3), min_size=d, max_size=d))
+    # equilibria (y, alpha) span the null space of [A, B]
+    weights = draw(arrays(float, (n, d + m), elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
+    x0s = draw(arrays(float, (n, d), elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
+    return A, B, poles, weights, x0s, draw(st.floats(0.5, 3.0)), draw(st.integers(1, 64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_feedback_cases())
+@example((A_DI, B_DI, [-1.0, -2.0], np.array([[1.0, 0.0, 0.0]]), np.array([[3.0, 0.0]]), 6.0, 8))
+def test_feedback_states_are_the_exact_flow_of_the_closed_loop(case):
+    # the returned controls are K(x - y) + alpha at the returned states; RK4
+    # of that closed loop re-integrates them
+    A, B, poles, weights, x0s, T, n_grid = case
+    assume(np.diff(np.sort(poles)).min(initial=1.0) >= 0.1)
+    try:
+        K = place_poles(A, B, poles)
+    except (ConfigurationError, UncontrollablePairError):
+        assume(False)
+    # a nearly uncontrollable pair needs a huge gain, whose cancellations
+    # swamp the comparison in rounding
+    assume(np.abs(K).max() <= 1e2)
+    N = null_space(np.hstack([A, B]))
+    ys = (weights[:, : N.shape[1]] @ N.T)[:, : A.shape[0]]
+    alphas = equilibrium_control(A, B, ys)
+    ens = feedback_steer_pair_batch(A, B, K, ys, x0s, T, n_grid)
+    assert np.allclose(ens.states[:, 0], x0s, rtol=0.0, atol=1e-14)
+
+    def field(j, tt, x):
+        return x @ A.T + ((x - ys) @ K.T + alphas) @ B.T
+
+    _assert_exact_flow(ens, field, x0s)
+    _endpoint_errors(ens, ys)
+
+
 def test_feedback_steer_rejects_unstable_gain():
     with pytest.raises(UnstableGainError):
         feedback_steer_pair_batch(
@@ -398,19 +503,19 @@ def test_brockett_vertical_case():
     K = len(ens.t_grid) // 2
     assert np.abs(ens.controls[0, : K // 2]).max() <= 1e-12
     assert abs(ens.meta["loop_amplitude"][0] - 1.0 / np.pi) <= 1e-12
-    assert np.linalg.norm(ens.states[0, -1] - [0.0, 0.0, 1.0]) <= 1e-8
+    assert np.linalg.norm(ens.states[0, -1] - [0.0, 0.0, 1.0]) <= 1e-12
 
 
 def test_brockett_diagonal_case():
     ens = brockett_steer_pair_batch(np.zeros((1, 3)), np.array([[1.0, 1.0, 0.0]]))
     assert abs(ens.meta["loop_amplitude"][0] + 1.0 / (2.0 * np.pi)) <= 1e-12
-    assert np.linalg.norm(ens.states[0, -1] - [1.0, 1.0, 0.0]) <= 1e-8
+    assert np.linalg.norm(ens.states[0, -1] - [1.0, 1.0, 0.0]) <= 1e-12
 
 
 def test_brockett_fixed_point_roundtrip():
     ens = brockett_steer_pair_batch(np.zeros((1, 3)), np.zeros((1, 3)))
     assert abs(ens.meta["loop_amplitude"][0]) <= 1e-12
-    assert np.linalg.norm(ens.states[0, -1]) <= 1e-8
+    assert np.linalg.norm(ens.states[0, -1]) <= 1e-12
 
 
 def test_brockett_random_pairs_terminal():
@@ -419,8 +524,39 @@ def test_brockett_random_pairs_terminal():
     ys = rng.uniform(-1.0, 1.0, size=(100, 3))
     ens = brockett_steer_pair_batch(xs, ys, n_grid=4000)
     errs = np.linalg.norm(ens.states[:, -1] - ys, axis=1)
-    assert errs.max() <= 1e-6
+    assert errs.max() <= 1e-12
     assert np.allclose(ens.meta["endpoint_error"], errs, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arrays(float, st.tuples(st.integers(1, 4), st.just(6)),
+           elements=st.floats(-2.0, 2.0, allow_subnormal=False)),
+    st.integers(BROCKETT_MIN_GRID, 64),
+)
+@example(np.array([[0.0, 0.0, 0.0, 0.5, -0.3, 0.8]]), 9)
+def test_brockett_states_are_the_exact_flow_of_the_controls(ends, n_grid):
+    # the returned controls are phase 1's constant a through node K/2, then
+    # (sin t, c cos t); RK4 of x' = (u1, u2, u1 x2) re-integrates them
+    xs, ys = ends[:, :3], ends[:, 3:]
+    ens = brockett_steer_pair_batch(xs, ys, n_grid=n_grid)
+    t = ens.t_grid
+    half = (len(t) - 1) // 2
+    a, c = ens.controls[:, 0], ens.meta["loop_amplitude"]
+    assert len(t) - 1 == n_grid + n_grid % 2
+    assert np.array_equal(ens.controls[:, : half + 1], np.repeat(a[:, None], half + 1, axis=1))
+    t2 = t[half + 1 :]
+    loop = np.stack(np.broadcast_arrays(np.sin(t2), c[:, None] * np.cos(t2)), axis=-1)
+    assert np.allclose(ens.controls[:, half + 1 :], loop, rtol=0.0, atol=1e-15)
+    assert np.array_equal(ens.states[:, 0], xs)
+
+    def field(j, tt, x):
+        u = a if j < half else np.column_stack([np.full(len(x), np.sin(tt)), c * np.cos(tt)])
+        return np.column_stack([u[:, 0], u[:, 1], u[:, 0] * x[:, 1]])
+
+    _assert_exact_flow(ens, field, xs)
+    errs = _endpoint_errors(ens, ys)
+    assert np.all(errs <= 1e-12 * (1.0 + np.linalg.norm(ys, axis=1)))
 
 
 def test_brockett_horizon_is_4pi():

@@ -9,7 +9,6 @@ from ctrlflow.ode import (
     raise_on_blowup,
     rk4,
     rk4_stage_controls,
-    stage_times,
     uniform_grid,
 )
 from helpers import integrate_samples
@@ -20,12 +19,6 @@ def test_uniform_grid_endpoints():
     assert len(g) == 9
     assert g[0] == 0.0 and g[-1] == 2.0
     assert np.allclose(np.diff(g), 0.25)
-
-
-def test_stage_times_interleaves_midpoints():
-    g = np.array([0.0, 1.0, 2.0])
-    st = stage_times(g)
-    assert np.allclose(st, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
 def test_pl_stage_values_midpoint_average():

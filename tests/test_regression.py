@@ -54,6 +54,7 @@ from ctrlflow.linalg import EXP_FLOOR, TILE_ENTRIES, floored_exp, sq_dists, tile
 from ctrlflow.regression import (
     EXTRAPOLATION_FACTOR,
     FAR_EMIN,
+    JSON_CHUNK_ENTRIES,
     KernelLaw,
     KnnLaw,
 )
@@ -338,6 +339,32 @@ def test_law_serialization_round_trip(tmp_path):
         FeedbackLaw.from_json_dict({**doc, "format": "ctrlflow.feedback_law.v1"})
     with pytest.raises(ConfigurationError):
         FeedbackLaw.from_json_dict({**doc, "method": "forest"})
+
+
+@pytest.mark.parametrize("method", ["kernel", "knn", "mlp"])
+def test_saved_law_is_json_dumps_of_its_document_and_loads_bit_for_bit(method, tmp_path):
+    # save writes a 2-D array a chunk of rows at a time: the file must still
+    # be json.dumps of the whole document, at and around the chunk edges
+    step = JSON_CHUNK_ENTRIES // 3  # rows of z = (t, x) per chunk
+    for n in (1, 2, step - 1, step, step + 1, 3 * step + 7):
+        data = _smooth_dataset(n_traj=n, n_per=1, seed=n)
+        if method == "mlp":
+            law = fit_feedback(data, method="mlp", hyperparams={"steps": 20}, seed=1)
+        else:
+            z = np.column_stack([data.t, data.x])
+            law = (KernelLaw(1.0, z, data.u, bandwidth=np.full(3, 0.5)) if method == "kernel"
+                   else KnnLaw(1.0, z, data.u, k=1))
+        path = tmp_path / "law.json"
+        law.save(path)
+        assert path.read_bytes() == json.dumps(law.to_json_dict()).encode()
+        loaded = FeedbackLaw.load(path)
+        want, got = law._document(), loaded._document()
+        assert list(got) == list(want)
+        for key, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert got[key].dtype == value.dtype and np.array_equal(got[key], value)
+            else:
+                assert got[key] == value
 
 
 def test_zero_spread_feature_gets_unit_bandwidth():
