@@ -111,8 +111,11 @@ def gramian(A: np.ndarray, B: np.ndarray, T: float) -> np.ndarray:
 
 
 def _gramian_solve(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """W^-1 rhs for a Gramian whose smallest eigenvalue is a normal double
+    and at least ``GRAMIAN_EIG_RATIO`` of its largest; any other W (a
+    subnormal or non-finite one too) raises."""
     eigs = np.linalg.eigvalsh(W)
-    if eigs[0] < GRAMIAN_EIG_RATIO * max(eigs[-1], 1.0e-300):
+    if not eigs[0] >= max(GRAMIAN_EIG_RATIO * eigs[-1], np.finfo(float).tiny):
         raise UncontrollablePairError(
             f"Gramian is numerically singular (min eig {eigs[0]:.3g}, "
             f"max eig {eigs[-1]:.3g}); the pair (A, B) is not controllable "
@@ -174,7 +177,7 @@ def min_energy_pair_batch(
     errs = _row_norms(states[:, -1] - xTs)
     tols = 1.0e-6 * (1.0 + _row_norms(xTs))
     for err, tol in zip(errs, tols):
-        if err > tol:
+        if not err <= tol:  # a NaN error fails too
             raise ConfigurationError(
                 f"terminal error {err:.3g} exceeds tol {tol:.3g}: the Gramian solve "
                 "is too poorly conditioned on this horizon"
@@ -205,7 +208,15 @@ def place_poles(A: np.ndarray, B: np.ndarray, poles, seed: int = 0) -> np.ndarra
         C = controllability_matrix(A, B)
         last_row = np.zeros(d)
         last_row[-1] = 1.0
-        K = -(np.linalg.solve(C.T, last_row) @ phiA)[None, :]
+        # a rank test is scale-free; LU on entries near the underflow
+        # threshold is not, and a gain that overflows fails _verify_poles
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                K = -(np.linalg.solve(C.T, last_row) @ phiA)[None, :]
+        except np.linalg.LinAlgError as exc:
+            raise UncontrollablePairError(
+                "controllability matrix is numerically singular"
+            ) from exc
         _verify_poles(A, B, K, poles)
         return K
 
@@ -262,11 +273,16 @@ def _real_block_form(poles: np.ndarray) -> np.ndarray:
 
 
 def _verify_poles(A, B, K, poles, tol: float = 1.0e-6) -> None:
-    got = np.sort_complex(np.linalg.eigvals(A + B @ K))
+    # a gain that overflows is rejected below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = A + B @ K
+    if not np.all(np.isfinite(closed)):
+        raise ConfigurationError("placed gain gives a closed loop that is not finite")
+    got = np.sort_complex(np.linalg.eigvals(closed))
     want = np.sort_complex(np.asarray(poles, dtype=complex))
     # greedy nearest matching after the lexicographic sort
     err = np.abs(got - want).max()
-    if err > tol:
+    if not err <= tol:  # a NaN error fails too
         raise ConfigurationError(
             f"placed poles deviate by {err:.3g} (> {tol:.1g}) from the request"
         )
@@ -282,7 +298,8 @@ def equilibrium_control(A: np.ndarray, B: np.ndarray, y: np.ndarray) -> np.ndarr
     ay = A @ np.asarray(y, dtype=float).T
     alpha, _, _, _ = np.linalg.lstsq(B, -ay, rcond=None)
     residual = np.atleast_1d(np.linalg.norm(ay + B @ alpha, axis=0))
-    bad = np.flatnonzero(residual > 1.0e-8 * (1.0 + np.linalg.norm(ay, axis=0)))
+    # a NaN residual is infeasible too
+    bad = np.flatnonzero(~(residual <= 1.0e-8 * (1.0 + np.linalg.norm(ay, axis=0))))
     if bad.size:
         raise InfeasibleTargetError(
             f"target {bad[0]} is not an equilibrium: residual |Ay + B alpha| = "

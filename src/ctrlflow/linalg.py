@@ -9,7 +9,10 @@ node controls and the per-node arrays of the noising constructions use the
 same tiles.
 :func:`floored_exp` is the one elementwise exp of the package: the feedback
 law's kernel weights and the entropic kernel of the exact W2 solve both go
-through it.
+through it.  It clamps arguments below ``EXP_FLOOR`` to the floor, one pass
+that is run only for a block that has such arguments, and leaves each
+caller to decide what its clamped entries mean: the kernel laws keep their
+weight of e^-700, and the W2 solve masks them to 0.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import ConfigurationError
 # over a tile stay in cache
 TILE_ENTRIES = 2**17
 
-# arguments of floored_exp below the floor get 0
+# arguments of floored_exp below the floor are clamped to it
 EXP_FLOOR = -700.0
 
 
@@ -56,22 +59,17 @@ def kalman_rank(A: np.ndarray, B: np.ndarray) -> int:
 def floored_exp(w: np.ndarray) -> np.ndarray:
     """exp(w) in place, for arguments w <= 0 whose row maximum a is <= 0.
 
-    Arguments below ``EXP_FLOOR`` are clamped before the exp, which keeps
-    numpy's exp on its vector path (a tiny or subnormal result leaves it),
-    and their results are set to 0; every other entry is bit-equal to
-    ``np.exp``.  Together the zeroed entries of a row of n are at most
-    n e^(-700 - a) of its top entry e^a: a caller keeps a well above -700
-    (the kernel laws keep it at or above -600) for that share to be small.
+    Arguments below ``EXP_FLOOR`` are clamped to it before the exp, which
+    keeps numpy's exp on its vector path (a tiny or subnormal result leaves
+    it), so each weighs e^-700; every other entry is bit-equal to
+    ``np.exp``.  A clamped entry of a row is below e^(-700 - a) of its top
+    entry e^a: a caller keeps a well above -700 (the kernel laws keep it at
+    or above -600) for the clamped entries to be lost in the rounding of
+    its sums.  A caller that needs them to be 0 masks them itself.
     """
-    if w.size == 0 or w.min() >= EXP_FLOOR:
-        return np.exp(w, out=w)
-    # a product with the mask keeps the bits of every kept entry, and is
-    # vectorized where a masked assignment is not
-    keep = w >= EXP_FLOOR
-    np.maximum(w, EXP_FLOOR, out=w)
-    np.exp(w, out=w)
-    w *= keep
-    return w
+    if w.size and w.min() < EXP_FLOOR:
+        np.maximum(w, EXP_FLOOR, out=w)
+    return np.exp(w, out=w)
 
 
 def tile_rows(n_cols: int) -> int:

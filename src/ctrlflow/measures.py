@@ -18,9 +18,10 @@ row-stabilized form of Schmitzer 2019).  A shift by potentials adds the
 same constant to every assignment's total, so the optimal assignment is
 unchanged; near-optimal potentials leave the solver short augmenting
 paths.  Where there are no usable potentials (n = 1, a block whose rows
-are each constant, or a potential that is not finite) C is solved as it
-is.  A block whose row minima lie in distinct columns needs no solve at
-all: that matching is optimal.
+are each constant, or a potential that is not finite, as for a column
+whose entropic kernel entries all lie past ``EXP_FLOOR`` and are held as
+0) C is solved as it is.  A block whose row minima lie in distinct columns
+needs no solve at all: that matching is optimal.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError
-from .linalg import floored_exp, sq_dists
+from .linalg import EXP_FLOOR, floored_exp, sq_dists
 from .seeding import derived_seed, substream
 
 EXACT_W2_MAX_N = 2048
@@ -239,10 +240,11 @@ def _assignment(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the shortest augmenting paths are short.  K is written over C, and C is
     then recomputed and shifted in place, so one block is held at a time.
     With eps = 0 (n = 1, or every row of C constant) or a potential that is
-    not finite (a column whose kernel entries all fall below the floor), C
-    is solved as it is.  When the row argmins of C are a permutation, that
-    matching is returned unsolved: its total, the sum of the row minima, is
-    a lower bound on every matching's.
+    not finite (a column whose kernel arguments all fall below
+    ``EXP_FLOOR``: K holds such entries as 0), C is solved as it is.  When
+    the row argmins of C are a permutation, that matching is returned
+    unsolved: its total, the sum of the row minima, is a lower bound on
+    every matching's.
     """
     kernel = sq_dists(a, b)
     rows = np.arange(len(a))
@@ -255,7 +257,12 @@ def _assignment(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.unique(cols).size == len(cols):
         return rows, cols
     kernel *= -1.0 / eps
+    # entries past the floor are 0, so a column that is floored whole has
+    # no finite potential and the block is solved as it is
+    keep = kernel >= EXP_FLOOR
     floored_exp(kernel)
+    kernel *= keep
+    del keep
     v = np.ones(len(a))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(SINKHORN_SWEEPS):

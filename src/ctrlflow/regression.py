@@ -27,12 +27,13 @@ A kernel law takes the dense Nadaraya-Watson weights over the training
 rows of a time window (below), one row tile
 (:func:`ctrlflow.linalg.tile_rows`) at a time.  A tile's
 kernel arguments -|q - z|^2/2 of scaled rows q and z are one matrix product
-of [q, 1, -|q|^2/2] with the law's cached [z; -|z|^2/2; 1], written to a
-tile workspace that the law allocates once, and become weights in place;
-one product of the tile with the cached [u, 1] gives each row's numerator
-and denominator.  The largest argument of a row is -emin/2, where emin is
-its smallest squared scaled distance; a row with emin above ``FAR_EMIN`` =
-1200 has that maximum subtracted first.
+of [q, 1, -|q|^2/2] with the law's cached [z; -|z|^2/2; 1], written as one
+contiguous block to the start of a workspace that the law allocates once,
+and become weights in place; one product of the block with the cached
+[u, 1] gives each row's numerator and denominator.  The largest argument
+of a row is -emin/2, where emin is its smallest squared scaled distance;
+the row's argmax gives both, and the row of its top weight.  A row with
+emin above ``FAR_EMIN`` = 1200 has that maximum subtracted first.
 
 A row tile sums only its time window: one contiguous range of columns
 that holds every training row whose time alone can still carry weight for
@@ -44,28 +45,32 @@ core's smallest row maximum A is at most every row's top argument, so a
 column with delta_j^2 > 2(L - A), L = ``WINDOW_MARGIN`` + ln n = 42 + ln n,
 weighs below e^-L of its row's top weight, and all such columns together
 below e^-42 (about 6e-19) of it, far under a double's rounding.  The tile
-writes the two side ranges that 2(L - A), widened by the rounding slack
-below, keeps, and then sums those columns alone; no entry is computed
-twice.  A row's nearest training row carries its top argument, at least
-A, so it is kept: emin, and with it the far shift, the degenerate rule and
-the flags, are exact.  A tile whose columns all lie within sqrt(2L) of its
-times could drop none even at a top argument of 0, and takes one product
-over every column.  The window needs the training rows in nondecreasing
-time order; every fitted law is (``_canonical_order`` sorts t first), and
-so every saved one.  A law built by hand out of that order is checked once
-and keeps every column; it is not sorted, since the column order fixes the
-bits of its sums.  A rollout call queries one t, and the fit loss pass
+then writes the columns [a, b) that 2(L - A), widened by the rounding
+slack below, keeps, the core's again among them, as one contiguous block,
+and sums those columns alone.  Every later pass over the block (argmax,
+exp, the product with [u, 1]) then runs on contiguous memory, which saves
+more than the core's second product costs.  A row's nearest training row
+carries its top argument, at least A, so it is kept: emin, and with it the
+far shift, the degenerate rule and the flags, are exact.  A tile whose
+columns all lie within sqrt(2L) of its times could drop none even at a top
+argument of 0, and takes one product over every column.  The window needs
+the training rows in nondecreasing time order; every fitted law is
+(``_canonical_order`` sorts t first), and so every saved one.  A law built
+by hand out of that order is checked once and keeps every column; it is
+not sorted, since the column order fixes the bits of its sums.  A rollout call queries one t, and the fit loss pass
 sends training rows in t order, so a tile's times span few time samples.
 
 Every kernel weight comes from :func:`ctrlflow.linalg.floored_exp`: an
-argument below ``EXP_FLOOR`` = -700 gets weight 0, where numpy's exp would
-take its slow path for the tiny result.  A row's top weight is at least
-e^-600 (1 for a shifted row), so each floored weight is below e^-100 of it
-and a row leaves out at most n e^-100 of its mass.  No row is floored
-whole: past ``FAR_EMIN`` its top weight is 1.  A row with emin above -2
-``EXP_FLOOR`` = 1400 takes the control of its nearest training row
-instead of its kernel mean.  That is a policy, not a numerical necessity:
-so far from every training row the shifted mean rests on the few rows
+argument below ``EXP_FLOOR`` = -700 is clamped to it, where numpy's exp
+would take its slow path for the tiny result, and weighs e^-700.  A row's
+top weight is at least e^-600 (1 for a shifted row), so each clamped
+weight is below e^-100 of it, and together they move a row's denominator
+by at most n e^-100 of its top weight and its numerator by as much times
+max |u|, far under a double's rounding; they are not masked to 0.  No row
+is floored whole: past ``FAR_EMIN`` its top weight is 1.  A row with emin
+above -2 ``EXP_FLOOR`` = 1400 takes the control of its nearest training
+row instead of its kernel mean.  That is a policy, not a numerical
+necessity: so far from every training row the shifted mean rests on the few rows
 nearest in the scaled metric, and on the reduced stabilize_random example
 it steered rollouts worse (larger p90 terminal distance, more
 extrapolating nodes) than the nearest row's control.
@@ -73,14 +78,18 @@ extrapolating nodes) than the nearest row's control.
 A row is flagged as an extrapolation when its nearest distance in z
 exceeds ``EXTRAPOLATION_FACTOR * ref_nn_dist``.  The flag is a diagnostic:
 a flagged row keeps the control its law's own mean gave it.  A kernel law
-bounds that distance from the emin its dense product already has: each
-feature is scaled by its own bandwidth, so the distance lies in
-[h_min sqrt(emin), h_max sqrt(emin)].  Widened by a slack that holds the
-rounding of emin and of the z tree's own distance, several times
-eps (|q/h|^2 + max |z/h|^2) inside the root, a bracket that lies on one
-side of the threshold decides the flag as the z tree would.  Only rows
-whose bracket straddles it, or whose emin is not finite (an overflowing
-query), ask the z tree.  A knn law's neighbour query returns the nearest
+bounds that distance from its own pass.  Each feature is scaled by its own
+bandwidth, so the distance is at least h_min sqrt(emin); and it is at most
+the z distance to the row of the top weight, the kernel's own nearest row
+in the scaled metric.  Each bound is widened by a slack that holds its
+rounding and that of the z tree's own distance: several times
+eps (|q/h|^2 + max |z/h|^2) inside the lower root, and several eps of the
+squared upper distance plus as many of the smallest subnormal, the error
+of squares that underflow.  A bracket that lies on one side of the
+threshold decides the flag as the z tree would.  Only rows whose bracket
+straddles it, or whose bounds are not finite (an overflowing query), ask
+the z tree; a row near the training rows has its top row near too, and
+asks it nothing.  A knn law's neighbour query returns the nearest
 distance itself, a bracket of zero width.
 
 :func:`crossval_loss` selects hyperparameters on trajectory-grouped folds.
@@ -268,9 +277,13 @@ class FeedbackLaw:
                 _check_positive(where, key, value, Integral if isinstance(default, int) else Real)
 
     def _features(self, t, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        tcol = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        return np.column_stack([self.time_scale * tcol, x])
+        """The feature rows [time_scale * t, x] of float states ``x``."""
+        x = np.atleast_2d(x)
+        z = np.empty((x.shape[0], x.shape[1] + 1))
+        z[:, 0] = t
+        z[:, 0] *= self.time_scale
+        z[:, 1:] = x
+        return z
 
     def predict(self, t, x: np.ndarray, return_flag: bool = False):
         """Control estimate at query time(s) and state(s).
@@ -412,12 +425,12 @@ class _NeighbourLaw(FeedbackLaw):
         the threshold, or are not finite, ask the tree.
         """
         threshold = EXTRAPOLATION_FACTOR * max(self.ref_nn_dist, 1.0e-300)
-        out = np.full((len(zq), self.m), np.nan)
-        rows = np.flatnonzero(np.isfinite(zq).all(axis=1))
-        zr = zq if len(rows) == len(zq) else zq[rows]
+        finite = np.isfinite(zq).all(axis=1)
+        every = finite.all()
+        zr = zq if every else zq[finite]
         # an overflowing row's arguments and bounds may be inf or NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            out[rows], nn_lo, nn_hi = self._mean(zr)
+            means, nn_lo, nn_hi = self._mean(zr)
         inside = nn_hi <= threshold
         outside = (nn_lo > threshold) & (nn_hi < np.inf)
         ask = ~(inside | outside)
@@ -425,9 +438,13 @@ class _NeighbourLaw(FeedbackLaw):
             nn = self._tree.query(zr[ask])[0]
             inside[ask] = nn <= threshold
             outside[ask] = (nn > threshold) & (nn < np.inf)
-        out[rows[~(inside | outside)]] = np.nan
+            means[~(inside | outside)] = np.nan
+        if every:
+            return means, outside
+        out = np.full((len(zq), self.m), np.nan)
+        out[finite] = means
         flags = np.zeros(len(zq), dtype=bool)
-        flags[rows[outside]] = True
+        flags[finite] = outside
         return out, flags
 
 
@@ -471,18 +488,21 @@ class KernelLaw(_NeighbourLaw):
         self.bandwidth = np.asarray(bandwidth, dtype=float)
         self._h = np.maximum(self.bandwidth, 1.0e-300)
         # the operands [z/h; -|z/h|^2/2; 1], stored transposed (the faster
-        # layout for its product), and [u, 1], and the row tile the first
-        # product is written to (see _mean)
+        # layout for its product), and [u, 1], and the workspace of one row
+        # tile that the first product is written to (see _mean)
         zh = self._z / self._h
         zh_sq = np.einsum("nd,nd->n", zh, zh)
         self._za = np.vstack([zh.T, -0.5 * zh_sq, np.ones(self.n_train)])
         self._u1 = np.column_stack([self._u, np.ones(self.n_train)])
-        self._tile = np.empty((tile_rows(self.n_train), self.n_train))
-        # the nearest-distance bracket: extreme bandwidths, and the rounding
-        # slack per unit of |q/h|^2 + max |z/h|^2, several times the error
-        # bound of a (D + 2)-term dot product (see _mean)
-        self._h_min, self._h_max = float(self._h.min()), float(self._h.max())
+        self._work = np.empty(tile_rows(self.n_train) * self.n_train)
+        # the nearest-distance bracket: the smallest bandwidth, the rounding
+        # slack per unit of |q/h|^2 + max |z/h|^2 or of a squared distance,
+        # several times the error bound of a (D + 2)-term dot product, and
+        # as many of the smallest subnormal, the error of squares that
+        # underflow (see _mean)
+        self._h_min = float(self._h.min())
         self._slack = 8.0 * (self._z.shape[1] + 2) * np.finfo(float).eps
+        self._d2_floor = 8.0 * (self._z.shape[1] + 2) * np.finfo(float).smallest_subnormal
         self._zh_sq_max = float(zh_sq.max())
         # the time window: 2L with L = WINDOW_MARGIN + ln n, for rows in
         # nondecreasing scaled time only (see _tile_args)
@@ -517,10 +537,11 @@ class KernelLaw(_NeighbourLaw):
     def _state(self) -> dict:
         return {"bandwidth": self.bandwidth, **super()._state()}
 
-    def _tile_args(self, q: np.ndarray, tile: np.ndarray):
-        """Write the kernel arguments of the augmented query rows ``q`` to
-        the columns [a, b) of ``tile`` that their time window keeps, each
-        once, and return (a, b); see the module docstring."""
+    def _tile_args(self, q: np.ndarray, work: np.ndarray):
+        """Write the kernel arguments of the augmented query rows ``q`` over
+        the columns [a, b) that their time window keeps to the start of the
+        flat workspace ``work``, as one (len(q), b - a) block, and return
+        (a, b); see the module docstring."""
         n, th = self.n_train, self._za[0]
         t0, t1 = q[:, 0].min(), q[:, 0].max()
         # 2L, widened by the rounding of an argument and of a time distance
@@ -528,52 +549,68 @@ class KernelLaw(_NeighbourLaw):
         # (NaN compares false: an overflowing tile takes the full range)
         gap = max(t0 - th[0], th[-1] - t1, 0.0)
         if not (self._t_sorted and gap * gap > reach):
-            np.matmul(q, self._za, out=tile)
+            np.matmul(q, self._za, out=work[: len(q) * n].reshape(len(q), n))
             return 0, n
         # the core: the columns at the training times nearest t0 and t1,
         # and all between; its smallest row maximum bounds every row's top
-        tau = np.array((t0, t1))
-        i = np.searchsorted(th, tau)
-        below, above = th[np.maximum(i - 1, 0)], th[np.minimum(i, n - 1)]
-        near = np.where(tau - below <= above - tau, below, above)
-        c0, c1 = np.searchsorted(th, near[0], "left"), np.searchsorted(th, near[1], "right")
-        np.matmul(q, self._za[:, c0:c1], out=tile[:, c0:c1])
-        width = math.sqrt(reach - 2.0 * tile[:, c0:c1].max(axis=1).min())
-        a = min(np.searchsorted(th, t0 - width, "left"), c0)
-        b = max(np.searchsorted(th, t1 + width, "right"), c1)
-        for lo, hi in ((a, c0), (c1, b)):
-            if lo < hi:
-                np.matmul(q, self._za[:, lo:hi], out=tile[:, lo:hi])
+        c0 = th.searchsorted(self._nearest_time(t0), "left")
+        c1 = th.searchsorted(self._nearest_time(t1), "right")
+        core = work[: len(q) * (c1 - c0)].reshape(len(q), c1 - c0)
+        np.matmul(q, self._za[:, c0:c1], out=core)
+        width = math.sqrt(reach - 2.0 * core.max(axis=1).min())
+        a = min(th.searchsorted(t0 - width, "left"), c0)
+        b = max(th.searchsorted(t1 + width, "right"), c1)
+        # the block over [a, b), the core's entries again: a contiguous
+        # block makes every later pass over it a fast one
+        np.matmul(q, self._za[:, a:b], out=work[: len(q) * (b - a)].reshape(len(q), b - a))
         return a, b
+
+    def _nearest_time(self, tau):
+        """The training time nearest ``tau``, the earlier one on a tie."""
+        th = self._za[0]
+        i = th.searchsorted(tau)
+        below, above = th[max(i - 1, 0)], th[min(i, len(th) - 1)]
+        return below if tau - below <= above - tau else above
 
     def _mean(self, zq: np.ndarray):
         """Means of finite feature rows over the training rows their time
         window keeps, and the bracket on their nearest distance, as the
         module docstring describes."""
-        qh = zq / self._h
+        n_q, dim = zq.shape
+        # the augmented rows [q/h, 1, -|q/h|^2/2]
+        qa = np.empty((n_q, dim + 2))
+        qh = np.divide(zq, self._h, out=qa[:, :dim])
         qh_sq = np.einsum("nd,nd->n", qh, qh)
-        out = np.empty((len(qh), self.m))
-        emin = np.empty(len(qh))
-        qa = np.column_stack([qh, np.ones(len(qh)), -0.5 * qh_sq])
-        for rows in row_tiles(len(qh), self.n_train):
+        qa[:, dim] = 1.0
+        np.multiply(qh_sq, -0.5, out=qa[:, dim + 1])
+        out = np.empty((n_q, self.m))
+        top = np.empty(n_q)
+        top_row = np.empty(n_q, dtype=np.intp)
+        for rows in row_tiles(n_q, self.n_train):
             q = qa[rows]
-            a, b = self._tile_args(q, self._tile[: len(q)])
-            tile = self._tile[: len(q), a:b]
-            top = tile.max(axis=1)
-            emin[rows] = -2.0 * top
-            far = emin[rows] > FAR_EMIN
+            a, b = self._tile_args(q, self._work)
+            tile = self._work[: len(q) * (b - a)].reshape(len(q), b - a)
+            j = tile.argmax(axis=1)
+            tops = tile[np.arange(len(q)), j]
+            top[rows], top_row[rows] = tops, j + a
+            far = tops < -0.5 * FAR_EMIN
             if far.any():
-                np.subtract(tile, top[:, None], out=tile, where=far[:, None])
+                np.subtract(tile, tops[:, None], out=tile, where=far[:, None])
             floored_exp(tile)
             sums = tile @ self._u1[a:b]
-            out[rows] = sums[:, :-1] / sums[:, -1:]
+            np.divide(sums[:, :-1], sums[:, -1:], out=out[rows])
+        emin = -2.0 * top
         # the nearest-row policy for rows past -2 EXP_FLOOR (module docstring)
         degenerate = emin > -2.0 * EXP_FLOOR
         if degenerate.any():
             out[degenerate] = self._neighbour_mean(zq[degenerate], 1)[0]
         slack = self._slack * (qh_sq + self._zh_sq_max)
         nn_lo = self._h_min * np.sqrt(np.maximum(emin - slack, 0.0))
-        nn_hi = self._h_max * np.sqrt(emin + slack)
+        # the distance to the row of the top weight bounds the nearest one
+        diff = self._z[top_row]
+        diff -= zq
+        d2 = np.einsum("nd,nd->n", diff, diff)
+        nn_hi = np.sqrt(d2 * (1.0 + self._slack) + self._d2_floor)
         return out, nn_lo, nn_hi
 
 

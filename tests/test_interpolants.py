@@ -25,6 +25,7 @@ from ctrlflow.errors import (
 )
 from ctrlflow.interpolants import (
     BROCKETT_MIN_GRID,
+    GRAMIAN_EIG_RATIO,
     brockett_steer_pair_batch,
     equilibrium_control,
     feedback_steer_pair_batch,
@@ -233,6 +234,10 @@ def test_min_energy_states_are_the_exact_flow_of_the_controls(case):
     A, B, x0s, xTs, T, n_grid = case
     W = gramian(A, B, T)
     assume(np.linalg.cond(W) <= 1e3)
+    # the Gramians the solve accepts: drawn entries near 1e-160 make B B'
+    # and W subnormal, which the solve rejects by name
+    eigs = np.linalg.eigvalsh(W)
+    assume(eigs[0] >= max(GRAMIAN_EIG_RATIO * eigs[-1], np.finfo(float).tiny))
     ens = min_energy_pair_batch(A, B, x0s, xTs, T, n_grid)
     d, m = B.shape
     t = ens.t_grid
@@ -249,6 +254,16 @@ def test_min_energy_states_are_the_exact_flow_of_the_controls(case):
     _assert_exact_flow(ens, field, np.hstack([x0s, c @ expm(A * T)]))
     errs = _endpoint_errors(ens, xTs)
     assert np.all(errs <= 1e-12 * (1.0 + np.linalg.norm(xTs, axis=1)))
+
+
+def test_min_energy_subnormal_gramian_raises():
+    # W(T) = 6.8e-310 is subnormal and passed a floor of 1e-10 * 1e-300: the
+    # solve then returned NaN states, controls and endpoint errors for two
+    # rows, and the terminal check let them through
+    A, B = np.array([[1.0]]), np.array([[5.04e-156]])
+    assert 0.0 < gramian(A, B, 2.0)[0, 0] < np.finfo(float).tiny
+    with pytest.raises(UncontrollablePairError, match="numerically singular"):
+        min_energy_pair_batch(A, B, np.zeros((2, 1)), np.zeros((2, 1)), 2.0, 8)
 
 
 def test_min_energy_uncontrollable_rejected():
@@ -301,6 +316,16 @@ def test_place_poles_complex_conjugate_pair():
 def test_place_poles_requires_conjugate_closure():
     with pytest.raises(ConfigurationError):
         place_poles(A_DI, B_DI, [-1.0 + 1.0j, -2.0])
+
+
+def test_place_poles_near_underflow_raises_a_named_error():
+    # the rank test is scale-free and passes B = 2.2e-308 (1, 1, 1)'; the
+    # Ackermann solve on its controllability matrix is singular in LU, which
+    # escaped as numpy's LinAlgError
+    A = np.array([[0.0, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    B = np.full((3, 1), np.finfo(float).tiny)
+    with pytest.raises(UncontrollablePairError, match="numerically singular"):
+        place_poles(A, B, [-1.0, -2.0, -3.0])
 
 
 def test_place_poles_uncontrollable():

@@ -14,14 +14,15 @@ The estimator invariants checked here:
   means within the rounding of the augmented product, neighbour sets bit
   for bit, with ties broken by the lower training index.
 * kernel weights are np.exp of their arguments, bit for bit, down to
-  EXP_FLOOR and 0 below it; a dense law whose weights are mostly floored
-  predicts the bits of the unfloored dense reference.
+  EXP_FLOOR and e^EXP_FLOOR below it; a dense law whose weights are mostly
+  floored predicts the bits of the unfloored dense reference.
 * dense kernel means are as accurate as the expanded-distance path they
   replaced, also for rows whose top weight is below e^-600, carry no state
   between calls through the law's row tile, and allocate no
   (queries x training) block.
 * extrapolation flags that a law settles from its own pass are the k-d
-  tree's, also for queries within rounding of the threshold.
+  tree's, also for queries within rounding of the threshold, and a query
+  near the training rows settles its flag without asking the tree.
 * a kernel law in time order, which every fitted and loaded law is, sums
   each row tile over its certified time window and still matches the
   dense reference, also where the weight lies a time sample away from
@@ -547,10 +548,11 @@ def test_truncated_kernel_matches_dense_reference(n, d, m, log_h, jitter, far, s
 @example(np.array([EXP_FLOOR, np.nextafter(EXP_FLOOR, 0.0), np.nextafter(EXP_FLOOR, -np.inf),
                    -745.2, -746.0, -0.0, 0.0]))
 def test_exp_weights_floor(args):
+    # kept entries are np.exp's bits; floored ones weigh e^EXP_FLOOR exactly
     got = floored_exp(args.copy())
     keep = args >= EXP_FLOOR
     assert np.array_equal(got[keep], np.exp(args[keep]))
-    assert np.all(got[~keep] == 0.0)
+    assert np.all(got[~keep] == np.exp(EXP_FLOOR))
 
 
 def test_dense_law_with_floored_weights_matches_reference():
@@ -682,6 +684,30 @@ def test_flags_at_the_threshold_match_the_tree(case, seed, deltas):
     for fitted in (law, KnnLaw(1.0, z, u, k=7)):
         _, flags = fitted.predict(zq[:, 0], zq[:, 1:], return_flag=True)
         assert np.array_equal(flags, want)
+
+
+def test_flags_inside_the_support_ask_the_tree_for_no_row():
+    # a unit lattice in (t, x1, x2) under bandwidths 1000x apart; each query
+    # sits 0.05 from a lattice row, which carries its top weight.  The
+    # distance to that row settles every flag; the bound h_max sqrt(emin),
+    # about 50 lattice steps here, would settle none
+    rng = np.random.default_rng(29)
+    z = np.stack(np.meshgrid(*[np.arange(10.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    u = rng.standard_normal((len(z), 2))
+    law = KernelLaw(1.0, z, u, bandwidth=np.array([0.01, 10.0, 10.0]))
+    assert law.ref_nn_dist == 1.0
+    zq = z[rng.integers(0, len(z), size=200)] + 0.05 * rng.choice([-1.0, 1.0], size=(200, 3))
+    asked = []
+    tree = law._tree
+
+    class Spy:
+        def query(self, x, *args, **kwargs):
+            asked.append(len(x))
+            return tree.query(x, *args, **kwargs)
+
+    law._tree = Spy()
+    _, flags = law.predict(zq[:, 0], zq[:, 1:], return_flag=True)
+    assert not flags.any() and asked == []
 
 
 @pytest.mark.parametrize("size", ["one", "tile+1", "3 tiles"])
