@@ -13,8 +13,11 @@ method's law class (``regression.LAWS``), and each measure is drawn from
 once: it must sample, in the dimension of the system's state (its output,
 for an output kind's muT).  Steering preconditions (a controllable linear
 pair, placeable poles, the Brockett grid minimum) come from
-``interpolants``.  CLI flags may override the top-level scalar fields
-(master_seed, n_train, n_eval, name, output_dir) prior to validation.
+``interpolants``.  No key picks the W2 a run reports: the sample counts do
+(``experiments._w2``).  Snapshot fractions are labelled by
+:func:`fraction_label` in metric keys and file names, so no two may share a
+label.  CLI flags may override the top-level scalar fields (master_seed,
+n_train, n_eval, name, output_dir) prior to validation.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigurationError, UncontrollablePairError
 from .interpolants import BROCKETT_MIN_GRID, check_controllable, check_poles
-from .measures import COUPLING_KINDS, EXACT_W2_MAX_N, MEASURE_PARAMS, sample_measure
+from .measures import COUPLING_KINDS, MEASURE_PARAMS, sample_measure
 from .ode import DEFAULT_BLOWUP
 from .regression import LAWS
 from .systems import ControlAffineSystem, builtin_names, builtin_system
@@ -156,7 +159,7 @@ def _validate_eval_start(path: str, doc, system: ControlAffineSystem) -> dict:
     doc = _expect_mapping(path, doc)
     if doc.get("kind") == "bootstrap":
         _check_keys(path, doc, ("kind", "params"))
-        params = _section(f"{path}.params", doc.get("params", {}), {"jitter": 0.0})
+        params = _section(f"{path}.params", doc.get("params", {}), _BOOTSTRAP)
         return {"kind": "bootstrap", "params": params}
     return _validate_measure(path, doc, system.d)
 
@@ -208,13 +211,27 @@ class _Str(NamedTuple):
         return value
 
 
+def fraction_label(frac: float) -> str:
+    """A snapshot fraction as it appears in metric keys, file names and seeds."""
+    return f"{frac:g}"
+
+
 def _fractions(path: str, value, system=None) -> list:
     if not isinstance(value, list) or any(
         isinstance(f, bool) or not isinstance(f, (int, float)) or not 0.0 <= f <= 1.0
         for f in value
     ):
         raise ConfigurationError(f"'{path}' must be a list of numbers in [0, 1], got {value!r}")
-    return [float(f) for f in value]
+    fractions = [float(f) for f in value]
+    labels = [fraction_label(f) for f in fractions]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        # two fractions with one label would write one metric and one file each
+        raise ConfigurationError(
+            f"'{path}' must give each fraction its own label (6 significant digits), "
+            f"but {shared} each label more than one of {value!r}"
+        )
+    return fractions
 
 
 def _poles(path: str, value, system: ControlAffineSystem) -> list:
@@ -247,8 +264,6 @@ _RULES = {
     "p_scale": _Num(False, 0, False),
     "sigma": _Num(False, 0, True),
     "snapshot_fractions": _fractions,
-    "w2": _Str(("auto", "exact", "sliced")),
-    "n_projections": _Num(True, 0, False),
     "start": _validate_eval_start,
     "success_radius": _Num(False, 0, False),
     # bootstrap evaluation.start params
@@ -317,29 +332,8 @@ def _validate_regression(doc, state_dim: int) -> dict:
     return {"method": method, "hyperparams": hp}
 
 
-def _check_exact_w2_counts(output: bool, n_train: int, n_eval: int) -> None:
-    """Reject the sample counts an exact-W2 transport evaluation would fail on.
-
-    Construction-level W2 compares n_train points, the rollout scores up to
-    n_eval, and both are capped at ``EXACT_W2_MAX_N``.  An output run scores
-    its rollouts against a subsample of the n_train coupled target states,
-    which needs n_eval <= n_train.
-    """
-    if max(n_train, n_eval) > EXACT_W2_MAX_N:
-        raise ConfigurationError(
-            f"'evaluation.w2' exact is capped at N={EXACT_W2_MAX_N}, got n_train "
-            f"{n_train} and n_eval {n_eval}; use auto or sliced"
-        )
-    if output and n_eval > n_train:
-        raise ConfigurationError(
-            f"'evaluation.w2' exact scores output_transport rollouts against the "
-            f"n_train coupled states, so it needs n_eval <= n_train, got n_eval "
-            f"{n_eval} and n_train {n_train}; use auto or sliced"
-        )
-
-
-_EVALUATION = {"n_grid": 300, "snapshot_fractions": [0.25, 0.5, 0.75, 1.0], "w2": "auto",
-               "n_projections": 128}
+_EVALUATION = {"n_grid": 300, "snapshot_fractions": [0.25, 0.5, 0.75, 1.0]}
+_BOOTSTRAP = {"jitter": 0.0}  # the params of a bootstrap evaluation.start
 _NOISING = {"T": _REQUIRED, "n_grid": 2000, "n_time_samples": 25, "blowup": DEFAULT_BLOWUP}
 
 
@@ -352,8 +346,8 @@ class KindSpec:
     interpolant: Optional[dict] = None  # a transport kind's interpolant section
     noising: Optional[dict] = None  # a stabilize kind's noising section
     evaluation: dict = field(default_factory=_EVALUATION.copy)
-    # muT lives in output space, and exact W2 scores rollouts against the
-    # n_train coupled states
+    # muT lives in output space; the rollouts' state-space W2 is scored
+    # against the n_train coupled states
     output: bool = False
     # a steering precondition on the validated interpolant section
     check: Optional[Callable[[dict], None]] = None
@@ -391,7 +385,7 @@ KIND_SPECS = {
         {"kind": "gaussian", "params": {"mean": [0.0, 0.0, 0.0], "cov": 1.0}},
     ),
     "stabilize_random": _stabilize(
-        {"sigma": 1.0}, {"kind": "bootstrap", "params": {"jitter": 0.0}}
+        {"sigma": 1.0}, {"kind": "bootstrap", "params": _BOOTSTRAP}
     ),
 }
 KINDS = tuple(KIND_SPECS)
@@ -462,8 +456,6 @@ def validate_config(doc: dict) -> ExperimentConfig:
     out["regression"] = _validate_regression(doc.get("regression", {}), built.d)
     out["evaluation"] = _section("evaluation", doc.get("evaluation", {}), spec.evaluation, built)
     if transport:
-        if out["evaluation"]["w2"] == "exact":
-            _check_exact_w2_counts(spec.output, out["n_train"], out["n_eval"])
         out["mu0"] = _validate_measure("mu0", _get("config", doc, "mu0", (dict,)), built.d)
         muT_space = (built.output_dim, "output") if spec.output else (built.d, "state")
         out["muT"] = _validate_measure("muT", _get("config", doc, "muT", (dict,)), *muT_space)

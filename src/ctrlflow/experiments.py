@@ -56,7 +56,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import KIND_SPECS, TRANSPORT_KINDS, ExperimentConfig, validate_config
+from .config import KIND_SPECS, TRANSPORT_KINDS, ExperimentConfig, fraction_label
+from .config import validate_config
 from .errors import ConfigurationError, StageError
 from .flow import FlowInfo, integrate_closed_loop_batch, snapshots_from_arrays
 from .interpolants import (
@@ -216,12 +217,13 @@ def _sample_points(spec: dict, n: int, seed: int) -> EmpiricalMeasure:
     return sample_measure(spec["kind"], spec["params"], n, seed)
 
 
-def _w2(a: EmpiricalMeasure, b: EmpiricalMeasure, evaluation: dict, seed: int) -> float:
-    mode = evaluation["w2"]
-    exact_ok = a.n == b.n and a.n <= EXACT_W2_MAX_N
-    if mode == "exact" or (mode == "auto" and exact_ok):
+def _w2(a: np.ndarray, b: np.ndarray, seed: int) -> float:
+    """W2 between two point clouds: exact for equal counts up to
+    ``EXACT_W2_MAX_N``, else sliced (default projections, seeded by ``seed``)."""
+    a, b = EmpiricalMeasure(points=a), EmpiricalMeasure(points=b)
+    if a.n == b.n <= EXACT_W2_MAX_N:
         return wasserstein2(a, b)
-    return sliced_wasserstein2(a, b, n_projections=evaluation["n_projections"], seed=seed)
+    return sliced_wasserstein2(a, b, seed=seed)
 
 
 def _subsample(points: np.ndarray, n: int, seed: int) -> np.ndarray:
@@ -469,72 +471,53 @@ class _Transport:
 
     def evaluate_ensemble(self, run: _RunDir, metrics: dict) -> list:
         """Construction-level metrics and the constructed marginal snapshots."""
-        seed, evaluation = self.seed, self.cfg.evaluation
+        seed = self.seed
         metrics["mean_pair_distance"] = _mean_pair_distance(self.x0, self.x1)
         metrics["max_endpoint_error"] = float(np.max(self.endpoint_error))
         # construction-level quality: endpoints of the training ensemble
-        metrics["w2_construction_terminal"] = float(_w2(
-            EmpiricalMeasure(points=self.endpoints),
-            EmpiricalMeasure(points=self.x1),
-            evaluation,
-            derived_seed(seed, "w2", "construction"),
-        ))
+        metrics["w2_construction_terminal"] = _w2(
+            self.endpoints, self.x1, derived_seed(seed, "w2", "construction")
+        )
         if self.output:
             # sample-level output identity: push the constructed endpoints
             # through h and compare with the coupled target draws themselves
-            metrics["w2_construction_output"] = float(_w2(
-                EmpiricalMeasure(points=six_state_output(self.endpoints)),
-                EmpiricalMeasure(points=six_state_output(self.x1)),
-                evaluation,
+            metrics["w2_construction_output"] = _w2(
+                six_state_output(self.endpoints),
+                six_state_output(self.x1),
                 derived_seed(seed, "w2", "construction_output"),
-            ))
+            )
 
         for frac, meas in zip(self.fractions, self.constructed):
-            run.write_snapshot(f"snapshot_constructed_t{frac:g}.csv", meas.points, self.sys.d)
+            label = fraction_label(frac)
+            run.write_snapshot(f"snapshot_constructed_t{label}.csv", meas.points, self.sys.d)
         return []
 
     def evaluate_rollout(self, run: _RunDir, metrics: dict, t_grid, states) -> None:
         """Terminal and along-the-flow W2 of the surviving rollouts."""
-        cfg, sys, seed, evaluation = self.cfg, self.sys, self.seed, self.cfg.evaluation
+        cfg, sys, seed = self.cfg, self.sys, self.seed
         n_kept = len(states)
-        achieved_T = EmpiricalMeasure(points=states[:, -1])
+        achieved_T = states[:, -1]
 
         # terminal comparison against fresh target draws
-        target = _sample_points(cfg.muT, n_kept, derived_seed(seed, "eval_target"))
-        run.write_snapshot("snapshot_target.csv", target.points, target.dim)
+        target = _sample_points(cfg.muT, n_kept, derived_seed(seed, "eval_target")).points
+        run.write_snapshot("snapshot_target.csv", target, target.shape[1])
         if self.output:
-            metrics["w2_output"] = float(_w2(
-                EmpiricalMeasure(points=six_state_output(achieved_T.points)),
-                target,
-                evaluation,
-                derived_seed(seed, "w2", "output"),
-            ))
-            target = EmpiricalMeasure(
-                points=_subsample(self.x1, n_kept, derived_seed(seed, "state_ref"))
+            metrics["w2_output"] = _w2(
+                six_state_output(achieved_T), target, derived_seed(seed, "w2", "output")
             )
-        metrics["w2_terminal"] = float(
-            _w2(achieved_T, target, evaluation, derived_seed(seed, "w2", "term"))
-        )
+            target = _subsample(self.x1, n_kept, derived_seed(seed, "state_ref"))
+        metrics["w2_terminal"] = _w2(achieved_T, target, derived_seed(seed, "w2", "term"))
 
         # learned-vs-constructed marginals along the flow
         learned = snapshots_from_arrays(
             t_grid, states, _snapshot_times(self.fractions, self.T, t_grid)
         )
         for frac, l_meas, c_meas in zip(self.fractions, learned, self.constructed):
-            c_pts = _subsample(
-                c_meas.points, l_meas.n, derived_seed(seed, "marg", f"{frac:g}")
-            )
-            l_pts = _subsample(
-                l_meas.points, len(c_pts), derived_seed(seed, "marg_l", f"{frac:g}")
-            )
-            val = _w2(
-                EmpiricalMeasure(points=l_pts),
-                EmpiricalMeasure(points=c_pts),
-                evaluation,
-                derived_seed(seed, "w2", f"marg{frac:g}"),
-            )
-            metrics[f"w2_t{frac:g}"] = float(val)
-            run.write_snapshot(f"snapshot_learned_t{frac:g}.csv", l_meas.points, sys.d)
+            label = fraction_label(frac)
+            c_pts = _subsample(c_meas.points, l_meas.n, derived_seed(seed, "marg", label))
+            l_pts = _subsample(l_meas.points, len(c_pts), derived_seed(seed, "marg_l", label))
+            metrics[f"w2_t{label}"] = _w2(l_pts, c_pts, derived_seed(seed, "w2", f"marg{label}"))
+            run.write_snapshot(f"snapshot_learned_t{label}.csv", l_meas.points, sys.d)
 
 
 class _Stabilize:

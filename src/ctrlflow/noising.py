@@ -19,9 +19,11 @@ like any other (:mod:`ctrlflow.flow`), and it carries mass onto the target
 set.
 
 The per-node arrays of an extremal run (its controls and Hamiltonians) are
-built one row tile (:func:`~ctrlflow.linalg.row_tiles`) at a time, and the
-dataset copies only the kept rows at its time samples, so no temporary of
-the ensemble's size is made.
+built one row tile (:func:`~ctrlflow.linalg.row_tiles`) at a time, a
+randomized run's RK4 reads its Brownian node controls as they are
+(:func:`~ctrlflow.ode.rk4_node_controls` forms each step's midpoint), and
+the dataset copies only the kept rows at its time samples, so no temporary
+of the ensemble's size is made.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .ode import DEFAULT_BLOWUP, pl_stage_values, rk4, rk4_stage_controls, uniform_grid
+from .ode import DEFAULT_BLOWUP, rk4, rk4_node_controls, uniform_grid
 from .linalg import row_tiles
 from .regression import RegressionDataset
 from .seeding import derived_seed, generator_from_seed, substream
@@ -178,13 +180,14 @@ def endpoint_map_batch(
     of control sample paths.
 
     ``u_samples`` is (n, K+1, m), one path per row of the (n, d) starts
-    ``x0s``, interpreted piecewise-linearly.  Returns (states, bad_time).
+    ``x0s``, interpreted piecewise-linearly
+    (:func:`~ctrlflow.ode.rk4_node_controls`).  Returns (states, bad_time).
     """
 
     def rhs(x, u):
         return -sys.rhs(x, u)
 
-    return rk4_stage_controls(rhs, x0s, t_grid, pl_stage_values(u_samples), blowup)
+    return rk4_node_controls(rhs, x0s, t_grid, u_samples, blowup)
 
 
 def sample_brownian_control(

@@ -1,16 +1,17 @@
 """Fixed-step RK4 integration, batched over trajectories.
 
 :func:`rk4` is the one step loop: every integration in the package
-(noising's open loop with stored controls and its extremal flows, and the
-learned closed loop) supplies a field callback that is told the step index
-and RK4 stage, and :func:`rk4` owns the update and the blow-up policy.
-Steering integrates nothing: :mod:`ctrlflow.interpolants` takes its exact
-flows in closed form.  A whole batch of trajectories advances at once
-(states are (n, d) arrays), which keeps per-sample arithmetic identical to
-the single-trajectory path while avoiding Python-level loops over samples.
-Trajectories that leave the finite regime (or exceed the blow-up threshold)
-are frozen at their last good state and flagged, so one bad sample cannot
-poison a batch.
+(noising's extremal flows and open loop, and the learned closed loop)
+supplies a field callback that is told the step index and RK4 stage, and
+:func:`rk4` owns the update and the blow-up policy.  The open loop runs
+through :func:`rk4_node_controls`, whose field reads stored node controls
+piecewise-linearly.  Steering integrates nothing:
+:mod:`ctrlflow.interpolants` takes its exact flows in closed form.  A whole
+batch of trajectories advances at once (states are (n, d) arrays), which
+keeps per-sample arithmetic identical to the single-trajectory path while
+avoiding Python-level loops over samples.  Trajectories that leave the
+finite regime (or exceed the blow-up threshold) are frozen at their last
+good state and flagged, so one bad sample cannot poison a batch.
 """
 
 from __future__ import annotations
@@ -31,19 +32,6 @@ def uniform_grid(T: float, n_steps: int) -> np.ndarray:
     if not np.isfinite(T) or T <= 0:
         raise ConfigurationError(f"horizon must be positive and finite, got {T}")
     return np.linspace(0.0, float(T), int(n_steps) + 1)
-
-
-def pl_stage_values(samples: np.ndarray) -> np.ndarray:
-    """Node samples (..., K+1, m) -> stage values (..., 2K+1, m).
-
-    Midpoints are the piecewise-linear interpolants, i.e. neighbour averages.
-    """
-    samples = np.asarray(samples, dtype=float)
-    K = samples.shape[-2] - 1
-    out = np.empty(samples.shape[:-2] + (2 * K + 1, samples.shape[-1]))
-    out[..., 0::2, :] = samples
-    out[..., 1::2, :] = 0.5 * (samples[..., :-1, :] + samples[..., 1:, :])
-    return out
 
 
 def _check_blowup(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -105,31 +93,30 @@ def rk4(
     return states, bad_time
 
 
-# u_stages index offset of each RK4 stage within step k (2k + offset)
-_STAGE_OFFSET = (0, 1, 1, 2)
-
-
-def rk4_stage_controls(
+def rk4_node_controls(
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x0: np.ndarray,
     t_grid: np.ndarray,
-    u_stages: np.ndarray,
+    u_nodes: np.ndarray,
     blowup: float | None = DEFAULT_BLOWUP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate ``x' = rhs(x, u(t))`` with control values given per RK4 stage.
+    """Integrate ``x' = rhs(x, u(t))`` with piecewise-linear controls.
 
-    ``u_stages`` has shape (n, 2K + 1, m): even indices are the node values,
-    odd indices the midpoint values.
+    ``u_nodes`` is (n, K + 1, m), each row's control at the nodes of
+    ``t_grid``.  Step k reads node k at stage 0, the midpoint
+    0.5 (u_k + u_{k+1}) at stages 1 and 2, and node k + 1 at stage 3.
     """
-    u_stages = np.asarray(u_stages, dtype=float)
+    u_nodes = np.asarray(u_nodes, dtype=float)
     K = len(t_grid) - 1
-    if u_stages.shape[1] != 2 * K + 1:
-        raise ConfigurationError(
-            f"u_stages has {u_stages.shape[1]} stages, expected {2 * K + 1}"
-        )
+    if u_nodes.shape[1] != K + 1:
+        raise ConfigurationError(f"u_nodes has {u_nodes.shape[1]} nodes, expected {K + 1}")
+    mid = None
 
     def field(k, stage, t, x):
-        return rhs(x, u_stages[:, 2 * k + _STAGE_OFFSET[stage]])
+        nonlocal mid
+        if stage == 1:  # stage 2 reads the same midpoint
+            mid = 0.5 * (u_nodes[:, k] + u_nodes[:, k + 1])
+        return rhs(x, mid if stage in (1, 2) else u_nodes[:, k + stage // 3])
 
     return rk4(field, x0, t_grid, blowup)
 

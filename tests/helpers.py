@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ctrlflow.ode import pl_stage_values, rk4, rk4_stage_controls
+from ctrlflow.ode import rk4, rk4_node_controls
 
 
 def integrate_samples(y: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
@@ -39,8 +39,8 @@ def residual_error(ens, sys) -> np.ndarray:
     ``states[:, 0]`` with RK4 on the same grid and returns each row's max
     state deviation relative to its trajectory scale.
     """
-    states, _ = rk4_stage_controls(
-        sys.rhs, ens.states[:, 0], ens.t_grid, pl_stage_values(ens.controls), blowup=None
+    states, _ = rk4_node_controls(
+        sys.rhs, ens.states[:, 0], ens.t_grid, ens.controls, blowup=None
     )
     dev = np.abs(states - ens.states).max(axis=(1, 2))
     return dev / (1.0 + np.abs(ens.states).max(axis=(1, 2)))

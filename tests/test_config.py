@@ -16,6 +16,7 @@ from ctrlflow.config import (
     TRANSPORT_KINDS,
     apply_overrides,
     config_hash,
+    fraction_label,
     load_config,
     validate_config,
 )
@@ -198,6 +199,12 @@ def test_noising_schema_per_kind():
     doc["interpolant"]["n_quad"] = 256  # removed knob: the Gramian is exact
     with pytest.raises(ConfigurationError, match="unknown key.*n_quad"):
         validate_config(doc)
+    # removed knobs: the sample counts pick exact or sliced W2
+    for key, value in (("w2", "exact"), ("n_projections", 128)):
+        doc = example_config("transport_linear")
+        doc["evaluation"][key] = value
+        with pytest.raises(ConfigurationError, match=f"unknown key.*{key}"):
+            validate_config(doc)
     doc = example_config("stabilize_pmp")
     doc["noising"]["n_time_samples"] = 1
     with pytest.raises(ConfigurationError, match="n_time_samples"):
@@ -211,8 +218,6 @@ def test_evaluation_defaults_and_ranges():
     ev = cfg.evaluation
     assert ev["n_grid"] == 300
     assert ev["snapshot_fractions"] == [0.25, 0.5, 0.75, 1.0]
-    assert ev["w2"] == "auto"
-    assert ev["n_projections"] == 128
     assert "start" not in ev and "success_radius" not in ev
 
     doc = example_config("stabilize_pmp")
@@ -235,47 +240,25 @@ def test_evaluation_defaults_and_ranges():
     doc["evaluation"]["snapshot_fractions"] = [0, 0.5, 1]
     assert validate_config(doc).evaluation["snapshot_fractions"] == [0.0, 0.5, 1.0]
     doc = example_config("transport_linear")
-    doc["evaluation"]["w2"] = "fancy"
-    with pytest.raises(ConfigurationError, match="w2"):
-        validate_config(doc)
-    doc = example_config("transport_linear")
     doc["evaluation"]["start"] = {"kind": "dirac", "params": {"point": [0.0, 0.0]}}
     with pytest.raises(ConfigurationError, match="start"):
         validate_config(doc)
 
 
-def _with_counts(kind, n_train, n_eval, w2):
-    doc = example_config(kind)
-    doc["n_train"], doc["n_eval"] = n_train, n_eval
-    doc["evaluation"]["w2"] = w2
-    return doc
-
-
-def test_exact_w2_counts_checked_before_compute():
-    # an output run scores its rollouts against a subsample of the n_train
-    # coupled states: with n_eval > n_train the exact solve used to raise in
-    # evaluate, after every other stage had run
-    with pytest.raises(ConfigurationError, match="n_eval <= n_train"):
-        validate_config(_with_counts("output_transport", 8, 16, "exact"))
-    for kind in TRANSPORT_KINDS:
-        # every compared count is capped
-        for n_train, n_eval in [(EXACT_W2_MAX_N + 1, 8), (EXACT_W2_MAX_N + 1, EXACT_W2_MAX_N + 1)]:
-            with pytest.raises(ConfigurationError, match=f"capped at N={EXACT_W2_MAX_N}"):
-                validate_config(_with_counts(kind, n_train, n_eval, "exact"))
-        validate_config(_with_counts(kind, EXACT_W2_MAX_N, EXACT_W2_MAX_N, "exact"))
-        validate_config(_with_counts(kind, 16, 8, "exact"))
-        validate_config(_with_counts(kind, 16, 0, "exact"))
-    for kind in ("brockett", "transport_linear"):
-        # fresh target draws match the rollout count
-        validate_config(_with_counts(kind, 8, 16, "exact"))
-        with pytest.raises(ConfigurationError, match="capped"):
-            validate_config(_with_counts(kind, 8, EXACT_W2_MAX_N + 1, "exact"))
-    # auto and sliced never raise on counts, and stabilize runs make no W2 call
-    for w2 in ("auto", "sliced"):
-        validate_config(_with_counts("output_transport", 8, 16, w2))
-        validate_config(_with_counts("output_transport", EXACT_W2_MAX_N + 1, 8, w2))
-    for kind in set(KINDS) - set(TRANSPORT_KINDS):
-        validate_config(_with_counts(kind, EXACT_W2_MAX_N + 1, EXACT_W2_MAX_N + 1, "exact"))
+def test_snapshot_fractions_with_one_label_rejected():
+    # metric keys and snapshot file names carry fraction_label(f): two
+    # fractions with one label would report one metric and write one file
+    for fracs in ([0.1234561, 0.1234564, 0.5, 0.5], [0.5, 0.5], [1, 1.0], [0.3, 0.30000001]):
+        for kind in ("brockett", "stabilize_pmp"):
+            doc = example_config(kind)
+            doc["evaluation"]["snapshot_fractions"] = fracs
+            with pytest.raises(ConfigurationError, match=r"evaluation\.snapshot_fractions"):
+                validate_config(doc)
+    doc = example_config("brockett")
+    doc["evaluation"]["snapshot_fractions"] = [0.123456, 0.123457, 0.5]
+    cfg = validate_config(doc)
+    assert [fraction_label(f) for f in cfg.evaluation["snapshot_fractions"]] == [
+        "0.123456", "0.123457", "0.5"]
 
 
 def test_bootstrap_start_jitter_validated():
@@ -572,11 +555,11 @@ def test_load_config_roundtrip(tmp_path):
 # every stored config.json depend on it, so a schema change that moves one
 # of these must be deliberate
 EXAMPLE_HASHES = {
-    "transport_linear": "4642709316e8c8a5ae90859973c0265c8760fd71e4d0c82f2bea1aa3260b0d5d",
-    "output_transport": "98c4d61624fcf9ce7ac2feaa120b04ef40c62b3af8aaf0d449740cc75643443a",
-    "brockett": "2c36c0f08a8d5543ec933af3c651488e48e1976b5c145558543c252d24fec50a",
-    "stabilize_pmp": "4bd01d50da37e3c159a3fed6ff3664fc33aa12e97486403f559f296027551ec5",
-    "stabilize_random": "1a1aaea84604327e38634db974d309a5137d47129c51542cf4a9c88dab8c7159",
+    "transport_linear": "1d5eb9fe9dc71ce212992bef1414250f95e7b53f39eda351bc71a12575529f83",
+    "output_transport": "ce08d36c1ce0f8b0ec535d09aae27660723b99cfb692f619bd681d412fdeba6a",
+    "brockett": "bf0d27e46448fbb69019b32fe77ac4ab582de6e767f9f76c95e5951f6c1a5a0a",
+    "stabilize_pmp": "d39279c73977ec5a230d7beaa15f037a95ce073a6cb3ed0c49b3be517d091544",
+    "stabilize_random": "03da9da1898a5e559b3b7d929d79991da4ea9d5f7e372639be9a83db9501996c",
 }
 
 
@@ -658,15 +641,15 @@ def _set(doc, section, key, value):
     (doc if section == "config" else doc.setdefault(section, {}))[key] = value
 
 
-# valid values for every section key; the counts keep n_eval <= n_train <=
-# EXACT_W2_MAX_N, so exact W2 is valid for every kind
+# valid values for every section key; no rule ties n_eval to n_train or to
+# the exact-W2 cap, since the sample counts pick the W2 a run reports
 _POSITIVE = st.floats(1e-6, 1e6) | st.integers(1, 10**6)
 _VALID = {
     "name": st.text(max_size=8),
     "master_seed": st.integers(-(2**62), 2**62),
     "output_dir": st.none() | st.text(min_size=1, max_size=8),
-    "n_train": st.integers(64, EXACT_W2_MAX_N),
-    "n_eval": st.integers(0, 64),
+    "n_train": st.integers(1, 4 * EXACT_W2_MAX_N),
+    "n_eval": st.integers(0, 4 * EXACT_W2_MAX_N),
     "coupling": st.sampled_from(COUPLING_KINDS),
     "T": _POSITIVE,
     "n_grid": st.integers(BROCKETT_MIN_GRID, 10**6),
@@ -677,9 +660,8 @@ _VALID = {
     "theta": _POSITIVE,
     "p_scale": _POSITIVE,
     "sigma": st.floats(0.0, 1e6) | st.integers(0, 10**6),
-    "snapshot_fractions": st.lists(st.floats(0.0, 1.0) | st.integers(0, 1), max_size=6),
-    "w2": st.sampled_from(["auto", "exact", "sliced"]),
-    "n_projections": st.integers(1, 10**4),
+    "snapshot_fractions": st.lists(
+        st.floats(0.0, 1.0) | st.integers(0, 1), max_size=6, unique_by=fraction_label),
     "start": st.floats(0.0, 10.0).map(lambda j: {"kind": "bootstrap", "params": {"jitter": j}})
     | st.just({"kind": "dirac", "params": {"point": [0.5, -0.5, 0.0]}}),
     "success_radius": _POSITIVE,

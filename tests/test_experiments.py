@@ -31,7 +31,7 @@ from ctrlflow.experiments import (
 from ctrlflow.flow import snapshots_from_arrays
 from ctrlflow.interpolants import BROCKETT_HORIZON
 from ctrlflow.ode import uniform_grid
-from ctrlflow.seeding import substream
+from ctrlflow.seeding import derived_seed, substream
 from ctrlflow.trajectory import read_trajectories
 
 
@@ -43,7 +43,7 @@ def cheap_brockett(**over):
             "n_train": 24,
             "n_eval": 12,
             "interpolant": {"n_grid": 300},
-            "evaluation": {"n_grid": 80, "w2": "exact"},
+            "evaluation": {"n_grid": 80},
         }
     )
     doc.update(over)
@@ -118,11 +118,53 @@ def test_identity_transport_near_zero_w2(tmp_path):
         "coupling": "paired",
         "interpolant": {"T": 1.0, "n_grid": 200},
         "regression": {"method": "kernel", "hyperparams": {}},
-        "evaluation": {"n_grid": 100, "w2": "exact"},
+        "evaluation": {"n_grid": 100},
     }
     report = run_experiment(doc, output_root=tmp_path)
     assert report.metrics["w2_terminal"] <= 1.0e-3
     assert report.metrics["max_endpoint_error"] <= 1.0e-8
+
+
+def _spy_w2(monkeypatch) -> list:
+    """Record which W2 the pipeline takes, as ("exact" | "sliced", seed)."""
+    calls = []
+    exact, sliced = experiments.wasserstein2, experiments.sliced_wasserstein2
+
+    def spy_exact(a, b):
+        calls.append(("exact", None))
+        return exact(a, b)
+
+    def spy_sliced(a, b, seed):
+        calls.append(("sliced", seed))
+        return sliced(a, b, seed=seed)
+
+    monkeypatch.setattr(experiments, "wasserstein2", spy_exact)
+    monkeypatch.setattr(experiments, "sliced_wasserstein2", spy_sliced)
+    return calls
+
+
+def test_w2_is_exact_for_equal_counts_within_the_cap(tmp_path, monkeypatch):
+    calls = _spy_w2(monkeypatch)
+    report = run_experiment(cheap_brockett(), output_root=tmp_path)
+    w2_metrics = [key for key in report.metrics if key.startswith("w2_")]
+    # construction terminal, rollout terminal and four snapshot fractions
+    assert len(w2_metrics) == 6
+    assert calls == [("exact", None)] * 6
+
+
+def test_output_run_with_more_rollouts_than_pairs_scores_terminal_w2_sliced(
+    tmp_path, monkeypatch
+):
+    # the rollouts' state-space W2 compares n_eval end states with the n_train
+    # coupled states, so unequal counts take the sliced path instead of failing
+    calls = _spy_w2(monkeypatch)
+    doc = cheap_output(n_train=8, n_eval=16)
+    report = run_experiment(doc, output_root=tmp_path)
+    assert np.isfinite(report.metrics["w2_terminal"])
+    term_seed = derived_seed(doc["master_seed"], "w2", "term")
+    assert [call for call in calls if call[0] == "sliced"] == [("sliced", term_seed)]
+    # construction (state and output), output terminal and every marginal
+    assert len(calls) == sum(key.startswith("w2_") for key in report.metrics)
 
 
 def test_run_writes_manifest_report_and_hashes(tmp_path):

@@ -42,7 +42,7 @@ from ctrlflow import (
     sample_brownian_control,
 )
 from ctrlflow.linalg import TILE_ENTRIES, tile_rows
-from ctrlflow.ode import pl_stage_values, raise_on_blowup, rk4_stage_controls, uniform_grid
+from ctrlflow.ode import raise_on_blowup, rk4_node_controls, uniform_grid
 from ctrlflow.seeding import substream
 from helpers import control_energy
 
@@ -205,7 +205,7 @@ def test_endpoint_map_brockett_constant_control():
     x0 = np.array([0.0, c, 0.0])
     t_grid = np.linspace(0.0, 1.0, 101)
     u = np.tile(np.array([1.0, 0.0]), (1, 101, 1))
-    fwd, bad_f = rk4_stage_controls(sys.rhs, x0[None, :], t_grid, pl_stage_values(u))
+    fwd, bad_f = rk4_node_controls(sys.rhs, x0[None, :], t_grid, u)
     assert np.allclose(fwd[0, -1], [1.0, c, c], atol=1e-12)
     rev, bad_r = endpoint_map_batch(sys, x0[None, :], t_grid, u)
     assert np.allclose(rev[0, -1], [-1.0, c, -c], atol=1e-12)
@@ -229,7 +229,7 @@ def test_endpoint_map_forward_reversed_round_trip():
     path = sample_brownian_control(2, 1.0, 1500, 0.5, seed=21)
     t_grid = uniform_grid(1.0, 1500)
     x0 = np.array([0.4, 0.1, -0.3])
-    fwd, _ = rk4_stage_controls(sys.rhs, x0[None, :], t_grid, pl_stage_values(path[None]))
+    fwd, _ = rk4_node_controls(sys.rhs, x0[None, :], t_grid, path[None])
     states, bad = endpoint_map_batch(sys, fwd[:, -1], t_grid, path[::-1][None, :, :])
     assert not np.isfinite(bad[0])
     assert np.linalg.norm(states[0, -1] - x0) < 1e-6
@@ -304,6 +304,27 @@ def test_noising_memory_is_the_extremals_and_two_tiles():
     extremals = 8 * n * (n_grid + 1) * (2 * sys.d + sys.m)
     outputs = sum(a.nbytes for a in (ds.t, ds.x, ds.u, ds.traj_id, report.endpoints))
     assert peak <= extremals + outputs + 2 * 8 * TILE_ENTRIES
+
+
+def test_randomized_noising_holds_no_stage_controls():
+    # RK4 reads the Brownian node controls as they are and forms each step's
+    # midpoint, so no (n, 2K+1, m) array of stage controls is built: beyond
+    # the node controls, the states and the outputs, less than half of one
+    # such array is alive at once
+    sys = builtin_system("martinet")
+    n, n_grid = 160, 300
+    cfg = NoisingConfig(kind="randomized", T=1.0, n_grid=n_grid, n_samples=n, sigma=0.5, seed=5)
+    tracemalloc.start()
+    try:
+        ds, report = generate_noising_dataset(sys, cfg, lambda k, s: np.zeros((k, 3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_kept == n
+    nodes = 8 * n * (n_grid + 1) * (sys.d + sys.m)
+    stage_controls = 8 * n * (2 * n_grid + 1) * sys.m
+    outputs = sum(a.nbytes for a in (ds.t, ds.x, ds.u, ds.traj_id, report.endpoints))
+    assert peak <= nodes + outputs + stage_controls // 2
 
 
 def test_dataset_determinism_and_seed_sensitivity():

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from ctrlflow.errors import BlowUpError, ConfigurationError
-from ctrlflow.ode import (
-    pl_stage_values,
-    raise_on_blowup,
-    rk4,
-    rk4_stage_controls,
-    uniform_grid,
-)
+from ctrlflow.ode import raise_on_blowup, rk4, rk4_node_controls, uniform_grid
 from helpers import integrate_samples
 
 
@@ -21,10 +15,17 @@ def test_uniform_grid_endpoints():
     assert np.allclose(np.diff(g), 0.25)
 
 
-def test_pl_stage_values_midpoint_average():
-    u = np.array([[0.0], [2.0], [4.0]])
-    st = pl_stage_values(u)
-    assert np.allclose(st[:, 0], [0.0, 1.0, 2.0, 3.0, 4.0])
+def test_rk4_node_controls_midpoint_average():
+    # stages read node k, the neighbour average twice, then node k + 1
+    u = np.array([[[0.0], [2.0], [4.0]]])
+    seen = []
+
+    def rhs(x, uk):
+        seen.append(float(uk[0, 0]))
+        return np.zeros_like(x)
+
+    rk4_node_controls(rhs, np.array([[0.0]]), uniform_grid(1.0, 2), u)
+    assert seen == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0]
 
 
 def test_rk4_exponential_decay():
@@ -108,26 +109,26 @@ def test_raise_on_blowup():
         raise_on_blowup(np.array([np.nan, 0.5]))
 
 
-def test_rk4_stage_controls_linear_control_exact():
+def test_rk4_node_controls_linear_control_exact():
     # x' = u(t) with piecewise-linear u integrates exactly (quadratic x)
     grid = uniform_grid(1.0, 10)
     u_nodes = (2.0 * grid)[:, None]
-    stages = pl_stage_values(u_nodes)
 
     def rhs(x, u):
         return u
 
-    states, bad = rk4_stage_controls(rhs, np.array([[0.0]]), grid, stages[None])
+    states, bad = rk4_node_controls(rhs, np.array([[0.0]]), grid, u_nodes[None])
     assert np.all(np.isnan(bad))
     assert np.allclose(states[0, :, 0], grid**2, atol=1e-12)
 
 
-def test_rk4_stage_controls_stage_count_checked():
+def test_rk4_node_controls_node_count_checked():
     grid = uniform_grid(1.0, 4)
-    with pytest.raises(ConfigurationError):
-        rk4_stage_controls(
-            lambda x, u: u, np.array([[0.0]]), grid, np.zeros((1, 3, 1))
-        )
+    for nodes in (4, 6, 9):  # 9 = 2K + 1, the old per-stage layout
+        with pytest.raises(ConfigurationError, match="nodes"):
+            rk4_node_controls(
+                lambda x, u: u, np.array([[0.0]]), grid, np.zeros((1, nodes, 1))
+            )
 
 
 def test_integrate_samples_polynomial_exact():

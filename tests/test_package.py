@@ -2,9 +2,12 @@
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import ctrlflow
+from ctrlflow.config import _BOOTSTRAP, KIND_SPECS
+from ctrlflow.noising import NoisingConfig
 
 
 def test_all_names_resolve():
@@ -54,6 +57,33 @@ def test_module_constants_are_read():
                         and target.id not in used):
                     unread.append(f"{name}: {target.id}")
     assert unread == []
+
+
+def test_every_schema_key_is_read():
+    # a key of a kind's interpolant, noising or evaluation section, or of the
+    # bootstrap start's params, is read by the pipeline: experiments.py takes
+    # it by a string subscript or .get, or noising takes it as a
+    # NoisingConfig field.  A key nothing reads is a knob that does nothing.
+    tree = ast.parse((Path(ctrlflow.__file__).parent / "experiments.py").read_text())
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args):
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            read.add(key.value)
+    unread = {f"evaluation.start.params.{key}" for key in _BOOTSTRAP if key not in read}
+    noising_fields = {field.name for field in fields(NoisingConfig)}
+    for kind, spec in KIND_SPECS.items():
+        for section in ("interpolant", "noising", "evaluation"):
+            taken = read | noising_fields if section == "noising" else read
+            unread |= {f"{kind}: {section}.{key}"
+                       for key in getattr(spec, section) or {} if key not in taken}
+    assert unread == set()
 
 
 def test_stream_key_called_only_in_seeding():
